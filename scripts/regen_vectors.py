@@ -10,8 +10,11 @@ values printed here.
 
 import hashlib
 import random
+import tempfile
+from pathlib import Path
 
 from groupauth.algebra import group_setup
+from groupauth.cli import DEMOS, ScenarioConfig, run_scenario, write_outputs
 from groupauth.harn2013 import harn_gm_init
 from groupauth.xia2019 import xia_commit, xia_gm_init
 
@@ -38,6 +41,22 @@ def xia_fingerprint(params, credentials, secret) -> str:
     for credential in credentials:
         parts += [str(credential.owner.value), str(credential.share.value)]
     return hashlib.sha256("|".join(parts).encode()).hexdigest()
+
+
+def demo_digests() -> dict:
+    """sha256 of (transcript.jsonl, report.json) per built-in demo."""
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, entry in sorted(DEMOS.items()):
+            config = ScenarioConfig.from_json(entry["config"])
+            transcript, report = run_scenario(config)
+            out_dir = Path(tmp) / name
+            write_outputs(transcript, report, config, out_dir)
+            digests[name] = tuple(
+                hashlib.sha256((out_dir / f).read_bytes()).hexdigest()
+                for f in ("transcript.jsonl", "report.json")
+            )
+    return digests
 
 
 def main() -> None:
@@ -73,6 +92,14 @@ def main() -> None:
     state = credentials[0].start_session(1, [1, 2, 3], params)
     envelope = xia_commit(state, random.Random(99))
     print("PINNED_PAYLOAD = %r" % envelope.payload)
+    print()
+
+    print("# tests/test_cli.py")
+    print("PINNED_DEMO_DIGESTS = {")
+    for name, (transcript, report) in demo_digests().items():
+        print('    "%s": (\n        "%s",\n        "%s",\n    ),' % (
+            name, transcript, report))
+    print("}")
 
 
 if __name__ == "__main__":

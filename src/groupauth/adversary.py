@@ -25,13 +25,13 @@ from dataclasses import dataclass
 
 from .algebra import CyclicGroupSpec, FieldElement, GroupElement, derive_rng, group_exp
 from .channel import (
-    ADVERSARY_ID,
     AdversaryAPI,
     AdversaryPolicy,
     BeliefState,
     ChannelSimulator,
     Envelope,
     ROUND_COMMITMENT,
+    ROUND_INVITATION,
     ROUND_TOKEN,
     Transcript,
     WILDCARD,
@@ -40,10 +40,10 @@ from .channel import (
 )
 from .errors import InsufficientObservation
 from .harn2013 import SCHEME_TAG as HARN_TAG
-from .harn2013 import HarnPublicBundle, HarnToken
-from .parties import HarnParty, XiaParty, invitation_envelope, parse_invitation
+from .harn2013 import HarnPublicBundle, HarnToken, harn_aggregate
+from .parties import invitation_envelope, parse_invitation, register_parties
 from .xia2019 import SCHEME_TAG as XIA_TAG
-from .xia2019 import XiaParams
+from .xia2019 import XiaParams, xia_aggregate
 
 MODE_TWO_STAGE = "two-stage"
 MODE_SIMULTANEOUS = "simultaneous"
@@ -64,7 +64,7 @@ def _collect_round(envelopes, session: tuple, round_: str) -> dict:
 
 def _find_group(envelopes, session: tuple):
     for envelope in envelopes:
-        if envelope.session == session and envelope.round == "invitation":
+        if envelope.session == session and envelope.round == ROUND_INVITATION:
             parsed = parse_invitation(envelope)
             if parsed:
                 return parsed[0]
@@ -87,9 +87,9 @@ def attack_harn_learn_secret(envelopes, run_id: int, modulus: int) -> int:
     missing = [i for i in group if i not in tokens]
     if missing:
         raise InsufficientObservation("still waiting on tokens %s" % missing)
-    return sum(
-        decode_residue_hex(tokens[i], modulus) for i in group
-    ) % modulus
+    return harn_aggregate(
+        [decode_residue_hex(tokens[i], modulus) for i in group], modulus
+    )
 
 
 def attack_harn_forge(secret: int, victim_token: int, victim: int,
@@ -135,12 +135,11 @@ def attack_xia_stage1(envelopes, session_id: int,
     missing = [i for i in members if i not in tokens]
     if missing:
         raise InsufficientObservation("still waiting on tokens %s" % missing)
-    product = group.identity()
-    for member in members:
-        product = product * group.element(
-            decode_residue_hex(tokens[member], group.p)
-        )
-    return product
+    return group.element(xia_aggregate(
+        [group.element(decode_residue_hex(tokens[i], group.p)).value
+         for i in members],
+        group.p,
+    ))
 
 
 def solve_closing_token(target: GroupElement, fixed_values) -> GroupElement:
@@ -389,28 +388,6 @@ class XiaChannelAttack:
             )
 
 
-def attack_xia_stage2(power: GroupElement, victim: int, fake_group,
-                      session: int, generators,
-                      rng: random.Random) -> XiaChannelAttack:
-    """Script for stage two alone, with the observed power already known.
-
-    Useful when stage one happened elsewhere (a stored transcript, say):
-    the returned script skips observation and goes straight to forging.
-    """
-    script = XiaChannelAttack(
-        group=power.group,
-        generators=generators,
-        observed_session=session,
-        observed_group=(),
-        plans=[VictimPlan(victim=victim, fake_group=tuple(fake_group),
-                          session=session)],
-        mode=MODE_SIMULTANEOUS,
-        rng=rng,
-    )
-    script.product = power
-    return script
-
-
 # ---------------------------------------------------------------------------
 # transcript-only outcome evaluation
 
@@ -466,12 +443,8 @@ def recompute_observed_aggregate(transcript: Transcript, scheme: str,
             )
     if any(i not in tokens for i in group_ids):
         return None
-    if scheme == HARN_TAG:
-        return sum(tokens[i] for i in group_ids) % modulus
-    acc = 1
-    for i in group_ids:
-        acc = acc * tokens[i] % modulus
-    return acc
+    aggregate = harn_aggregate if scheme == HARN_TAG else xia_aggregate
+    return aggregate([tokens[i] for i in group_ids], modulus)
 
 
 def evaluate_attack(transcript: Transcript, scheme: str, victim: int,
@@ -520,29 +493,6 @@ def evaluate_attack(transcript: Transcript, scheme: str, victim: int,
 # orchestrators: build the world, run it, judge it from the transcript
 
 
-def _register_harn_parties(sim: ChannelSimulator, bundle, credentials):
-    apis = {}
-    parties = {}
-    for credential in credentials:
-        pid = credential.owner.value
-        party = HarnParty(pid, credential, bundle)
-        parties[pid] = party
-        apis[pid] = sim.register(party)
-    return parties, apis
-
-
-def _register_xia_parties(sim: ChannelSimulator, params, credentials, seed):
-    apis = {}
-    parties = {}
-    for credential in credentials:
-        pid = credential.owner.value
-        party = XiaParty(pid, credential, params,
-                         derive_rng(seed, "party", pid))
-        parties[pid] = party
-        apis[pid] = sim.register(party)
-    return parties, apis
-
-
 def run_harn_impersonation(bundle: HarnPublicBundle, credentials,
                            observed_group, fake_group, victim: int,
                            seed: int, observed_run: int = 1,
@@ -551,7 +501,7 @@ def run_harn_impersonation(bundle: HarnPublicBundle, credentials,
     (transcript, outcome)."""
     policy = AdversaryPolicy(blocked_links={(WILDCARD, victim)}, tap=True)
     sim = ChannelSimulator(policy=policy)
-    parties, apis = _register_harn_parties(sim, bundle, credentials)
+    parties, apis = register_parties(sim, bundle, credentials, seed)
     script = HarnImpersonationScript(
         bundle=bundle, observed_run=observed_run,
         observed_group=observed_group, fake_run=fake_run,
@@ -578,7 +528,7 @@ def run_xia_attack(params: XiaParams, credentials, observed_group,
     blocked = {(WILDCARD, plan.victim) for plan in plans}
     policy = AdversaryPolicy(blocked_links=blocked, tap=True)
     sim = ChannelSimulator(policy=policy)
-    parties, apis = _register_xia_parties(sim, params, credentials, seed)
+    parties, apis = register_parties(sim, params, credentials, seed)
     script = XiaChannelAttack(
         group=params.group, generators=params.generators,
         observed_session=observed_session, observed_group=observed_group,
@@ -599,16 +549,3 @@ def run_xia_attack(params: XiaParams, credentials, observed_group,
         for plan in plans
     ]
     return transcript, outcomes
-
-
-def attack_xia_simultaneous(params: XiaParams, credentials, victim: int,
-                            observed_group, fake_group, seed: int,
-                            session: int = 1) -> AttackOutcome:
-    """Interleaved single-victim attack; returns the audited outcome."""
-    plan = VictimPlan(victim=victim, fake_group=tuple(fake_group),
-                      session=session)
-    _, outcomes = run_xia_attack(
-        params, credentials, observed_group, [plan], seed,
-        observed_session=session, mode=MODE_SIMULTANEOUS,
-    )
-    return outcomes[0]

@@ -14,6 +14,8 @@ the claimed sender and the true origin.
 """
 
 import json
+import weakref
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 from .errors import (
@@ -147,6 +149,40 @@ class AdversaryPolicy:
 # transcript
 
 
+def _is_int(value) -> bool:
+    return type(value) is int
+
+
+def _is_str(value) -> bool:
+    return type(value) is str
+
+
+def _is_ids(value) -> bool:
+    return type(value) is list and all(_is_int(i) for i in value)
+
+
+def _is_session(value) -> bool:
+    return (type(value) is list and len(value) == 2
+            and _is_str(value[0]) and _is_int(value[1]))
+
+
+# key -> type check for each transcript record type
+RECORD_SCHEMA = {
+    "envelope": {
+        "type": _is_str, "seq": _is_int, "claimed_sender": _is_int,
+        "true_origin": _is_int, "session": _is_session, "round": _is_str,
+        "payload_hex": _is_str, "recipients": _is_ids,
+    },
+    "decision": {
+        "type": _is_str, "seq": _is_int, "party": _is_int,
+        "session": _is_session,
+        "accepted": lambda value: type(value) is bool,
+        "members": lambda value: value is None or _is_ids(value),
+        "reason": lambda value: value is None or _is_str(value),
+    },
+}
+
+
 @dataclass
 class Transcript:
     """Append-only log of channel activity plus party decisions."""
@@ -210,22 +246,30 @@ class Transcript:
 
     @classmethod
     def read_jsonl(cls, path) -> "Transcript":
+        """Load a transcript, checking every record's keys and types."""
         records = []
-        with open(path, "r", encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, 1):
-                if not line.endswith("\n"):
+        with open(path, "rb") as handle:
+            for line_no, raw in enumerate(handle, 1):
+                if not raw.endswith(b"\n"):
                     raise MalformedTranscript(
                         "truncated transcript at line %d" % line_no
                     )
                 try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
+                    record = json.loads(raw.decode("utf-8"))
+                except (UnicodeDecodeError, ValueError, RecursionError) as exc:
                     raise MalformedTranscript(
                         "unparseable transcript line %d" % line_no
                     ) from exc
-                if record.get("type") not in ("envelope", "decision"):
+                kind = record.get("type") if isinstance(record, dict) else None
+                if kind not in ("envelope", "decision"):
                     raise MalformedTranscript(
                         "unknown record type at line %d" % line_no
+                    )
+                schema = RECORD_SCHEMA[kind]
+                if set(record) != set(schema) or not all(
+                        check(record[key]) for key, check in schema.items()):
+                    raise MalformedTranscript(
+                        "malformed %s record at line %d" % (kind, line_no)
                     )
                 records.append(record)
         return cls(records=records)
@@ -239,7 +283,9 @@ class PartyAPI:
     """Capabilities handed to one honest party; binds its true origin."""
 
     def __init__(self, simulator: "ChannelSimulator", party_id: int):
-        self._simulator = simulator
+        # The simulator owns its APIs; a strong back reference would make
+        # a cycle that keeps every dropped world alive until a GC pass.
+        self._simulator = weakref.proxy(simulator)
         self.party_id = party_id
 
     def broadcast(self, envelope: Envelope) -> None:
@@ -253,7 +299,7 @@ class AdversaryAPI:
     """Capabilities handed to the adversary script."""
 
     def __init__(self, simulator: "ChannelSimulator"):
-        self._simulator = simulator
+        self._simulator = weakref.proxy(simulator)  # as in PartyAPI
         self.adversary_id = ADVERSARY_ID
 
     def inject(self, envelope: Envelope, recipients) -> None:
@@ -261,33 +307,29 @@ class AdversaryAPI:
 
 
 class DeliverySchedule:
-    """Pending deliveries ordered by (priority, seq, enqueue order).
+    """Pending deliveries in first-in, first-out order.
 
-    An optional seeded rng shuffles the fan-out order of a single
-    broadcast; with the default FIFO order transcripts are reproducible
-    either way because the rng itself is seeded.
+    broadcast and inject stamp an envelope and push its fan-out before the
+    tap can react, so pushes arrive in seq order and FIFO delivers by
+    (seq, fan-out position). An optional seeded rng shuffles the fan-out
+    order of a single broadcast; transcripts stay reproducible either way
+    because the rng itself is seeded.
     """
 
     def __init__(self, rng=None, shuffle: bool = False):
-        self._pending = []
-        self._counter = 0
+        self._pending = deque()
         self._rng = rng
         self._shuffle = shuffle
 
-    def push_fanout(self, priority: int, envelope: Envelope,
-                    recipients: list) -> None:
+    def push_fanout(self, envelope: Envelope, recipients: list) -> None:
         order = list(recipients)
         if self._shuffle and self._rng is not None and len(order) > 1:
             self._rng.shuffle(order)
-        for recipient in order:
-            self._pending.append(
-                (priority, envelope.seq, self._counter, envelope, recipient)
-            )
-            self._counter += 1
-        self._pending.sort(key=lambda item: item[:3])
+        self._pending.extend((envelope, recipient) for recipient in order)
 
-    def pop(self):
-        return self._pending.pop(0)
+    def pop(self) -> tuple:
+        """Next (envelope, recipient) pair."""
+        return self._pending.popleft()
 
     def __len__(self):
         return len(self._pending)
@@ -351,7 +393,7 @@ class ChannelSimulator:
             if pid != sender and not self.policy.blocks(sender, pid)
         ]
         self.transcript.append_envelope(stamped, sender, recipients)
-        self.schedule.push_fanout(0, stamped, recipients)
+        self.schedule.push_fanout(stamped, recipients)
         if self.policy.tap and self._adversary is not None:
             self._adversary.on_tap(stamped, self._adversary_api)
 
@@ -365,7 +407,7 @@ class ChannelSimulator:
                 raise UnknownParty("cannot inject to unknown party %r" % pid)
         stamped = envelope.with_seq(self._next_seq())
         self.transcript.append_envelope(stamped, ADVERSARY_ID, recipients)
-        self.schedule.push_fanout(0, stamped, recipients)
+        self.schedule.push_fanout(stamped, recipients)
 
     def record_decision(self, party_id: int, session: tuple,
                         belief: BeliefState) -> None:
@@ -381,7 +423,7 @@ class ChannelSimulator:
                 raise SimulationDiverged(
                     "delivery budget of %d exhausted" % self.max_events
                 )
-            _, _, _, envelope, recipient = self.schedule.pop()
+            envelope, recipient = self.schedule.pop()
             party = self._parties.get(recipient)
             if party is None:
                 continue

@@ -25,28 +25,22 @@ from .adversary import (
     run_harn_impersonation,
     run_xia_attack,
 )
-from .algebra import derive_rng, residue_digest
 from .channel import (
-    ADVERSARY_ID,
     AdversaryAPI,
     AdversaryPolicy,
     ChannelSimulator,
     Envelope,
     REASON_HASH_MISMATCH,
     REASON_QUORUM,
-    REASON_SESSION_EXHAUSTED,
-    ROUND_COMMITMENT,
-    ROUND_INVITATION,
     ROUND_TOKEN,
     Transcript,
-    decode_json_hex,
     decode_residue_hex,
     encode_residue_hex,
 )
 from .errors import AuditFailure, ConfigError, GroupAuthError
 from .harn2013 import SCHEME_TAG as HARN_TAG
 from .harn2013 import harn_gm_init
-from .parties import HarnParty, XiaParty
+from .parties import register_parties, replay_party
 from .xia2019 import SCHEME_TAG as XIA_TAG
 from .xia2019 import xia_gm_init
 
@@ -374,17 +368,7 @@ def _run_plain(config: ScenarioConfig, material, credentials) -> Transcript:
             config.victim, _modulus(config, material), generator,
         )
     sim = ChannelSimulator(policy=policy)
-    parties = {}
-    apis = {}
-    for credential in credentials:
-        pid = credential.owner.value
-        if config.scheme == HARN_TAG:
-            party = HarnParty(pid, credential, material)
-        else:
-            party = XiaParty(pid, credential, material,
-                             derive_rng(config.seed, "party", pid))
-        parties[pid] = party
-        apis[pid] = sim.register(party)
+    parties, apis = register_parties(sim, material, credentials, config.seed)
     if script is not None:
         adv_api = sim.register_adversary(script)
         script.on_start(adv_api)
@@ -553,193 +537,67 @@ def write_outputs(transcript: Transcript, report: dict,
 # transcript audit: replay every decision from wire data alone
 
 
-class _ReplaySession:
-    def __init__(self, view, own_token):
-        self.view = view
-        self.commitments = set()
-        self.tokens = {}
-        self.own_token = own_token
-        self.await_tokens = False
-        self.decided = False
+class _ReplayAPI:
+    """Stands in for PartyAPI while the audit replays one party: keeps
+    each decision in the shape of a transcript decision record."""
 
+    def __init__(self):
+        self.decisions = []
 
-def _own_broadcast_value(inbox, pid, session, round_, modulus):
-    for record in inbox:
-        if (record["true_origin"] == pid
-                and record["claimed_sender"] == pid
-                and tuple(record["session"]) == session
-                and record["round"] == round_):
-            return decode_residue_hex(record["payload_hex"], modulus)
-    return None
-
-
-def _parse_invitation_record(record, session_id):
-    try:
-        body = decode_json_hex(record["payload_hex"])
-        group_ids = tuple(sorted(int(i) for i in body["group"]))
-        session = int(body["session"])
-    except (GroupAuthError, KeyError, TypeError, ValueError):
-        return None
-    if session != session_id or not group_ids:
-        return None
-    if len(set(group_ids)) != len(group_ids):
-        return None
-    return group_ids
-
-
-def _replay_party(pid: int, transcript: Transcript,
-                  config: ScenarioConfig, material) -> list:
-    """Decisions party pid must have reached, given only what it saw.
-
-    Mirrors the honest adapters: first-seen invitation per session fixes
-    the view, contributions are first-wins per claimed sender and ignored
-    unless well-formed, and the aggregate digest decides. A party's own
-    contributions enter at the moment it provably broadcast them.
-    """
-    scheme = config.scheme
-    modulus = _modulus(config, material)
-    threshold = config.t
-    known = set(range(1, config.n + 1))
-    inbox = [
-        record for record in transcript.envelopes()
-        if pid in record["recipients"]
-        or (record["true_origin"] == pid
-            and record["claimed_sender"] == pid)
-    ]
-    sessions = {}
-    used = set()
-    out = []
-
-    def verify(session_id: int, state: _ReplaySession) -> None:
-        if state.decided or set(state.tokens) != set(state.view):
-            return
-        state.decided = True
-        if scheme == HARN_TAG:
-            aggregate = sum(state.tokens[i] for i in state.view) % modulus
-            expected = material.secret_hash
-        else:
-            aggregate = 1
-            for i in state.view:
-                aggregate = aggregate * state.tokens[i] % modulus
-            expected = material.hash_for(session_id)
-        if residue_digest(aggregate, modulus) == expected:
-            out.append((session_id, True, set(state.view), None))
-        else:
-            out.append((session_id, False, None, REASON_HASH_MISMATCH))
-
-    def commitments_complete(session_id: int, state: _ReplaySession) -> None:
-        if state.decided or state.await_tokens:
-            return
-        if state.commitments != set(state.view):
-            return
-        if len(state.view) < threshold:
-            state.decided = True
-            out.append((session_id, False, None, REASON_QUORUM))
-            return
-        state.await_tokens = True
-        if state.own_token is not None:
-            state.tokens[pid] = state.own_token
-        verify(session_id, state)
-
-    for record in inbox:
-        scheme_tag, session_id = record["session"]
-        if scheme_tag != scheme:
-            continue
-        session = (scheme, session_id)
-        round_ = record["round"]
-        if round_ == ROUND_INVITATION:
-            group_ids = _parse_invitation_record(record, session_id)
-            if group_ids is None or session_id in sessions:
-                continue
-            if pid not in group_ids or not set(group_ids) <= known:
-                continue
-            if scheme == XIA_TAG:
-                if not 1 <= session_id <= config.ell:
-                    continue
-                if session_id in used:
-                    out.append((session_id, False, None,
-                                REASON_SESSION_EXHAUSTED))
-                    continue
-                used.add(session_id)
-                state = _ReplaySession(
-                    group_ids,
-                    _own_broadcast_value(inbox, pid, session, ROUND_TOKEN,
-                                         modulus),
-                )
-                sessions[session_id] = state
-                state.commitments.add(pid)
-                commitments_complete(session_id, state)
-            else:
-                state = _ReplaySession(
-                    group_ids,
-                    _own_broadcast_value(inbox, pid, session, ROUND_TOKEN,
-                                         modulus),
-                )
-                sessions[session_id] = state
-                if len(group_ids) < threshold:
-                    state.decided = True
-                    out.append((session_id, False, None, REASON_QUORUM))
-                    continue
-                state.await_tokens = True
-                if state.own_token is not None:
-                    state.tokens[pid] = state.own_token
-                verify(session_id, state)
-        elif round_ == ROUND_COMMITMENT and scheme == XIA_TAG:
-            state = sessions.get(session_id)
-            if state is None or state.decided or state.await_tokens:
-                continue
-            sender = record["claimed_sender"]
-            if sender not in state.view or sender in state.commitments:
-                continue
-            try:
-                value = decode_residue_hex(record["payload_hex"], modulus)
-                material.group.element(value)
-            except GroupAuthError:
-                continue
-            state.commitments.add(sender)
-            commitments_complete(session_id, state)
-        elif round_ == ROUND_TOKEN:
-            state = sessions.get(session_id)
-            if state is None or state.decided or not state.await_tokens:
-                continue
-            sender = record["claimed_sender"]
-            if sender not in state.view or sender in state.tokens:
-                continue
-            try:
-                value = decode_residue_hex(record["payload_hex"], modulus)
-                if scheme == XIA_TAG:
-                    material.group.element(value)
-            except GroupAuthError:
-                continue
-            state.tokens[sender] = value
-            verify(session_id, state)
-    return out
+    def decide(self, session: tuple, belief) -> None:
+        record = belief.to_json()
+        self.decisions.append((session, record["accepted"],
+                               record["members"], record["reason"]))
 
 
 def audit_transcript(transcript: Transcript,
                      config: ScenarioConfig) -> dict:
     """Recompute every recorded decision and the adversary bookkeeping.
 
-    Raises AuditFailure on the first inconsistency between the wire data
-    and the recorded decisions, or on adversary activity that does not
-    match the configured scenario.
+    Each party's inbox (what was delivered to it, plus what it broadcast
+    itself, in transcript order) is fed to the replay form of the same
+    party class that ran live, and the decisions it reaches must equal
+    the recorded ones. Raises AuditFailure on the first inconsistency
+    between the wire data and the recorded decisions, on a party id
+    outside 1..n, or on adversary activity that does not match the
+    configured scenario.
     """
     material, _, _ = derive_material(config)
+    inboxes = {pid: [] for pid in range(1, config.n + 1)}
+    recorded = {pid: {} for pid in inboxes}
+    for record, envelope in zip(transcript.envelopes(),
+                                transcript.envelope_objects()):
+        for pid in record["recipients"]:
+            if pid not in inboxes:
+                raise AuditFailure("envelope %d reached unknown party %d"
+                                   % (record["seq"], pid))
+            inboxes[pid].append(envelope)
+        origin = record["true_origin"]
+        if origin == envelope.claimed_sender and origin in inboxes:
+            inboxes[origin].append(envelope)
+            recorded[origin].setdefault((envelope.session, envelope.round),
+                                        envelope.payload)
+    decided = {pid: [] for pid in inboxes}
+    for record in transcript.decisions():
+        if record["party"] not in decided:
+            raise AuditFailure("decision %d by unknown party %d"
+                               % (record["seq"], record["party"]))
+        decided[record["party"]].append(
+            (tuple(record["session"]), record["accepted"],
+             record["members"], record["reason"])
+        )
     problems = []
     replayed_total = 0
-    for pid in range(1, config.n + 1):
-        recorded = [
-            (record["session"][1], record["accepted"],
-             set(record["members"]) if record["members"] else None,
-             record["reason"])
-            for record in transcript.decisions() if record["party"] == pid
-        ]
-        expected = _replay_party(pid, transcript, config, material)
-        replayed_total += len(expected)
-        if recorded != expected:
+    for pid, inbox in inboxes.items():
+        party = replay_party(material, pid, recorded[pid])
+        api = _ReplayAPI()
+        for envelope in inbox:
+            party.on_envelope(envelope, api)
+        replayed_total += len(api.decisions)
+        if decided[pid] != api.decisions:
             problems.append(
                 "party %d decided %r but the wire data says %r"
-                % (pid, recorded, expected)
+                % (pid, decided[pid], api.decisions)
             )
     forged = transcript.forged()
     expected_forged = expected_forged_count(config)
@@ -897,11 +755,10 @@ def _cmd_audit(args) -> int:
     config = load_config(args.config, args.seed, args.prime_bits)
     try:
         transcript = Transcript.read_jsonl(Path(args.transcript))
+        checks = audit_transcript(transcript, config)
     except OSError as exc:
         raise ConfigError("cannot read transcript %s: %s"
                           % (args.transcript, exc))
-    try:
-        checks = audit_transcript(transcript, config)
     except GroupAuthError as exc:
         print("audit: FAIL")
         print("  %s" % exc)
@@ -941,9 +798,10 @@ def _cmd_demo(args) -> int:
     _print_report_summary(report)
     print("wrote transcript.jsonl, report.json, config.json under %s"
           % out_dir)
-    reread = Transcript.read_jsonl(out_dir / "transcript.jsonl")
     try:
-        audit_transcript(reread, config)
+        audit_transcript(
+            Transcript.read_jsonl(out_dir / "transcript.jsonl"), config
+        )
     except GroupAuthError as exc:
         print("audit: FAIL (%s)" % exc)
         return 1

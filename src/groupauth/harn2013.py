@@ -189,6 +189,11 @@ def harn_compute_token(credential: HarnCredential, bundle: HarnPublicBundle,
     return HarnToken(sender=own, value=total)
 
 
+def harn_aggregate(values, prime: int) -> int:
+    """Sum of released token values (plain ints) mod the prime."""
+    return sum(values) % prime
+
+
 def harn_verify(tokens, bundle: HarnPublicBundle) -> tuple:
     """Aggregate released scalars and compare against the published H(s).
 
@@ -199,16 +204,14 @@ def harn_verify(tokens, bundle: HarnPublicBundle) -> tuple:
     the hash comparison.
     """
     p = bundle.params.prime
+    tokens = list(tokens)
     seen = set()
-    total = FieldElement(0, p)
     for token in tokens:
         if token.sender.value in seen:
             raise MalformedTranscript(
                 "two tokens claim sender %d" % token.sender.value
             )
         seen.add(token.sender.value)
-        total = total + token.value
-    accepted = (
-        residue_digest(total.value, p, bundle.hash_id) == bundle.secret_hash
-    )
-    return accepted, total
+    total = harn_aggregate([token.value.value for token in tokens], p)
+    accepted = residue_digest(total, p, bundle.hash_id) == bundle.secret_hash
+    return accepted, FieldElement(total, p)

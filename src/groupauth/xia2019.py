@@ -265,6 +265,14 @@ def xia_compute_token(state: XiaSessionState, credential: XiaCredential,
     return XiaToken(sender=own, value=token_value)
 
 
+def xia_aggregate(values, p: int) -> int:
+    """Product of released token values (plain ints) mod p."""
+    product = 1
+    for value in values:
+        product = product * value % p
+    return product
+
+
 def xia_verify(tokens, state: XiaSessionState,
                params: XiaParams) -> BeliefState:
     """Compare the token product against the session digest and decide.
@@ -274,16 +282,17 @@ def xia_verify(tokens, state: XiaSessionState,
     """
     if state.phase == DECIDED:
         raise ProtocolOrderViolation("session already decided")
+    tokens = list(tokens)
     seen = set()
-    product = params.group.identity()
     for token in tokens:
         sender = token.sender.value
         if sender in seen:
             raise MalformedTranscript("two tokens claim sender %d" % sender)
         seen.add(sender)
-        product = product * token.value
+    product = xia_aggregate([token.value.value for token in tokens],
+                            params.group.p)
     accepted = (
-        residue_digest(product.value, params.group.p, params.hash_id)
+        residue_digest(product, params.group.p, params.hash_id)
         == params.hash_for(state.session)
     )
     if accepted:

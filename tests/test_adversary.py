@@ -13,9 +13,7 @@ from groupauth.adversary import (
     XiaChannelAttack,
     attack_harn_forge,
     attack_harn_learn_secret,
-    attack_xia_simultaneous,
     attack_xia_stage1,
-    attack_xia_stage2,
     evaluate_attack,
     recompute_observed_aggregate,
     run_harn_impersonation,
@@ -25,7 +23,6 @@ from groupauth.adversary import (
 from groupauth.algebra import derive_rng, group_exp, group_setup
 from groupauth.channel import (
     ADVERSARY_ID,
-    AdversaryPolicy,
     ChannelSimulator,
     ROUND_TOKEN,
 )
@@ -312,12 +309,13 @@ def test_xia_attack_two_stage_orders_stages(xia_attack):
 
 def test_xia_attack_simultaneous_interleaves_and_succeeds(xia_world):
     params, credentials, _ = xia_world
-    outcome = attack_xia_simultaneous(
-        params, fresh(credentials), victim=4, observed_group=(1, 2, 3),
-        fake_group=(4, 5, 6), seed=303,
+    plan = VictimPlan(victim=4, fake_group=(4, 5, 6), session=1)
+    _, outcomes = run_xia_attack(
+        params, fresh(credentials), observed_group=(1, 2, 3), plans=[plan],
+        seed=303, observed_session=1, mode=MODE_SIMULTANEOUS,
     )
-    assert outcome.success
-    assert outcome.claimed == frozenset({4, 5, 6})
+    assert outcomes[0].success
+    assert outcomes[0].claimed == frozenset({4, 5, 6})
 
 
 def test_xia_attack_simultaneous_invites_before_observation_completes(
@@ -383,32 +381,6 @@ def test_xia_attack_fails_across_session_indices(xia_world):
         and record["true_origin"] == ADVERSARY_ID
     ]
     assert injected_tokens  # the forgery ran; the digest check caught it
-
-
-def test_xia_stage2_script_reuses_supplied_power(xia_world):
-    params, credentials, secret = xia_world
-    power = group_exp(params.generator_for(1), secret)
-    script = attack_xia_stage2(
-        power, victim=4, fake_group=(4, 5, 6), session=1,
-        generators=params.generators, rng=derive_rng(606, "adversary"),
-    )
-    policy = AdversaryPolicy(blocked_links={("*", 4)}, tap=True)
-    sim = ChannelSimulator(policy=policy)
-    apis = {}
-    for credential in fresh(credentials):
-        pid = credential.owner.value
-        apis[pid] = sim.register(
-            XiaParty(pid, credential, params, derive_rng(606, "party", pid))
-        )
-    adv_api = sim.register_adversary(script)
-    script.on_start(adv_api)
-    transcript = sim.run_until_quiescent()
-    outcome = evaluate_attack(
-        transcript, XIA_TAG, victim=4, fake_session=1,
-        observed_session=1, observed_group=(), modulus=params.group.p,
-    )
-    assert outcome.success
-    assert outcome.claimed == frozenset({4, 5, 6})
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Channel semantics: fan-out, blocking, tapping, injection, transcripts,
 and honest end-to-end runs of both schemes over the simulator."""
 
+import gc
+import weakref
+
 import pytest
 
 from groupauth.algebra import derive_rng
@@ -287,6 +290,21 @@ class TestRunLoop:
         # a different seed eventually produces a different order
         assert any(run(5) != run(other) for other in (6, 7, 8))
 
+    def test_dropped_simulator_is_freed_without_the_cycle_collector(self):
+        gc.disable()
+        try:
+            sim = ChannelSimulator(policy=AdversaryPolicy(tap=True))
+            for i in (1, 2):
+                sim.register(Recorder(i))
+            sim.register_adversary(TapCollector())
+            sim.broadcast(1, env())
+            sim.run_until_quiescent()
+            alive = weakref.ref(sim)
+            del sim
+            assert alive() is None
+        finally:
+            gc.enable()
+
 
 # ---------------------------------------------------------------------------
 # transcripts
@@ -316,6 +334,29 @@ class TestTranscript:
         path = tmp_path / "t.jsonl"
         path.write_text('{"type":"mystery"}\n')
         with pytest.raises(MalformedTranscript):
+            Transcript.read_jsonl(path)
+
+    @pytest.mark.parametrize("line", [
+        b'[1, 2]',
+        b'{"type": ["envelope"]}',
+        b'{"type":"decision","seq":1,"party":1,"session":["harn2013",1],'
+        b'"accepted":1,"members":null,"reason":null}',
+        b'{"type":"decision","seq":1,"party":true,"session":["harn2013",1],'
+        b'"accepted":false,"members":null,"reason":null}',
+        b'{"type":"decision","seq":1,"party":1,"session":["harn2013",1],'
+        b'"accepted":false,"members":null,"reason":null,"extra":0}',
+        b'{"type":"envelope","seq":1,"claimed_sender":1,"true_origin":1,'
+        b'"session":["harn2013",1],"round":"token","payload_hex":"ab",'
+        b'"recipients":[2.0]}',
+        b'{"type":"envelope","seq":1,"claimed_sender":1,"true_origin":1,'
+        b'"session":["harn2013",1,2],"round":"token","payload_hex":"ab",'
+        b'"recipients":[2]}',
+        b'"\xff"',
+    ])
+    def test_malformed_record_rejected(self, tmp_path, line):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(line + b"\n")
+        with pytest.raises(MalformedTranscript, match="line 1"):
             Transcript.read_jsonl(path)
 
     def test_belief_state_round_trip(self):

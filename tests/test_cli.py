@@ -1,6 +1,7 @@
 """Config validation, scenario verdicts, transcript audits, exit codes,
 and byte-determinism of the command-line front end."""
 
+import hashlib
 import json
 
 import pytest
@@ -20,6 +21,7 @@ from groupauth.cli import (
     load_config,
     main,
     run_scenario,
+    write_outputs,
 )
 from groupauth.errors import AuditFailure, ConfigError
 
@@ -399,6 +401,38 @@ def test_audit_command_fails_on_doctored_decision(tmp_path, capsys):
     assert "audit: FAIL" in capsys.readouterr().out
 
 
+def replace_first_record(lines, **fields):
+    record = json.loads(lines[0])
+    record.update(fields)
+    return [json.dumps(record)] + lines[1:]
+
+
+@pytest.mark.parametrize("doctor", [
+    lambda lines: ['{"type":"envelope"}'],
+    lambda lines: replace_first_record(lines, session="harn2013"),
+    lambda lines: replace_first_record(lines, recipients=[2, 3, 4, 5, 99]),
+    lambda lines: lines + [json.dumps({
+        "type": "decision", "seq": 999, "party": 99,
+        "session": ["harn2013", 1], "accepted": True,
+        "members": [1, 2, 3], "reason": None,
+    })],
+], ids=["envelope-without-fields", "string-session", "unknown-recipient",
+        "decision-by-unknown-party"])
+def test_audit_command_fails_on_hostile_transcript(doctor, tmp_path,
+                                                   capsys):
+    out_dir = tmp_path / "out"
+    assert main(["demo", "harn-honest", "--out-dir", str(out_dir)]) == 0
+    transcript_path = out_dir / "transcript.jsonl"
+    lines = doctor(transcript_path.read_text().splitlines())
+    transcript_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["audit", str(transcript_path),
+                 str(out_dir / "config.json")])
+    stdout = capsys.readouterr().out
+    assert code == 1
+    assert "audit: FAIL" in stdout and "PASS" not in stdout
+
+
 def test_missing_config_file_is_usage_error(tmp_path):
     assert main(["run", str(tmp_path / "nope.json")]) == 2
 
@@ -441,3 +475,53 @@ def test_load_config_applies_overrides(tmp_path):
     config = load_config(path, seed=2, prime_bits=32)
     assert config.seed == 2
     assert config.prime_bits == 32
+
+# sha256 of (transcript.jsonl, report.json) for every built-in demo at its
+# own config; scripts/regen_vectors.py prints these values.
+PINNED_DEMO_DIGESTS = {
+    "harn-honest": (
+        "6cecea95e8801ec62c93b886706993f88bf364fa89441d92d0574abc6361c1af",
+        "f101eaa38587d6471c1a0ecb906ecfe8618d93b1623f9d404addba355063b20d",
+    ),
+    "harn-impersonation": (
+        "90524af80ab81ce734d2f987326ae93e82d6c37d1e3d9a847fdbd1029cb13aaa",
+        "d2878ba60dd9d85705744383e3321beee5066da536653bbf82bd6ac4b62cf0c3",
+    ),
+    "harn-tamper": (
+        "32d27efeffb783f57b87616f91b1ff6ddbf12f4795978b7792afd80e0b31864e",
+        "6cedf112bca86c744976a2b602d314ea48c9868a00fdd4b7e07ca3e778973f1c",
+    ),
+    "xia-honest": (
+        "946706d03566dbb8ef01b4b9f072f74b8e4f7a52056e8e79fb485ef8abea2874",
+        "7d5217ae7692e4aa23590a1c6f81e54dfa19c14771b7fdf9cf281b8bdd2e22f9",
+    ),
+    "xia-impersonation": (
+        "1133f9fa07198724fe33e3edc6bdff5a871d432ca6a2568a7415a7d66c029c88",
+        "5e3bb7f4f2f3cc2ba8234cfc61ebe34c0447e529549bd9dbc9df5228d335e4af",
+    ),
+    "xia-quorum": (
+        "16e5f6b06c6df86f8c73a8ade99224411ffbc5611dc05f1213fd4264f567c180",
+        "139cacf176b88f75cec692557b16296ac3defd382c00276607109cee99c117bd",
+    ),
+    "xia-simultaneous": (
+        "01a228d12756d85d38826f79714c2f756e25f3d1e382356a1c13045741b1fd7b",
+        "ac536408860d49a80f42aa25fa5c7c17584285669eab19da6c1939162ff9ea51",
+    ),
+    "xia-two-victims": (
+        "4d5e2d5067b332c1c17f672ab07ff72d468a9be0d06d32b3a5262deb223aa30c",
+        "328a7b1693fcfa357d326326fa5f6ba7b35885f6b5c519ccbedb99675154605c",
+    ),
+}
+
+
+def test_demo_outputs_match_pinned_digests(tmp_path):
+    digests = {}
+    for name, entry in DEMOS.items():
+        config = ScenarioConfig.from_json(entry["config"])
+        transcript, report = run_scenario(config)
+        write_outputs(transcript, report, config, tmp_path / name)
+        digests[name] = tuple(
+            hashlib.sha256((tmp_path / name / f).read_bytes()).hexdigest()
+            for f in ("transcript.jsonl", "report.json")
+        )
+    assert digests == PINNED_DEMO_DIGESTS
