@@ -23,7 +23,14 @@ transcript: the scripts report nothing about themselves.
 import random
 from dataclasses import dataclass
 
-from .algebra import CyclicGroupSpec, FieldElement, GroupElement, derive_rng, group_exp
+from .algebra import (
+    CyclicGroupSpec,
+    FieldElement,
+    GroupElement,
+    derive_rng,
+    group_exp,
+    group_product,
+)
 from .channel import (
     AdversaryAPI,
     AdversaryPolicy,
@@ -144,10 +151,7 @@ def attack_xia_stage1(envelopes, session_id: int,
 
 def solve_closing_token(target: GroupElement, fixed_values) -> GroupElement:
     """The unique group element completing a product to the target."""
-    acc = target.group.identity()
-    for value in fixed_values:
-        acc = acc * value
-    return target * acc.inverse()
+    return target * group_product(target.group, fixed_values).inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +181,7 @@ class HarnImpersonationScript:
         self.victim_token = None
         self.injected = False
         self.observed = []
+        self.observed_senders = set()
 
     def on_start(self, api: AdversaryAPI) -> None:
         inviter = min(i for i in self.fake_group if i != self.victim)
@@ -189,13 +194,20 @@ class HarnImpersonationScript:
 
     def on_tap(self, envelope: Envelope, api: AdversaryAPI) -> None:
         self.observed.append(envelope)
-        if self.secret is None:
-            try:
-                self.secret = attack_harn_learn_secret(
-                    self.observed, self.observed_run, self.prime
-                )
-            except InsufficientObservation:
-                pass
+        if (envelope.session == (HARN_TAG, self.observed_run)
+                and envelope.round == ROUND_TOKEN
+                and envelope.claimed_sender in self.observed_group
+                and envelope.claimed_sender not in self.observed_senders):
+            self.observed_senders.add(envelope.claimed_sender)
+            # the observed run's invitation names observed_group, so stage
+            # one completes on the tap that completes its tokens
+            if len(self.observed_senders) == len(self.observed_group):
+                try:
+                    self.secret = attack_harn_learn_secret(
+                        self.observed, self.observed_run, self.prime
+                    )
+                except InsufficientObservation:
+                    pass
         if (envelope.session == (HARN_TAG, self.fake_run)
                 and envelope.round == ROUND_TOKEN
                 and envelope.claimed_sender == self.victim
@@ -285,21 +297,23 @@ class XiaChannelAttack:
             return
         if (session_id == self.observed_session
                 and envelope.round == ROUND_TOKEN
-                and envelope.claimed_sender in self.observed_group):
-            self.observed_tokens.setdefault(
-                envelope.claimed_sender,
-                decode_residue_hex(envelope.payload, self.group.p),
+                and envelope.claimed_sender in self.observed_group
+                and envelope.claimed_sender not in self.observed_tokens):
+            self.observed_tokens[envelope.claimed_sender] = (
+                decode_residue_hex(envelope.payload, self.group.p)
             )
-        if self.product is None:
-            try:
-                self.product = attack_xia_stage1(
-                    self.observed, self.observed_session, self.group
-                )
-            except InsufficientObservation:
-                pass
-            if self.product is not None and self.mode == MODE_TWO_STAGE:
-                for plan in self.plans:
-                    self._open_fake_session(plan, api)
+            # the observed session's invitation names observed_group, so
+            # stage one completes on the tap that completes its tokens
+            if len(self.observed_tokens) == len(self.observed_group):
+                try:
+                    self.product = attack_xia_stage1(
+                        self.observed, self.observed_session, self.group
+                    )
+                except InsufficientObservation:
+                    pass
+                if self.product is not None and self.mode == MODE_TWO_STAGE:
+                    for plan in self.plans:
+                        self._open_fake_session(plan, api)
         for plan in self.plans:
             if (envelope.session == (XIA_TAG, plan.session)
                     and envelope.round == ROUND_TOKEN

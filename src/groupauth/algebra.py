@@ -2,7 +2,10 @@
 
 Everything is plain arbitrary-precision int wrapped in small value types:
 FieldElement / Polynomial over Z_p, and GroupElement in the order-q
-subgroup of Z_p* for a safe prime p = 2q + 1.
+subgroup of Z_p* for a safe prime p = 2q + 1. Subgroup membership is
+checked when an int becomes a GroupElement, not on the results of group
+operations, which cannot leave the subgroup; hot loops such as Lagrange
+interpolation run on the ints inside the wrappers.
 
 Randomness is simulation-grade: callers pass a seeded random.Random (or a
 seed) so that every derived object is reproducible byte for byte. Nothing
@@ -167,8 +170,8 @@ def lagrange_coefficient(target: FieldElement, own: FieldElement,
     and are rejected.
     """
     others = tuple(others)
-    num = FieldElement(1, own.modulus)
-    den = FieldElement(1, own.modulus)
+    modulus = own.modulus
+    num = den = 1
     seen = set()
     for x in others:
         own._match(x)
@@ -178,9 +181,11 @@ def lagrange_coefficient(target: FieldElement, own: FieldElement,
                 "duplicate evaluation position %d" % x.value
             )
         seen.add(x.value)
-        num = num * (target - x)
-        den = den * (own - x)
-    return num * field_inverse(den)
+        num = num * (target.value - x.value) % modulus
+        den = den * (own.value - x.value) % modulus
+    if den == 0:
+        raise InversionOfZero("zero has no multiplicative inverse")
+    return FieldElement(num * pow(den, -1, modulus), modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +227,37 @@ def random_safe_prime(bits: int, rng: random.Random) -> tuple:
 # prime-order subgroup of Z_p* for safe prime p
 
 
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for an odd n > 0: 1, -1, or 0 if gcd(a, n) > 1.
+
+    The standard binary algorithm: strip factors of two, then swap by
+    quadratic reciprocity, so the cost grows like a gcd rather than like
+    a modular power.
+    """
+    a %= n
+    result = 1
+    while a:
+        while not a & 1:
+            a >>= 1
+            if n & 7 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a & n & 3 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
 @dataclass(frozen=True)
 class CyclicGroupSpec:
-    """Order-q subgroup of Z_p* for a safe prime p = 2q + 1."""
+    """Order-q subgroup of Z_p* for a safe prime p = 2q + 1.
+
+    Precondition, not checked here: p and q are both prime. The order-q
+    subgroup of Z_p* is then exactly the set of quadratic residues mod p,
+    so membership is the Jacobi symbol test (v/p) == 1, which agrees with
+    v^q == 1 mod p for every v in 1..p-1. Without primality the two tests
+    differ and membership means nothing.
+    """
 
     p: int
     q: int
@@ -236,7 +269,7 @@ class CyclicGroupSpec:
             raise ValueError("subgroup order too small")
 
     def identity(self) -> "GroupElement":
-        return GroupElement(1, self)
+        return GroupElement._unchecked(1, self)
 
     def element(self, value: int) -> "GroupElement":
         """Wrap an int, enforcing subgroup membership."""
@@ -245,19 +278,33 @@ class CyclicGroupSpec:
 
 @dataclass(frozen=True)
 class GroupElement:
-    """Member of the order-q subgroup; membership is checked on creation."""
+    """Member of the order-q subgroup.
+
+    The public constructor checks membership. Products, inverses, powers
+    and the identity are built by `_unchecked`, because the subgroup is
+    closed under them; only their operands' types and groups are checked.
+    """
 
     value: int
     group: CyclicGroupSpec
 
     def __post_init__(self):
-        p, q = self.group.p, self.group.q
+        p = self.group.p
         if not 1 <= self.value < p:
             raise SubgroupViolation("value %d outside Z_p*" % self.value)
-        if pow(self.value, q, p) != 1:
+        if _jacobi(self.value, p) != 1:
             raise SubgroupViolation(
-                "value %d is not in the order-%d subgroup" % (self.value, q)
+                "value %d is not in the order-%d subgroup"
+                % (self.value, self.group.q)
             )
+
+    @classmethod
+    def _unchecked(cls, value: int, group: CyclicGroupSpec) -> "GroupElement":
+        """Wrap the result of a group operation without re-testing it."""
+        element = object.__new__(cls)
+        object.__setattr__(element, "value", value)
+        object.__setattr__(element, "group", group)
+        return element
 
     def _match(self, other: "GroupElement") -> None:
         if not isinstance(other, GroupElement):
@@ -267,10 +314,14 @@ class GroupElement:
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         self._match(other)
-        return GroupElement(self.value * other.value % self.group.p, self.group)
+        return GroupElement._unchecked(
+            self.value * other.value % self.group.p, self.group
+        )
 
     def inverse(self) -> "GroupElement":
-        return GroupElement(pow(self.value, -1, self.group.p), self.group)
+        return GroupElement._unchecked(
+            pow(self.value, -1, self.group.p), self.group
+        )
 
 
 def group_exp(g: GroupElement, e) -> GroupElement:
@@ -284,7 +335,18 @@ def group_exp(g: GroupElement, e) -> GroupElement:
         if e.modulus != q:
             raise ModulusMismatch("exponent must live mod the group order")
         e = e.value
-    return GroupElement(pow(g.value, e % q, g.group.p), g.group)
+    return GroupElement._unchecked(pow(g.value, e % q, g.group.p), g.group)
+
+
+def group_product(group: CyclicGroupSpec, elements) -> GroupElement:
+    """Product of subgroup elements of `group`, multiplied as ints and
+    wrapped once; the empty product is the identity."""
+    identity = group.identity()
+    product = 1
+    for element in elements:
+        identity._match(element)
+        product = product * element.value % group.p
+    return GroupElement._unchecked(product, group)
 
 
 def group_setup(bit_length: int, generator_count: int,

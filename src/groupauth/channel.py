@@ -35,6 +35,8 @@ REASON_QUORUM = "quorum"
 REASON_HASH_MISMATCH = "hash-mismatch"
 REASON_SESSION_EXHAUSTED = "session-exhausted"
 
+_HEX_DIGITS = frozenset("0123456789abcdef")
+
 
 # ---------------------------------------------------------------------------
 # wire encoding helpers
@@ -52,14 +54,21 @@ def encode_residue_hex(value: int, modulus: int) -> str:
     return format(value, "0%dx" % hex_width(modulus))
 
 
+def _is_lower_hex(text) -> bool:
+    """Only the digits encode_residue_hex and bytes.hex write: no sign,
+    prefix, underscore, whitespace, uppercase or non-ASCII digit."""
+    return type(text) is str and _HEX_DIGITS.issuperset(text)
+
+
 def decode_residue_hex(text: str, modulus: int) -> int:
-    """Inverse of encode_residue_hex; width and range are enforced."""
-    if len(text) != hex_width(modulus) or text != text.lower():
-        raise MalformedTranscript("bad residue encoding %r" % text)
-    try:
-        value = int(text, 16)
-    except ValueError as exc:
-        raise MalformedTranscript("bad residue encoding %r" % text) from exc
+    """Inverse of encode_residue_hex on its exact output format.
+
+    Accepts exactly hex_width(modulus) characters from 0-9a-f and a value
+    below the modulus, so every residue has one accepted spelling.
+    """
+    if not _is_lower_hex(text) or len(text) != hex_width(modulus):
+        raise MalformedTranscript("bad residue encoding %r" % (text,))
+    value = int(text, 16)
     if value >= modulus:
         raise MalformedTranscript("residue %d out of range" % value)
     return value
@@ -72,6 +81,10 @@ def encode_json_hex(obj) -> str:
 
 
 def decode_json_hex(text: str):
+    """Inverse of encode_json_hex; the hex layer must be lowercase and
+    unspaced, as encode_json_hex writes it."""
+    if not _is_lower_hex(text):
+        raise MalformedTranscript("bad structured payload")
     try:
         return json.loads(bytes.fromhex(text).decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:

@@ -14,7 +14,7 @@ issuance time; participant identifiers are the field elements 1..n.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import ceil
 
 from .algebra import (
@@ -44,6 +44,7 @@ class HarnParams:
     k: int
     prime: int
     identifiers: tuple  # FieldElement per participant, value i for party i
+    _by_id: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 2 <= self.t <= self.n:
@@ -53,13 +54,21 @@ class HarnParams:
         values = [x.value for x in self.identifiers]
         if len(values) != self.n or len(set(values)) != self.n or 0 in values:
             raise ValueError("identifiers must be n distinct non-zero residues")
+        by_id = {x.value: x for x in self.identifiers}
+        object.__setattr__(self, "_by_id", by_id)
 
     def identifier(self, party_id: int) -> FieldElement:
         """Field element for a 1-based party id."""
-        for x in self.identifiers:
-            if x.value == party_id:
-                return x
-        raise NotAMember("no participant with identifier %d" % party_id)
+        try:
+            return self._by_id[party_id]
+        except KeyError:
+            raise NotAMember(
+                "no participant with identifier %d" % party_id
+            ) from None
+
+    def all_members(self, party_ids) -> bool:
+        """Whether every id in `party_ids` names a participant."""
+        return self._by_id.keys() >= set(party_ids)
 
 
 @dataclass(frozen=True)

@@ -163,8 +163,8 @@ class HarnParty:
             if parsed is None or run_id in self.runs:
                 return
             group_ids, _ = parsed
-            known = {x.value for x in self.bundle.params.identifiers}
-            if self.party_id not in group_ids or not set(group_ids) <= known:
+            if (self.party_id not in group_ids
+                    or not self.bundle.params.all_members(group_ids)):
                 return
             self._join(group_ids, run_id, api)
         elif envelope.round == ROUND_TOKEN:
@@ -203,9 +203,10 @@ class HarnParty:
         run = self.runs[run_id]
         if run.decided or len(run.tokens) != len(run.group_view):
             return
-        p = self.bundle.params.prime
+        params = self.bundle.params
         tokens = [
-            HarnToken(FieldElement(i, p), FieldElement(run.tokens[i], p))
+            HarnToken(params.identifier(i),
+                      FieldElement(run.tokens[i], params.prime))
             for i in run.group_view
         ]
         accepted, _ = harn_verify(tokens, self.bundle)
@@ -247,11 +248,7 @@ class XiaParty:
 
     def decode(self, payload: str):
         """Wire value -> subgroup element, or None if malformed."""
-        try:
-            value = decode_residue_hex(payload, self.params.group.p)
-            return self.params.group.element(value)
-        except GroupAuthError:
-            return None
+        return self.params.decode(payload)
 
     def on_envelope(self, envelope: Envelope, api: PartyAPI) -> None:
         scheme, session = envelope.session
@@ -262,8 +259,8 @@ class XiaParty:
             if parsed is None or session in self.sessions:
                 return
             group_ids, _ = parsed
-            known = {x.value for x in self.params.identifiers}
-            if self.party_id not in group_ids or not set(group_ids) <= known:
+            if (self.party_id not in group_ids
+                    or not self.params.all_members(group_ids)):
                 return
             if not 1 <= session <= self.params.ell:
                 return

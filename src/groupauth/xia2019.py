@@ -26,6 +26,7 @@ from .algebra import (
     Polynomial,
     derive_seed,
     group_exp,
+    group_product,
     group_setup,
     lagrange_coefficient,
     poly_eval,
@@ -36,9 +37,11 @@ from .channel import (
     Envelope,
     REASON_HASH_MISMATCH,
     ROUND_COMMITMENT,
+    decode_residue_hex,
     encode_residue_hex,
 )
 from .errors import (
+    GroupAuthError,
     IncompleteRound,
     InsufficientQuorum,
     InvalidThreshold,
@@ -58,7 +61,15 @@ DECIDED = "decided"
 @dataclass(frozen=True)
 class XiaParams:
     """Public setup: group, per-session generators, share positions,
-    and one verification digest per session index."""
+    and one verification digest per session index.
+
+    `decode` is the wire boundary: it validates each distinct payload
+    once and remembers the accepted element. Every party of one world
+    shares one params object, so a broadcast value is checked once, not
+    once per recipient. The memo lives as long as the params object,
+    which is meant to serve one world; rejected payloads are not
+    remembered, so injected junk cannot grow it.
+    """
 
     n: int
     t: int
@@ -68,6 +79,9 @@ class XiaParams:
     identifiers: tuple  # FieldElements mod q, value i for party i
     session_hashes: tuple  # ell digests of (g_sigma)^s
     hash_id: str
+    _by_id: dict = field(init=False, repr=False, compare=False)
+    _decoded: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         if not 2 <= self.t <= self.n:
@@ -83,6 +97,8 @@ class XiaParams:
         values = [x.value for x in self.identifiers]
         if len(values) != self.n or len(set(values)) != self.n or 0 in values:
             raise ValueError("identifiers must be n distinct non-zero residues")
+        by_id = {x.value: x for x in self.identifiers}
+        object.__setattr__(self, "_by_id", by_id)
 
     def generator_for(self, session: int) -> GroupElement:
         if not 1 <= session <= self.ell:
@@ -95,10 +111,32 @@ class XiaParams:
         return self.session_hashes[session - 1]
 
     def identifier(self, party_id: int) -> FieldElement:
-        for x in self.identifiers:
-            if x.value == party_id:
-                return x
-        raise NotAMember("no participant with identifier %d" % party_id)
+        try:
+            return self._by_id[party_id]
+        except KeyError:
+            raise NotAMember(
+                "no participant with identifier %d" % party_id
+            ) from None
+
+    def all_members(self, party_ids) -> bool:
+        """Whether every id in `party_ids` names a participant."""
+        return self._by_id.keys() >= set(party_ids)
+
+    def decode(self, payload: str) -> GroupElement | None:
+        """Wire value -> subgroup element, or None if malformed; accepted
+        values are memoized per distinct payload."""
+        try:
+            return self._decoded[payload]
+        except KeyError:
+            pass
+        try:
+            element = self.group.element(
+                decode_residue_hex(payload, self.group.p)
+            )
+        except GroupAuthError:
+            return None
+        self._decoded[payload] = element
+        return element
 
 
 @dataclass
@@ -213,10 +251,11 @@ def gamma_mask(state: XiaSessionState) -> GroupElement:
 
     Peers below the owner (by identifier value) contribute C_j, peers
     above contribute C_j^{-1}; the exponents cancel pairwise across the
-    group, which is what makes the token product clean.
+    group, which is what makes the token product clean. Each side is
+    multiplied out first, so the mask costs one inversion.
     """
-    params = state.params
-    mask = params.group.identity()
+    lower = []
+    upper = []
     for peer in state.group_view:
         if peer == state.owner_id:
             continue
@@ -224,10 +263,11 @@ def gamma_mask(state: XiaSessionState) -> GroupElement:
         if commitment is None:
             raise IncompleteRound("missing commitment from %d" % peer)
         if peer < state.owner_id:
-            mask = mask * commitment
+            lower.append(commitment)
         else:
-            mask = mask * commitment.inverse()
-    return mask
+            upper.append(commitment)
+    group = state.params.group
+    return group_product(group, lower) * group_product(group, upper).inverse()
 
 
 def xia_compute_token(state: XiaSessionState, credential: XiaCredential,

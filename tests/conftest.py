@@ -24,6 +24,20 @@ MEDIUM_PRIME = 10_007
 P64 = 9_990_341_303_051_090_783
 Q64 = 4_995_170_651_525_545_391
 
+# Larger safe primes p = 2q + 1, fixed so no test has to search for one:
+# random_safe_prime(bits, random.Random(bits)) for bits = 128, 256, 512.
+P128 = 247882374964466167615874452021369419059
+P256 = int(
+    "1097734871254844745214564749674600027660"
+    "29599377207509322241302841280688943287"
+)
+P512 = int(
+    "11728248684829795620686001974841229673672019906340030477316070021556"
+    "67630768080367783896670416458080291000277660835285929779977969700692"
+    "3270592636556440867"
+)
+SAFE_PRIMES = (P64, P128, P256, P512)
+
 
 @pytest.fixture
 def rng():

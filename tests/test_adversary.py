@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from groupauth import adversary
 from groupauth.adversary import (
     MODE_SIMULTANEOUS,
     MODE_TWO_STAGE,
@@ -447,3 +448,49 @@ def test_recompute_aggregate_ignores_forged_traffic(harn_attack, harn_world):
     assert recompute_observed_aggregate(
         transcript, HARN_TAG, 1, (1, 2, 3), bundle.params.prime
     ) == secret.value
+
+
+# ---------------------------------------------------------------------------
+# stage one runs once, on the tap that completes the observed tokens
+
+
+@pytest.mark.parametrize("scheme", [HARN_TAG, XIA_TAG])
+def test_stage_one_recovery_runs_once(scheme, harn_world, xia_world,
+                                      monkeypatch):
+    name = ("attack_harn_learn_secret" if scheme == HARN_TAG
+            else "attack_xia_stage1")
+    original = getattr(adversary, name)
+    calls = []
+
+    def counted(envelopes, *args):
+        calls.append(len(envelopes))
+        return original(envelopes, *args)
+
+    monkeypatch.setattr(adversary, name, counted)
+    if scheme == HARN_TAG:
+        bundle, credentials, _ = harn_world
+        transcript, outcome = run_harn_impersonation(
+            bundle, credentials, observed_group=(1, 2, 3),
+            fake_group=(4, 5, 6), victim=4, seed=101,
+        )
+    else:
+        params, credentials, _ = xia_world
+        plan = VictimPlan(victim=4, fake_group=(4, 5, 6), session=1)
+        transcript, outcomes = run_xia_attack(
+            params, fresh(credentials), observed_group=(1, 2, 3),
+            plans=[plan], seed=202, observed_session=1,
+        )
+        outcome = outcomes[0]
+    assert outcome.success
+    # one call, on the tap of the last observed token; the tap sees
+    # broadcasts only, not the adversary's own injections
+    last_token = max(
+        r["seq"] for r in transcript.envelopes()
+        if r["session"] == [scheme, 1] and r["round"] == ROUND_TOKEN
+        and r["claimed_sender"] in (1, 2, 3)
+    )
+    tapped = [
+        r for r in transcript.envelopes()
+        if r["true_origin"] != ADVERSARY_ID and r["seq"] <= last_token
+    ]
+    assert calls == [len(tapped)]

@@ -8,6 +8,7 @@ for Lagrange weights) rather than against the implementation itself.
 import random
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,10 +17,12 @@ from groupauth.algebra import (
     FieldElement,
     GroupElement,
     Polynomial,
+    _jacobi,
     derive_rng,
     derive_seed,
     field_inverse,
     group_exp,
+    group_product,
     group_setup,
     lagrange_coefficient,
     poly_eval,
@@ -34,7 +37,7 @@ from groupauth.errors import (
     SubgroupViolation,
 )
 
-from conftest import MEDIUM_PRIME, P64, Q64, SMALL_PRIME
+from conftest import MEDIUM_PRIME, P64, Q64, SAFE_PRIMES, SMALL_PRIME
 
 
 def fe(v, p=SMALL_PRIME):
@@ -290,6 +293,91 @@ class TestGroup:
         g = GroupElement(r * r % P64, spec)
         assert pow(g.value, Q64, P64) == 1
         assert (g * g.inverse()).value == 1
+
+
+SMALL_SAFE_PRIMES = tuple(
+    p for p in sympy.primerange(5, 300) if sympy.isprime((p - 1) // 2)
+)
+
+
+def is_member(value, spec):
+    try:
+        GroupElement(value, spec)
+    except SubgroupViolation:
+        return False
+    return True
+
+
+class TestMembershipTest:
+    """The Jacobi-symbol membership test against Euler's criterion."""
+
+    @pytest.mark.parametrize("p", SMALL_SAFE_PRIMES)
+    def test_agrees_with_euler_on_every_value(self, p):
+        q = (p - 1) // 2
+        spec = CyclicGroupSpec(p, q)
+        for v in range(0, p + 1):
+            euler = 1 <= v < p and pow(v, q, p) == 1
+            assert is_member(v, spec) == euler, v
+            if 1 <= v < p:
+                assert (_jacobi(v, p) == 1) == euler, v
+
+    @pytest.mark.parametrize("p", SAFE_PRIMES,
+                             ids=lambda p: "%d-bit" % p.bit_length())
+    def test_agrees_with_euler_on_seeded_values(self, p):
+        q = (p - 1) // 2
+        spec = CyclicGroupSpec(p, q)
+        rng = random.Random(p)
+        members = 0
+        for _ in range(1000):
+            v = rng.randrange(1, p)
+            euler = pow(v, q, p) == 1
+            assert (_jacobi(v, p) == 1) == euler, v
+            assert is_member(v, spec) == euler, v
+            members += euler
+        assert 400 < members < 600  # about half of Z_p* is in the subgroup
+
+    def test_jacobi_of_shared_factor_is_zero(self):
+        assert _jacobi(21, 15) == 0
+        assert _jacobi(0, 23) == 0
+        assert _jacobi(23, 23) == 0
+
+
+class TestUncheckedResults:
+    """Group operations skip the membership test; their results must
+    still equal what the checked constructor builds."""
+
+    @pytest.mark.parametrize("p", SAFE_PRIMES[:2],
+                             ids=lambda p: "%d-bit" % p.bit_length())
+    def test_results_equal_checked_elements(self, p):
+        spec = CyclicGroupSpec(p, (p - 1) // 2)
+        rng = random.Random(p)
+        for _ in range(50):
+            a = GroupElement(rng.randrange(2, p - 1) ** 2 % p, spec)
+            b = GroupElement(rng.randrange(2, p - 1) ** 2 % p, spec)
+            e = rng.randrange(-spec.q, 2 * spec.q)
+            results = [
+                a * b,
+                a.inverse(),
+                group_exp(a, e),
+                group_exp(a, FieldElement(e, spec.q)),
+                spec.identity(),
+                group_product(spec, [a, b, a.inverse()]),
+                group_product(spec, []),
+            ]
+            for result in results:
+                assert result == GroupElement(result.value, spec)
+        assert group_product(spec, []) == spec.identity()
+
+    def test_operations_keep_type_and_group_checks(self):
+        spec = CyclicGroupSpec(23, 11)
+        other = CyclicGroupSpec(2 * Q64 + 1, Q64)
+        g = GroupElement(4, spec)
+        with pytest.raises(TypeError):
+            g * 4
+        with pytest.raises(ModulusMismatch):
+            group_product(spec, [g, GroupElement(4, other)])
+        with pytest.raises(TypeError):
+            group_product(spec, [g, 4])
 
 
 class TestGroupSetup:

@@ -5,6 +5,8 @@ import gc
 import weakref
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from groupauth.algebra import derive_rng
 from groupauth.channel import (
@@ -14,6 +16,7 @@ from groupauth.channel import (
     ChannelSimulator,
     DeliverySchedule,
     Envelope,
+    ROUND_COMMITMENT,
     ROUND_INVITATION,
     ROUND_TOKEN,
     Transcript,
@@ -97,6 +100,54 @@ class TestWireEncoding:
     def test_json_payload_round_trip(self):
         body = {"group": [3, 1, 2], "session": 4}
         assert decode_json_hex(encode_json_hex(body)) == body
+
+    @pytest.mark.parametrize("text", [
+        "+abc",        # sign
+        "-000",
+        "a_bc",        # digit separator
+        " abc",        # surrounding whitespace
+        "abc\n",
+        "0xab",        # prefix
+        "ABCD",        # uppercase
+        "00Ab",
+        "\u0661\u0662\u0663\u0664",  # Arabic-Indic digits
+        "\uff11\uff12\uff13\uff14",  # fullwidth digits
+        "abc\x00",
+    ])
+    def test_decode_rejects_non_canonical_text(self, text):
+        with pytest.raises(MalformedTranscript):
+            decode_residue_hex(text, 0xFFFF)
+
+    @pytest.mark.parametrize("text", [
+        " 7b7d", "7b7d\n", "7b 7d", "\t7b7d", "7B7D", "7b7D",
+        "7b7", "",
+    ])
+    def test_json_decode_rejects_non_canonical_hex(self, text):
+        with pytest.raises(MalformedTranscript):
+            decode_json_hex(text)
+
+    @given(st.one_of(
+        st.text(max_size=6),
+        st.text(alphabet="0123456789abcdefABX+-_ \n\u0661", min_size=4,
+                max_size=4),
+    ))
+    def test_accepted_text_is_the_encoding_of_its_value(self, text):
+        """One accepted spelling per residue, so a cache keyed on the
+        payload holds one key per value."""
+        p = 0xFFF1
+        try:
+            value = decode_residue_hex(text, p)
+        except MalformedTranscript:
+            return
+        assert encode_residue_hex(value, p) == text
+
+    @given(st.text(alphabet="0123456789abcdefAB \n", max_size=8))
+    def test_accepted_json_hex_is_canonical_hex(self, text):
+        try:
+            decode_json_hex(text)
+        except MalformedTranscript:
+            return
+        assert bytes.fromhex(text).hex() == text
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +511,43 @@ class TestHonestRuns:
 
         assert run(41) == run(41)
         assert run(41) != run(42)
+
+    def test_non_member_payload_is_dropped_every_time(self):
+        params, _, _, sim, apis = build_xia_world(n=3, t=2, seed=37)
+        p = params.group.p
+        # p - 1 = -1 is a non-residue: p = 2q + 1 with q odd is 3 mod 4
+        bad = encode_residue_hex(p - 1, p)
+        adversary = sim.register_adversary(TapCollector())
+        sim._parties[1].initiate([1, 2], 1, apis[1])
+        for _ in range(2):
+            adversary.inject(
+                env(sender=2, session=("xia2019", 1),
+                    round_=ROUND_COMMITMENT, payload=bad),
+                recipients=[1],
+            )
+        transcript = sim.run_until_quiescent()
+        assert len(transcript.forged()) == 2
+        assert params.decode(bad) is None
+        # both forged commitments were dropped, so party 1 took party 2's
+        # genuine one and the session completed
+        decisions = transcript.decisions()
+        assert sorted(d["party"] for d in decisions) == [1, 2]
+        assert all(d["accepted"] for d in decisions)
+
+    def test_out_of_range_token_is_dropped_every_time(self):
+        bundle, _, _, sim, parties, apis = build_harn_world(n=3, seed=38)
+        p = bundle.params.prime
+        bad = "f" * hex_width(p)  # canonical spelling of a value >= p
+        adversary = sim.register_adversary(TapCollector())
+        parties[1].initiate([1, 2], 1, apis[1])
+        for _ in range(2):
+            adversary.inject(env(sender=2, payload=bad), recipients=[1])
+        transcript = sim.run_until_quiescent()
+        assert len(transcript.forged()) == 2
+        assert parties[1].decode(bad) is None
+        decisions = transcript.decisions()
+        assert sorted(d["party"] for d in decisions) == [1, 2]
+        assert all(d["accepted"] for d in decisions)
 
     def test_xia_session_reuse_is_refused(self):
         params, _, _, sim, apis = build_xia_world(n=4, t=2, ell=1, seed=36)

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from groupauth.channel import Transcript
+from groupauth.channel import Transcript, encode_residue_hex
 from groupauth.cli import (
     DEMOS,
     SCENARIO_HONEST,
@@ -17,6 +17,7 @@ from groupauth.cli import (
     SCENARIO_TWO_VICTIMS,
     ScenarioConfig,
     audit_transcript,
+    derive_material,
     expected_forged_count,
     load_config,
     main,
@@ -282,6 +283,19 @@ def test_audit_rejects_corrupted_payload(tmp_path):
     doctored = Transcript.read_jsonl(path)
     with pytest.raises(AuditFailure):
         audit_transcript(doctored, config)
+
+
+def test_audit_rejects_non_member_token_after_live_run():
+    config = config_for(scheme="xia2019", n=4, t=2)
+    transcript, _ = run_scenario(config)
+    assert audit_transcript(transcript, config)["decisions_match_wire"] == 4
+    p = derive_material(config)[0].group.p
+    records = [dict(record) for record in transcript.records]
+    token = next(r for r in records if r.get("round") == "token")
+    # p - 1 is canonical on the wire but outside the order-q subgroup
+    token["payload_hex"] = encode_residue_hex(p - 1, p)
+    with pytest.raises(AuditFailure):
+        audit_transcript(Transcript(records=records), config)
 
 
 def test_audit_rejects_dropped_decision():
