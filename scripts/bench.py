@@ -3,16 +3,20 @@
 
     python3 scripts/bench.py --base DIR --change DIR --number N [--seed 7]
 
-Runs `perfbench/run.py --trace 0` inside each checkout, in 10 alternating
+For every workload that the change checkout's BENCHMARK.json gates, it
+first runs `perfbench/run.py --trace 1` once in each checkout, which
+fails if a per-layer metric reads 0 on a layer the workload calls (a
+change that stops calling a traced function). It then runs
+`perfbench/run.py --trace 0` inside each checkout, in 10 alternating
 pairs (base first in even pairs, change first in odd ones, so a drift of
-the host's speed does not favour one side), on every workload that the
-change checkout's BENCHMARK.json gates, for that file's run_seconds. Any
-run that fails its correctness gate stops the comparison, so no file is
-written for an incorrect side. Writes BENCH_<N>.json at the root of this
-repository: host, git revisions (with a hash of the uncommitted diff of a
-dirty checkout), and per workload and end-to-end metric the median and
-quartiles of each side, the per-pair values, and in how many pairs the
-change was better. Standard library only.
+the host's speed does not favour one side), for that file's run_seconds.
+Any run that exits non-zero or fails its correctness gate stops the
+comparison, so no file is written for an incorrect side. Writes
+BENCH_<N>.json at the root of this repository: host, git revisions (with
+a hash of the uncommitted diff of a dirty checkout), and per workload
+the per-layer values of both sides (`layers`) and, per end-to-end
+metric, the median and quartiles of each side, the per-pair values, and
+in how many pairs the change was better. Standard library only.
 """
 
 import argparse
@@ -25,6 +29,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
+# The per-layer values come from a fixed scenario prefix; the seconds only
+# bound how long the traced run keeps going after it.
+TRACE_SECONDS = 10
 
 
 def git_rev(checkout: Path) -> dict:
@@ -43,20 +50,21 @@ def git_rev(checkout: Path) -> dict:
 
 
 def run_once(checkout: Path, workload: str, seed: int,
-             seconds: float) -> tuple:
-    """(header, result) of one untraced benchmark run in `checkout`;
-    raises unless the run exits 0 and reports itself correct."""
+             seconds: float, trace: int = 0) -> tuple:
+    """(header, result) of one benchmark run in `checkout`; raises unless
+    the run exits 0 and reports itself correct."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds),
-               "--trace", "0"]
+               "--trace", str(trace)]
     done = subprocess.run(command, cwd=checkout, capture_output=True,
                           text=True, timeout=seconds * 4 + 600)
     lines = done.stdout.splitlines()
     result = json.loads(lines[-1]) if lines else {}
     if done.returncode != 0 or result.get("correct") is not True:
-        raise RuntimeError("%s in %s exited %d (correct: %s):\n%s"
-                           % (workload, checkout, done.returncode,
-                              result.get("correct"), done.stderr[-2000:]))
+        raise RuntimeError("%s --trace %d in %s exited %d (correct: %s):\n%s"
+                           % (workload, trace, checkout, done.returncode,
+                              result.get("correct"),
+                              (done.stdout + done.stderr)[-2000:]))
     header = json.loads(lines[0][2:]) if lines[0].startswith("# {") else {}
     return header, result
 
@@ -85,6 +93,18 @@ def compare(base_runs: list, change_runs: list, metrics: list) -> dict:
     return out
 
 
+def layers(base: dict, change: dict, metrics: list) -> dict:
+    """Per-layer values of one traced run of each side."""
+    return {
+        metric["name"]: {
+            "unit": metric["unit"], "better": metric["better"],
+            "base": base["metrics"][metric["name"]]["value"],
+            "change": change["metrics"][metric["name"]]["value"],
+        }
+        for metric in metrics
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", type=Path, required=True)
@@ -99,6 +119,12 @@ def main(argv=None) -> int:
     host = None
     workloads = {}
     for workload in [w["name"] for w in spec["workloads"]]:
+        traced = {}
+        for side in sides:
+            _, traced[side] = run_once(sides[side], workload, args.seed,
+                                       TRACE_SECONDS, trace=1)
+            print("%s traced %s: per-layer check passed" % (workload, side),
+                  file=sys.stderr)
         runs = {"base": [], "change": []}
         for pair in range(PAIRS):
             order = ("base", "change") if pair % 2 == 0 else ("change", "base")
@@ -122,6 +148,8 @@ def main(argv=None) -> int:
                           for side in runs},
             "metrics": compare(runs["base"], runs["change"],
                                spec["end_to_end"]),
+            "layers": layers(traced["base"], traced["change"],
+                             spec["per_layer"]),
         }
     out = {
         "host": host,

@@ -95,9 +95,6 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         return field_inverse(self)
 
-    def is_zero(self) -> bool:
-        return self.value == 0
-
 
 def field_inverse(a: FieldElement) -> "FieldElement":
     """Multiplicative inverse in Z_p; inverting zero is an error."""
@@ -150,17 +147,17 @@ class Polynomial:
 
 
 def poly_eval(f: Polynomial, x: FieldElement) -> FieldElement:
-    """Horner evaluation of f at x."""
+    """Horner evaluation of f at x, on ints, wrapped once."""
     if x.modulus != f.modulus:
         raise ModulusMismatch("evaluation point has the wrong modulus")
-    acc = FieldElement(0, f.modulus)
+    modulus, point = f.modulus, x.value
+    acc = 0
     for coeff in reversed(f.coefficients):
-        acc = acc * x + coeff
-    return acc
+        acc = (acc * point + coeff.value) % modulus
+    return FieldElement(acc, modulus)
 
 
-def lagrange_coefficient(target: FieldElement, own: FieldElement,
-                         others) -> FieldElement:
+def lagrange_coefficient(target, own: FieldElement, others):
     """Lagrange basis value  prod_r (target - x_r) / (own - x_r).
 
     `others` lists every evaluation position except `own`. Multiplying a
@@ -168,24 +165,38 @@ def lagrange_coefficient(target: FieldElement, own: FieldElement,
     f(target) from the full point set. Duplicate positions (within
     `others`, or `own` appearing in `others`) make the denominator vanish
     and are rejected.
+
+    `target` is one FieldElement, or a sequence of them; a sequence gives
+    a tuple with one weight per target (empty for an empty sequence).
+    Either way the positions are checked once and the shared denominator
+    prod_r (own - x_r) is formed and inverted once, so k weights for one
+    point set cost one inversion and k numerator products.
     """
-    others = tuple(others)
+    single = isinstance(target, FieldElement)
+    targets = (target,) if single else tuple(target)
+    for tgt in targets:
+        own._match(tgt)
     modulus = own.modulus
-    num = den = 1
-    seen = set()
+    den = 1
+    positions = set()
     for x in others:
         own._match(x)
-        target._match(x)
-        if x.value == own.value or x.value in seen:
+        if x.value == own.value or x.value in positions:
             raise DegenerateShareSet(
                 "duplicate evaluation position %d" % x.value
             )
-        seen.add(x.value)
-        num = num * (target.value - x.value) % modulus
+        positions.add(x.value)
         den = den * (own.value - x.value) % modulus
     if den == 0:
         raise InversionOfZero("zero has no multiplicative inverse")
-    return FieldElement(num * pow(den, -1, modulus), modulus)
+    inverse = pow(den, -1, modulus)
+    weights = []
+    for tgt in targets:
+        num = inverse
+        for x in positions:
+            num = num * (tgt.value - x) % modulus
+        weights.append(FieldElement(num, modulus))
+    return weights[0] if single else tuple(weights)
 
 
 # ---------------------------------------------------------------------------

@@ -137,15 +137,16 @@ def harn_gm_init(n: int, t: int, prime_bits: int = 64,
         taken.add(cand)
         w.append(FieldElement(cand, p))
 
-    # free weights for the first k-1 polynomials, then solve the last one;
-    # resample f_k until f_k(w_k) is invertible
+    # free weights for the first k-1 polynomials (the zip below stops with
+    # d), then solve the last one; resample f_k until f_k(w_k) is invertible
     d = [FieldElement(rng.randrange(p), p) for _ in range(k - 1)]
-    partial = FieldElement(0, p)
-    for j in range(k - 1):
-        partial = partial + d[j] * poly_eval(polys[j], w[j])
-    while poly_eval(polys[-1], w[-1]).is_zero():
+    partial = sum(dj.value * poly_eval(f, wj).value
+                  for dj, f, wj in zip(d, polys, w)) % p
+    last = poly_eval(polys[-1], w[-1]).value
+    while last == 0:
         polys[-1] = Polynomial.random(t - 1, p, rng)
-    d.append((s - partial) * poly_eval(polys[-1], w[-1]).inverse())
+        last = poly_eval(polys[-1], w[-1]).value
+    d.append(FieldElement((s.value - partial) * pow(last, -1, p), p))
 
     bundle = HarnPublicBundle(
         params=params,
@@ -179,7 +180,10 @@ def harn_compute_token(credential: HarnCredential, bundle: HarnPublicBundle,
     group lists the identifiers of everyone expected to participate
     (including the owner). The scalar is
         sum_j d_j * f_j(x_own) * lagrange(w_j; x_own, others)
-    so that summing over all m members telescopes to s when m >= t.
+    so that summing over all m members telescopes to s when m >= t. All k
+    weights come from one `lagrange_coefficient` call, which shares the
+    denominator prod_r (x_own - x_r) and its inversion; the sum runs on
+    ints and is wrapped once.
     """
     params = bundle.params
     members = _normalize_group(group, params)
@@ -191,11 +195,12 @@ def harn_compute_token(credential: HarnCredential, bundle: HarnPublicBundle,
             "group of %d below threshold %d" % (len(members), params.t)
         )
     others = [x for x in members if x.value != own.value]
-    total = FieldElement(0, params.prime)
-    for j in range(params.k):
-        lam = lagrange_coefficient(bundle.w[j], own, others)
-        total = total + bundle.d[j] * credential.tokens[j] * lam
-    return HarnToken(sender=own, value=total)
+    weights = lagrange_coefficient(bundle.w, own, others)
+    total = sum(
+        dj.value * fj.value * lam.value
+        for dj, fj, lam in zip(bundle.d, credential.tokens, weights)
+    )
+    return HarnToken(sender=own, value=FieldElement(total, params.prime))
 
 
 def harn_aggregate(values, prime: int) -> int:

@@ -156,6 +156,19 @@ class TestPolynomial:
         with pytest.raises(ModulusMismatch):
             poly_eval(f, fe(1, 29))
 
+    @given(st.lists(st.integers(min_value=0, max_value=P64 - 1),
+                    min_size=1, max_size=8),
+           st.integers(min_value=0, max_value=P64 - 1))
+    def test_eval_matches_field_element_horner(self, coeffs, x):
+        """poly_eval runs on ints; this reference keeps every step a
+        FieldElement."""
+        f = Polynomial(tuple(FieldElement(c, P64) for c in coeffs))
+        point = FieldElement(x, P64)
+        acc = FieldElement(0, P64)
+        for coeff in reversed(f.coefficients):
+            acc = acc * point + coeff
+        assert poly_eval(f, point) == acc
+
 
 # ---------------------------------------------------------------------------
 # lagrange coefficients
@@ -172,6 +185,41 @@ class TestLagrange:
             lagrange_coefficient(fe(0), fe(1), [fe(1)])
         with pytest.raises(DegenerateShareSet):
             lagrange_coefficient(fe(0), fe(1), [fe(2), fe(2)])
+
+    def test_target_sequence_equals_single_target_calls(self, rng):
+        p = P64
+        for size in (1, 2, 5, 12):
+            xs = rng.sample(range(1, 10_000), size)
+            own = FieldElement(xs[0], p)
+            others = [FieldElement(x, p) for x in xs[1:]]
+            targets = [FieldElement(rng.randrange(p), p) for _ in range(7)]
+            targets.append(FieldElement(0, p))
+            weights = lagrange_coefficient(targets, own, others)
+            assert isinstance(weights, tuple)
+            assert weights == tuple(
+                lagrange_coefficient(target, own, others)
+                for target in targets
+            )
+
+    def test_empty_target_sequence(self):
+        assert lagrange_coefficient((), fe(1), [fe(2), fe(3)]) == ()
+        assert lagrange_coefficient([], fe(1), []) == ()
+
+    def test_target_of_another_modulus_rejected(self):
+        with pytest.raises(ModulusMismatch):
+            lagrange_coefficient([fe(0), fe(0, 29)], fe(1), [fe(2)])
+        with pytest.raises(ModulusMismatch):
+            lagrange_coefficient(fe(0, 29), fe(1), [fe(2)])
+        with pytest.raises(ModulusMismatch):
+            lagrange_coefficient([fe(0)], fe(1), [fe(2), fe(3, 29)])
+
+    def test_duplicate_positions_rejected_for_target_sequence(self):
+        with pytest.raises(DegenerateShareSet):
+            lagrange_coefficient([fe(0), fe(5)], fe(1), [fe(1)])
+        with pytest.raises(DegenerateShareSet):
+            lagrange_coefficient([fe(0), fe(5)], fe(1), [fe(2), fe(2)])
+        with pytest.raises(DegenerateShareSet):
+            lagrange_coefficient((), fe(1), [fe(3), fe(2), fe(3)])
 
     def test_three_point_reconstruction_matches_naive_oracle(self):
         p = MEDIUM_PRIME

@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 
 from groupauth.algebra import FieldElement, lagrange_coefficient
 from groupauth.errors import (
+    DegenerateShareSet,
     InsufficientQuorum,
     InvalidThreshold,
     MalformedTranscript,
+    ModulusMismatch,
     NotAMember,
 )
 from groupauth.harn2013 import (
@@ -36,6 +38,18 @@ def interpolated_position_value(bundle, credentials, j, member_ids):
         others = [c.owner for c in chosen if c.owner.value != cred.owner.value]
         lam = lagrange_coefficient(bundle.w[j], cred.owner, others)
         acc = acc + cred.tokens[j] * lam
+    return acc
+
+
+def per_polynomial_token(bundle, cred, member_ids):
+    """Oracle: the released scalar with one single-target Lagrange call
+    per polynomial, sum_j d_j * f_j(own) * lagrange(w_j; own, others)."""
+    p = bundle.params.prime
+    others = [FieldElement(i, p) for i in member_ids if i != cred.owner.value]
+    acc = FieldElement(0, p)
+    for j in range(bundle.params.k):
+        lam = lagrange_coefficient(bundle.w[j], cred.owner, others)
+        acc = acc + bundle.d[j] * cred.tokens[j] * lam
     return acc
 
 
@@ -150,6 +164,68 @@ class TestTokenRelease:
             harn_compute_token(creds[0], bundle, [1, 2])
         with pytest.raises(InsufficientQuorum):
             harn_compute_token(creds[0], bundle, [1])
+
+
+class TestTokenMatchesPerPolynomialFormula:
+    """One Lagrange call with all k targets gives the same scalar as k
+    single-target calls."""
+
+    @pytest.mark.parametrize("n, t, bits, seed", [
+        (5, 2, 64, 41), (7, 3, 64, 42), (9, 4, 48, 43), (64, 2, 128, 44),
+    ])
+    def test_seeded_groups(self, n, t, bits, seed):
+        bundle, creds, s = harn_gm_init(n, t, prime_bits=bits, rng_seed=seed)
+        p = bundle.params.prime
+        rng = random.Random(seed)
+        groups = [list(range(1, n + 1))]
+        for size in sorted({t, t + 1, (n + t) // 2, n - 1}):
+            groups.append(sorted(rng.sample(range(1, n + 1), size)))
+        for group in groups:
+            as_elements = [FieldElement(i, p) for i in group]
+            total = FieldElement(0, p)
+            for cred in creds:
+                if cred.owner.value not in group:
+                    continue
+                expect = per_polynomial_token(bundle, cred, group)
+                token = harn_compute_token(cred, bundle, group)
+                assert token.value == expect
+                assert token.sender == cred.owner
+                assert harn_compute_token(
+                    cred, bundle, as_elements).value == expect
+                total = total + token.value
+            assert total == s
+
+    # TestTokenRelease covers an outside owner and a short group given
+    # as ints
+    def test_owner_outside_element_group_rejected(self):
+        bundle, creds, _ = harn_gm_init(6, 2, prime_bits=48, rng_seed=45)
+        p = bundle.params.prime
+        with pytest.raises(NotAMember):
+            harn_compute_token(creds[0], bundle,
+                               [FieldElement(i, p) for i in (2, 3, 4)])
+
+    def test_short_element_group_rejected(self):
+        bundle, creds, _ = harn_gm_init(6, 3, prime_bits=48, rng_seed=46)
+        p = bundle.params.prime
+        with pytest.raises(InsufficientQuorum):
+            harn_compute_token(creds[0], bundle,
+                               [FieldElement(i, p) for i in (1, 4)])
+
+    def test_repeated_non_owner_rejected(self):
+        bundle, creds, _ = harn_gm_init(6, 2, prime_bits=48, rng_seed=47)
+        p = bundle.params.prime
+        with pytest.raises(DegenerateShareSet):
+            harn_compute_token(creds[0], bundle, [1, 3, 3])
+        with pytest.raises(DegenerateShareSet):
+            harn_compute_token(creds[0], bundle,
+                               [FieldElement(i, p) for i in (1, 5, 2, 5)])
+
+    def test_member_of_another_field_rejected(self):
+        bundle, creds, _ = harn_gm_init(6, 2, prime_bits=48, rng_seed=48)
+        p = bundle.params.prime
+        with pytest.raises(ModulusMismatch):
+            harn_compute_token(creds[0], bundle,
+                               [FieldElement(1, p), FieldElement(2, 23)])
 
 
 class TestVerification:
