@@ -43,12 +43,26 @@ def xia_fingerprint(params, credentials, secret) -> str:
     return hashlib.sha256("|".join(parts).encode()).hexdigest()
 
 
-def demo_digests() -> dict:
-    """sha256 of (transcript.jsonl, report.json) per built-in demo."""
+# Groups wider than any demo, pinned at 64 bits next to the demos.
+WIDE_CONFIGS = {
+    "xia-honest-n16": {
+        "scheme": "xia2019", "scenario": "honest", "n": 16, "t": 2,
+        "prime_bits": 64, "seed": 5,
+    },
+    "harn-impersonation-n16": {
+        "scheme": "harn2013", "scenario": "impersonation", "n": 16, "t": 2,
+        "prime_bits": 64, "seed": 5, "observed_group": list(range(1, 9)),
+        "victim": 9, "fake_group": list(range(9, 17)),
+    },
+}
+
+
+def output_digests(configs: dict) -> dict:
+    """sha256 of (transcript.jsonl, report.json) per named config."""
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, entry in sorted(DEMOS.items()):
-            config = ScenarioConfig.from_json(entry["config"])
+        for name, raw in sorted(configs.items()):
+            config = ScenarioConfig.from_json(raw)
             transcript, report = run_scenario(config)
             out_dir = Path(tmp) / name
             write_outputs(transcript, report, config, out_dir)
@@ -57,6 +71,14 @@ def demo_digests() -> dict:
                 for f in ("transcript.jsonl", "report.json")
             )
     return digests
+
+
+def print_digests(constant: str, digests: dict) -> None:
+    print("%s = {" % constant)
+    for name, (transcript, report) in digests.items():
+        print('    "%s": (\n        "%s",\n        "%s",\n    ),' % (
+            name, transcript, report))
+    print("}")
 
 
 def main() -> None:
@@ -95,11 +117,10 @@ def main() -> None:
     print()
 
     print("# tests/test_cli.py")
-    print("PINNED_DEMO_DIGESTS = {")
-    for name, (transcript, report) in demo_digests().items():
-        print('    "%s": (\n        "%s",\n        "%s",\n    ),' % (
-            name, transcript, report))
-    print("}")
+    print_digests("PINNED_DEMO_DIGESTS", output_digests(
+        {name: entry["config"] for name, entry in DEMOS.items()}
+    ))
+    print_digests("PINNED_WIDE_DIGESTS", output_digests(WIDE_CONFIGS))
 
 
 if __name__ == "__main__":

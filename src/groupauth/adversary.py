@@ -35,7 +35,6 @@ from .channel import (
     AdversaryAPI,
     AdversaryPolicy,
     BeliefState,
-    ChannelSimulator,
     Envelope,
     ROUND_COMMITMENT,
     ROUND_INVITATION,
@@ -48,7 +47,7 @@ from .channel import (
 from .errors import InsufficientObservation
 from .harn2013 import SCHEME_TAG as HARN_TAG
 from .harn2013 import HarnPublicBundle, HarnToken, harn_aggregate
-from .parties import invitation_envelope, parse_invitation, register_parties
+from .parties import invitation_envelope, parse_invitation, run_world
 from .xia2019 import SCHEME_TAG as XIA_TAG
 from .xia2019 import XiaParams, xia_aggregate
 
@@ -513,20 +512,16 @@ def run_harn_impersonation(bundle: HarnPublicBundle, credentials,
                            fake_run: int = 2) -> tuple:
     """Full channel attack on the token-sum scheme; returns
     (transcript, outcome)."""
-    policy = AdversaryPolicy(blocked_links={(WILDCARD, victim)}, tap=True)
-    sim = ChannelSimulator(policy=policy)
-    parties, apis = register_parties(sim, bundle, credentials, seed)
     script = HarnImpersonationScript(
         bundle=bundle, observed_run=observed_run,
         observed_group=observed_group, fake_run=fake_run,
         fake_group=fake_group, victim=victim,
         rng=derive_rng(seed, "adversary"),
     )
-    adv_api = sim.register_adversary(script)
-    initiator = min(observed_group)
-    parties[initiator].initiate(observed_group, observed_run, apis[initiator])
-    script.on_start(adv_api)
-    transcript = sim.run_until_quiescent()
+    transcript = run_world(
+        bundle, credentials, seed, observed_group, observed_run,
+        AdversaryPolicy(blocked_links={(WILDCARD, victim)}, tap=True), script,
+    )
     outcome = evaluate_attack(
         transcript, HARN_TAG, victim, fake_run, observed_run,
         tuple(sorted(observed_group)), bundle.params.prime,
@@ -539,22 +534,16 @@ def run_xia_attack(params: XiaParams, credentials, observed_group,
                    mode: str = MODE_TWO_STAGE) -> tuple:
     """Full channel attack on the masked-product scheme for one or more
     victim plans; returns (transcript, [outcome per plan])."""
-    blocked = {(WILDCARD, plan.victim) for plan in plans}
-    policy = AdversaryPolicy(blocked_links=blocked, tap=True)
-    sim = ChannelSimulator(policy=policy)
-    parties, apis = register_parties(sim, params, credentials, seed)
     script = XiaChannelAttack(
         group=params.group, generators=params.generators,
         observed_session=observed_session, observed_group=observed_group,
         plans=plans, mode=mode, rng=derive_rng(seed, "adversary"),
     )
-    adv_api = sim.register_adversary(script)
-    initiator = min(observed_group)
-    parties[initiator].initiate(
-        observed_group, observed_session, apis[initiator]
+    blocked = {(WILDCARD, plan.victim) for plan in plans}
+    transcript = run_world(
+        params, credentials, seed, observed_group, observed_session,
+        AdversaryPolicy(blocked_links=blocked, tap=True), script,
     )
-    script.on_start(adv_api)
-    transcript = sim.run_until_quiescent()
     outcomes = [
         evaluate_attack(
             transcript, XIA_TAG, plan.victim, plan.session,

@@ -324,21 +324,14 @@ class DeliverySchedule:
 
     broadcast and inject stamp an envelope and push its fan-out before the
     tap can react, so pushes arrive in seq order and FIFO delivers by
-    (seq, fan-out position). An optional seeded rng shuffles the fan-out
-    order of a single broadcast; transcripts stay reproducible either way
-    because the rng itself is seeded.
+    (seq, fan-out position).
     """
 
-    def __init__(self, rng=None, shuffle: bool = False):
+    def __init__(self):
         self._pending = deque()
-        self._rng = rng
-        self._shuffle = shuffle
 
     def push_fanout(self, envelope: Envelope, recipients: list) -> None:
-        order = list(recipients)
-        if self._shuffle and self._rng is not None and len(order) > 1:
-            self._rng.shuffle(order)
-        self._pending.extend((envelope, recipient) for recipient in order)
+        self._pending.extend((envelope, recipient) for recipient in recipients)
 
     def pop(self) -> tuple:
         """Next (envelope, recipient) pair."""
@@ -352,10 +345,9 @@ class ChannelSimulator:
     """Deterministic single-queue broadcast world."""
 
     def __init__(self, policy: AdversaryPolicy | None = None,
-                 schedule: DeliverySchedule | None = None,
                  max_events: int = 1_000_000):
         self.policy = policy if policy is not None else AdversaryPolicy()
-        self.schedule = schedule if schedule is not None else DeliverySchedule()
+        self.schedule = DeliverySchedule()
         self.transcript = Transcript()
         self.max_events = max_events
         self._parties = {}

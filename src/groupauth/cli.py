@@ -26,9 +26,9 @@ from .adversary import (
     run_xia_attack,
 )
 from .channel import (
+    ADVERSARY_ID,
     AdversaryAPI,
     AdversaryPolicy,
-    ChannelSimulator,
     Envelope,
     REASON_HASH_MISMATCH,
     REASON_QUORUM,
@@ -40,7 +40,7 @@ from .channel import (
 from .errors import AuditFailure, ConfigError, GroupAuthError
 from .harn2013 import SCHEME_TAG as HARN_TAG
 from .harn2013 import harn_gm_init
-from .parties import register_parties, replay_party
+from .parties import replay_party, run_world
 from .xia2019 import SCHEME_TAG as XIA_TAG
 from .xia2019 import xia_gm_init
 
@@ -353,31 +353,6 @@ def _modulus(config: ScenarioConfig, material) -> int:
     return material.group.p
 
 
-def _run_plain(config: ScenarioConfig, material, credentials) -> Transcript:
-    policy = None
-    script = None
-    if config.scenario == SCENARIO_TAMPER:
-        policy = AdversaryPolicy(
-            blocked_links={(config.tamper_target, config.victim)}, tap=True
-        )
-        generator = None
-        if config.scheme == XIA_TAG:
-            generator = material.generator_for(config.session)
-        script = TamperScript(
-            config.scheme, config.session, config.tamper_target,
-            config.victim, _modulus(config, material), generator,
-        )
-    sim = ChannelSimulator(policy=policy)
-    parties, apis = register_parties(sim, material, credentials, config.seed)
-    if script is not None:
-        adv_api = sim.register_adversary(script)
-        script.on_start(adv_api)
-    initiator = min(config.group)
-    parties[initiator].initiate(config.group, config.session,
-                                apis[initiator])
-    return sim.run_until_quiescent()
-
-
 def _run_attack(config: ScenarioConfig, material, credentials) -> tuple:
     if config.scheme == HARN_TAG:
         transcript, outcome = run_harn_impersonation(
@@ -492,8 +467,20 @@ def run_scenario(config: ScenarioConfig) -> tuple:
     outcomes = []
     if config.scenario in ATTACK_SCENARIOS:
         transcript, outcomes = _run_attack(config, material, credentials)
+    elif config.scenario == SCENARIO_TAMPER:
+        generator = None
+        if config.scheme == XIA_TAG:
+            generator = material.generator_for(config.session)
+        transcript = run_world(
+            material, credentials, config.seed, config.group, config.session,
+            AdversaryPolicy(blocked_links={(config.tamper_target,
+                                            config.victim)}, tap=True),
+            TamperScript(config.scheme, config.session, config.tamper_target,
+                         config.victim, _modulus(config, material), generator),
+        )
     else:
-        transcript = _run_plain(config, material, credentials)
+        transcript = run_world(material, credentials, config.seed,
+                               config.group, config.session)
     checks = scenario_checks(config, transcript, outcomes)
     material_facts = {
         "modulus_hex": format(_modulus(config, material), "x"),
@@ -559,9 +546,15 @@ def audit_transcript(transcript: Transcript,
     party class that ran live, and the decisions it reaches must equal
     the recorded ones. Raises AuditFailure on the first inconsistency
     between the wire data and the recorded decisions, on a party id
-    outside 1..n, or on adversary activity that does not match the
+    outside 1..n, on a seq that is not the record's 1-based position, on
+    an envelope whose true origin is neither the adversary nor its
+    claimed sender, or on adversary activity that does not match the
     configured scenario.
     """
+    for position, record in enumerate(transcript.records, 1):
+        if record["seq"] != position:
+            raise AuditFailure("record %d carries seq %d"
+                               % (position, record["seq"]))
     material, _, _ = derive_material(config)
     inboxes = {pid: [] for pid in range(1, config.n + 1)}
     recorded = {pid: {} for pid in inboxes}
@@ -573,6 +566,10 @@ def audit_transcript(transcript: Transcript,
                                    % (record["seq"], pid))
             inboxes[pid].append(envelope)
         origin = record["true_origin"]
+        if origin != ADVERSARY_ID and origin != envelope.claimed_sender:
+            raise AuditFailure("envelope %d claims sender %d but came from "
+                               "party %d" % (record["seq"],
+                                             envelope.claimed_sender, origin))
         if origin == envelope.claimed_sender and origin in inboxes:
             inboxes[origin].append(envelope)
             recorded[origin].setdefault((envelope.session, envelope.round),

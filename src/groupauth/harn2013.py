@@ -29,6 +29,7 @@ from .errors import (
     InsufficientQuorum,
     InvalidThreshold,
     MalformedTranscript,
+    ModulusMismatch,
     NotAMember,
 )
 
@@ -163,10 +164,17 @@ def harn_gm_init(n: int, t: int, prime_bits: int = 64,
 
 
 def _normalize_group(group, params: HarnParams) -> list:
-    """Accept ints or FieldElements; return FieldElements mod the prime."""
+    """Accept ints or FieldElements; return FieldElements mod the prime.
+    A FieldElement of another field raises ModulusMismatch here, before
+    any entry is compared with the owner's identifier."""
     out = []
     for g in group:
         if isinstance(g, FieldElement):
+            if g.modulus != params.prime:
+                raise ModulusMismatch(
+                    "group member %d lives mod %d, not mod the prime"
+                    % (g.value, g.modulus)
+                )
             out.append(g)
         else:
             out.append(FieldElement(int(g), params.prime))

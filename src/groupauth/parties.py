@@ -1,28 +1,34 @@
-"""Honest participant adapters: envelope handling around the state machines.
+"""Honest participants: one round engine for both schemes, and the world
+runner.
 
 Parties are event handlers: the simulator calls on_envelope for every
-delivery, and the party reacts by broadcasting protocol messages or by
-recording a decision. Parties never see who really sent an envelope; they
-trust claimed_sender, which is the whole point of the exercise.
+delivery, and the party reacts by broadcasting or by recording a
+decision. Parties never see who really sent an envelope; they trust
+claimed_sender, which is the whole point of the exercise.
 
-Robustness rules shared by both adapters: envelopes for unknown sessions,
-senders outside the active group view, duplicate contributions, and
+Both schemes have one shape: after an invitation, each member broadcasts
+one contribution per round (masked-product: a commitment, then a token;
+token-sum: a token) and decides once it holds a token from every member
+of its view. `Party` runs that shape; `HarnParty` and `XiaParty` supply
+the scheme steps. Envelopes for unknown sessions or for another round
+than the one in progress, senders outside the view, duplicates and
 malformed payloads are ignored rather than treated as fatal.
 
-Each adapter also has a replay form, which the transcript audit feeds a
-recorded inbox. It holds no credential and broadcasts nothing: its own
-contribution to a round is the payload it first broadcast genuinely in
-that round, and that payload passes the same decode-and-validate step as
-a peer's. A missing or invalid payload means the party never contributes.
-Everything else, the quorum rule included, is the live code path.
+The replay form, which the transcript audit feeds a recorded inbox,
+holds no credential and broadcasts nothing: its own contribution to a
+round is the payload it first broadcast genuinely in that round, passed
+through the same decode step as a peer's (if missing or invalid, the
+party never contributes). Everything else, the quorum rule included, is
+the live code path.
 """
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import FieldElement, derive_rng
 from .channel import (
     BeliefState,
+    ChannelSimulator,
     Envelope,
     PartyAPI,
     REASON_HASH_MISMATCH,
@@ -31,6 +37,7 @@ from .channel import (
     ROUND_COMMITMENT,
     ROUND_INVITATION,
     ROUND_TOKEN,
+    Transcript,
     decode_json_hex,
     decode_residue_hex,
     encode_json_hex,
@@ -46,8 +53,6 @@ from .harn2013 import (
     harn_verify,
 )
 from .xia2019 import (
-    AWAIT_COMMITMENTS,
-    AWAIT_TOKENS,
     SCHEME_TAG as XIA_TAG,
     XiaCredential,
     XiaParams,
@@ -87,263 +92,235 @@ def parse_invitation(envelope: Envelope) -> tuple:
     return group_ids, session
 
 
-def _take(party, received: dict, view, envelope: Envelope) -> bool:
-    """First-wins intake of one peer contribution into `received`.
-
-    The claimed sender must be another member of the view that has not
-    contributed yet, and the payload must pass the party's decode step.
-    A party's own contribution never comes from the wire. Every key of
-    `received` is thus a view member, so a round is complete exactly
-    when len(received) == len(view).
-    """
-    sender = envelope.claimed_sender
-    if sender == party.party_id or sender not in view or sender in received:
-        return False
-    value = party.decode(envelope.payload)
-    if value is None:
-        return False
-    received[sender] = value
-    return True
-
-
-def _take_recorded(party, received: dict, session: tuple,
-                   round_: str) -> None:
-    """Replay form: enter the party's own recorded contribution, if valid."""
-    payload = party.recorded.get((session, round_))
-    value = None if payload is None else party.decode(payload)
-    if value is not None:
-        received[party.party_id] = value
-
-
 @dataclass
-class _HarnRun:
-    group_view: tuple
-    tokens: dict = field(default_factory=dict)
-    decided: bool = False
+class _Session:
+    """One party's state in one session."""
+
+    key: tuple  # (scheme tag, session id), as on the wire
+    view: tuple  # sorted member ids from the invitation
+    state: object = None  # the scheme's own session state, if any
+    round: str | None = None  # round in progress; None once decided
+    # claimed sender -> decoded contribution for the round in progress.
+    # Every key is a view member, so the round is complete exactly when
+    # len(received) == len(view).
+    received: dict | None = None
 
 
-class HarnParty:
-    """Honest participant for the token-sum scheme.
+class Party:
+    """Honest participant: the round engine both schemes share.
 
-    On an invitation that names it, the party immediately releases its
-    token (no commitment round exists) and then waits for one token per
-    listed member before verifying the sum.
+    A subclass sets `scheme` (its session tag) and `rounds` (the rounds
+    after the invitation, the token round last) and supplies the scheme
+    steps `decode`, `_admits`, `_contribute` and `_verify`, plus `_open`
+    and `_inbox` if it keeps its own session state. The engine owns the
+    scheme-tag filter, invitation admission, per-session state,
+    first-wins intake, round completion, the quorum rule before the
+    token round, the replay form and decision recording.
 
     Passing `recorded`, a map from (session, round) to the payload this
     party first broadcast genuinely, gives the replay form (module doc).
     """
 
-    def __init__(self, party_id: int, credential: HarnCredential | None,
-                 bundle: HarnPublicBundle, recorded: dict | None = None):
+    scheme = None
+    rounds = ()
+
+    def __init__(self, party_id: int, credential, params,
+                 recorded: dict | None):
         self.party_id = party_id
         self.credential = credential
-        self.bundle = bundle
+        self.params = params  # the scheme's public parameters
         self.recorded = recorded
-        self.runs = {}
+        self.sessions = {}
 
-    def initiate(self, group_ids, run_id: int, api: PartyAPI) -> None:
-        api.broadcast(
-            invitation_envelope(HARN_TAG, self.party_id, run_id, group_ids)
-        )
-        self._join(tuple(sorted(group_ids)), run_id, api)
+    def initiate(self, group_ids, session_id: int, api: PartyAPI) -> None:
+        api.broadcast(invitation_envelope(self.scheme, self.party_id,
+                                          session_id, group_ids))
+        self._join(tuple(sorted(group_ids)), session_id, api)
+
+    def on_envelope(self, envelope: Envelope, api: PartyAPI) -> None:
+        scheme, session_id = envelope.session
+        if scheme != self.scheme:
+            return
+        if envelope.round == ROUND_INVITATION:
+            parsed = parse_invitation(envelope)
+            if parsed is None or session_id in self.sessions:
+                return
+            view = parsed[0]
+            if self.party_id in view and self._admits(view, session_id):
+                self._join(view, session_id, api)
+            return
+        session = self.sessions.get(session_id)
+        if session is None or envelope.round != session.round:
+            return
+        # first-wins intake; a party's own contribution never comes from
+        # the wire
+        sender = envelope.claimed_sender
+        received = session.received
+        if (sender == self.party_id or sender not in session.view
+                or sender in received):
+            return
+        value = self.decode(envelope.payload)
+        if value is None:
+            return
+        received[sender] = value
+        self._advance(session, api)
+
+    def _join(self, view: tuple, session_id: int, api: PartyAPI) -> None:
+        session = _Session((self.scheme, session_id), view)
+        try:
+            session.state = self._open(session_id, view)
+        except SessionExhausted:
+            self._decide(session, BeliefState(
+                False, reason=REASON_SESSION_EXHAUSTED), api)
+            return
+        self.sessions[session_id] = session
+        self._enter(session, self.rounds[0], api)
+
+    def _enter(self, session: _Session, round_: str, api: PartyAPI) -> None:
+        """Start a round: the quorum rule before the token round, then
+        this party's own contribution (its recorded one when replaying)."""
+        if round_ == ROUND_TOKEN and len(session.view) < self.params.t:
+            self._decide(session, BeliefState(False, reason=REASON_QUORUM),
+                         api)
+            return
+        session.round = round_
+        session.received = self._inbox(session, round_)
+        if self.recorded is None:
+            api.broadcast(Envelope(
+                claimed_sender=self.party_id, session=session.key,
+                round=round_, payload=self._contribute(session, round_),
+            ))
+        else:
+            payload = self.recorded.get((session.key, round_))
+            value = None if payload is None else self.decode(payload)
+            if value is not None:
+                session.received[self.party_id] = value
+        self._advance(session, api)
+
+    def _advance(self, session: _Session, api: PartyAPI) -> None:
+        """Once every view member has contributed to the round in
+        progress, start the next round or, after the token round, decide."""
+        if len(session.received) != len(session.view):
+            return
+        if session.round == ROUND_TOKEN:
+            self._decide(session, self._verify(session), api)
+        else:
+            following = self.rounds[self.rounds.index(session.round) + 1]
+            self._enter(session, following, api)
+
+    def _decide(self, session: _Session, belief: BeliefState,
+                api: PartyAPI) -> None:
+        session.round = None  # takes nothing more
+        api.decide(session.key, belief)
+
+    def _admits(self, view: tuple, session_id: int) -> bool:
+        """Whether an invitation naming this party may open a session."""
+        return self.params.all_members(view)
+
+    def _open(self, session_id: int, view: tuple):
+        """The scheme's own state for a new session."""
+        return None
+
+    def _inbox(self, session: _Session, round_: str) -> dict:
+        """The map a round's contributions go into."""
+        return {}
+
+
+class HarnParty(Party):
+    """Honest participant for the token-sum scheme: invitation -> token;
+    all tokens in -> verify the sum."""
+
+    scheme = HARN_TAG
+    rounds = (ROUND_TOKEN,)
+    # perfbench/tracer.py wraps the on_envelope in each party class's own
+    # __dict__, so both classes keep this entry until it wraps Party's.
+    on_envelope = Party.on_envelope
+
+    def __init__(self, party_id: int, credential: HarnCredential | None,
+                 bundle: HarnPublicBundle, recorded: dict | None = None):
+        super().__init__(party_id, credential, bundle.params, recorded)
+        self.bundle = bundle
 
     def decode(self, payload: str):
         """Wire token -> residue mod the prime, or None if malformed."""
         try:
-            return decode_residue_hex(payload, self.bundle.params.prime)
+            return decode_residue_hex(payload, self.params.prime)
         except GroupAuthError:
             return None
 
-    def on_envelope(self, envelope: Envelope, api: PartyAPI) -> None:
-        scheme, run_id = envelope.session
-        if scheme != HARN_TAG:
-            return
-        if envelope.round == ROUND_INVITATION:
-            parsed = parse_invitation(envelope)
-            if parsed is None or run_id in self.runs:
-                return
-            group_ids, _ = parsed
-            if (self.party_id not in group_ids
-                    or not self.bundle.params.all_members(group_ids)):
-                return
-            self._join(group_ids, run_id, api)
-        elif envelope.round == ROUND_TOKEN:
-            run = self.runs.get(run_id)
-            if run is None or run.decided:
-                return
-            if _take(self, run.tokens, run.group_view, envelope):
-                self._maybe_decide(run_id, api)
+    def _contribute(self, session: _Session, round_: str) -> str:
+        token = harn_compute_token(self.credential, self.bundle,
+                                   session.view).value.value
+        session.received[self.party_id] = token
+        return encode_residue_hex(token, self.params.prime)
 
-    def _join(self, group_ids: tuple, run_id: int, api: PartyAPI) -> None:
-        run = _HarnRun(group_view=group_ids)
-        self.runs[run_id] = run
-        if len(group_ids) < self.bundle.params.t:
-            run.decided = True
-            api.decide(
-                (HARN_TAG, run_id),
-                BeliefState(False, reason=REASON_QUORUM),
-            )
-            return
-        if self.recorded is not None:
-            _take_recorded(self, run.tokens, (HARN_TAG, run_id), ROUND_TOKEN)
-        else:
-            token = harn_compute_token(
-                self.credential, self.bundle, group_ids
-            ).value.value
-            run.tokens[self.party_id] = token
-            api.broadcast(Envelope(
-                claimed_sender=self.party_id,
-                session=(HARN_TAG, run_id),
-                round=ROUND_TOKEN,
-                payload=encode_residue_hex(token, self.bundle.params.prime),
-            ))
-        self._maybe_decide(run_id, api)
-
-    def _maybe_decide(self, run_id: int, api: PartyAPI) -> None:
-        run = self.runs[run_id]
-        if run.decided or len(run.tokens) != len(run.group_view):
-            return
-        params = self.bundle.params
+    def _verify(self, session: _Session) -> BeliefState:
+        prime = self.params.prime
         tokens = [
-            HarnToken(params.identifier(i),
-                      FieldElement(run.tokens[i], params.prime))
-            for i in run.group_view
+            HarnToken(self.params.identifier(i),
+                      FieldElement(session.received[i], prime))
+            for i in session.view
         ]
         accepted, _ = harn_verify(tokens, self.bundle)
-        run.decided = True
         if accepted:
-            belief = BeliefState(True, members=frozenset(run.group_view))
-        else:
-            belief = BeliefState(False, reason=REASON_HASH_MISMATCH)
-        api.decide((HARN_TAG, run_id), belief)
+            return BeliefState(True, members=frozenset(session.view))
+        return BeliefState(False, reason=REASON_HASH_MISMATCH)
 
 
-class XiaParty:
+class XiaParty(Party):
     """Honest participant for the masked-product scheme.
 
     Invitation -> commit; all commitments in -> token; all tokens in ->
     verify. The nonce source is a party-local seeded rng so channel runs
-    are reproducible.
-
-    Passing `recorded`, a map from (session, round) to the payload this
-    party first broadcast genuinely, gives the replay form (module doc).
+    are reproducible. Each round's contributions go into the session's
+    XiaSessionState, where the mask and token steps read them.
     """
+
+    scheme = XIA_TAG
+    rounds = (ROUND_COMMITMENT, ROUND_TOKEN)
+    # kept for the benchmark's tracer, as in HarnParty
+    on_envelope = Party.on_envelope
 
     def __init__(self, party_id: int, credential: XiaCredential | None,
                  params: XiaParams, rng: random.Random | None,
                  recorded: dict | None = None):
-        self.party_id = party_id
-        self.credential = credential
-        self.params = params
+        super().__init__(party_id, credential, params, recorded)
         self.rng = rng
-        self.recorded = recorded
-        self.sessions = {}
-        self.decided = set()
-
-    def initiate(self, group_ids, session: int, api: PartyAPI) -> None:
-        api.broadcast(
-            invitation_envelope(XIA_TAG, self.party_id, session, group_ids)
-        )
-        self._join(tuple(sorted(group_ids)), session, api)
 
     def decode(self, payload: str):
         """Wire value -> subgroup element, or None if malformed."""
         return self.params.decode(payload)
 
-    def on_envelope(self, envelope: Envelope, api: PartyAPI) -> None:
-        scheme, session = envelope.session
-        if scheme != XIA_TAG:
-            return
-        if envelope.round == ROUND_INVITATION:
-            parsed = parse_invitation(envelope)
-            if parsed is None or session in self.sessions:
-                return
-            group_ids, _ = parsed
-            if (self.party_id not in group_ids
-                    or not self.params.all_members(group_ids)):
-                return
-            if not 1 <= session <= self.params.ell:
-                return
-            self._join(group_ids, session, api)
-            return
-        state = self.sessions.get(session)
-        if state is None:
-            return
-        if envelope.round == ROUND_COMMITMENT:
-            if state.phase == AWAIT_COMMITMENTS and _take(
-                    self, state.received_commitments, state.group_view,
-                    envelope):
-                self._maybe_release_token(session, api)
-        elif envelope.round == ROUND_TOKEN:
-            if state.phase == AWAIT_TOKENS and _take(
-                    self, state.received_tokens, state.group_view, envelope):
-                self._maybe_decide(session, api)
+    def _admits(self, view: tuple, session_id: int) -> bool:
+        return (super()._admits(view, session_id)
+                and 1 <= session_id <= self.params.ell)
 
-    def _join(self, group_ids: tuple, session: int, api: PartyAPI) -> None:
+    def _open(self, session_id: int, view: tuple) -> XiaSessionState:
+        # the credential's ledger raises SessionExhausted on reuse; the
+        # replay form has none
         if self.recorded is not None:
-            state = XiaSessionState(session=session, owner_id=self.party_id,
-                                    group_view=group_ids, params=self.params)
-            self.sessions[session] = state
-            _take_recorded(self, state.received_commitments,
-                           (XIA_TAG, session), ROUND_COMMITMENT)
-        else:
-            try:
-                state = self.credential.start_session(
-                    session, group_ids, self.params
-                )
-            except SessionExhausted:
-                self.decided.add(session)
-                api.decide(
-                    (XIA_TAG, session),
-                    BeliefState(False, reason=REASON_SESSION_EXHAUSTED),
-                )
-                return
-            self.sessions[session] = state
-            api.broadcast(xia_commit(state, self.rng))
-        self._maybe_release_token(session, api)
+            return XiaSessionState(session=session_id, owner_id=self.party_id,
+                                   group_view=view, params=self.params)
+        return self.credential.start_session(session_id, view, self.params)
 
-    def _maybe_release_token(self, session: int, api: PartyAPI) -> None:
-        state = self.sessions[session]
-        if state.phase != AWAIT_COMMITMENTS:
-            return
-        if len(state.received_commitments) != len(state.group_view):
-            return
-        if len(state.group_view) < self.params.t:
-            self.decided.add(session)
-            api.decide(
-                (XIA_TAG, session),
-                BeliefState(False, reason=REASON_QUORUM),
-            )
-            return
-        if self.recorded is not None:
-            state.phase = AWAIT_TOKENS
-            _take_recorded(self, state.received_tokens, (XIA_TAG, session),
-                           ROUND_TOKEN)
-        else:
-            token = xia_compute_token(state, self.credential, self.params)
-            api.broadcast(Envelope(
-                claimed_sender=self.party_id,
-                session=(XIA_TAG, session),
-                round=ROUND_TOKEN,
-                payload=encode_residue_hex(
-                    token.value.value, self.params.group.p
-                ),
-            ))
-        self._maybe_decide(session, api)
+    def _inbox(self, session: _Session, round_: str) -> dict:
+        if round_ == ROUND_COMMITMENT:
+            return session.state.received_commitments
+        return session.state.received_tokens
 
-    def _maybe_decide(self, session: int, api: PartyAPI) -> None:
-        state = self.sessions[session]
-        if state.phase != AWAIT_TOKENS or session in self.decided:
-            return
-        if len(state.received_tokens) != len(state.group_view):
-            return
+    def _contribute(self, session: _Session, round_: str) -> str:
+        # both steps enter the party's own value into the state's round map
+        if round_ == ROUND_COMMITMENT:
+            return xia_commit(session.state, self.rng).payload
+        token = xia_compute_token(session.state, self.credential, self.params)
+        return encode_residue_hex(token.value.value, self.params.group.p)
+
+    def _verify(self, session: _Session) -> BeliefState:
         tokens = [
-            XiaToken(self.params.identifier(i), state.received_tokens[i])
-            for i in state.group_view
+            XiaToken(self.params.identifier(i), session.received[i])
+            for i in session.view
         ]
-        belief = xia_verify(tokens, state, self.params)
-        self.decided.add(session)
-        api.decide((XIA_TAG, session), belief)
+        return xia_verify(tokens, session.state, self.params)
 
 
 def _party(material, party_id: int, credential, rng, recorded=None):
@@ -352,17 +329,29 @@ def _party(material, party_id: int, credential, rng, recorded=None):
     return XiaParty(party_id, credential, material, rng, recorded)
 
 
-def register_parties(sim, material, credentials, seed) -> tuple:
-    """One live honest party per credential on `sim`; `material` is the
-    scheme's public bundle or params. Returns (parties, apis) by party id."""
-    parties = {}
-    apis = {}
+def run_world(material, credentials, seed: int, group, session: int,
+              policy=None, script=None) -> Transcript:
+    """Build one simulated world and run it to quiescence.
+
+    One live honest party per credential (`material` is the scheme's
+    public bundle or params) and the optional adversary `script` share a
+    channel with `policy`. The smallest member of `group` invites it into
+    `session`, then the script starts, then the queue drains.
+    """
+    sim = ChannelSimulator(policy=policy)
+    members = {}
     for credential in credentials:
         pid = credential.owner.value
-        parties[pid] = _party(material, pid, credential,
-                              derive_rng(seed, "party", pid))
-        apis[pid] = sim.register(parties[pid])
-    return parties, apis
+        party = _party(material, pid, credential,
+                       derive_rng(seed, "party", pid))
+        members[pid] = (party, sim.register(party))
+    if script is not None:
+        adversary_api = sim.register_adversary(script)
+    initiator, api = members[min(group)]
+    initiator.initiate(group, session, api)
+    if script is not None:
+        script.on_start(adversary_api)
+    return sim.run_until_quiescent()
 
 
 def replay_party(material, party_id: int, recorded: dict):

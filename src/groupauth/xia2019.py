@@ -193,7 +193,6 @@ class XiaSessionState:
     own_nonce: FieldElement | None = None
     received_commitments: dict = field(default_factory=dict)
     received_tokens: dict = field(default_factory=dict)
-    decision: BeliefState | None = None
 
 
 def xia_gm_init(n: int, t: int, ell: int, prime_bits: int = 64,
@@ -340,5 +339,4 @@ def xia_verify(tokens, state: XiaSessionState,
     else:
         belief = BeliefState(False, reason=REASON_HASH_MISMATCH)
     state.phase = DECIDED
-    state.decision = belief
     return belief

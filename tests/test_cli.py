@@ -2,7 +2,9 @@
 and byte-determinism of the command-line front end."""
 
 import hashlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -421,21 +423,42 @@ def replace_first_record(lines, **fields):
     return [json.dumps(record)] + lines[1:]
 
 
-@pytest.mark.parametrize("doctor", [
-    lambda lines: ['{"type":"envelope"}'],
-    lambda lines: replace_first_record(lines, session="harn2013"),
-    lambda lines: replace_first_record(lines, recipients=[2, 3, 4, 5, 99]),
-    lambda lines: lines + [json.dumps({
+def forge_origin(lines, origin):
+    """Give the first forged envelope another true origin."""
+    records = [json.loads(line) for line in lines]
+    forged = next(r for r in records if r["type"] == "envelope"
+                  and r["true_origin"] != r["claimed_sender"])
+    forged["true_origin"] = origin
+    return [json.dumps(r) for r in records]
+
+
+def repeat_seq(lines):
+    """Give record 1 the seq of record 0."""
+    records = [json.loads(line) for line in lines]
+    records[1]["seq"] = records[0]["seq"]
+    return [json.dumps(r) for r in records]
+
+
+@pytest.mark.parametrize("demo, doctor", [
+    ("harn-honest", lambda lines: ['{"type":"envelope"}']),
+    ("harn-honest",
+     lambda lines: replace_first_record(lines, session="harn2013")),
+    ("harn-honest",
+     lambda lines: replace_first_record(lines, recipients=[2, 3, 4, 5, 99])),
+    ("harn-honest", lambda lines: lines + [json.dumps({
         "type": "decision", "seq": 999, "party": 99,
         "session": ["harn2013", 1], "accepted": True,
         "members": [1, 2, 3], "reason": None,
-    })],
+    })]),
+    ("harn-impersonation", lambda lines: forge_origin(lines, 99)),
+    ("harn-impersonation", repeat_seq),
 ], ids=["envelope-without-fields", "string-session", "unknown-recipient",
-        "decision-by-unknown-party"])
-def test_audit_command_fails_on_hostile_transcript(doctor, tmp_path,
+        "decision-by-unknown-party", "forged-from-unknown-origin",
+        "repeated-seq"])
+def test_audit_command_fails_on_hostile_transcript(demo, doctor, tmp_path,
                                                    capsys):
     out_dir = tmp_path / "out"
-    assert main(["demo", "harn-honest", "--out-dir", str(out_dir)]) == 0
+    assert main(["demo", demo, "--out-dir", str(out_dir)]) == 0
     transcript_path = out_dir / "transcript.jsonl"
     lines = doctor(transcript_path.read_text().splitlines())
     transcript_path.write_text("\n".join(lines) + "\n")
@@ -528,14 +551,35 @@ PINNED_DEMO_DIGESTS = {
 }
 
 
+_REGEN = Path(__file__).resolve().parent.parent / "scripts" / "regen_vectors.py"
+_SPEC = importlib.util.spec_from_file_location("regen_vectors", _REGEN)
+regen_vectors = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(regen_vectors)
+
+# The same digests for scripts/regen_vectors.py's WIDE_CONFIGS, groups wider
+# than any demo (n=16, 64-bit); that script prints these values too.
+PINNED_WIDE_DIGESTS = {
+    "harn-impersonation-n16": (
+        "da0090b140c0af2c4afe9c8fa2dc5e696f65b15997d8b3a59dbda0b4300e425f",
+        "530a0f40f8de65d04e9ead0bb0fdc6d45f892fb91d2da2315a9cd0538fc5fc9c",
+    ),
+    "xia-honest-n16": (
+        "1c19fc8a83fef5f5f8d97703d7d4cccc717323d095e24c321888eea97ca68dda",
+        "aec7c2a02e3cc2ac356ae018624f658fab0c18e847dd6497fbe14f3bb0e521f2",
+    ),
+}
+
+
 def test_demo_outputs_match_pinned_digests(tmp_path):
+    configs = {name: entry["config"] for name, entry in DEMOS.items()}
+    configs.update(regen_vectors.WIDE_CONFIGS)
     digests = {}
-    for name, entry in DEMOS.items():
-        config = ScenarioConfig.from_json(entry["config"])
+    for name, raw in configs.items():
+        config = ScenarioConfig.from_json(raw)
         transcript, report = run_scenario(config)
         write_outputs(transcript, report, config, tmp_path / name)
         digests[name] = tuple(
             hashlib.sha256((tmp_path / name / f).read_bytes()).hexdigest()
             for f in ("transcript.jsonl", "report.json")
         )
-    assert digests == PINNED_DEMO_DIGESTS
+    assert digests == {**PINNED_DEMO_DIGESTS, **PINNED_WIDE_DIGESTS}

@@ -226,6 +226,9 @@ class TestTokenMatchesPerPolynomialFormula:
         with pytest.raises(ModulusMismatch):
             harn_compute_token(creds[0], bundle,
                                [FieldElement(1, p), FieldElement(2, 23)])
+        # a foreign entry equal to the owner's value is no exception
+        with pytest.raises(ModulusMismatch):
+            harn_compute_token(creds[0], bundle, [FieldElement(1, 23), 2])
 
 
 class TestVerification:
