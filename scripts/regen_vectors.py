@@ -54,23 +54,35 @@ WIDE_CONFIGS = {
         "prime_bits": 64, "seed": 5, "observed_group": list(range(1, 9)),
         "victim": 9, "fake_group": list(range(9, 17)),
     },
+    # the only pinned world whose closing step replays an observed token
+    "xia-impersonation-replay": {
+        "scheme": "xia2019", "scenario": "impersonation", "n": 6, "t": 2,
+        "prime_bits": 64, "seed": 5, "observed_group": [1, 2, 3],
+        "fake_group": [3, 4, 5], "victim": 4, "replay_member": 3,
+    },
 }
 
 
-def output_digests(configs: dict) -> dict:
-    """sha256 of (transcript.jsonl, report.json) per named config."""
-    digests = {}
+def run_configs(configs: dict):
+    """Run each named config in name order and write its outputs; yields
+    (name, config, transcript, report, (sha256 of transcript.jsonl,
+    sha256 of report.json))."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, raw in sorted(configs.items()):
             config = ScenarioConfig.from_json(raw)
             transcript, report = run_scenario(config)
             out_dir = Path(tmp) / name
             write_outputs(transcript, report, config, out_dir)
-            digests[name] = tuple(
+            yield name, config, transcript, report, tuple(
                 hashlib.sha256((out_dir / f).read_bytes()).hexdigest()
                 for f in ("transcript.jsonl", "report.json")
             )
-    return digests
+
+
+def output_digests(configs: dict) -> dict:
+    """sha256 of (transcript.jsonl, report.json) per named config."""
+    return {name: digests
+            for name, _, _, _, digests in run_configs(configs)}
 
 
 def print_digests(constant: str, digests: dict) -> None:

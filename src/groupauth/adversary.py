@@ -1,20 +1,30 @@
-"""Channel attacks against both schemes.
+"""One channel attack against both schemes.
 
-Both schemes verify only an aggregate (a sum, respectively a product) of
-broadcast tokens against a value the adversary can observe, so a channel
-owner can make any victim accept any fabricated group:
+Both schemes verify only an aggregate of broadcast tokens (a sum for the
+token-sum scheme, a product for the masked-product scheme) against a
+value that any observer of one completed run can reconstruct. So a
+channel owner who holds no credential can make any victim accept any
+fabricated group. `ChannelAttack` is that attack, one tap-driven loop:
 
-  token-sum scheme: watch one honest run complete among other members;
-  the broadcast tokens sum to the one-time secret s. Invite the victim
-  into a fabricated group, block everyone else, wait for the victim's own
-  token c, then inject forged tokens summing to s - c.
+  1. stage one: on the tap that completes the tokens of the observed
+     run, add them up (the token-sum secret s, respectively the power
+     (g_sigma)^s of the observed session's generator);
+  2. invite each victim into its fabricated group, at the start
+     ("simultaneous") or once stage one is done ("two-stage"), and forge
+     each fabricated member's contribution to every round before the
+     token round from a random draw (the masked-product commitments);
+  3. with all honest traffic to the victim blocked, capture the victim's
+     own token;
+  4. inject the fabricated members' tokens: an optional replayed observed
+     token, random fillers and one closing value, so that the victim's
+     aggregate lands on the one recovered in stage one.
 
-  masked-product scheme: watch one honest session sigma; the token
-  product equals (g_sigma)^s without any secret knowledge. Invite the
-  victim into a fabricated group for the same sigma, inject commitments
-  (g_sigma)^{u_j} for made-up nonces, wait for the victim's token c, then
-  inject random subgroup elements and one closing token so the product
-  hits the observed power. The script never touches a credential.
+Two bindings supply only their scheme's algebra: stage-one recovery,
+token decode, one filler draw and the closing value.
+`HarnImpersonationScript` lures one victim into a fresh run id of the
+token-sum scheme. `XiaChannelAttack` lures one or more victims into the
+observed session index of the masked-product scheme, whose generator is
+what makes the observed power reusable. Neither holds a credential.
 
 Attack success is decided by evaluate_attack, which looks only at the
 transcript: the scripts report nothing about themselves.
@@ -23,20 +33,12 @@ transcript: the scripts report nothing about themselves.
 import random
 from dataclasses import dataclass
 
-from .algebra import (
-    CyclicGroupSpec,
-    FieldElement,
-    GroupElement,
-    derive_rng,
-    group_exp,
-    group_product,
-)
+from .algebra import CyclicGroupSpec, GroupElement, derive_rng, group_exp
 from .channel import (
     AdversaryAPI,
     AdversaryPolicy,
     BeliefState,
     Envelope,
-    ROUND_COMMITMENT,
     ROUND_INVITATION,
     ROUND_TOKEN,
     Transcript,
@@ -46,8 +48,14 @@ from .channel import (
 )
 from .errors import InsufficientObservation
 from .harn2013 import SCHEME_TAG as HARN_TAG
-from .harn2013 import HarnPublicBundle, HarnToken, harn_aggregate
-from .parties import invitation_envelope, parse_invitation, run_world
+from .harn2013 import HarnPublicBundle, harn_aggregate
+from .parties import (
+    HarnParty,
+    XiaParty,
+    invitation_envelope,
+    parse_invitation,
+    run_world,
+)
 from .xia2019 import SCHEME_TAG as XIA_TAG
 from .xia2019 import XiaParams, xia_aggregate
 
@@ -56,182 +64,58 @@ MODE_SIMULTANEOUS = "simultaneous"
 
 
 # ---------------------------------------------------------------------------
-# pure observation / forgery helpers
+# stage one: passive recovery of an observed aggregate
 
 
-def _collect_round(envelopes, session: tuple, round_: str) -> dict:
-    """First-seen payload per claimed sender for one session round."""
-    seen = {}
+def _observed_tokens(envelopes, session: tuple, modulus: int) -> list:
+    """Decoded tokens of the group that the session's first valid
+    invitation announces, in member order, each sender's first token
+    counting. Raises InsufficientObservation until that group has fully
+    spoken."""
+    group, tokens = None, {}
     for envelope in envelopes:
-        if envelope.session != session or envelope.round != round_:
+        if envelope.session != session:
             continue
-        seen.setdefault(envelope.claimed_sender, envelope.payload)
-    return seen
-
-def _find_group(envelopes, session: tuple):
-    for envelope in envelopes:
-        if envelope.session == session and envelope.round == ROUND_INVITATION:
+        if envelope.round == ROUND_INVITATION and group is None:
             parsed = parse_invitation(envelope)
             if parsed:
-                return parsed[0]
-    return None
+                group = parsed[0]
+        elif envelope.round == ROUND_TOKEN:
+            tokens.setdefault(envelope.claimed_sender, envelope.payload)
+    if group is None:
+        raise InsufficientObservation("no invitation seen for %s session %d"
+                                      % session)
+    missing = [i for i in group if i not in tokens]
+    if missing:
+        raise InsufficientObservation("still waiting on tokens %s" % missing)
+    return [decode_residue_hex(tokens[i], modulus) for i in group]
 
 
 def attack_harn_learn_secret(envelopes, run_id: int, modulus: int) -> int:
     """Recover the one-time secret from a completed run's broadcasts.
 
     Works for any observer, member or not: the secret is simply the sum
-    of the released tokens. Raises InsufficientObservation until every
-    member of the announced group has spoken.
+    of the released tokens.
     """
-    envelopes = list(envelopes)
-    session = (HARN_TAG, run_id)
-    group = _find_group(envelopes, session)
-    if group is None:
-        raise InsufficientObservation("no invitation seen for run %d" % run_id)
-    tokens = _collect_round(envelopes, session, ROUND_TOKEN)
-    missing = [i for i in group if i not in tokens]
-    if missing:
-        raise InsufficientObservation("still waiting on tokens %s" % missing)
     return harn_aggregate(
-        [decode_residue_hex(tokens[i], modulus) for i in group], modulus
+        _observed_tokens(envelopes, (HARN_TAG, run_id), modulus), modulus
     )
-
-
-def attack_harn_forge(secret: int, victim_token: int, victim: int,
-                      fake_group, modulus: int,
-                      rng: random.Random) -> list:
-    """Values for every fabricated member so the sum lands on the secret.
-
-    All but the last member get uniform garbage; the closing member
-    absorbs secret - victim_token - sum(garbage).
-    """
-    members = sorted(int(i) for i in fake_group if int(i) != victim)
-    if not members:
-        raise ValueError("the fabricated group needs members besides the victim")
-    values = {}
-    running = victim_token % modulus
-    for member in members[:-1]:
-        value = rng.randrange(modulus)
-        values[member] = value
-        running = (running + value) % modulus
-    values[members[-1]] = (secret - running) % modulus
-    return [
-        HarnToken(FieldElement(member, modulus),
-                  FieldElement(value, modulus))
-        for member, value in sorted(values.items())
-    ]
 
 
 def attack_xia_stage1(envelopes, session_id: int,
                       group: CyclicGroupSpec) -> GroupElement:
     """Product of one observed session's tokens: equals (g_sigma)^s.
 
-    Purely passive; raises InsufficientObservation until the announced
-    group has fully spoken.
+    Each token must lie in the subgroup (SubgroupViolation otherwise).
     """
-    envelopes = list(envelopes)
-    session = (XIA_TAG, session_id)
-    members = _find_group(envelopes, session)
-    if members is None:
-        raise InsufficientObservation(
-            "no invitation seen for session %d" % session_id
-        )
-    tokens = _collect_round(envelopes, session, ROUND_TOKEN)
-    missing = [i for i in members if i not in tokens]
-    if missing:
-        raise InsufficientObservation("still waiting on tokens %s" % missing)
+    tokens = _observed_tokens(envelopes, (XIA_TAG, session_id), group.p)
     return group.element(xia_aggregate(
-        [group.element(decode_residue_hex(tokens[i], group.p)).value
-         for i in members],
-        group.p,
+        [group.element(value).value for value in tokens], group.p
     ))
 
 
-def solve_closing_token(target: GroupElement, fixed_values) -> GroupElement:
-    """The unique group element completing a product to the target."""
-    return target * group_product(target.group, fixed_values).inverse()
-
-
 # ---------------------------------------------------------------------------
-# scripted adversaries (event handlers driven by the channel tap)
-
-
-class HarnImpersonationScript:
-    """Impersonates a whole fabricated group toward one victim.
-
-    Stage one is pure eavesdropping on the run among `observed_group`
-    (an insider credential would observe exactly the same broadcast
-    values, so the recovery path is identical either way). Stage two
-    invites the victim, waits for its token, and closes the sum.
-    """
-
-    def __init__(self, bundle: HarnPublicBundle, observed_run: int,
-                 observed_group, fake_run: int, fake_group, victim: int,
-                 rng: random.Random):
-        self.prime = bundle.params.prime
-        self.observed_run = observed_run
-        self.observed_group = tuple(sorted(observed_group))
-        self.fake_run = fake_run
-        self.fake_group = tuple(sorted(fake_group))
-        self.victim = victim
-        self.rng = rng
-        self.secret = None
-        self.victim_token = None
-        self.injected = False
-        self.observed = []
-        self.observed_senders = set()
-
-    def on_start(self, api: AdversaryAPI) -> None:
-        inviter = min(i for i in self.fake_group if i != self.victim)
-        api.inject(
-            invitation_envelope(
-                HARN_TAG, inviter, self.fake_run, self.fake_group
-            ),
-            recipients=[self.victim],
-        )
-
-    def on_tap(self, envelope: Envelope, api: AdversaryAPI) -> None:
-        self.observed.append(envelope)
-        if (envelope.session == (HARN_TAG, self.observed_run)
-                and envelope.round == ROUND_TOKEN
-                and envelope.claimed_sender in self.observed_group
-                and envelope.claimed_sender not in self.observed_senders):
-            self.observed_senders.add(envelope.claimed_sender)
-            # the observed run's invitation names observed_group, so stage
-            # one completes on the tap that completes its tokens
-            if len(self.observed_senders) == len(self.observed_group):
-                try:
-                    self.secret = attack_harn_learn_secret(
-                        self.observed, self.observed_run, self.prime
-                    )
-                except InsufficientObservation:
-                    pass
-        if (envelope.session == (HARN_TAG, self.fake_run)
-                and envelope.round == ROUND_TOKEN
-                and envelope.claimed_sender == self.victim
-                and self.victim_token is None):
-            self.victim_token = decode_residue_hex(envelope.payload, self.prime)
-        self._maybe_finish(api)
-
-    def _maybe_finish(self, api: AdversaryAPI) -> None:
-        if self.injected or self.secret is None or self.victim_token is None:
-            return
-        self.injected = True
-        forged = attack_harn_forge(
-            self.secret, self.victim_token, self.victim,
-            self.fake_group, self.prime, self.rng,
-        )
-        for token in forged:
-            api.inject(
-                Envelope(
-                    claimed_sender=token.sender.value,
-                    session=(HARN_TAG, self.fake_run),
-                    round=ROUND_TOKEN,
-                    payload=encode_residue_hex(token.value.value, self.prime),
-                ),
-                recipients=[self.victim],
-            )
+# the attack loop (an event handler driven by the channel tap)
 
 
 @dataclass
@@ -247,158 +131,211 @@ class VictimPlan:
         self.fake_group = tuple(sorted(int(i) for i in self.fake_group))
         if self.victim not in self.fake_group:
             raise ValueError("plan must place the victim inside the group")
+        if len(self.fake_group) < 2:
+            raise ValueError("the fabricated group needs members besides "
+                             "the victim")
 
 
-class XiaChannelAttack:
-    """Impersonates fabricated groups toward one or more victims.
+class ChannelAttack:
+    """Impersonates fabricated groups toward their victims (module doc).
+
+    A binding sets `party`, the honest party class of its scheme, whose
+    `scheme` tags every forged envelope and whose `rounds` before the
+    token round are forged at invitation time. It supplies `_recover`
+    (stage one), `_decode` (a wire token), `_draw` (one filler value) and
+    `_complete` (the value closing an aggregate on the target).
+    """
+
+    party = None
+
+    def __init__(self, modulus: int, observed_session: int, observed_group,
+                 plans, mode: str, rng: random.Random):
+        if mode not in (MODE_TWO_STAGE, MODE_SIMULTANEOUS):
+            raise ValueError("unknown attack mode %r" % mode)
+        self.modulus = modulus
+        self.observed_session = observed_session
+        self.observed_group = tuple(sorted(observed_group))
+        self.plans = list(plans)
+        self.mode = mode
+        self.rng = rng
+        self.target = None  # the aggregate recovered in stage one
+        self.observed = []
+        self.observed_tokens = {}  # observed member -> its token payload
+        self.victim_tokens = {}
+        self.invited = set()
+        self.closed = set()
+
+    def on_start(self, api: AdversaryAPI) -> None:
+        if self.mode == MODE_SIMULTANEOUS:
+            for plan in self.plans:
+                self._invite(plan, api)
+
+    def on_tap(self, envelope: Envelope, api: AdversaryAPI) -> None:
+        self.observed.append(envelope)
+        if envelope.round != ROUND_TOKEN:
+            return
+        scheme = self.party.scheme
+        sender = envelope.claimed_sender
+        if (envelope.session == (scheme, self.observed_session)
+                and sender in self.observed_group
+                and sender not in self.observed_tokens):
+            self.observed_tokens[sender] = envelope.payload
+            # the observed run's invitation names observed_group, so stage
+            # one completes on the tap that completes its tokens
+            if len(self.observed_tokens) == len(self.observed_group):
+                try:
+                    self.target = self._recover()
+                except InsufficientObservation:
+                    pass
+                if self.target is not None and self.mode == MODE_TWO_STAGE:
+                    for plan in self.plans:
+                        self._invite(plan, api)
+        for plan in self.plans:
+            if (envelope.session == (scheme, plan.session)
+                    and sender == plan.victim
+                    and sender not in self.victim_tokens):
+                self.victim_tokens[sender] = self._decode(envelope.payload)
+        if self.target is None:
+            return
+        for plan in self.plans:
+            victim_value = self.victim_tokens.get(plan.victim)
+            if victim_value is None or plan.victim in self.closed:
+                continue
+            self.closed.add(plan.victim)
+            tokens = self.closing_tokens(plan, self.target, victim_value)
+            for member, value in tokens.items():
+                self._inject(plan, member, ROUND_TOKEN, value, api)
+
+    def _invite(self, plan: VictimPlan, api: AdversaryAPI) -> None:
+        """The fake invitation, then a forged contribution of every
+        fabricated member to each round before the token round."""
+        if plan.victim in self.invited:
+            return
+        self.invited.add(plan.victim)
+        members = [i for i in plan.fake_group if i != plan.victim]
+        api.inject(
+            invitation_envelope(self.party.scheme, members[0], plan.session,
+                                plan.fake_group),
+            recipients=[plan.victim],
+        )
+        for round_ in self.party.rounds[:-1]:
+            for member in members:
+                # drawn like an honest member's, then never needed again
+                self._inject(plan, member, round_, self._draw(plan.session),
+                             api)
+
+    def _inject(self, plan: VictimPlan, member: int, round_: str,
+                value: int, api: AdversaryAPI) -> None:
+        api.inject(
+            Envelope(claimed_sender=member,
+                     session=(self.party.scheme, plan.session), round=round_,
+                     payload=encode_residue_hex(value, self.modulus)),
+            recipients=[plan.victim],
+        )
+
+    def closing_tokens(self, plan: VictimPlan, target: int,
+                       victim_value: int) -> dict:
+        """Token value per fabricated member other than the victim, in
+        member order, which together with the victim's own `victim_value`
+        aggregate to `target`.
+
+        The replay member reuses its observed token, every other member
+        but the last gets one filler draw, and the last one closes the
+        aggregate.
+        """
+        members = [i for i in plan.fake_group if i != plan.victim]
+        values = {}
+        if plan.replay_member is not None:
+            payload = self.observed_tokens.get(plan.replay_member)
+            if payload is None:
+                raise InsufficientObservation(
+                    "no observed token to replay for %d" % plan.replay_member
+                )
+            values[plan.replay_member] = self._decode(payload)
+        free = [i for i in members if i not in values]
+        for member in free[:-1]:
+            values[member] = self._draw(plan.session)
+        values[free[-1]] = self._complete(target,
+                                          [victim_value, *values.values()])
+        return {member: values[member] for member in members}
+
+
+class HarnImpersonationScript(ChannelAttack):
+    """Token-sum binding: invites one victim at the start into `fake_run`.
+
+    Stage one is pure eavesdropping on the run among `observed_group` (an
+    insider credential would observe exactly the same broadcast values,
+    so the recovery path is identical either way). Fillers are uniform
+    residues, and the closing token absorbs s minus the rest of the sum.
+    """
+
+    party = HarnParty
+    # perfbench/tracer.py wraps the on_tap in each binding's own __dict__,
+    # so both bindings keep this entry until it wraps ChannelAttack's.
+    on_tap = ChannelAttack.on_tap
+
+    def __init__(self, bundle: HarnPublicBundle, observed_run: int,
+                 observed_group, fake_run: int, fake_group, victim: int,
+                 rng: random.Random):
+        super().__init__(bundle.params.prime, observed_run, observed_group,
+                         [VictimPlan(victim, fake_group, fake_run)],
+                         MODE_SIMULTANEOUS, rng)
+
+    def _recover(self) -> int:
+        return attack_harn_learn_secret(self.observed, self.observed_session,
+                                        self.modulus)
+
+    def _decode(self, payload: str) -> int:
+        return decode_residue_hex(payload, self.modulus)
+
+    def _draw(self, session: int) -> int:
+        return self.rng.randrange(self.modulus)
+
+    def _complete(self, target: int, fixed) -> int:
+        return (target - harn_aggregate(fixed, self.modulus)) % self.modulus
+
+
+class XiaChannelAttack(ChannelAttack):
+    """Masked-product binding for one or more victim plans.
 
     Holds only public values: the group description and the per-session
-    generators. No credential, no share, no session digest. Stage one
-    multiplies observed tokens; stage two forges everything the victim
-    expects to hear and closes the product at the observed power.
+    generators. No credential, no share, no session digest. Fillers and
+    forged commitments are powers of the session's generator at fresh
+    random exponents, and the closing token is the observed power divided
+    by the rest of the product.
 
     mode "two-stage" defers the fake invitations until the observed
     session has completed; "simultaneous" interleaves both from the
     start and defers only the closing injections.
     """
 
+    party = XiaParty
+    on_tap = ChannelAttack.on_tap  # kept for the tracer, as above
+
     def __init__(self, group: CyclicGroupSpec, generators,
                  observed_session: int, observed_group, plans,
                  mode: str, rng: random.Random):
-        if mode not in (MODE_TWO_STAGE, MODE_SIMULTANEOUS):
-            raise ValueError("unknown attack mode %r" % mode)
+        super().__init__(group.p, observed_session, observed_group, plans,
+                         mode, rng)
         self.group = group
         self.generators = tuple(generators)
-        self.observed_session = observed_session
-        self.observed_group = tuple(sorted(observed_group))
-        self.plans = list(plans)
-        self.mode = mode
-        self.rng = rng
-        self.product = None
-        self.observed = []
-        self.observed_tokens = {}
-        self.victim_tokens = {}
-        self.invited = set()
-        self.closed = set()
 
-    def _generator_for(self, session: int) -> GroupElement:
-        return self.generators[session - 1]
+    def _recover(self) -> int:
+        return attack_xia_stage1(self.observed, self.observed_session,
+                                 self.group).value
 
-    def on_start(self, api: AdversaryAPI) -> None:
-        if self.mode == MODE_SIMULTANEOUS:
-            for plan in self.plans:
-                self._open_fake_session(plan, api)
+    def _decode(self, payload: str) -> int:
+        return self.group.element(
+            decode_residue_hex(payload, self.modulus)
+        ).value
 
-    def on_tap(self, envelope: Envelope, api: AdversaryAPI) -> None:
-        self.observed.append(envelope)
-        scheme, session_id = envelope.session
-        if scheme != XIA_TAG:
-            return
-        if (session_id == self.observed_session
-                and envelope.round == ROUND_TOKEN
-                and envelope.claimed_sender in self.observed_group
-                and envelope.claimed_sender not in self.observed_tokens):
-            self.observed_tokens[envelope.claimed_sender] = (
-                decode_residue_hex(envelope.payload, self.group.p)
-            )
-            # the observed session's invitation names observed_group, so
-            # stage one completes on the tap that completes its tokens
-            if len(self.observed_tokens) == len(self.observed_group):
-                try:
-                    self.product = attack_xia_stage1(
-                        self.observed, self.observed_session, self.group
-                    )
-                except InsufficientObservation:
-                    pass
-                if self.product is not None and self.mode == MODE_TWO_STAGE:
-                    for plan in self.plans:
-                        self._open_fake_session(plan, api)
-        for plan in self.plans:
-            if (envelope.session == (XIA_TAG, plan.session)
-                    and envelope.round == ROUND_TOKEN
-                    and envelope.claimed_sender == plan.victim
-                    and plan.victim not in self.victim_tokens):
-                self.victim_tokens[plan.victim] = self.group.element(
-                    decode_residue_hex(envelope.payload, self.group.p)
-                )
-        self._maybe_close(api)
+    def _draw(self, session: int) -> int:
+        return group_exp(self.generators[session - 1],
+                         self.rng.randrange(self.group.q)).value
 
-    def _open_fake_session(self, plan: VictimPlan, api: AdversaryAPI) -> None:
-        if plan.victim in self.invited:
-            return
-        self.invited.add(plan.victim)
-        inviter = min(i for i in plan.fake_group if i != plan.victim)
-        api.inject(
-            invitation_envelope(
-                XIA_TAG, inviter, plan.session, plan.fake_group
-            ),
-            recipients=[plan.victim],
-        )
-        generator = self._generator_for(plan.session)
-        for member in plan.fake_group:
-            if member == plan.victim:
-                continue
-            # nonce drawn like an honest member's, then never needed again
-            nonce = self.rng.randrange(self.group.q)
-            commitment = group_exp(generator, nonce)
-            api.inject(
-                Envelope(
-                    claimed_sender=member,
-                    session=(XIA_TAG, plan.session),
-                    round=ROUND_COMMITMENT,
-                    payload=encode_residue_hex(commitment.value, self.group.p),
-                ),
-                recipients=[plan.victim],
-            )
-
-    def _maybe_close(self, api: AdversaryAPI) -> None:
-        if self.product is None:
-            return
-        for plan in self.plans:
-            if plan.victim in self.closed:
-                continue
-            victim_token = self.victim_tokens.get(plan.victim)
-            if victim_token is None:
-                continue
-            self.closed.add(plan.victim)
-            self._inject_closing_tokens(plan, victim_token, api)
-
-    def _inject_closing_tokens(self, plan: VictimPlan,
-                               victim_token: GroupElement,
-                               api: AdversaryAPI) -> None:
-        members = [i for i in plan.fake_group if i != plan.victim]
-        generator = self._generator_for(plan.session)
-        values = {}
-        if plan.replay_member is not None:
-            observed = self.observed_tokens.get(plan.replay_member)
-            if observed is None:
-                raise InsufficientObservation(
-                    "no observed token to replay for %d" % plan.replay_member
-                )
-            values[plan.replay_member] = self.group.element(observed)
-        free = [i for i in members if i not in values]
-        closing_member = free[-1]
-        for member in free[:-1]:
-            values[member] = group_exp(
-                generator, self.rng.randrange(self.group.q)
-            )
-        values[closing_member] = solve_closing_token(
-            self.product, [victim_token] + [
-                values[i] for i in members if i != closing_member
-            ],
-        )
-        for member in members:
-            api.inject(
-                Envelope(
-                    claimed_sender=member,
-                    session=(XIA_TAG, plan.session),
-                    round=ROUND_TOKEN,
-                    payload=encode_residue_hex(
-                        values[member].value, self.group.p
-                    ),
-                ),
-                recipients=[plan.victim],
-            )
+    def _complete(self, target: int, fixed) -> int:
+        product = xia_aggregate(fixed, self.modulus)
+        return target * pow(product, -1, self.modulus) % self.modulus
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +443,28 @@ def evaluate_attack(transcript: Transcript, scheme: str, victim: int,
 # orchestrators: build the world, run it, judge it from the transcript
 
 
+def _attack_world(material, credentials, seed: int,
+                  script: ChannelAttack) -> tuple:
+    """Run `script` against the world of `material` with every victim's
+    honest inbound traffic blocked; returns (transcript, [outcome per
+    plan])."""
+    transcript = run_world(
+        material, credentials, seed, script.observed_group,
+        script.observed_session,
+        AdversaryPolicy(blocked_links={
+            (WILDCARD, plan.victim) for plan in script.plans
+        }),
+        script,
+    )
+    return transcript, [
+        evaluate_attack(
+            transcript, script.party.scheme, plan.victim, plan.session,
+            script.observed_session, script.observed_group, script.modulus,
+        )
+        for plan in script.plans
+    ]
+
+
 def run_harn_impersonation(bundle: HarnPublicBundle, credentials,
                            observed_group, fake_group, victim: int,
                            seed: int, observed_run: int = 1,
@@ -518,14 +477,7 @@ def run_harn_impersonation(bundle: HarnPublicBundle, credentials,
         fake_group=fake_group, victim=victim,
         rng=derive_rng(seed, "adversary"),
     )
-    transcript = run_world(
-        bundle, credentials, seed, observed_group, observed_run,
-        AdversaryPolicy(blocked_links={(WILDCARD, victim)}, tap=True), script,
-    )
-    outcome = evaluate_attack(
-        transcript, HARN_TAG, victim, fake_run, observed_run,
-        tuple(sorted(observed_group)), bundle.params.prime,
-    )
+    transcript, (outcome,) = _attack_world(bundle, credentials, seed, script)
     return transcript, outcome
 
 
@@ -539,16 +491,4 @@ def run_xia_attack(params: XiaParams, credentials, observed_group,
         observed_session=observed_session, observed_group=observed_group,
         plans=plans, mode=mode, rng=derive_rng(seed, "adversary"),
     )
-    blocked = {(WILDCARD, plan.victim) for plan in plans}
-    transcript = run_world(
-        params, credentials, seed, observed_group, observed_session,
-        AdversaryPolicy(blocked_links=blocked, tap=True), script,
-    )
-    outcomes = [
-        evaluate_attack(
-            transcript, XIA_TAG, plan.victim, plan.session,
-            observed_session, tuple(sorted(observed_group)), params.group.p,
-        )
-        for plan in plans
-    ]
-    return transcript, outcomes
+    return _attack_world(params, credentials, seed, script)

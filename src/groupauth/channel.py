@@ -141,15 +141,15 @@ class BeliefState:
 
 @dataclass
 class AdversaryPolicy:
-    """Static channel powers: link blocking and a global tap.
+    """Static channel powers: the links that are blocked.
 
     blocked_links holds (sender, recipient) pairs; the sender slot may be
     the wildcard "*" to cut all honest traffic toward a recipient.
-    Injected envelopes are never blocked.
+    Injected envelopes are never blocked, and a registered adversary taps
+    every broadcast, blocked or not.
     """
 
     blocked_links: set = field(default_factory=set)
-    tap: bool = False
 
     def blocks(self, sender: int, recipient: int) -> bool:
         return (
@@ -399,7 +399,7 @@ class ChannelSimulator:
         ]
         self.transcript.append_envelope(stamped, sender, recipients)
         self.schedule.push_fanout(stamped, recipients)
-        if self.policy.tap and self._adversary is not None:
+        if self._adversary is not None:
             self._adversary.on_tap(stamped, self._adversary_api)
 
     def inject(self, envelope: Envelope, recipients) -> None:

@@ -40,7 +40,7 @@ from .channel import (
 from .errors import AuditFailure, ConfigError, GroupAuthError
 from .harn2013 import SCHEME_TAG as HARN_TAG
 from .harn2013 import harn_gm_init
-from .parties import replay_party, run_world
+from .parties import HarnParty, XiaParty, replay_party, run_world
 from .xia2019 import SCHEME_TAG as XIA_TAG
 from .xia2019 import xia_gm_init
 
@@ -62,7 +62,9 @@ SCENARIOS = (
 ATTACK_SCENARIOS = (
     SCENARIO_IMPERSONATION, SCENARIO_SIMULTANEOUS, SCENARIO_TWO_VICTIMS,
 )
-SCHEMES = (HARN_TAG, XIA_TAG)
+# scheme tag -> the honest party class, whose rounds fix the scenario's
+# forged-traffic profile
+SCHEMES = {party.scheme: party for party in (HarnParty, XiaParty)}
 
 
 # ---------------------------------------------------------------------------
@@ -379,21 +381,30 @@ def _run_attack(config: ScenarioConfig, material, credentials) -> tuple:
 
 
 def expected_forged_count(config: ScenarioConfig) -> int:
-    """How many envelopes the scenario's adversary injects."""
+    """How many envelopes the scenario's adversary injects.
+
+    The tamper script forwards the target's contribution to each round,
+    plus the invitation if the target sent it. An attack sends each
+    victim one invitation and one envelope per round for every other
+    member of its fabricated group.
+    """
     if config.scenario in (SCENARIO_HONEST, SCENARIO_QUORUM):
         return 0
+    rounds = len(SCHEMES[config.scheme].rounds)
     if config.scenario == SCENARIO_TAMPER:
-        forwarded = 1  # the token round
-        if config.scheme == XIA_TAG:
-            forwarded += 1  # the commitment round
-        if config.tamper_target == min(config.group):
-            forwarded += 1  # the invitation
-        return forwarded
-    per_plan = []
-    for fake, _ in config._plans_raw():
-        m = len(fake)
-        per_plan.append(m if config.scheme == HARN_TAG else 2 * m - 1)
-    return sum(per_plan)
+        return rounds + int(config.tamper_target == min(config.group))
+    return sum(1 + rounds * (len(fake) - 1)
+               for fake, _ in config._plans_raw())
+
+
+def _forged_profile(config: ScenarioConfig, transcript: Transcript) -> tuple:
+    """(forged envelopes on the wire, how many the scenario's profile
+    expects, seqs of those that reached a party other than a victim)."""
+    forged = transcript.forged()
+    victims = set(config.victims())
+    stray = [record["seq"] for record in forged
+             if not set(record["recipients"]) <= victims]
+    return len(forged), expected_forged_count(config), stray
 
 
 def _decision_index(transcript: Transcript) -> dict:
@@ -409,15 +420,10 @@ def scenario_checks(config: ScenarioConfig, transcript: Transcript,
     """Named pass/fail facts defining the scenario's expected outcome."""
     checks = {}
     decisions = _decision_index(transcript)
-    forged = transcript.forged()
     session_key = (config.scheme, config.session)
-    checks["forged_count_matches"] = (
-        len(forged) == expected_forged_count(config)
-    )
-    victims = set(config.victims())
-    checks["forged_confined_to_victims"] = all(
-        set(record["recipients"]) <= victims for record in forged
-    )
+    forged, expected, stray = _forged_profile(config, transcript)
+    checks["forged_count_matches"] = forged == expected
+    checks["forged_confined_to_victims"] = not stray
 
     def accepted(pid, key, members) -> bool:
         record = decisions.get((pid, key))
@@ -474,7 +480,7 @@ def run_scenario(config: ScenarioConfig) -> tuple:
         transcript = run_world(
             material, credentials, config.seed, config.group, config.session,
             AdversaryPolicy(blocked_links={(config.tamper_target,
-                                            config.victim)}, tap=True),
+                                            config.victim)}),
             TamperScript(config.scheme, config.session, config.tamper_target,
                          config.victim, _modulus(config, material), generator),
         )
@@ -546,10 +552,10 @@ def audit_transcript(transcript: Transcript,
     party class that ran live, and the decisions it reaches must equal
     the recorded ones. Raises AuditFailure on the first inconsistency
     between the wire data and the recorded decisions, on a party id
-    outside 1..n, on a seq that is not the record's 1-based position, on
-    an envelope whose true origin is neither the adversary nor its
-    claimed sender, or on adversary activity that does not match the
-    configured scenario.
+    outside 1..n (as recipient, genuine sender or decider), on a seq that
+    is not the record's 1-based position, on an envelope whose true
+    origin is neither the adversary nor its claimed sender, or on
+    adversary activity that does not match the configured scenario.
     """
     for position, record in enumerate(transcript.records, 1):
         if record["seq"] != position:
@@ -566,14 +572,18 @@ def audit_transcript(transcript: Transcript,
                                    % (record["seq"], pid))
             inboxes[pid].append(envelope)
         origin = record["true_origin"]
-        if origin != ADVERSARY_ID and origin != envelope.claimed_sender:
+        if origin == ADVERSARY_ID:
+            continue
+        if origin != envelope.claimed_sender:
             raise AuditFailure("envelope %d claims sender %d but came from "
                                "party %d" % (record["seq"],
                                              envelope.claimed_sender, origin))
-        if origin == envelope.claimed_sender and origin in inboxes:
-            inboxes[origin].append(envelope)
-            recorded[origin].setdefault((envelope.session, envelope.round),
-                                        envelope.payload)
+        if origin not in inboxes:
+            raise AuditFailure("envelope %d sent by unknown party %d"
+                               % (record["seq"], origin))
+        inboxes[origin].append(envelope)
+        recorded[origin].setdefault((envelope.session, envelope.round),
+                                    envelope.payload)
     decided = {pid: [] for pid in inboxes}
     for record in transcript.decisions():
         if record["party"] not in decided:
@@ -596,18 +606,12 @@ def audit_transcript(transcript: Transcript,
                 "party %d decided %r but the wire data says %r"
                 % (pid, decided[pid], api.decisions)
             )
-    forged = transcript.forged()
-    expected_forged = expected_forged_count(config)
-    if len(forged) != expected_forged:
+    forged, expected_forged, stray = _forged_profile(config, transcript)
+    if forged != expected_forged:
         problems.append(
             "%d forged envelopes on the wire, scenario profile says %d"
-            % (len(forged), expected_forged)
+            % (forged, expected_forged)
         )
-    victims = set(config.victims())
-    stray = [
-        record["seq"] for record in forged
-        if not set(record["recipients"]) <= victims
-    ]
     if stray:
         problems.append(
             "forged envelopes %s reached parties other than the victims"
@@ -615,7 +619,7 @@ def audit_transcript(transcript: Transcript,
         )
     checks = {
         "decisions_match_wire": replayed_total,
-        "forged_count": len(forged),
+        "forged_count": forged,
     }
     if config.scenario in ATTACK_SCENARIOS:
         silent = _claimed_members_silent(transcript, config)

@@ -2,6 +2,7 @@
 convince victims, and transcript-only evaluation verdicts are sound."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,18 +11,17 @@ from groupauth import adversary
 from groupauth.adversary import (
     MODE_SIMULTANEOUS,
     MODE_TWO_STAGE,
+    HarnImpersonationScript,
     VictimPlan,
     XiaChannelAttack,
-    attack_harn_forge,
     attack_harn_learn_secret,
     attack_xia_stage1,
     evaluate_attack,
     recompute_observed_aggregate,
     run_harn_impersonation,
     run_xia_attack,
-    solve_closing_token,
 )
-from groupauth.algebra import derive_rng, group_exp, group_setup
+from groupauth.algebra import derive_rng, group_exp
 from groupauth.channel import (
     ADVERSARY_ID,
     ChannelSimulator,
@@ -29,10 +29,10 @@ from groupauth.channel import (
 )
 from groupauth.errors import InsufficientObservation
 from groupauth.harn2013 import SCHEME_TAG as HARN_TAG
-from groupauth.harn2013 import harn_gm_init
+from groupauth.harn2013 import harn_aggregate, harn_gm_init
 from groupauth.parties import HarnParty, XiaParty
 from groupauth.xia2019 import SCHEME_TAG as XIA_TAG
-from groupauth.xia2019 import XiaCredential, xia_gm_init
+from groupauth.xia2019 import XiaCredential, xia_aggregate, xia_gm_init
 
 
 # ---------------------------------------------------------------------------
@@ -119,15 +119,21 @@ def test_harn_recovery_needs_the_invitation(harn_world):
         attack_harn_learn_secret([], 1, bundle.params.prime)
 
 
+def harn_forge(secret, victim_token, fake_group, seed, modulus=10_007):
+    """Closing tokens of a token-sum script over `modulus`, victim 4."""
+    bundle = SimpleNamespace(params=SimpleNamespace(prime=modulus))
+    script = HarnImpersonationScript(bundle, 1, (1, 2, 3), 2, fake_group, 4,
+                                     random.Random(seed))
+    plan = VictimPlan(victim=4, fake_group=fake_group, session=2)
+    return script.closing_tokens(plan, secret, victim_token)
+
+
 def test_harn_forge_two_member_group_is_forced():
     modulus = 10_007
     secret, victim_token = 1234, 777
-    forged = attack_harn_forge(secret, victim_token, victim=4,
-                               fake_group=(4, 9), modulus=modulus,
-                               rng=random.Random(0))
-    assert len(forged) == 1
-    assert forged[0].sender.value == 9
-    assert forged[0].value.value == (secret - victim_token) % modulus
+    forged = harn_forge(secret, victim_token, fake_group=(4, 9), seed=0,
+                        modulus=modulus)
+    assert forged == {9: (secret - victim_token) % modulus}
 
 
 @given(st.integers(0, 10_006), st.integers(0, 10_006), st.integers(2, 7),
@@ -135,12 +141,9 @@ def test_harn_forge_two_member_group_is_forced():
 def test_harn_forge_always_sums_to_secret(secret, victim_token, size, seed):
     modulus = 10_007
     fake_group = tuple(range(4, 4 + size))
-    forged = attack_harn_forge(secret, victim_token, victim=4,
-                               fake_group=fake_group, modulus=modulus,
-                               rng=random.Random(seed))
-    senders = [t.sender.value for t in forged]
-    assert senders == sorted(fake_group)[1:]
-    total = (victim_token + sum(t.value.value for t in forged)) % modulus
+    forged = harn_forge(secret, victim_token, fake_group, seed, modulus)
+    assert list(forged) == sorted(fake_group)[1:]
+    total = (victim_token + sum(forged.values())) % modulus
     assert total == secret
 
 
@@ -164,17 +167,42 @@ def test_xia_stage1_needs_every_token(xia_world):
         attack_xia_stage1(envelopes, 1, params.group)
 
 
-def test_solve_closing_token_completes_any_product():
-    spec, generators = group_setup(32, 1, rng_seed=3)
-    g = generators[0]
-    rng = random.Random(9)
-    target = group_exp(g, rng.randrange(spec.q))
-    fixed = [group_exp(g, rng.randrange(spec.q)) for _ in range(4)]
-    closing = solve_closing_token(target, fixed)
-    acc = closing
-    for value in fixed:
-        acc = acc * value
-    assert acc == target
+# ---------------------------------------------------------------------------
+# the closing step both scheme bindings share
+
+
+def closing_binding(scheme, harn_world, xia_world, rng):
+    """(binding of `scheme`, token value for an int, the aggregate)."""
+    if scheme == HARN_TAG:
+        bundle = harn_world[0]
+        script = HarnImpersonationScript(bundle, 1, (1, 2, 3), 2, (4, 5), 4,
+                                         rng)
+        return script, lambda e: e % bundle.params.prime, harn_aggregate
+    params = xia_world[0]
+    script = XiaChannelAttack(params.group, params.generators, 1, (1, 2, 3),
+                              [], MODE_TWO_STAGE, rng)
+    return (script, lambda e: group_exp(params.generator_for(1), e).value,
+            xia_aggregate)
+
+
+@pytest.mark.parametrize("scheme", [HARN_TAG, XIA_TAG])
+@given(st.integers(0, 2**64), st.integers(0, 2**64), st.integers(2, 7),
+       st.integers(0, 2**32))
+def test_closing_tokens_aggregate_to_target(scheme, harn_world, xia_world,
+                                            target, victim, size, seed):
+    rng = random.Random(seed)
+    script, value, aggregate = closing_binding(scheme, harn_world,
+                                               xia_world, rng)
+    target, victim_value = value(target), value(victim)
+    plan = VictimPlan(victim=4, fake_group=range(4, 4 + size), session=1)
+    state = rng.getstate()
+    tokens = script.closing_tokens(plan, target, victim_value)
+    assert list(tokens) == list(range(5, 4 + size))
+    assert aggregate([victim_value, *tokens.values()],
+                     script.modulus) == target
+    if size == 2:
+        # one value and no filler draw: the aggregate forces it
+        assert rng.getstate() == state
 
 
 # ---------------------------------------------------------------------------

@@ -225,7 +225,7 @@ class TapCollector:
 
 class TestTapAndInject:
     def test_tap_sees_blocked_traffic(self):
-        policy = AdversaryPolicy(blocked_links={(WILDCARD, 2)}, tap=True)
+        policy = AdversaryPolicy(blocked_links={(WILDCARD, 2)})
         sim = ChannelSimulator(policy=policy)
         for i in (1, 2):
             sim.register(Recorder(i))
@@ -264,7 +264,7 @@ class TestTapAndInject:
     def test_forged_envelope_indistinguishable_at_recipient(self):
         """The delivered object carries the same fields either way; only
         the transcript keeps the true origin."""
-        sim = ChannelSimulator(policy=AdversaryPolicy(tap=True))
+        sim = ChannelSimulator()
         parties = {i: Recorder(i) for i in (1, 2)}
         for party in parties.values():
             sim.register(party)
@@ -291,7 +291,7 @@ class TestTapAndInject:
                     api.inject(env(sender=9, payload="ff"),
                                recipients=[2])
 
-        sim = ChannelSimulator(policy=AdversaryPolicy(tap=True))
+        sim = ChannelSimulator()
         parties = {i: Recorder(i) for i in (1, 2)}
         for party in parties.values():
             sim.register(party)
@@ -319,7 +319,7 @@ class TestRunLoop:
     def test_dropped_simulator_is_freed_without_the_cycle_collector(self):
         gc.disable()
         try:
-            sim = ChannelSimulator(policy=AdversaryPolicy(tap=True))
+            sim = ChannelSimulator()
             for i in (1, 2):
                 sim.register(Recorder(i))
             sim.register_adversary(TapCollector())

@@ -432,6 +432,17 @@ def forge_origin(lines, origin):
     return [json.dumps(r) for r in records]
 
 
+def genuine_from(lines, sender):
+    """Append the first token envelope again, sent genuinely by `sender`
+    to party 5."""
+    records = [json.loads(line) for line in lines]
+    token = next(r for r in records if r["type"] == "envelope"
+                 and r["round"] == "token")
+    token.update(seq=len(records) + 1, claimed_sender=sender,
+                 true_origin=sender, recipients=[5])
+    return lines + [json.dumps(token)]
+
+
 def repeat_seq(lines):
     """Give record 1 the seq of record 0."""
     records = [json.loads(line) for line in lines]
@@ -452,9 +463,10 @@ def repeat_seq(lines):
     })]),
     ("harn-impersonation", lambda lines: forge_origin(lines, 99)),
     ("harn-impersonation", repeat_seq),
+    ("harn-honest", lambda lines: genuine_from(lines, 99)),
 ], ids=["envelope-without-fields", "string-session", "unknown-recipient",
         "decision-by-unknown-party", "forged-from-unknown-origin",
-        "repeated-seq"])
+        "repeated-seq", "genuine-from-unknown-party"])
 def test_audit_command_fails_on_hostile_transcript(demo, doctor, tmp_path,
                                                    capsys):
     out_dir = tmp_path / "out"
@@ -566,6 +578,10 @@ PINNED_WIDE_DIGESTS = {
     "xia-honest-n16": (
         "1c19fc8a83fef5f5f8d97703d7d4cccc717323d095e24c321888eea97ca68dda",
         "aec7c2a02e3cc2ac356ae018624f658fab0c18e847dd6497fbe14f3bb0e521f2",
+    ),
+    "xia-impersonation-replay": (
+        "f77869adba2cf22899488b8f80642687159a764abf83032ae3d7cc68c19712ea",
+        "6bf85c771834336534b53a19c6ebd5dfb8d88f8b3006d3eadaba348feea9febb",
     ),
 }
 
