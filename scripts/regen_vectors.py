@@ -14,6 +14,7 @@ import tempfile
 from pathlib import Path
 
 from groupauth.algebra import group_setup
+from groupauth.channel import encode_residue_hex
 from groupauth.cli import DEMOS, ScenarioConfig, run_scenario, write_outputs
 from groupauth.harn2013 import harn_gm_init
 from groupauth.xia2019 import xia_commit, xia_gm_init
@@ -123,9 +124,9 @@ def main() -> None:
     print()
 
     print("# tests/test_xia2019.py::TestCommitment")
-    state = credentials[0].start_session(1, [1, 2, 3], params)
-    envelope = xia_commit(state, random.Random(99))
-    print("PINNED_PAYLOAD = %r" % envelope.payload)
+    _, commitment = xia_commit(params, 1, random.Random(99))
+    print("PINNED_PAYLOAD = %r" % encode_residue_hex(commitment,
+                                                     params.group.p))
     print()
 
     print("# tests/test_cli.py")

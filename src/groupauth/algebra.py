@@ -124,10 +124,6 @@ class Polynomial:
     def modulus(self) -> int:
         return self.coefficients[0].modulus
 
-    @property
-    def degree_bound(self) -> int:
-        return len(self.coefficients) - 1
-
     @classmethod
     def random(cls, degree: int, modulus: int, rng: random.Random,
                constant: FieldElement | None = None) -> "Polynomial":
@@ -349,17 +345,6 @@ def group_exp(g: GroupElement, e) -> GroupElement:
     return GroupElement._unchecked(pow(g.value, e % q, g.group.p), g.group)
 
 
-def group_product(group: CyclicGroupSpec, elements) -> GroupElement:
-    """Product of subgroup elements of `group`, multiplied as ints and
-    wrapped once; the empty product is the identity."""
-    identity = group.identity()
-    product = 1
-    for element in elements:
-        identity._match(element)
-        product = product * element.value % group.p
-    return GroupElement._unchecked(product, group)
-
-
 def group_setup(bit_length: int, generator_count: int,
                 rng_seed: int) -> tuple:
     """Deterministically build a safe-prime group plus distinct generators.
@@ -391,8 +376,8 @@ def group_setup(bit_length: int, generator_count: int,
 # hashing of canonical residues
 
 
-def residue_digest(value: int, modulus: int, hash_id: str = "sha256") -> bytes:
-    """Digest of the fixed-width big-endian encoding of a canonical residue.
+def residue_digest(value: int, modulus: int) -> bytes:
+    """sha256 of the fixed-width big-endian encoding of a canonical residue.
 
     The width is the byte length of the modulus, so equal residues hash
     equal regardless of how they were computed.
@@ -400,4 +385,4 @@ def residue_digest(value: int, modulus: int, hash_id: str = "sha256") -> bytes:
     if not 0 <= value < modulus:
         raise ValueError("value is not a canonical residue")
     width = (modulus.bit_length() + 7) // 8
-    return hashlib.new(hash_id, value.to_bytes(width, "big")).digest()
+    return hashlib.sha256(value.to_bytes(width, "big")).digest()

@@ -66,6 +66,14 @@ ATTACK_SCENARIOS = (
 # forged-traffic profile
 SCHEMES = {party.scheme: party for party in (HarnParty, XiaParty)}
 
+_INT_FIELDS = ("n", "t", "ell", "prime_bits", "seed", "session")
+_PARTY_FIELDS = ("victim", "second_victim", "replay_member", "tamper_target")
+_GROUP_FIELDS = ("group", "observed_group", "fake_group", "second_fake_group")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -93,14 +101,29 @@ class ScenarioConfig:
     tamper_target: int | None = None
 
     def __post_init__(self):
-        for name in ("group", "observed_group", "fake_group",
-                     "second_fake_group"):
+        self._check_types()
+        for name in _GROUP_FIELDS:
             value = getattr(self, name)
             if value is not None:
-                setattr(self, name, tuple(sorted(int(i) for i in value)))
+                setattr(self, name, tuple(sorted(value)))
         self._validate()
 
     # -- validation ----------------------------------------------------------
+
+    def _check_types(self) -> None:
+        """Every number is an int (a bool is not) and every group a list
+        of ints; the party fields may be absent."""
+        for name in _INT_FIELDS + _PARTY_FIELDS:
+            value = getattr(self, name)
+            if not (_is_int(value) or value is None and name in _PARTY_FIELDS):
+                raise ConfigError("%s must be an integer, not %r"
+                                  % (name, value))
+        for name in _GROUP_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not (isinstance(value, (list, tuple))
+                                          and all(map(_is_int, value))):
+                raise ConfigError("%s must be a list of integer party ids, "
+                                  "not %r" % (name, value))
 
     def _validate(self) -> None:
         if self.scheme not in SCHEMES:
@@ -216,6 +239,10 @@ class ScenarioConfig:
             if self.replay_member not in usable:
                 raise ConfigError("replay_member must be an observed member "
                                   "reused inside the fabricated group")
+            if len(self.fake_group) < 3:
+                raise ConfigError("the fabricated group needs a member "
+                                  "besides the victim and replay_member to "
+                                  "close the aggregate")
 
     def _plans_raw(self):
         plans = [(self.fake_group, self.victim)]

@@ -34,20 +34,8 @@ class NotAMember(GroupAuthError):
     """A credential was used for a group that does not list its owner."""
 
 
-class InsufficientQuorum(GroupAuthError):
-    """Fewer than t participants were asked to authenticate jointly."""
-
-
 class MalformedTranscript(GroupAuthError):
     """A message set or serialized record is structurally invalid."""
-
-
-class ProtocolOrderViolation(GroupAuthError):
-    """A state machine step was invoked outside its phase."""
-
-
-class IncompleteRound(GroupAuthError):
-    """A step needs messages from every group member but some are missing."""
 
 
 class SessionExhausted(GroupAuthError):

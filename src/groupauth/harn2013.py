@@ -9,8 +9,11 @@ Lagrange weights; the sum of all released scalars equals s exactly when
 every listed member contributed. Verification compares H(sum) with the
 published H(s), so the scheme is one-time: a completed run reveals s.
 
-Everything operates on FieldElement values mod a public prime chosen at
-issuance time; participant identifiers are the field elements 1..n.
+Arithmetic is mod a public prime chosen at issuance time; participant
+identifiers are the field elements 1..n. The dealer's material is held
+in FieldElements, while tokens, the aggregate and the check run on plain
+ints. This module holds only that math: the protocol around it (the
+invitation, who must have spoken, the quorum rule) is `parties.Party`'s.
 """
 
 import random
@@ -25,13 +28,7 @@ from .algebra import (
     random_prime,
     residue_digest,
 )
-from .errors import (
-    InsufficientQuorum,
-    InvalidThreshold,
-    MalformedTranscript,
-    ModulusMismatch,
-    NotAMember,
-)
+from .errors import InvalidThreshold, NotAMember
 
 SCHEME_TAG = "harn2013"
 
@@ -80,7 +77,6 @@ class HarnPublicBundle:
     w: tuple  # k distinct FieldElements, disjoint from identifiers
     d: tuple  # k FieldElements with sum_j d_j f_j(w_j) = s
     secret_hash: bytes
-    hash_id: str
 
     def __post_init__(self):
         k = self.params.k
@@ -99,14 +95,6 @@ class HarnCredential:
 
     owner: FieldElement
     tokens: tuple
-
-
-@dataclass(frozen=True)
-class HarnToken:
-    """One participant's released authentication scalar."""
-
-    sender: FieldElement
-    value: FieldElement
 
 
 def harn_gm_init(n: int, t: int, prime_bits: int = 64,
@@ -154,7 +142,6 @@ def harn_gm_init(n: int, t: int, prime_bits: int = 64,
         w=tuple(w),
         d=tuple(d),
         secret_hash=residue_digest(s.value, p),
-        hash_id="sha256",
     )
     credentials = [
         HarnCredential(owner=x, tokens=tuple(poly_eval(f, x) for f in polys))
@@ -163,52 +150,28 @@ def harn_gm_init(n: int, t: int, prime_bits: int = 64,
     return bundle, credentials, s
 
 
-def _normalize_group(group, params: HarnParams) -> list:
-    """Accept ints or FieldElements; return FieldElements mod the prime.
-    A FieldElement of another field raises ModulusMismatch here, before
-    any entry is compared with the owner's identifier."""
-    out = []
-    for g in group:
-        if isinstance(g, FieldElement):
-            if g.modulus != params.prime:
-                raise ModulusMismatch(
-                    "group member %d lives mod %d, not mod the prime"
-                    % (g.value, g.modulus)
-                )
-            out.append(g)
-        else:
-            out.append(FieldElement(int(g), params.prime))
-    return out
-
-
 def harn_compute_token(credential: HarnCredential, bundle: HarnPublicBundle,
-                       group) -> HarnToken:
+                       group) -> int:
     """Release this member's scalar for one joint authentication.
 
-    group lists the identifiers of everyone expected to participate
-    (including the owner). The scalar is
+    group lists the participant ids of everyone expected to take part,
+    the owner included (`parties.Party` checks that, and the quorum,
+    before any token). The scalar is
         sum_j d_j * f_j(x_own) * lagrange(w_j; x_own, others)
     so that summing over all m members telescopes to s when m >= t. All k
     weights come from one `lagrange_coefficient` call, which shares the
     denominator prod_r (x_own - x_r) and its inversion; the sum runs on
-    ints and is wrapped once.
+    ints.
     """
     params = bundle.params
-    members = _normalize_group(group, params)
     own = credential.owner
-    if own.value not in {x.value for x in members}:
-        raise NotAMember("credential owner %d not in group" % own.value)
-    if len(members) < params.t:
-        raise InsufficientQuorum(
-            "group of %d below threshold %d" % (len(members), params.t)
-        )
-    others = [x for x in members if x.value != own.value]
+    others = [params.identifier(i) for i in group if i != own.value]
     weights = lagrange_coefficient(bundle.w, own, others)
     total = sum(
         dj.value * fj.value * lam.value
         for dj, fj, lam in zip(bundle.d, credential.tokens, weights)
     )
-    return HarnToken(sender=own, value=FieldElement(total, params.prime))
+    return total % params.prime
 
 
 def harn_aggregate(values, prime: int) -> int:
@@ -216,24 +179,13 @@ def harn_aggregate(values, prime: int) -> int:
     return sum(values) % prime
 
 
-def harn_verify(tokens, bundle: HarnPublicBundle) -> tuple:
-    """Aggregate released scalars and compare against the published H(s).
+def harn_verify(tokens, bundle: HarnPublicBundle) -> bool:
+    """Whether the sum of the released scalars `tokens` (ints) hashes to
+    the published H(s).
 
-    Returns (accepted, recovered) where recovered is the summed value;
-    a completed honest run therefore hands the one-time secret s to every
-    observer, which is what the impersonation attack exploits. Duplicate
-    senders are rejected as malformed; an empty token list simply fails
-    the hash comparison.
+    The sum of an accepted run is s itself, so a completed honest run
+    hands the one-time secret to every observer, which is what the
+    impersonation attack exploits.
     """
     p = bundle.params.prime
-    tokens = list(tokens)
-    seen = set()
-    for token in tokens:
-        if token.sender.value in seen:
-            raise MalformedTranscript(
-                "two tokens claim sender %d" % token.sender.value
-            )
-        seen.add(token.sender.value)
-    total = harn_aggregate([token.value.value for token in tokens], p)
-    accepted = residue_digest(total, p, bundle.hash_id) == bundle.secret_hash
-    return accepted, FieldElement(total, p)
+    return residue_digest(harn_aggregate(tokens, p), p) == bundle.secret_hash

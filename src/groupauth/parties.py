@@ -9,10 +9,15 @@ claimed_sender, which is the whole point of the exercise.
 Both schemes have one shape: after an invitation, each member broadcasts
 one contribution per round (masked-product: a commitment, then a token;
 token-sum: a token) and decides once it holds a token from every member
-of its view. `Party` runs that shape; `HarnParty` and `XiaParty` supply
-the scheme steps. Envelopes for unknown sessions or for another round
-than the one in progress, senders outside the view, duplicates and
-malformed payloads are ignored rather than treated as fatal.
+of its view. `Party` is the only copy of that protocol: it keeps each
+session's per-round {sender: value} maps (values are plain ints, the
+party's own included), applies the membership and quorum rules, and
+turns the scheme's aggregate check into the decision. `HarnParty` and
+`XiaParty` supply only the scheme steps, which call the plain-int math
+of `harn2013` and `xia2019`. Envelopes for unknown sessions or for
+another round than the one in progress, senders outside the view,
+duplicates and malformed payloads are ignored rather than treated as
+fatal.
 
 The replay form, which the transcript audit feeds a recorded inbox,
 holds no credential and broadcasts nothing: its own contribution to a
@@ -23,9 +28,9 @@ the live code path.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .algebra import FieldElement, derive_rng
+from .algebra import derive_rng
 from .channel import (
     BeliefState,
     ChannelSimulator,
@@ -43,12 +48,11 @@ from .channel import (
     encode_json_hex,
     encode_residue_hex,
 )
-from .errors import GroupAuthError, SessionExhausted
+from .errors import GroupAuthError, NotAMember, SessionExhausted
 from .harn2013 import (
     SCHEME_TAG as HARN_TAG,
     HarnCredential,
     HarnPublicBundle,
-    HarnToken,
     harn_compute_token,
     harn_verify,
 )
@@ -56,8 +60,6 @@ from .xia2019 import (
     SCHEME_TAG as XIA_TAG,
     XiaCredential,
     XiaParams,
-    XiaSessionState,
-    XiaToken,
     xia_commit,
     xia_compute_token,
     xia_verify,
@@ -98,12 +100,12 @@ class _Session:
 
     key: tuple  # (scheme tag, session id), as on the wire
     view: tuple  # sorted member ids from the invitation
-    state: object = None  # the scheme's own session state, if any
+    state: int | None = None  # the scheme's own value (xia: this nonce)
     round: str | None = None  # round in progress; None once decided
-    # claimed sender -> decoded contribution for the round in progress.
-    # Every key is a view member, so the round is complete exactly when
-    # len(received) == len(view).
-    received: dict | None = None
+    # round -> {claimed sender: decoded contribution}, this party's own
+    # included. Every key is a view member, so a round is complete
+    # exactly when its map holds len(view) entries.
+    received: dict = field(default_factory=dict)
 
 
 class Party:
@@ -111,9 +113,11 @@ class Party:
 
     A subclass sets `scheme` (its session tag) and `rounds` (the rounds
     after the invitation, the token round last) and supplies the scheme
-    steps `decode`, `_admits`, `_contribute` and `_verify`, plus `_open`
-    and `_inbox` if it keeps its own session state. The engine owns the
-    scheme-tag filter, invitation admission, per-session state,
+    steps `decode` (wire payload -> int or None), `_contribute` (this
+    party's own int for a round) and `_verify` (the aggregate check on
+    the token round's ints), plus `_admits` and `_open` if it narrows
+    admission or keeps a session ledger. The engine owns the scheme-tag
+    filter, membership, invitation admission, per-session state,
     first-wins intake, round completion, the quorum rule before the
     token round, the replay form and decision recording.
 
@@ -124,18 +128,23 @@ class Party:
     scheme = None
     rounds = ()
 
-    def __init__(self, party_id: int, credential, params,
+    def __init__(self, party_id: int, credential, params, modulus: int,
                  recorded: dict | None):
         self.party_id = party_id
         self.credential = credential
         self.params = params  # the scheme's public parameters
+        self.modulus = modulus  # of every residue this party broadcasts
         self.recorded = recorded
         self.sessions = {}
 
     def initiate(self, group_ids, session_id: int, api: PartyAPI) -> None:
+        view = tuple(sorted(group_ids))
+        if self.party_id not in view or not self.params.all_members(view):
+            raise NotAMember("party %d cannot initiate group %s"
+                             % (self.party_id, list(view)))
         api.broadcast(invitation_envelope(self.scheme, self.party_id,
-                                          session_id, group_ids))
-        self._join(tuple(sorted(group_ids)), session_id, api)
+                                          session_id, view))
+        self._join(view, session_id, api)
 
     def on_envelope(self, envelope: Envelope, api: PartyAPI) -> None:
         scheme, session_id = envelope.session
@@ -155,7 +164,7 @@ class Party:
         # first-wins intake; a party's own contribution never comes from
         # the wire
         sender = envelope.claimed_sender
-        received = session.received
+        received = session.received[session.round]
         if (sender == self.party_id or sender not in session.view
                 or sender in received):
             return
@@ -168,7 +177,7 @@ class Party:
     def _join(self, view: tuple, session_id: int, api: PartyAPI) -> None:
         session = _Session((self.scheme, session_id), view)
         try:
-            session.state = self._open(session_id, view)
+            self._open(session_id)
         except SessionExhausted:
             self._decide(session, BeliefState(
                 False, reason=REASON_SESSION_EXHAUSTED), api)
@@ -184,29 +193,35 @@ class Party:
                          api)
             return
         session.round = round_
-        session.received = self._inbox(session, round_)
+        received = session.received[round_] = {}
         if self.recorded is None:
+            value = self._contribute(session, round_)
             api.broadcast(Envelope(
                 claimed_sender=self.party_id, session=session.key,
-                round=round_, payload=self._contribute(session, round_),
+                round=round_, payload=encode_residue_hex(value, self.modulus),
             ))
         else:
             payload = self.recorded.get((session.key, round_))
             value = None if payload is None else self.decode(payload)
-            if value is not None:
-                session.received[self.party_id] = value
+        if value is not None:
+            received[self.party_id] = value
         self._advance(session, api)
 
     def _advance(self, session: _Session, api: PartyAPI) -> None:
         """Once every view member has contributed to the round in
-        progress, start the next round or, after the token round, decide."""
-        if len(session.received) != len(session.view):
+        progress, start the next round or, after the token round, decide
+        on the aggregate check."""
+        if len(session.received[session.round]) != len(session.view):
             return
-        if session.round == ROUND_TOKEN:
-            self._decide(session, self._verify(session), api)
-        else:
+        if session.round != ROUND_TOKEN:
             following = self.rounds[self.rounds.index(session.round) + 1]
             self._enter(session, following, api)
+        elif self._verify(session, session.received[ROUND_TOKEN].values()):
+            self._decide(session, BeliefState(
+                True, members=frozenset(session.view)), api)
+        else:
+            self._decide(session, BeliefState(
+                False, reason=REASON_HASH_MISMATCH), api)
 
     def _decide(self, session: _Session, belief: BeliefState,
                 api: PartyAPI) -> None:
@@ -217,13 +232,9 @@ class Party:
         """Whether an invitation naming this party may open a session."""
         return self.params.all_members(view)
 
-    def _open(self, session_id: int, view: tuple):
-        """The scheme's own state for a new session."""
-        return None
-
-    def _inbox(self, session: _Session, round_: str) -> dict:
-        """The map a round's contributions go into."""
-        return {}
+    def _open(self, session_id: int) -> None:
+        """Claim a new session; raises SessionExhausted if it may not
+        open."""
 
 
 class HarnParty(Party):
@@ -238,33 +249,22 @@ class HarnParty(Party):
 
     def __init__(self, party_id: int, credential: HarnCredential | None,
                  bundle: HarnPublicBundle, recorded: dict | None = None):
-        super().__init__(party_id, credential, bundle.params, recorded)
+        super().__init__(party_id, credential, bundle.params,
+                         bundle.params.prime, recorded)
         self.bundle = bundle
 
     def decode(self, payload: str):
         """Wire token -> residue mod the prime, or None if malformed."""
         try:
-            return decode_residue_hex(payload, self.params.prime)
+            return decode_residue_hex(payload, self.modulus)
         except GroupAuthError:
             return None
 
-    def _contribute(self, session: _Session, round_: str) -> str:
-        token = harn_compute_token(self.credential, self.bundle,
-                                   session.view).value.value
-        session.received[self.party_id] = token
-        return encode_residue_hex(token, self.params.prime)
+    def _contribute(self, session: _Session, round_: str) -> int:
+        return harn_compute_token(self.credential, self.bundle, session.view)
 
-    def _verify(self, session: _Session) -> BeliefState:
-        prime = self.params.prime
-        tokens = [
-            HarnToken(self.params.identifier(i),
-                      FieldElement(session.received[i], prime))
-            for i in session.view
-        ]
-        accepted, _ = harn_verify(tokens, self.bundle)
-        if accepted:
-            return BeliefState(True, members=frozenset(session.view))
-        return BeliefState(False, reason=REASON_HASH_MISMATCH)
+    def _verify(self, session: _Session, tokens) -> bool:
+        return harn_verify(tokens, self.bundle)
 
 
 class XiaParty(Party):
@@ -272,8 +272,8 @@ class XiaParty(Party):
 
     Invitation -> commit; all commitments in -> token; all tokens in ->
     verify. The nonce source is a party-local seeded rng so channel runs
-    are reproducible. Each round's contributions go into the session's
-    XiaSessionState, where the mask and token steps read them.
+    are reproducible; each session's nonce sits in its `state` slot
+    until the token round uses it.
     """
 
     scheme = XIA_TAG
@@ -284,43 +284,37 @@ class XiaParty(Party):
     def __init__(self, party_id: int, credential: XiaCredential | None,
                  params: XiaParams, rng: random.Random | None,
                  recorded: dict | None = None):
-        super().__init__(party_id, credential, params, recorded)
+        super().__init__(party_id, credential, params, params.group.p,
+                         recorded)
         self.rng = rng
 
     def decode(self, payload: str):
-        """Wire value -> subgroup element, or None if malformed."""
+        """Wire value -> subgroup element as an int, or None if
+        malformed."""
         return self.params.decode(payload)
 
     def _admits(self, view: tuple, session_id: int) -> bool:
         return (super()._admits(view, session_id)
                 and 1 <= session_id <= self.params.ell)
 
-    def _open(self, session_id: int, view: tuple) -> XiaSessionState:
+    def _open(self, session_id: int) -> None:
         # the credential's ledger raises SessionExhausted on reuse; the
         # replay form has none
-        if self.recorded is not None:
-            return XiaSessionState(session=session_id, owner_id=self.party_id,
-                                   group_view=view, params=self.params)
-        return self.credential.start_session(session_id, view, self.params)
+        if self.recorded is None:
+            self.credential.start_session(session_id, self.params)
 
-    def _inbox(self, session: _Session, round_: str) -> dict:
+    def _contribute(self, session: _Session, round_: str) -> int:
+        session_id = session.key[1]
         if round_ == ROUND_COMMITMENT:
-            return session.state.received_commitments
-        return session.state.received_tokens
+            session.state, commitment = xia_commit(self.params, session_id,
+                                                   self.rng)
+            return commitment
+        return xia_compute_token(self.credential, self.params, session_id,
+                                 session.received[ROUND_COMMITMENT],
+                                 session.state)
 
-    def _contribute(self, session: _Session, round_: str) -> str:
-        # both steps enter the party's own value into the state's round map
-        if round_ == ROUND_COMMITMENT:
-            return xia_commit(session.state, self.rng).payload
-        token = xia_compute_token(session.state, self.credential, self.params)
-        return encode_residue_hex(token.value.value, self.params.group.p)
-
-    def _verify(self, session: _Session) -> BeliefState:
-        tokens = [
-            XiaToken(self.params.identifier(i), session.received[i])
-            for i in session.view
-        ]
-        return xia_verify(tokens, session.state, self.params)
+    def _verify(self, session: _Session, tokens) -> bool:
+        return xia_verify(tokens, session.key[1], self.params)
 
 
 def _party(material, party_id: int, credential, rng, recorded=None):

@@ -14,6 +14,12 @@ where L_i interpolates toward 0. The masks telescope away in the product
 of all m tokens, which equals (g_sigma)^s for any honest quorum, so the
 verifier only compares one digest. Individual tokens are never checked,
 which the channel attacks exploit.
+
+This module holds the scheme's math on plain ints: setup, the wire
+decode, the commitment, the mask, the token and the digest check. The
+protocol around them (rounds, who must have spoken, the quorum rule)
+is `parties.Party`'s; the only per-session state kept here is each
+credential's ledger of used session indices.
 """
 
 import random
@@ -26,36 +32,20 @@ from .algebra import (
     Polynomial,
     derive_seed,
     group_exp,
-    group_product,
     group_setup,
     lagrange_coefficient,
     poly_eval,
     residue_digest,
 )
-from .channel import (
-    BeliefState,
-    Envelope,
-    REASON_HASH_MISMATCH,
-    ROUND_COMMITMENT,
-    decode_residue_hex,
-    encode_residue_hex,
-)
+from .channel import decode_residue_hex
 from .errors import (
     GroupAuthError,
-    IncompleteRound,
-    InsufficientQuorum,
     InvalidThreshold,
-    MalformedTranscript,
     NotAMember,
-    ProtocolOrderViolation,
     SessionExhausted,
 )
 
 SCHEME_TAG = "xia2019"
-
-AWAIT_COMMITMENTS = "await-commitments"
-AWAIT_TOKENS = "await-tokens"
-DECIDED = "decided"
 
 
 @dataclass(frozen=True)
@@ -64,7 +54,7 @@ class XiaParams:
     and one verification digest per session index.
 
     `decode` is the wire boundary: it validates each distinct payload
-    once and remembers the accepted element. Every party of one world
+    once and remembers the accepted value. Every party of one world
     shares one params object, so a broadcast value is checked once, not
     once per recipient. The memo lives as long as the params object,
     which is meant to serve one world; rejected payloads are not
@@ -78,7 +68,6 @@ class XiaParams:
     generators: tuple  # ell GroupElements, one per session index
     identifiers: tuple  # FieldElements mod q, value i for party i
     session_hashes: tuple  # ell digests of (g_sigma)^s
-    hash_id: str
     _by_id: dict = field(init=False, repr=False, compare=False)
     _decoded: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
@@ -122,21 +111,21 @@ class XiaParams:
         """Whether every id in `party_ids` names a participant."""
         return self._by_id.keys() >= set(party_ids)
 
-    def decode(self, payload: str) -> GroupElement | None:
-        """Wire value -> subgroup element, or None if malformed; accepted
-        values are memoized per distinct payload."""
+    def decode(self, payload: str) -> int | None:
+        """Wire value -> subgroup element as an int, or None if
+        malformed; accepted values are memoized per distinct payload."""
         try:
             return self._decoded[payload]
         except KeyError:
             pass
         try:
-            element = self.group.element(
+            value = self.group.element(
                 decode_residue_hex(payload, self.group.p)
-            )
+            ).value
         except GroupAuthError:
             return None
-        self._decoded[payload] = element
-        return element
+        self._decoded[payload] = value
+        return value
 
 
 @dataclass
@@ -147,52 +136,16 @@ class XiaCredential:
     share: FieldElement
     used_sessions: set = field(default_factory=set)
 
-    def start_session(self, session: int, group_view,
-                      params: XiaParams) -> "XiaSessionState":
-        """Open a session state; every sigma is single-use per credential."""
+    def start_session(self, session: int, params: XiaParams) -> None:
+        """Claim session index `session`; every sigma is single-use per
+        credential, and an index outside 1..ell is never available."""
         params.generator_for(session)  # range check
         if session in self.used_sessions:
             raise SessionExhausted(
                 "credential %d already used session %d"
                 % (self.owner.value, session)
             )
-        view = tuple(sorted(int(x) for x in group_view))
-        if self.owner.value not in view:
-            raise NotAMember(
-                "credential %d not in proposed group" % self.owner.value
-            )
         self.used_sessions.add(session)
-        return XiaSessionState(
-            session=session, owner_id=self.owner.value,
-            group_view=view, params=params,
-        )
-
-
-@dataclass
-class XiaToken:
-    """One participant's released masked token."""
-
-    sender: FieldElement
-    value: GroupElement
-
-
-@dataclass
-class XiaSessionState:
-    """Per-session state machine for one participant.
-
-    Phases move forward only: await-commitments -> await-tokens -> decided.
-    received_* map identifier value -> group element; the owner's own
-    contributions are stored alongside the peers'.
-    """
-
-    session: int
-    owner_id: int
-    group_view: tuple
-    params: XiaParams
-    phase: str = AWAIT_COMMITMENTS
-    own_nonce: FieldElement | None = None
-    received_commitments: dict = field(default_factory=dict)
-    received_tokens: dict = field(default_factory=dict)
 
 
 def xia_gm_init(n: int, t: int, ell: int, prime_bits: int = 64,
@@ -220,7 +173,6 @@ def xia_gm_init(n: int, t: int, ell: int, prime_bits: int = 64,
     params = XiaParams(
         n=n, t=t, ell=ell, group=spec, generators=tuple(generators),
         identifiers=identifiers, session_hashes=session_hashes,
-        hash_id="sha256",
     )
     credentials = [
         XiaCredential(owner=x, share=poly_eval(f, x)) for x in identifiers
@@ -228,80 +180,50 @@ def xia_gm_init(n: int, t: int, ell: int, prime_bits: int = 64,
     return params, credentials, s
 
 
-def xia_commit(state: XiaSessionState, rng: random.Random) -> Envelope:
-    """Sample the session nonce and wrap the commitment for broadcast."""
-    if state.phase != AWAIT_COMMITMENTS or state.own_nonce is not None:
-        raise ProtocolOrderViolation("commitment already sent")
-    params = state.params
-    u = FieldElement(rng.randrange(params.group.q), params.group.q)
-    state.own_nonce = u
-    commitment = group_exp(params.generator_for(state.session), u)
-    state.received_commitments[state.owner_id] = commitment
-    return Envelope(
-        claimed_sender=state.owner_id,
-        session=(SCHEME_TAG, state.session),
-        round=ROUND_COMMITMENT,
-        payload=encode_residue_hex(commitment.value, params.group.p),
-    )
+def xia_commit(params: XiaParams, session: int,
+               rng: random.Random) -> tuple:
+    """Draw a fresh nonce u in Z_q; returns (u, (g_sigma)^u)."""
+    nonce = rng.randrange(params.group.q)
+    return nonce, group_exp(params.generator_for(session), nonce).value
 
 
-def gamma_mask(state: XiaSessionState) -> GroupElement:
-    """Fold peer commitments into this member's mask.
+def gamma_mask(owner: int, commitments: dict, p: int) -> int:
+    """Fold the peers' commitments into the mask of member `owner`.
 
-    Peers below the owner (by identifier value) contribute C_j, peers
-    above contribute C_j^{-1}; the exponents cancel pairwise across the
-    group, which is what makes the token product clean. Each side is
-    multiplied out first, so the mask costs one inversion.
+    `commitments` maps member ids to commitments mod p; the owner's own
+    entry, if present, is skipped. Peers below the owner (by identifier
+    value) contribute C_j, peers above contribute C_j^{-1}; the exponents
+    cancel pairwise across the group, which is what makes the token
+    product clean. Each side is multiplied out first, so the mask costs
+    one inversion.
     """
-    lower = []
-    upper = []
-    for peer in state.group_view:
-        if peer == state.owner_id:
-            continue
-        commitment = state.received_commitments.get(peer)
-        if commitment is None:
-            raise IncompleteRound("missing commitment from %d" % peer)
-        if peer < state.owner_id:
-            lower.append(commitment)
-        else:
-            upper.append(commitment)
-    group = state.params.group
-    return group_product(group, lower) * group_product(group, upper).inverse()
+    lower = upper = 1
+    for peer, commitment in commitments.items():
+        if peer < owner:
+            lower = lower * commitment % p
+        elif peer > owner:
+            upper = upper * commitment % p
+    return lower * pow(upper, -1, p) % p
 
 
-def xia_compute_token(state: XiaSessionState, credential: XiaCredential,
-                      params: XiaParams) -> XiaToken:
-    """Release this member's masked token once all commitments arrived."""
-    if state.phase != AWAIT_COMMITMENTS:
-        raise ProtocolOrderViolation("token already computed")
-    if len(state.group_view) < params.t:
-        raise InsufficientQuorum(
-            "group of %d below threshold %d"
-            % (len(state.group_view), params.t)
-        )
-    if state.own_nonce is None:
-        raise IncompleteRound("own commitment has not been sent")
-    missing = [
-        peer for peer in state.group_view
-        if peer not in state.received_commitments
-    ]
-    if missing:
-        raise IncompleteRound("missing commitments from %s" % missing)
+def xia_compute_token(credential: XiaCredential, params: XiaParams,
+                      session: int, commitments: dict, nonce: int) -> int:
+    """This member's masked token (g_sigma)^{s_i * L_i} * gamma_i^{u_i}.
 
-    q = params.group.q
-    own = params.identifier(state.owner_id)
-    others = [
-        params.identifier(peer) for peer in state.group_view
-        if peer != state.owner_id
-    ]
-    weight = lagrange_coefficient(FieldElement(0, q), own, others)
-    base = group_exp(
-        params.generator_for(state.session), credential.share * weight
-    )
-    token_value = base * group_exp(gamma_mask(state), state.own_nonce)
-    state.received_tokens[state.owner_id] = token_value
-    state.phase = AWAIT_TOKENS
-    return XiaToken(sender=own, value=token_value)
+    `commitments` maps every member of the session's group, this one
+    included, to its commitment; the group is its key set. `nonce` is
+    the u_i behind this member's own commitment.
+    """
+    p = params.group.p
+    own = credential.owner
+    others = [params.identifier(peer) for peer in commitments
+              if peer != own.value]
+    weight = lagrange_coefficient(FieldElement(0, params.group.q), own,
+                                  others)
+    base = group_exp(params.generator_for(session),
+                     credential.share.value * weight.value)
+    mask = gamma_mask(own.value, commitments, p)
+    return base.value * pow(mask, nonce, p) % p
 
 
 def xia_aggregate(values, p: int) -> int:
@@ -312,31 +234,13 @@ def xia_aggregate(values, p: int) -> int:
     return product
 
 
-def xia_verify(tokens, state: XiaSessionState,
-               params: XiaParams) -> BeliefState:
-    """Compare the token product against the session digest and decide.
+def xia_verify(tokens, session: int, params: XiaParams) -> bool:
+    """Whether the product of `tokens` (ints) hits the digest of
+    (g_sigma)^s for session index `session`.
 
     Only the aggregate is checked: any token multiset whose product hits
     (g_sigma)^s is accepted, regardless of who actually produced it.
     """
-    if state.phase == DECIDED:
-        raise ProtocolOrderViolation("session already decided")
-    tokens = list(tokens)
-    seen = set()
-    for token in tokens:
-        sender = token.sender.value
-        if sender in seen:
-            raise MalformedTranscript("two tokens claim sender %d" % sender)
-        seen.add(sender)
-    product = xia_aggregate([token.value.value for token in tokens],
-                            params.group.p)
-    accepted = (
-        residue_digest(product, params.group.p, params.hash_id)
-        == params.hash_for(state.session)
-    )
-    if accepted:
-        belief = BeliefState(True, members=frozenset(state.group_view))
-    else:
-        belief = BeliefState(False, reason=REASON_HASH_MISMATCH)
-    state.phase = DECIDED
-    return belief
+    p = params.group.p
+    digest = residue_digest(xia_aggregate(tokens, p), p)
+    return digest == params.hash_for(session)

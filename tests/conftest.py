@@ -43,3 +43,21 @@ SAFE_PRIMES = (P64, P128, P256, P512)
 def rng():
     """Fresh deterministic generator per test."""
     return random.Random(0xC0FFEE)
+
+
+class RecordingAPI:
+    """Stands in for PartyAPI when a test drives one party by hand: keeps
+    every envelope it broadcasts and every (session, belief) it decides."""
+
+    def __init__(self):
+        self.broadcasts = []
+        self.decisions = []
+
+    def broadcast(self, envelope) -> None:
+        self.broadcasts.append(envelope)
+
+    def decide(self, session, belief) -> None:
+        self.decisions.append((session, belief))
+
+    def rounds(self) -> list:
+        return [envelope.round for envelope in self.broadcasts]

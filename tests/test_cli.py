@@ -120,6 +120,56 @@ def test_harn_replay_member_rejected():
                    fake_group=[3, 4, 5], replay_member=3)
 
 
+def test_replay_only_fake_group_rejected(tmp_path, capsys):
+    """With the victim and the replay member taken out, no fabricated
+    member is left to close the product."""
+    path = tmp_path / "replay-only.json"
+    path.write_text(json.dumps({
+        "scheme": "xia2019", "scenario": "impersonation", "n": 6, "t": 2,
+        "prime_bits": 64, "seed": 5, "observed_group": [1, 2, 3],
+        "fake_group": [3, 4], "victim": 4, "replay_member": 3,
+    }))
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides", [
+    {"prime_bits": 64.5},
+    {"seed": "x"},
+    {"scheme": "xia2019", "ell": 1.5},
+    {"session": True},
+    {"n": "5"},
+    {"t": None},
+    {"group": [1, "2", 3]},
+    {"group": [1, 2.0, 3]},
+    {"group": "123"},
+    {"scenario": SCENARIO_TAMPER, "group": [1, 2, 3], "victim": 1.0},
+    {"scenario": SCENARIO_TAMPER, "group": [1, 2, 3], "tamper_target": 3.0},
+    {"scenario": SCENARIO_IMPERSONATION, "n": 6, "observed_group": [1, 2],
+     "victim": 4, "fake_group": [4, 5, True]},
+    {"scheme": "xia2019", "scenario": SCENARIO_IMPERSONATION, "n": 6,
+     "observed_group": [1, 2, 3], "victim": 4, "fake_group": [3, 4, 5],
+     "replay_member": 3.0},
+    {"scheme": "xia2019", "scenario": SCENARIO_TWO_VICTIMS, "n": 8,
+     "observed_group": [1, 2], "victim": 4, "fake_group": [4, 6],
+     "second_victim": 5.0, "second_fake_group": [5, 6]},
+    {"scheme": "xia2019", "scenario": SCENARIO_TWO_VICTIMS, "n": 8,
+     "observed_group": [1, 2.5], "victim": 4, "fake_group": [4, 6],
+     "second_victim": 5, "second_fake_group": [5, "6"]},
+])
+def test_config_values_must_be_ints(overrides, tmp_path, capsys):
+    raw = {"scheme": "harn2013", "scenario": SCENARIO_HONEST, "n": 5,
+           "t": 2, "prime_bits": BITS, "seed": 5}
+    raw.update(overrides)
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(raw))
+    code = main(["run", str(path), "--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "config error:" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_xia_session_must_be_issued():
     with pytest.raises(ConfigError, match="session"):
         config_for(scheme="xia2019", t=3, ell=1, session=2)

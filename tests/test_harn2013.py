@@ -1,4 +1,6 @@
-"""Tests for the token-sum scheme: issuance, release, verification.
+"""Tests for the token-sum scheme: issuance, release and verification on
+plain ints, plus the protocol rules that the party engine enforces
+around them for this scheme.
 
 The issuance invariant sum_j d_j f_j(w_j) = s is rechecked through an
 independent path: f_j(w_j) is interpolated from t credentials instead of
@@ -13,20 +15,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupauth.algebra import FieldElement, lagrange_coefficient
-from groupauth.errors import (
-    DegenerateShareSet,
-    InsufficientQuorum,
-    InvalidThreshold,
-    MalformedTranscript,
-    ModulusMismatch,
-    NotAMember,
+from groupauth.channel import (
+    BeliefState,
+    Envelope,
+    REASON_HASH_MISMATCH,
+    REASON_QUORUM,
+    ROUND_INVITATION,
+    ROUND_TOKEN,
+    encode_residue_hex,
 )
+from groupauth.errors import DegenerateShareSet, InvalidThreshold, NotAMember
 from groupauth.harn2013 import (
-    HarnToken,
+    SCHEME_TAG,
+    harn_aggregate,
     harn_compute_token,
     harn_gm_init,
     harn_verify,
 )
+from groupauth.parties import HarnParty
+
+from conftest import RecordingAPI
 
 
 def interpolated_position_value(bundle, credentials, j, member_ids):
@@ -51,6 +59,14 @@ def per_polynomial_token(bundle, cred, member_ids):
         lam = lagrange_coefficient(bundle.w[j], cred.owner, others)
         acc = acc + bundle.d[j] * cred.tokens[j] * lam
     return acc
+
+
+def deliver_token(party, api, bundle, sender, value, session=1):
+    party.on_envelope(Envelope(
+        claimed_sender=sender, session=(SCHEME_TAG, session),
+        round=ROUND_TOKEN,
+        payload=encode_residue_hex(value, bundle.params.prime),
+    ), api)
 
 
 class TestIssuance:
@@ -89,7 +105,7 @@ class TestIssuance:
 
         bundle, _, s = harn_gm_init(4, 2, prime_bits=64, rng_seed=4)
         assert bundle.secret_hash == residue_digest(
-            s.value, bundle.params.prime, bundle.hash_id
+            s.value, bundle.params.prime
         )
 
     def test_identifiers_are_one_through_n(self):
@@ -133,37 +149,42 @@ class TestTokenRelease:
         x1, x2 = bundle.params.identifiers
         token = harn_compute_token(creds[0], bundle, [1, 2])
         lam = (bundle.w[0] - x2) * (x1 - x2).inverse()
-        assert token.value == bundle.d[0] * creds[0].tokens[0] * lam
-        assert token.sender == x1
+        assert token == (bundle.d[0] * creds[0].tokens[0] * lam).value
 
     def test_full_group_tokens_sum_to_secret(self):
         bundle, creds, s = harn_gm_init(5, 3, prime_bits=64, rng_seed=12)
         group = [1, 2, 3, 4, 5]
-        total = FieldElement(0, bundle.params.prime)
-        for c in creds:
-            total = total + harn_compute_token(c, bundle, group).value
-        assert total == s
+        tokens = [harn_compute_token(c, bundle, group) for c in creds]
+        assert harn_aggregate(tokens, bundle.params.prime) == s.value
 
     def test_subset_tokens_sum_to_secret(self):
         bundle, creds, s = harn_gm_init(6, 2, prime_bits=64, rng_seed=13)
         group = [2, 4, 5]
-        total = FieldElement(0, bundle.params.prime)
-        for c in creds:
-            if c.owner.value in group:
-                total = total + harn_compute_token(c, bundle, group).value
-        assert total == s
+        tokens = [harn_compute_token(c, bundle, group) for c in creds
+                  if c.owner.value in group]
+        assert harn_aggregate(tokens, bundle.params.prime) == s.value
 
     def test_non_member_rejected(self):
+        """The engine refuses to start a group that omits the initiator
+        or names a party without a credential, and sends nothing."""
         bundle, creds, _ = harn_gm_init(4, 2, prime_bits=48, rng_seed=14)
+        party, api = HarnParty(4, creds[3], bundle), RecordingAPI()
         with pytest.raises(NotAMember):
-            harn_compute_token(creds[3], bundle, [1, 2])
+            party.initiate([1, 2], 1, api)
+        with pytest.raises(NotAMember):
+            party.initiate([4, 5], 1, api)
+        assert api.broadcasts == [] and not party.sessions
 
     def test_quorum_enforced(self):
+        """Below the threshold the engine rejects before any token."""
         bundle, creds, _ = harn_gm_init(4, 3, prime_bits=48, rng_seed=15)
-        with pytest.raises(InsufficientQuorum):
-            harn_compute_token(creds[0], bundle, [1, 2])
-        with pytest.raises(InsufficientQuorum):
-            harn_compute_token(creds[0], bundle, [1])
+        for group in ([1, 2], [1]):
+            party, api = HarnParty(1, creds[0], bundle), RecordingAPI()
+            party.initiate(group, 1, api)
+            assert api.rounds() == [ROUND_INVITATION]
+            assert api.decisions == [
+                ((SCHEME_TAG, 1), BeliefState(False, reason=REASON_QUORUM))
+            ]
 
 
 class TestTokenMatchesPerPolynomialFormula:
@@ -181,54 +202,21 @@ class TestTokenMatchesPerPolynomialFormula:
         for size in sorted({t, t + 1, (n + t) // 2, n - 1}):
             groups.append(sorted(rng.sample(range(1, n + 1), size)))
         for group in groups:
-            as_elements = [FieldElement(i, p) for i in group]
-            total = FieldElement(0, p)
+            tokens = []
             for cred in creds:
                 if cred.owner.value not in group:
                     continue
                 expect = per_polynomial_token(bundle, cred, group)
-                token = harn_compute_token(cred, bundle, group)
-                assert token.value == expect
-                assert token.sender == cred.owner
-                assert harn_compute_token(
-                    cred, bundle, as_elements).value == expect
-                total = total + token.value
-            assert total == s
-
-    # TestTokenRelease covers an outside owner and a short group given
-    # as ints
-    def test_owner_outside_element_group_rejected(self):
-        bundle, creds, _ = harn_gm_init(6, 2, prime_bits=48, rng_seed=45)
-        p = bundle.params.prime
-        with pytest.raises(NotAMember):
-            harn_compute_token(creds[0], bundle,
-                               [FieldElement(i, p) for i in (2, 3, 4)])
-
-    def test_short_element_group_rejected(self):
-        bundle, creds, _ = harn_gm_init(6, 3, prime_bits=48, rng_seed=46)
-        p = bundle.params.prime
-        with pytest.raises(InsufficientQuorum):
-            harn_compute_token(creds[0], bundle,
-                               [FieldElement(i, p) for i in (1, 4)])
+                tokens.append(harn_compute_token(cred, bundle, group))
+                assert tokens[-1] == expect.value
+            assert harn_aggregate(tokens, p) == s.value
 
     def test_repeated_non_owner_rejected(self):
         bundle, creds, _ = harn_gm_init(6, 2, prime_bits=48, rng_seed=47)
-        p = bundle.params.prime
         with pytest.raises(DegenerateShareSet):
             harn_compute_token(creds[0], bundle, [1, 3, 3])
         with pytest.raises(DegenerateShareSet):
-            harn_compute_token(creds[0], bundle,
-                               [FieldElement(i, p) for i in (1, 5, 2, 5)])
-
-    def test_member_of_another_field_rejected(self):
-        bundle, creds, _ = harn_gm_init(6, 2, prime_bits=48, rng_seed=48)
-        p = bundle.params.prime
-        with pytest.raises(ModulusMismatch):
-            harn_compute_token(creds[0], bundle,
-                               [FieldElement(1, p), FieldElement(2, 23)])
-        # a foreign entry equal to the owner's value is no exception
-        with pytest.raises(ModulusMismatch):
-            harn_compute_token(creds[0], bundle, [FieldElement(1, 23), 2])
+            harn_compute_token(creds[0], bundle, [1, 5, 2, 5])
 
 
 class TestVerification:
@@ -242,30 +230,39 @@ class TestVerification:
     def test_honest_run_accepts_and_reveals_secret(self):
         bundle, creds, s = harn_gm_init(5, 2, prime_bits=64, rng_seed=21)
         tokens = self._honest_tokens(bundle, creds, [1, 3, 5])
-        accepted, recovered = harn_verify(tokens, bundle)
-        assert accepted
-        assert recovered == s  # the one-time secret is now public
+        assert harn_verify(tokens, bundle) is True
+        # the one-time secret is now public
+        assert harn_aggregate(tokens, bundle.params.prime) == s.value
 
     def test_single_perturbation_rejects(self):
         bundle, creds, _ = harn_gm_init(5, 2, prime_bits=64, rng_seed=22)
         tokens = self._honest_tokens(bundle, creds, [1, 2, 3])
-        p = bundle.params.prime
-        bad = HarnToken(tokens[0].sender,
-                        tokens[0].value + FieldElement(1, p))
-        accepted, _ = harn_verify([bad] + tokens[1:], bundle)
-        assert not accepted
+        bad = (tokens[0] + 1) % bundle.params.prime
+        assert harn_verify([bad] + tokens[1:], bundle) is False
 
     def test_empty_token_list_rejects(self):
         bundle, _, _ = harn_gm_init(4, 2, prime_bits=48, rng_seed=23)
-        accepted, recovered = harn_verify([], bundle)
-        assert not accepted
-        assert recovered.value == 0
+        assert harn_verify([], bundle) is False
+        assert harn_aggregate([], bundle.params.prime) == 0
 
     def test_duplicate_senders_malformed(self):
+        """A second token claiming the same sender never replaces the
+        first: the engine keeps the first, so a forged first token makes
+        the sum miss."""
         bundle, creds, _ = harn_gm_init(4, 2, prime_bits=48, rng_seed=24)
-        tokens = self._honest_tokens(bundle, creds, [1, 2])
-        with pytest.raises(MalformedTranscript):
-            harn_verify([tokens[0], tokens[0]], bundle)
+        tokens = self._honest_tokens(bundle, creds, [1, 2, 3])
+        party, api = HarnParty(1, creds[0], bundle), RecordingAPI()
+        party.initiate([1, 2, 3], 1, api)
+        assert api.rounds() == [ROUND_INVITATION, ROUND_TOKEN]
+        deliver_token(party, api, bundle, 2,
+                      (tokens[1] + 1) % bundle.params.prime)
+        deliver_token(party, api, bundle, 2, tokens[1])
+        assert api.decisions == []
+        deliver_token(party, api, bundle, 3, tokens[2])
+        assert api.decisions == [
+            ((SCHEME_TAG, 1), BeliefState(False,
+                                          reason=REASON_HASH_MISMATCH))
+        ]
 
     def test_exhaustive_completeness_small(self):
         """Every subset of size >= t accepts, for n up to 4."""
@@ -279,8 +276,7 @@ class TestVerification:
                 for m in range(t, n + 1):
                     for group in combinations(range(1, n + 1), m):
                         tokens = self._honest_tokens(bundle, creds, group)
-                        accepted, _ = harn_verify(tokens, bundle)
-                        assert accepted, (n, t, group)
+                        assert harn_verify(tokens, bundle), (n, t, group)
 
 
 class TestAggregateOnlyVerification:
@@ -292,36 +288,19 @@ class TestAggregateOnlyVerification:
     def test_any_partial_sum_completes_to_acceptance(self, seed_left, rest):
         bundle, creds, s = harn_gm_init(6, 2, prime_bits=64, rng_seed=31)
         p = bundle.params.prime
-        values = [FieldElement(v, p) for v in [seed_left] + rest]
-        partial = FieldElement(0, p)
-        for v in values:
-            partial = partial + v
-        closing = s - partial
-        tokens = [
-            HarnToken(FieldElement(i + 1, p), v)
-            for i, v in enumerate(values + [closing])
-        ]
-        accepted, recovered = harn_verify(tokens, bundle)
-        assert accepted
-        assert recovered == s
+        values = [v % p for v in [seed_left] + rest]
+        closing = (s.value - harn_aggregate(values, p)) % p
+        tokens = values + [closing]
+        assert harn_verify(tokens, bundle)
+        assert harn_aggregate(tokens, p) == s.value
 
     def test_closing_value_is_unique(self):
         bundle, _, s = harn_gm_init(4, 2, prime_bits=64, rng_seed=32)
         p = bundle.params.prime
         rng = random.Random(5)
-        opening = FieldElement(rng.randrange(p), p)
-        closing = s - opening
-        ok, _ = harn_verify(
-            [HarnToken(FieldElement(1, p), opening),
-             HarnToken(FieldElement(2, p), closing)],
-            bundle,
-        )
-        assert ok
+        opening = rng.randrange(p)
+        closing = (s.value - opening) % p
+        assert harn_verify([opening, closing], bundle)
         for delta in (1, 2, 17):
-            off = closing + FieldElement(delta, p)
-            bad, _ = harn_verify(
-                [HarnToken(FieldElement(1, p), opening),
-                 HarnToken(FieldElement(2, p), off)],
-                bundle,
-            )
-            assert not bad
+            off = (closing + delta) % p
+            assert not harn_verify([opening, off], bundle)

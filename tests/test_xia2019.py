@@ -1,4 +1,6 @@
-"""Tests for the masked-product scheme: setup, state machine, verification.
+"""Tests for the masked-product scheme: setup, commitments, masks,
+tokens and verification on plain ints, plus the protocol rules that the
+party engine enforces around them for this scheme.
 
 The share invariant f(0) = s is rechecked by interpolating credentials
 toward 0 rather than reading the setup polynomial, and the honest token
@@ -19,26 +21,29 @@ from groupauth.algebra import (
     lagrange_coefficient,
     residue_digest,
 )
-from groupauth.channel import ROUND_COMMITMENT, decode_residue_hex
-from groupauth.errors import (
-    IncompleteRound,
-    InsufficientQuorum,
-    InvalidThreshold,
-    MalformedTranscript,
-    NotAMember,
-    ProtocolOrderViolation,
-    SessionExhausted,
+from groupauth.channel import (
+    BeliefState,
+    Envelope,
+    REASON_HASH_MISMATCH,
+    REASON_QUORUM,
+    ROUND_COMMITMENT,
+    ROUND_INVITATION,
+    ROUND_TOKEN,
+    encode_residue_hex,
 )
+from groupauth.errors import InvalidThreshold, NotAMember, SessionExhausted
+from groupauth.parties import XiaParty, invitation_envelope
 from groupauth.xia2019 import (
     SCHEME_TAG,
-    XiaSessionState,
-    XiaToken,
     gamma_mask,
+    xia_aggregate,
     xia_commit,
     xia_compute_token,
     xia_gm_init,
     xia_verify,
 )
+
+from conftest import RecordingAPI
 
 
 def setup_small(seed=11, n=5, t=3, ell=2, bits=64):
@@ -46,24 +51,34 @@ def setup_small(seed=11, n=5, t=3, ell=2, bits=64):
 
 
 def run_honest_session(params, creds, member_ids, session, seed):
-    """Drive the per-member state machines directly (no channel)."""
+    """Run the scheme math for one session directly (no channel, no
+    party engine); returns (nonces, commitments, tokens), the first two
+    by member id and the tokens in member order."""
     by_id = {c.owner.value: c for c in creds}
-    states = {
-        i: by_id[i].start_session(session, member_ids, params)
-        for i in member_ids
-    }
+    nonces, commitments = {}, {}
     for i in member_ids:
-        xia_commit(states[i], derive_rng(seed, "nonce", i))
-    for i in member_ids:
-        for j in member_ids:
-            if i != j:
-                states[j].received_commitments[i] = (
-                    states[i].received_commitments[i]
-                )
+        nonces[i], commitments[i] = xia_commit(
+            params, session, derive_rng(seed, "nonce", i))
     tokens = [
-        xia_compute_token(states[i], by_id[i], params) for i in member_ids
+        xia_compute_token(by_id[i], params, session, commitments, nonces[i])
+        for i in member_ids
     ]
-    return states, tokens
+    return nonces, commitments, tokens
+
+
+def engine_party(params, creds, pid, seed):
+    """Live party `pid` drawing the nonces run_honest_session(seed) gives
+    it, with a recording API."""
+    party = XiaParty(pid, creds[pid - 1], params,
+                     derive_rng(seed, "nonce", pid))
+    return party, RecordingAPI()
+
+
+def deliver(party, api, params, sender, round_, value, session=1):
+    party.on_envelope(Envelope(
+        claimed_sender=sender, session=(SCHEME_TAG, session), round=round_,
+        payload=encode_residue_hex(value, params.group.p),
+    ), api)
 
 
 class TestSetup:
@@ -85,7 +100,6 @@ class TestSetup:
             expect = residue_digest(
                 group_exp(params.generator_for(sigma), s).value,
                 params.group.p,
-                params.hash_id,
             )
             assert params.hash_for(sigma) == expect
 
@@ -132,28 +146,36 @@ class TestSetup:
 class TestSessionLifecycle:
     def test_session_indices_are_single_use(self):
         params, creds, _ = setup_small()
-        creds[0].start_session(1, [1, 2, 3], params)
+        creds[0].start_session(1, params)
         with pytest.raises(SessionExhausted):
-            creds[0].start_session(1, [1, 2, 4], params)
+            creds[0].start_session(1, params)
         # a different index is fine
-        creds[0].start_session(2, [1, 2, 3], params)
+        creds[0].start_session(2, params)
 
     def test_session_index_range_checked(self):
         params, creds, _ = setup_small()
         with pytest.raises(SessionExhausted):
-            creds[0].start_session(3, [1, 2, 3], params)
+            creds[0].start_session(3, params)
         with pytest.raises(SessionExhausted):
-            creds[0].start_session(0, [1, 2, 3], params)
+            creds[0].start_session(0, params)
 
     def test_owner_must_be_in_group_view(self):
         params, creds, _ = setup_small()
+        party, api = engine_party(params, creds, 1, seed=1)
         with pytest.raises(NotAMember):
-            creds[0].start_session(1, [2, 3, 4], params)
+            party.initiate([2, 3, 4], 1, api)
+        with pytest.raises(NotAMember):
+            party.initiate([1, 2, 6], 1, api)  # 6 holds no credential
+        assert api.broadcasts == [] and not party.sessions
+        assert creds[0].used_sessions == set()
 
     def test_group_view_is_sorted(self):
         params, creds, _ = setup_small()
-        state = creds[2].start_session(1, [5, 3, 1], params)
-        assert state.group_view == (1, 3, 5)
+        party, api = engine_party(params, creds, 3, seed=1)
+        party.initiate([5, 3, 1], 1, api)
+        assert party.sessions[1].view == (1, 3, 5)
+        assert api.broadcasts[0] == invitation_envelope(SCHEME_TAG, 3, 1,
+                                                        [1, 3, 5])
 
 
 class TestCommitment:
@@ -162,74 +184,90 @@ class TestCommitment:
 
     def test_commitment_payload_pinned_and_decodable(self):
         params, creds, _ = setup_small()
-        state = creds[0].start_session(1, [1, 2, 3], params)
-        env = xia_commit(state, random.Random(99))
+        nonce, commitment = xia_commit(params, 1, random.Random(99))
+        assert commitment == group_exp(params.generator_for(1), nonce).value
+        # the engine broadcasts the same draw as the commitment round
+        api = RecordingAPI()
+        XiaParty(1, creds[0], params, random.Random(99)).initiate(
+            [1, 2, 3], 1, api)
+        _, env = api.broadcasts
         assert env.payload == self.PINNED_PAYLOAD
         assert env.round == ROUND_COMMITMENT
         assert env.session == (SCHEME_TAG, 1)
         assert env.claimed_sender == 1
-        value = decode_residue_hex(env.payload, params.group.p)
-        assert value == state.received_commitments[1].value
-        assert pow(value, params.group.q, params.group.p) == 1
+        assert params.decode(env.payload) == commitment
+        assert pow(commitment, params.group.q, params.group.p) == 1
 
     def test_double_commit_rejected(self):
+        """A second invitation to an open session draws no second
+        commitment."""
         params, creds, _ = setup_small()
-        state = creds[0].start_session(1, [1, 2, 3], params)
-        xia_commit(state, random.Random(1))
-        with pytest.raises(ProtocolOrderViolation):
-            xia_commit(state, random.Random(2))
+        party, api = engine_party(params, creds, 1, seed=1)
+        party.initiate([1, 2, 3], 1, api)
+        party.on_envelope(invitation_envelope(SCHEME_TAG, 2, 1, [1, 2, 3]),
+                          api)
+        assert api.rounds() == [ROUND_INVITATION, ROUND_COMMITMENT]
 
 
 class TestTokenComputation:
     def test_missing_commitments_block_token(self):
         params, creds, _ = setup_small()
-        state = creds[0].start_session(1, [1, 2, 3], params)
-        with pytest.raises(IncompleteRound):
-            xia_compute_token(state, creds[0], params)  # no own commitment
-        xia_commit(state, random.Random(1))
-        with pytest.raises(IncompleteRound):
-            xia_compute_token(state, creds[0], params)  # peers missing
+        _, commitments, tokens = run_honest_session(params, creds,
+                                                    (1, 2, 3), 1, seed=1)
+        party, api = engine_party(params, creds, 1, seed=1)
+        party.initiate([1, 2, 3], 1, api)
+        deliver(party, api, params, 2, ROUND_COMMITMENT, commitments[2])
+        assert ROUND_TOKEN not in api.rounds()
+        deliver(party, api, params, 3, ROUND_COMMITMENT, commitments[3])
+        assert api.rounds()[-1] == ROUND_TOKEN
+        # the engine entered its own commitment and handed the scheme the
+        # whole round, so the token is the one the math gives
+        assert params.decode(api.broadcasts[-1].payload) == tokens[0]
 
     def test_quorum_enforced(self):
         params, creds, _ = setup_small()  # t = 3
-        state = creds[0].start_session(1, [1, 2], params)
-        xia_commit(state, random.Random(1))
-        state.received_commitments[2] = state.received_commitments[1]
-        with pytest.raises(InsufficientQuorum):
-            xia_compute_token(state, creds[0], params)
+        _, commitments, _ = run_honest_session(params, creds, (1, 2), 1,
+                                               seed=2)
+        party, api = engine_party(params, creds, 1, seed=2)
+        party.initiate([1, 2], 1, api)
+        deliver(party, api, params, 2, ROUND_COMMITMENT, commitments[2])
+        assert ROUND_TOKEN not in api.rounds()
+        assert api.decisions == [
+            ((SCHEME_TAG, 1), BeliefState(False, reason=REASON_QUORUM))
+        ]
 
     def test_token_twice_rejected(self):
-        params, creds, s = setup_small(t=2, n=4)
-        _, tokens = run_honest_session(params, creds, (1, 2), 1, seed=5)
-        by_id = {c.owner.value: c for c in creds}
-        state = by_id[3].start_session(1, [3, 4], params)
-        xia_commit(state, random.Random(1))
-        state.received_commitments[4] = state.received_commitments[3]
-        xia_compute_token(state, by_id[3], params)
-        with pytest.raises(ProtocolOrderViolation):
-            xia_compute_token(state, by_id[3], params)
+        params, creds, _ = setup_small(t=2, n=4)
+        _, commitments, _ = run_honest_session(params, creds, (3, 4), 1,
+                                               seed=5)
+        party, api = engine_party(params, creds, 3, seed=5)
+        party.initiate([3, 4], 1, api)
+        deliver(party, api, params, 4, ROUND_COMMITMENT, commitments[4])
+        deliver(party, api, params, 4, ROUND_COMMITMENT, commitments[3])
+        party.on_envelope(invitation_envelope(SCHEME_TAG, 4, 1, [3, 4]), api)
+        assert api.rounds().count(ROUND_TOKEN) == 1
 
     def test_two_member_mask_specialisation(self):
         """m = 2: the lower member divides by the higher commitment and
         vice versa, so the two masked nonces cancel exactly."""
         params, creds, _ = setup_small(t=2, n=4)
-        states, _ = run_honest_session(params, creds, (1, 2), 1, seed=6)
-        c1 = states[1].received_commitments[1]
-        c2 = states[2].received_commitments[2]
-        assert gamma_mask(states[1]) == c2.inverse()
-        assert gamma_mask(states[2]) == c1
-        u1, u2 = states[1].own_nonce, states[2].own_nonce
-        prod = group_exp(gamma_mask(states[1]), u1) * group_exp(
-            gamma_mask(states[2]), u2
-        )
-        assert prod.value == 1
+        nonces, commitments, _ = run_honest_session(params, creds, (1, 2),
+                                                    1, seed=6)
+        p = params.group.p
+        c1, c2 = commitments[1], commitments[2]
+        assert gamma_mask(1, commitments, p) == pow(c2, -1, p)
+        assert gamma_mask(2, commitments, p) == c1
+        prod = (pow(gamma_mask(1, commitments, p), nonces[1], p)
+                * pow(gamma_mask(2, commitments, p), nonces[2], p) % p)
+        assert prod == 1
 
     def test_honest_product_equals_generator_power(self):
         params, creds, s = setup_small()
-        _, tokens = run_honest_session(params, creds, (1, 2, 4, 5), 1, seed=7)
+        _, _, tokens = run_honest_session(params, creds, (1, 2, 4, 5), 1,
+                                          seed=7)
         product = params.group.identity()
         for token in tokens:
-            product = product * token.value
+            product = product * params.group.element(token)
         assert product == group_exp(params.generator_for(1), s)
 
     @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0))
@@ -238,7 +276,7 @@ class TestTokenComputation:
         """prod_i gamma_i^{u_i} is the identity for any nonce vector."""
         params, creds, _ = setup_small(n=6, t=2, ell=1)
         member_ids = tuple(range(1, m + 1))
-        _, tokens = run_honest_session(
+        _, _, tokens = run_honest_session(
             params, creds, member_ids, 1, seed=nonce_seed
         )
         # rebuild the mask product alone, without the share part
@@ -251,81 +289,90 @@ class TestTokenComputation:
             others = [params.identifier(j) for j in member_ids if j != i]
             weight = lagrange_coefficient(FieldElement(0, q), own, others)
             share_part = share_part * group_exp(g, by_id[i].share * weight)
-        token_product = params.group.identity()
-        for token in tokens:
-            token_product = token_product * token.value
-        masks = token_product * share_part.inverse()
+        token_product = xia_aggregate(tokens, params.group.p)
+        masks = params.group.element(token_product) * share_part.inverse()
         assert masks.value == 1
 
 
 class TestVerification:
     def test_honest_accept_with_group_view(self):
         params, creds, _ = setup_small()
-        states, tokens = run_honest_session(
-            params, creds, (1, 2, 3), 1, seed=8
-        )
-        belief = xia_verify(tokens, states[1], params)
-        assert belief.accepted
-        assert belief.members == frozenset({1, 2, 3})
-        assert states[1].phase == "decided"
+        _, commitments, tokens = run_honest_session(params, creds,
+                                                    (1, 2, 3), 1, seed=8)
+        assert xia_verify(tokens, 1, params) is True
+        # the engine turns the check into a belief naming its view
+        party, api = engine_party(params, creds, 1, seed=8)
+        party.initiate([1, 2, 3], 1, api)
+        for j in (2, 3):
+            deliver(party, api, params, j, ROUND_COMMITMENT, commitments[j])
+        for j in (2, 3):
+            deliver(party, api, params, j, ROUND_TOKEN, tokens[j - 1])
+        assert api.decisions == [((SCHEME_TAG, 1), BeliefState(
+            True, members=frozenset({1, 2, 3})))]
+        assert party.sessions[1].round is None
 
     def test_single_perturbation_rejects(self):
         params, creds, _ = setup_small()
-        states, tokens = run_honest_session(
-            params, creds, (1, 2, 3), 1, seed=9
-        )
-        g = params.generator_for(1)
-        tampered = XiaToken(tokens[0].sender, tokens[0].value * g)
-        belief = xia_verify([tampered] + tokens[1:], states[1], params)
-        assert not belief.accepted
-        assert belief.reason == "hash-mismatch"
+        _, _, tokens = run_honest_session(params, creds, (1, 2, 3), 1,
+                                          seed=9)
+        g = params.generator_for(1).value
+        tampered = tokens[0] * g % params.group.p
+        assert xia_verify([tampered] + tokens[1:], 1, params) is False
 
     def test_tokens_do_not_transfer_across_sessions(self):
         params, creds, _ = setup_small()
-        states1, tokens1 = run_honest_session(
-            params, creds, (1, 2, 3), 1, seed=10
-        )
-        by_id = {c.owner.value: c for c in creds}
-        state2 = by_id[4].start_session(2, [4, 5, 3], params)
-        xia_commit(state2, random.Random(3))
-        belief = xia_verify(tokens1, state2, params)
-        assert not belief.accepted
+        _, _, tokens1 = run_honest_session(params, creds, (1, 2, 3), 1,
+                                           seed=10)
+        assert xia_verify(tokens1, 1, params)
+        assert not xia_verify(tokens1, 2, params)
 
     def test_duplicate_senders_malformed(self):
+        """A second token claiming the same sender never replaces the
+        first: the engine keeps the first, so a forged first token makes
+        the aggregate miss."""
         params, creds, _ = setup_small()
-        states, tokens = run_honest_session(
-            params, creds, (1, 2, 3), 1, seed=11
-        )
-        with pytest.raises(MalformedTranscript):
-            xia_verify([tokens[0]] + tokens, states[2], params)
+        _, commitments, tokens = run_honest_session(params, creds,
+                                                    (1, 2, 3), 1, seed=11)
+        party, api = engine_party(params, creds, 1, seed=11)
+        party.initiate([1, 2, 3], 1, api)
+        for j in (2, 3):
+            deliver(party, api, params, j, ROUND_COMMITMENT, commitments[j])
+        forged = tokens[1] * params.generator_for(1).value % params.group.p
+        deliver(party, api, params, 2, ROUND_TOKEN, forged)
+        deliver(party, api, params, 2, ROUND_TOKEN, tokens[1])
+        assert api.decisions == []
+        deliver(party, api, params, 3, ROUND_TOKEN, tokens[2])
+        assert api.decisions == [((SCHEME_TAG, 1), BeliefState(
+            False, reason=REASON_HASH_MISMATCH))]
 
     def test_double_decision_rejected(self):
         params, creds, _ = setup_small()
-        states, tokens = run_honest_session(
-            params, creds, (1, 2, 3), 1, seed=12
-        )
-        xia_verify(tokens, states[1], params)
-        with pytest.raises(ProtocolOrderViolation):
-            xia_verify(tokens, states[1], params)
+        _, commitments, tokens = run_honest_session(params, creds,
+                                                    (1, 2, 3), 1, seed=12)
+        party, api = engine_party(params, creds, 1, seed=12)
+        party.initiate([1, 2, 3], 1, api)
+        for j in (2, 3):
+            deliver(party, api, params, j, ROUND_COMMITMENT, commitments[j])
+        for _ in range(2):
+            for j in (2, 3):
+                deliver(party, api, params, j, ROUND_TOKEN, tokens[j - 1])
+        party.on_envelope(invitation_envelope(SCHEME_TAG, 2, 1, [1, 2, 3]),
+                          api)
+        assert len(api.decisions) == 1
 
     def test_composition_is_invisible_to_the_verifier(self):
         """Two disjoint quorums in different sessions produce token
         multisets with the same aggregate relation: only the session
         index, never the membership, shows up in the check."""
         params, creds, s = setup_small(n=6, t=2, ell=2)
-        states_a, tokens_a = run_honest_session(
-            params, creds, (1, 2, 3), 1, seed=13
-        )
-        states_b, tokens_b = run_honest_session(
-            params, creds, (4, 5, 6), 1, seed=14
-        )
-        prod_a = params.group.identity()
-        for token in tokens_a:
-            prod_a = prod_a * token.value
-        prod_b = params.group.identity()
-        for token in tokens_b:
-            prod_b = prod_b * token.value
-        assert prod_a == prod_b == group_exp(params.generator_for(1), s)
+        _, _, tokens_a = run_honest_session(params, creds, (1, 2, 3), 1,
+                                            seed=13)
+        _, _, tokens_b = run_honest_session(params, creds, (4, 5, 6), 1,
+                                            seed=14)
+        p = params.group.p
+        prod_a = xia_aggregate(tokens_a, p)
+        prod_b = xia_aggregate(tokens_b, p)
+        assert prod_a == prod_b == group_exp(params.generator_for(1), s).value
 
     def test_subquorum_aggregates_never_accept(self):
         """m < t shares interpolate the wrong exponent except w.p. ~1/q:
@@ -349,8 +396,6 @@ class TestVerification:
                 # nonce masks cancel regardless of quorum, so the product
                 # reduces to the share part alone
                 product = product * group_exp(g, by_id[i].share * weight)
-            digest = residue_digest(
-                product.value, params.group.p, params.hash_id
-            )
+            digest = residue_digest(product.value, params.group.p)
             accepts += digest == target
         assert accepts == 0
