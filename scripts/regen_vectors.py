@@ -46,6 +46,12 @@ def xia_fingerprint(params, credentials, secret) -> str:
 
 # Groups wider than any demo, pinned at 64 bits next to the demos.
 WIDE_CONFIGS = {
+    # k = 16 positions, so a token's Lagrange weights share one group's
+    # numerators across many targets
+    "harn-honest-n128-t8": {
+        "scheme": "harn2013", "scenario": "honest", "n": 128, "t": 8,
+        "prime_bits": 64, "seed": 5,
+    },
     "xia-honest-n16": {
         "scheme": "xia2019", "scenario": "honest", "n": 16, "t": 2,
         "prime_bits": 64, "seed": 5,

@@ -153,7 +153,7 @@ def poly_eval(f: Polynomial, x: FieldElement) -> FieldElement:
     return FieldElement(acc, modulus)
 
 
-def lagrange_coefficient(target, own: FieldElement, others):
+def lagrange_coefficient(target, own: FieldElement, others, numerators=None):
     """Lagrange basis value  prod_r (target - x_r) / (own - x_r).
 
     `others` lists every evaluation position except `own`. Multiplying a
@@ -167,6 +167,14 @@ def lagrange_coefficient(target, own: FieldElement, others):
     Either way the positions are checked once and the shared denominator
     prod_r (own - x_r) is formed and inverted once, so k weights for one
     point set cost one inversion and k numerator products.
+
+    `numerators`, if given, holds one int per target: the product of
+    (target - x) over the whole point set, `own` included. It is the
+    caller's to get right, since checking it would cost what it saves;
+    the positions are still checked as above. Each weight is then that
+    product divided by (target - own) and by the denominator, and all
+    those divisors are inverted together by Montgomery's trick, so k
+    weights cost O(k + m) for m positions and one inversion.
     """
     single = isinstance(target, FieldElement)
     targets = (target,) if single else tuple(target)
@@ -185,14 +193,44 @@ def lagrange_coefficient(target, own: FieldElement, others):
         den = den * (own.value - x.value) % modulus
     if den == 0:
         raise InversionOfZero("zero has no multiplicative inverse")
-    inverse = pow(den, -1, modulus)
-    weights = []
-    for tgt in targets:
-        num = inverse
-        for x in positions:
-            num = num * (tgt.value - x) % modulus
-        weights.append(FieldElement(num, modulus))
+    if numerators is not None:
+        weights = _divide_numerators(targets, own.value, den,
+                                     tuple(numerators), modulus)
+    else:
+        inverse = pow(den, -1, modulus)
+        weights = []
+        for tgt in targets:
+            num = inverse
+            for x in positions:
+                num = num * (tgt.value - x) % modulus
+            weights.append(FieldElement(num, modulus))
     return weights[0] if single else tuple(weights)
+
+
+def _divide_numerators(targets, own: int, den: int, numerators: tuple,
+                       modulus: int) -> list:
+    """Weights numerators[j] / ((target_j - own) * den), with one
+    inversion for all of them (Montgomery's trick)."""
+    if len(numerators) != len(targets):
+        raise ValueError("need one numerator per target")
+    gaps, tops = [], []
+    for tgt, num in zip(targets, numerators):
+        gap = (tgt.value - own) % modulus
+        # a target at `own` has weight 1; its numerator holds the zero
+        # factor (own - own), so stand in den / den
+        gaps.append(gap or 1)
+        tops.append(num if gap else den)
+    prefix = [1]  # prefix[j] = gaps[0] * ... * gaps[j-1]
+    for gap in gaps:
+        prefix.append(prefix[-1] * gap % modulus)
+    inverse = pow(den * prefix[-1] % modulus, -1, modulus)
+    weights = [None] * len(gaps)
+    for j in reversed(range(len(gaps))):
+        # inverse = 1 / (den * gaps[0] * ... * gaps[j])
+        weights[j] = FieldElement(tops[j] * inverse % modulus * prefix[j],
+                                  modulus)
+        inverse = inverse * gaps[j] % modulus
+    return weights
 
 
 # ---------------------------------------------------------------------------

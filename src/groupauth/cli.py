@@ -15,7 +15,8 @@ audit failure, 2 configuration or usage problems.
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
+import weakref
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .adversary import (
@@ -42,7 +43,7 @@ from .harn2013 import SCHEME_TAG as HARN_TAG
 from .harn2013 import harn_gm_init
 from .parties import HarnParty, XiaParty, replay_party, run_world
 from .xia2019 import SCHEME_TAG as XIA_TAG
-from .xia2019 import xia_gm_init
+from .xia2019 import XiaCredential, xia_gm_init
 
 SCENARIO_HONEST = "honest"
 SCENARIO_TAMPER = "tamper"
@@ -367,13 +368,43 @@ class TamperScript:
         )
 
 
+# (weak reference to a config object, its values then, the material
+# derived from it); see derive_material
+_last_derived = None
+
+
 def derive_material(config: ScenarioConfig) -> tuple:
-    """(public material, credentials, secret) for the configured scheme."""
+    """(public material, credentials, secret) for the configured scheme.
+
+    A run and its audit derive from one config object, and the dealer's
+    prime search is most of an audit's cost, so the last derivation is
+    kept for the object it came from and reused while that object's
+    values are unchanged. Only frozen parts are shared: the credential
+    list is new, and each `XiaParams` (with its decode memo) and
+    `XiaCredential` (with its session ledger) is rebuilt, so the audit
+    still checks every wire value itself. The key is the object, not
+    its values, so a new config derives afresh and the work per scenario
+    does not depend on what ran before it; the memo holds one material.
+    """
+    global _last_derived
+    if _last_derived is not None:
+        ref, values, (public, credentials, secret) = _last_derived
+        if ref() is config and values == config.to_json():
+            if config.scheme == HARN_TAG:
+                return public, list(credentials), secret
+            return (replace(public),
+                    [XiaCredential(c.owner, c.share) for c in credentials],
+                    secret)
     if config.scheme == HARN_TAG:
-        return harn_gm_init(config.n, config.t, prime_bits=config.prime_bits,
-                            rng_seed=config.seed)
-    return xia_gm_init(config.n, config.t, ell=config.ell,
-                       prime_bits=config.prime_bits, rng_seed=config.seed)
+        material = harn_gm_init(config.n, config.t,
+                                prime_bits=config.prime_bits,
+                                rng_seed=config.seed)
+    else:
+        material = xia_gm_init(config.n, config.t, ell=config.ell,
+                               prime_bits=config.prime_bits,
+                               rng_seed=config.seed)
+    _last_derived = (weakref.ref(config), config.to_json(), material)
+    return material
 
 
 def _modulus(config: ScenarioConfig, material) -> int:

@@ -69,14 +69,37 @@ class HarnParams:
         return self._by_id.keys() >= set(party_ids)
 
 
+# point sets whose token numerators one bundle remembers; see
+# HarnPublicBundle
+NUMERATOR_MEMO_VIEWS = 4
+
+
 @dataclass(frozen=True)
 class HarnPublicBundle:
-    """Everything the issuer publishes: positions, weights, H(s)."""
+    """Everything the issuer publishes: positions, weights, H(s).
+
+    `_numerators` is a memo every token of one point set shares: for the
+    sorted member ids of a group it keeps c_j = prod_r (w_j - x_r) over
+    the whole group, one int per position w_j, and every party of a
+    world holds the same bundle. `harn_compute_token` stores an entry
+    only after `lagrange_coefficient` has accepted the point set, so a
+    degenerate group leaves none.
+
+    Its memory is bounded whatever arrives on the wire: it keeps the
+    NUMERATOR_MEMO_VIEWS most recently stored point sets and drops the
+    oldest, so it never holds more than that many keys of at most n ids
+    and values of k ints. An adversary who injects invitations to many
+    distinct groups only evicts entries; each such group then costs its
+    members O(k*m) once more, which is what every token cost without the
+    memo.
+    """
 
     params: HarnParams
     w: tuple  # k distinct FieldElements, disjoint from identifiers
     d: tuple  # k FieldElements with sum_j d_j f_j(w_j) = s
     secret_hash: bytes
+    _numerators: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     def __post_init__(self):
         k = self.params.k
@@ -159,19 +182,46 @@ def harn_compute_token(credential: HarnCredential, bundle: HarnPublicBundle,
     before any token). The scalar is
         sum_j d_j * f_j(x_own) * lagrange(w_j; x_own, others)
     so that summing over all m members telescopes to s when m >= t. All k
-    weights come from one `lagrange_coefficient` call, which shares the
-    denominator prod_r (x_own - x_r) and its inversion; the sum runs on
-    ints.
+    weights come from one `lagrange_coefficient` call, given the point
+    set's numerators from the bundle's memo (computed in O(k*m) by the
+    first member of the group to get there), so a token costs O(k + m)
+    and one inversion; the sum runs on ints.
     """
     params = bundle.params
     own = credential.owner
     others = [params.identifier(i) for i in group if i != own.value]
-    weights = lagrange_coefficient(bundle.w, own, others)
+    points = tuple(sorted([own.value, *(x.value for x in others)]))
+    numerators = bundle._numerators.get(points)
+    fresh = numerators is None
+    if fresh:
+        numerators = _view_numerators(bundle.w, points, params.prime)
+    weights = lagrange_coefficient(bundle.w, own, others, numerators)
+    if fresh:
+        _remember(bundle._numerators, points, numerators)
     total = sum(
         dj.value * fj.value * lam.value
         for dj, fj, lam in zip(bundle.d, credential.tokens, weights)
     )
     return total % params.prime
+
+
+def _view_numerators(w: tuple, points: tuple, prime: int) -> tuple:
+    """c_j = prod_{x in points} (w_j - x) mod prime, one per position."""
+    out = []
+    for wj in w:
+        c = 1
+        for x in points:
+            c = c * (wj.value - x) % prime
+        out.append(c)
+    return tuple(out)
+
+
+def _remember(memo: dict, points: tuple, numerators: tuple) -> None:
+    """Store a point set's numerators, dropping the oldest entry past
+    NUMERATOR_MEMO_VIEWS."""
+    if len(memo) >= NUMERATOR_MEMO_VIEWS:
+        del memo[next(iter(memo))]
+    memo[points] = numerators
 
 
 def harn_aggregate(values, prime: int) -> int:

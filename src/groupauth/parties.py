@@ -139,7 +139,8 @@ class Party:
 
     def initiate(self, group_ids, session_id: int, api: PartyAPI) -> None:
         view = tuple(sorted(group_ids))
-        if self.party_id not in view or not self.params.all_members(view):
+        if (self.party_id not in view or len(set(view)) != len(view)
+                or not self.params.all_members(view)):
             raise NotAMember("party %d cannot initiate group %s"
                              % (self.party_id, list(view)))
         api.broadcast(invitation_envelope(self.scheme, self.party_id,

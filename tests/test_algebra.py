@@ -220,6 +220,41 @@ class TestLagrange:
         with pytest.raises(DegenerateShareSet):
             lagrange_coefficient((), fe(1), [fe(3), fe(2), fe(3)])
 
+    @given(st.data())
+    def test_shared_numerators_equal_sequence_form(self, data):
+        """Given prod over the whole point set of (target - x) per target,
+        the weights equal the plain sequence form's, for targets at a
+        position (own included) and off every position."""
+        p = data.draw(st.sampled_from([SMALL_PRIME, MEDIUM_PRIME, P64]))
+        xs = data.draw(st.lists(st.integers(0, p - 1), min_size=1,
+                                max_size=12, unique=True))
+        values = data.draw(st.lists(
+            st.one_of(st.sampled_from(xs), st.integers(0, p - 1)),
+            max_size=8))
+        own = FieldElement(xs[0], p)
+        others = [FieldElement(x, p) for x in xs[1:]]
+        targets = [FieldElement(v, p) for v in values]
+        numerators = []
+        for v in values:
+            c = 1
+            for x in xs:
+                c = c * (v - x) % p
+            numerators.append(c)
+        assert (lagrange_coefficient(targets, own, others, numerators)
+                == lagrange_coefficient(targets, own, others))
+
+    def test_shared_numerators_keep_the_checks(self):
+        with pytest.raises(DegenerateShareSet):
+            lagrange_coefficient([fe(0)], fe(1), [fe(2), fe(2)], [0])
+        with pytest.raises(DegenerateShareSet):
+            lagrange_coefficient([fe(0)], fe(1), [fe(1)], [0])
+        with pytest.raises(ModulusMismatch):
+            lagrange_coefficient([fe(0, 29)], fe(1), [fe(2)], [2])
+        with pytest.raises(ModulusMismatch):
+            lagrange_coefficient([fe(0)], fe(1), [fe(2, 29)], [2])
+        with pytest.raises(ValueError):
+            lagrange_coefficient([fe(0), fe(5)], fe(1), [fe(2)], [2])
+
     def test_three_point_reconstruction_matches_naive_oracle(self):
         p = MEDIUM_PRIME
         rng = random.Random(3)

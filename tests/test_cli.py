@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from groupauth import cli
 from groupauth.channel import Transcript, encode_residue_hex
 from groupauth.cli import (
     DEMOS,
@@ -27,6 +28,7 @@ from groupauth.cli import (
     write_outputs,
 )
 from groupauth.errors import AuditFailure, ConfigError
+from groupauth.harn2013 import harn_gm_init
 
 BITS = 64  # keep the suite quick; the CLI default is larger
 
@@ -337,6 +339,53 @@ def test_audit_rejects_corrupted_payload(tmp_path):
         audit_transcript(doctored, config)
 
 
+def test_run_and_audit_get_separate_xia_params(monkeypatch):
+    """The audit reuses the run's group search but gets its own params,
+    and with them its own decode memo, so it checks every wire value
+    itself."""
+    seen = []
+
+    def recording(config):
+        material = derive_material(config)
+        seen.append(material)
+        return material
+
+    monkeypatch.setattr(cli, "derive_material", recording)
+    config = config_for(scheme="xia2019", n=4, t=2, seed=61)
+    transcript, _ = run_scenario(config)
+    audit_transcript(transcript, config)
+    (run_params, run_creds, _), (audit_params, audit_creds, _) = seen
+    assert run_params.group is audit_params.group
+    assert run_params == audit_params and run_params is not audit_params
+    assert run_params._decoded is not audit_params._decoded
+    assert run_params._decoded and audit_params._decoded
+    assert all(a is not b for a, b in zip(run_creds, audit_creds))
+    assert audit_creds[0].used_sessions == set()
+
+
+def test_audit_reuses_the_setup_of_its_config_object(monkeypatch):
+    """One dealer run serves a run and its audit of one config object;
+    an equal new object, or the same object with changed values, derives
+    afresh."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return harn_gm_init(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "harn_gm_init", counting)
+    config = config_for(seed=62)
+    transcript, _ = run_scenario(config)
+    audit_transcript(transcript, config)
+    assert len(calls) == 1
+    audit_transcript(transcript, config_for(seed=62))
+    assert len(calls) == 2
+    config.seed = 63
+    changed, fresh = derive_material(config), derive_material(config_for())
+    assert changed[0] != fresh[0]
+    assert len(calls) == 4
+
+
 def test_audit_rejects_non_member_token_after_live_run():
     config = config_for(scheme="xia2019", n=4, t=2)
     transcript, _ = run_scenario(config)
@@ -619,8 +668,13 @@ regen_vectors = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(regen_vectors)
 
 # The same digests for scripts/regen_vectors.py's WIDE_CONFIGS, groups wider
-# than any demo (n=16, 64-bit); that script prints these values too.
+# than any demo (n=16 and n=128, 64-bit); that script prints these values
+# too.
 PINNED_WIDE_DIGESTS = {
+    "harn-honest-n128-t8": (
+        "10e868d6f444829fac81d708da44f5d07836909537c88e569697ce32b61b49a4",
+        "e57a7393c9b08c2837e802e7b07dff6e26cb6c94614fbec03a1b7014261d3a2c",
+    ),
     "harn-impersonation-n16": (
         "da0090b140c0af2c4afe9c8fa2dc5e696f65b15997d8b3a59dbda0b4300e425f",
         "530a0f40f8de65d04e9ead0bb0fdc6d45f892fb91d2da2315a9cd0538fc5fc9c",

@@ -26,13 +26,14 @@ from groupauth.channel import (
 )
 from groupauth.errors import DegenerateShareSet, InvalidThreshold, NotAMember
 from groupauth.harn2013 import (
+    NUMERATOR_MEMO_VIEWS,
     SCHEME_TAG,
     harn_aggregate,
     harn_compute_token,
     harn_gm_init,
     harn_verify,
 )
-from groupauth.parties import HarnParty
+from groupauth.parties import HarnParty, invitation_envelope
 
 from conftest import RecordingAPI
 
@@ -175,6 +176,16 @@ class TestTokenRelease:
             party.initiate([4, 5], 1, api)
         assert api.broadcasts == [] and not party.sessions
 
+    def test_repeated_id_rejected(self):
+        """A group naming one id twice could never complete; the engine
+        refuses it at initiate and sends nothing."""
+        bundle, creds, _ = harn_gm_init(4, 2, prime_bits=48, rng_seed=14)
+        party, api = HarnParty(1, creds[0], bundle), RecordingAPI()
+        for group in ([1, 1, 2], [1, 2, 2]):
+            with pytest.raises(NotAMember):
+                party.initiate(group, 1, api)
+        assert api.broadcasts == [] and not party.sessions
+
     def test_quorum_enforced(self):
         """Below the threshold the engine rejects before any token."""
         bundle, creds, _ = harn_gm_init(4, 3, prime_bits=48, rng_seed=15)
@@ -193,6 +204,7 @@ class TestTokenMatchesPerPolynomialFormula:
 
     @pytest.mark.parametrize("n, t, bits, seed", [
         (5, 2, 64, 41), (7, 3, 64, 42), (9, 4, 48, 43), (64, 2, 128, 44),
+        (128, 8, 64, 45),
     ])
     def test_seeded_groups(self, n, t, bits, seed):
         bundle, creds, s = harn_gm_init(n, t, prime_bits=bits, rng_seed=seed)
@@ -217,6 +229,55 @@ class TestTokenMatchesPerPolynomialFormula:
             harn_compute_token(creds[0], bundle, [1, 3, 3])
         with pytest.raises(DegenerateShareSet):
             harn_compute_token(creds[0], bundle, [1, 5, 2, 5])
+
+
+class TestNumeratorMemo:
+    """The bundle's per-group numerator memo changes no token and stays
+    bounded."""
+
+    def test_cold_and_warm_tokens_equal(self):
+        bundle, creds, s = harn_gm_init(9, 2, prime_bits=64, rng_seed=51)
+        group = [2, 3, 5, 7, 8]
+        members = [c for c in creds if c.owner.value in group]
+        cold = []
+        for cred in members:
+            bundle._numerators.clear()
+            cold.append(harn_compute_token(cred, bundle, group))
+            assert list(bundle._numerators) == [tuple(group)]
+        warm = [harn_compute_token(c, bundle, group) for c in members]
+        assert warm == cold == [
+            per_polynomial_token(bundle, c, group).value for c in members
+        ]
+        assert harn_aggregate(warm, bundle.params.prime) == s.value
+
+    def test_degenerate_group_leaves_no_entry(self):
+        bundle, creds, _ = harn_gm_init(6, 2, prime_bits=48, rng_seed=52)
+        for group in ([1, 3, 3], [1, 5, 2, 5]):
+            with pytest.raises(DegenerateShareSet):
+                harn_compute_token(creds[0], bundle, group)
+        with pytest.raises(NotAMember):
+            harn_compute_token(creds[0], bundle, [1, 2, 7])
+        assert bundle._numerators == {}
+
+    def test_injected_invitations_stay_within_bound(self):
+        """Each invitation to a new group stores one entry; past the
+        bound the oldest goes, and every token is still right."""
+        n = 9
+        bundle, creds, _ = harn_gm_init(n, 2, prime_bits=64, rng_seed=53)
+        party, api = HarnParty(1, creds[0], bundle), RecordingAPI()
+        groups = [[1, a, b] for a in range(2, n + 1)
+                  for b in range(a + 1, n + 1)]
+        assert len(groups) > 3 * NUMERATOR_MEMO_VIEWS
+        for session, group in enumerate(groups, 1):
+            party.on_envelope(
+                invitation_envelope(SCHEME_TAG, group[1], session, group),
+                api)
+            assert len(bundle._numerators) <= NUMERATOR_MEMO_VIEWS
+            assert api.broadcasts[-1].payload == encode_residue_hex(
+                per_polynomial_token(bundle, creds[0], group).value,
+                bundle.params.prime)
+        assert list(bundle._numerators) == [
+            tuple(g) for g in groups[-NUMERATOR_MEMO_VIEWS:]]
 
 
 class TestVerification:

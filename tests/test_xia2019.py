@@ -169,6 +169,17 @@ class TestSessionLifecycle:
         assert api.broadcasts == [] and not party.sessions
         assert creds[0].used_sessions == set()
 
+    def test_repeated_id_rejected(self):
+        """A group naming one id twice could never complete; the engine
+        refuses it at initiate, sends nothing and claims no session."""
+        params, creds, _ = setup_small()
+        party, api = engine_party(params, creds, 1, seed=1)
+        for group in ([1, 1, 2], [1, 2, 3, 3]):
+            with pytest.raises(NotAMember):
+                party.initiate(group, 1, api)
+        assert api.broadcasts == [] and not party.sessions
+        assert creds[0].used_sessions == set()
+
     def test_group_view_is_sorted(self):
         params, creds, _ = setup_small()
         party, api = engine_party(params, creds, 3, seed=1)
