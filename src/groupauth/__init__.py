@@ -18,8 +18,7 @@ from .adversary import (
     AttackOutcome,
     VictimPlan,
     evaluate_attack,
-    run_harn_impersonation,
-    run_xia_attack,
+    run_attack,
 )
 from .algebra import CyclicGroupSpec, FieldElement, GroupElement, Polynomial
 from .channel import (
@@ -61,9 +60,8 @@ __all__ = [
     "harn_gm_init",
     "harn_verify",
     "main",
-    "run_harn_impersonation",
+    "run_attack",
     "run_scenario",
-    "run_xia_attack",
     "xia_commit",
     "xia_compute_token",
     "xia_gm_init",

@@ -20,11 +20,12 @@ fabricated group. `ChannelAttack` is that attack, one tap-driven loop:
      aggregate lands on the one recovered in stage one.
 
 Two bindings supply only their scheme's algebra: stage-one recovery,
-token decode, one filler draw and the closing value.
-`HarnImpersonationScript` lures one victim into a fresh run id of the
-token-sum scheme. `XiaChannelAttack` lures one or more victims into the
-observed session index of the masked-product scheme, whose generator is
-what makes the observed power reusable. Neither holds a credential.
+token decode, one filler draw and the closing value, plus the session a
+victim is lured into. `HarnImpersonationScript` lures its victims into a
+fresh run id of the token-sum scheme. `XiaChannelAttack` lures them into
+the observed session index of the masked-product scheme, whose
+generator is what makes the observed power reusable. Neither holds a
+credential. `run_attack` runs either one in a world.
 
 Attack success is decided by evaluate_attack, which looks only at the
 transcript: the scripts report nothing about themselves.
@@ -48,8 +49,9 @@ from .channel import (
 )
 from .errors import InsufficientObservation
 from .harn2013 import SCHEME_TAG as HARN_TAG
-from .harn2013 import HarnPublicBundle, harn_aggregate
+from .harn2013 import harn_aggregate
 from .parties import (
+    SCHEMES,
     HarnParty,
     XiaParty,
     invitation_envelope,
@@ -57,7 +59,7 @@ from .parties import (
     run_world,
 )
 from .xia2019 import SCHEME_TAG as XIA_TAG
-from .xia2019 import XiaParams, xia_aggregate
+from .xia2019 import xia_aggregate
 
 MODE_TWO_STAGE = "two-stage"
 MODE_SIMULTANEOUS = "simultaneous"
@@ -139,20 +141,25 @@ class VictimPlan:
 class ChannelAttack:
     """Impersonates fabricated groups toward their victims (module doc).
 
-    A binding sets `party`, the honest party class of its scheme, whose
-    `scheme` tags every forged envelope and whose `rounds` before the
-    token round are forged at invitation time. It supplies `_recover`
-    (stage one), `_decode` (a wire token), `_draw` (one filler value) and
-    `_complete` (the value closing an aggregate on the target).
+    A binding sets `party`, its scheme's class (parties.SCHEMES), which
+    tags every forged envelope, forges its `rounds` before the token
+    round at invitation time and reads `material`, the public material.
+    It sets `impersonation_mode`, the mode of a single-victim attack, and
+    supplies `fake_session` (the session a victim is lured into, from the
+    observed one), `_recover` (stage one), `_decode` (a wire token),
+    `_draw` (one filler value) and `_complete` (the value closing an
+    aggregate on the target).
     """
 
     party = None
+    impersonation_mode = MODE_TWO_STAGE
 
-    def __init__(self, modulus: int, observed_session: int, observed_group,
+    def __init__(self, material, observed_session: int, observed_group,
                  plans, mode: str, rng: random.Random):
         if mode not in (MODE_TWO_STAGE, MODE_SIMULTANEOUS):
             raise ValueError("unknown attack mode %r" % mode)
-        self.modulus = modulus
+        self.material = material
+        self.modulus = self.party.modulus_of(material)
         self.observed_session = observed_session
         self.observed_group = tuple(sorted(observed_group))
         self.plans = list(plans)
@@ -261,25 +268,25 @@ class ChannelAttack:
 
 
 class HarnImpersonationScript(ChannelAttack):
-    """Token-sum binding: invites one victim at the start into `fake_run`.
+    """Token-sum binding: lures victims into a fresh run id.
 
     Stage one is pure eavesdropping on the run among `observed_group` (an
     insider credential would observe exactly the same broadcast values,
-    so the recovery path is identical either way). Fillers are uniform
-    residues, and the closing token absorbs s minus the rest of the sum.
+    so the recovery path is identical either way). A fresh run id needs
+    no observed run first, so an impersonation invites at the start.
+    Fillers are uniform residues, and the closing token absorbs s minus
+    the rest of the sum.
     """
 
     party = HarnParty
+    impersonation_mode = MODE_SIMULTANEOUS
     # perfbench/tracer.py wraps the on_tap in each binding's own __dict__,
     # so both bindings keep this entry until it wraps ChannelAttack's.
     on_tap = ChannelAttack.on_tap
 
-    def __init__(self, bundle: HarnPublicBundle, observed_run: int,
-                 observed_group, fake_run: int, fake_group, victim: int,
-                 rng: random.Random):
-        super().__init__(bundle.params.prime, observed_run, observed_group,
-                         [VictimPlan(victim, fake_group, fake_run)],
-                         MODE_SIMULTANEOUS, rng)
+    @staticmethod
+    def fake_session(session: int) -> int:
+        return session + 1
 
     def _recover(self) -> int:
         return attack_harn_learn_secret(self.observed, self.observed_session,
@@ -296,13 +303,14 @@ class HarnImpersonationScript(ChannelAttack):
 
 
 class XiaChannelAttack(ChannelAttack):
-    """Masked-product binding for one or more victim plans.
+    """Masked-product binding: lures victims into the observed session
+    index.
 
-    Holds only public values: the group description and the per-session
-    generators. No credential, no share, no session digest. Fillers and
-    forged commitments are powers of the session's generator at fresh
-    random exponents, and the closing token is the observed power divided
-    by the rest of the product.
+    Holds only public values: the params' group description and
+    per-session generators. No credential, no share. Fillers and forged
+    commitments are powers of the session's generator at fresh random
+    exponents, and the closing token is the observed power divided by
+    the rest of the product.
 
     mode "two-stage" defers the fake invitations until the observed
     session has completed; "simultaneous" interleaves both from the
@@ -312,26 +320,22 @@ class XiaChannelAttack(ChannelAttack):
     party = XiaParty
     on_tap = ChannelAttack.on_tap  # kept for the tracer, as above
 
-    def __init__(self, group: CyclicGroupSpec, generators,
-                 observed_session: int, observed_group, plans,
-                 mode: str, rng: random.Random):
-        super().__init__(group.p, observed_session, observed_group, plans,
-                         mode, rng)
-        self.group = group
-        self.generators = tuple(generators)
+    @staticmethod
+    def fake_session(session: int) -> int:
+        return session  # same index: that is what makes it work
 
     def _recover(self) -> int:
         return attack_xia_stage1(self.observed, self.observed_session,
-                                 self.group).value
+                                 self.material.group).value
 
     def _decode(self, payload: str) -> int:
-        return self.group.element(
+        return self.material.group.element(
             decode_residue_hex(payload, self.modulus)
         ).value
 
     def _draw(self, session: int) -> int:
-        return group_exp(self.generators[session - 1],
-                         self.rng.randrange(self.group.q)).value
+        return group_exp(self.material.generators[session - 1],
+                         self.rng.randrange(self.material.group.q)).value
 
     def _complete(self, target: int, fixed) -> int:
         product = xia_aggregate(fixed, self.modulus)
@@ -393,8 +397,7 @@ def recompute_observed_aggregate(transcript: Transcript, scheme: str,
             )
     if any(i not in tokens for i in group_ids):
         return None
-    aggregate = harn_aggregate if scheme == HARN_TAG else xia_aggregate
-    return aggregate([tokens[i] for i in group_ids], modulus)
+    return SCHEMES[scheme].aggregate([tokens[i] for i in group_ids], modulus)
 
 
 def evaluate_attack(transcript: Transcript, scheme: str, victim: int,
@@ -443,14 +446,23 @@ def evaluate_attack(transcript: Transcript, scheme: str, victim: int,
 # orchestrators: build the world, run it, judge it from the transcript
 
 
-def _attack_world(material, credentials, seed: int,
-                  script: ChannelAttack) -> tuple:
-    """Run `script` against the world of `material` with every victim's
-    honest inbound traffic blocked; returns (transcript, [outcome per
-    plan])."""
+# each scheme's class -> its attack binding
+BINDINGS = {binding.party: binding
+            for binding in (HarnImpersonationScript, XiaChannelAttack)}
+
+
+def run_attack(binding, material, credentials, observed_group, plans,
+               seed: int, observed_session: int = 1,
+               mode: str = MODE_TWO_STAGE) -> tuple:
+    """Run `binding` against the world of `material`: `observed_group`
+    authenticates in `observed_session`, and each victim of `plans` has
+    its honest inbound traffic blocked. Returns (transcript, [outcome
+    per plan])."""
+    script = binding(material, observed_session, observed_group, plans,
+                     mode, derive_rng(seed, "adversary"))
     transcript = run_world(
-        material, credentials, seed, script.observed_group,
-        script.observed_session,
+        binding.party, material, credentials, seed, script.observed_group,
+        observed_session,
         AdversaryPolicy(blocked_links={
             (WILDCARD, plan.victim) for plan in script.plans
         }),
@@ -458,37 +470,8 @@ def _attack_world(material, credentials, seed: int,
     )
     return transcript, [
         evaluate_attack(
-            transcript, script.party.scheme, plan.victim, plan.session,
-            script.observed_session, script.observed_group, script.modulus,
+            transcript, binding.party.scheme, plan.victim, plan.session,
+            observed_session, script.observed_group, script.modulus,
         )
         for plan in script.plans
     ]
-
-
-def run_harn_impersonation(bundle: HarnPublicBundle, credentials,
-                           observed_group, fake_group, victim: int,
-                           seed: int, observed_run: int = 1,
-                           fake_run: int = 2) -> tuple:
-    """Full channel attack on the token-sum scheme; returns
-    (transcript, outcome)."""
-    script = HarnImpersonationScript(
-        bundle=bundle, observed_run=observed_run,
-        observed_group=observed_group, fake_run=fake_run,
-        fake_group=fake_group, victim=victim,
-        rng=derive_rng(seed, "adversary"),
-    )
-    transcript, (outcome,) = _attack_world(bundle, credentials, seed, script)
-    return transcript, outcome
-
-
-def run_xia_attack(params: XiaParams, credentials, observed_group,
-                   plans, seed: int, observed_session: int = 1,
-                   mode: str = MODE_TWO_STAGE) -> tuple:
-    """Full channel attack on the masked-product scheme for one or more
-    victim plans; returns (transcript, [outcome per plan])."""
-    script = XiaChannelAttack(
-        group=params.group, generators=params.generators,
-        observed_session=observed_session, observed_group=observed_group,
-        plans=plans, mode=mode, rng=derive_rng(seed, "adversary"),
-    )
-    return _attack_world(params, credentials, seed, script)

@@ -14,14 +14,16 @@ here is hardened for production use (no constant-time code, PRNG only).
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import sympy
 
 from .errors import (
     DegenerateShareSet,
     InversionOfZero,
+    InvalidThreshold,
     ModulusMismatch,
+    NotAMember,
     SubgroupViolation,
 )
 
@@ -231,6 +233,38 @@ def _divide_numerators(targets, own: int, den: int, numerators: tuple,
                                   modulus)
         inverse = inverse * gaps[j] % modulus
     return weights
+
+
+@dataclass(frozen=True)
+class ThresholdParams:
+    """n participants and threshold t, the base of both schemes' public
+    parameters; party i has the share-field identifier of value i."""
+
+    n: int
+    t: int
+    identifiers: tuple  # FieldElement per participant, value i for party i
+    _by_id: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not 2 <= self.t <= self.n:
+            raise InvalidThreshold("need 2 <= t <= n")
+        values = [x.value for x in self.identifiers]
+        if len(values) != self.n or len(set(values)) != self.n or 0 in values:
+            raise ValueError("identifiers must be n distinct non-zero residues")
+        by_id = {x.value: x for x in self.identifiers}
+        object.__setattr__(self, "_by_id", by_id)
+
+    def identifier(self, party_id: int) -> FieldElement:
+        """Field element for a 1-based party id."""
+        try:
+            return self._by_id[party_id]
+        except KeyError:
+            raise NotAMember("no participant with identifier %d"
+                             % party_id) from None
+
+    def all_members(self, party_ids) -> bool:
+        """Whether every id in `party_ids` names a participant."""
+        return self._by_id.keys() >= set(party_ids)
 
 
 # ---------------------------------------------------------------------------

@@ -16,15 +16,14 @@ import argparse
 import json
 import sys
 import weakref
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .adversary import (
+    BINDINGS,
     MODE_SIMULTANEOUS,
-    MODE_TWO_STAGE,
     VictimPlan,
-    run_harn_impersonation,
-    run_xia_attack,
+    run_attack,
 )
 from .channel import (
     ADVERSARY_ID,
@@ -33,6 +32,7 @@ from .channel import (
     Envelope,
     REASON_HASH_MISMATCH,
     REASON_QUORUM,
+    ROUND_INVITATION,
     ROUND_TOKEN,
     Transcript,
     decode_residue_hex,
@@ -40,10 +40,8 @@ from .channel import (
 )
 from .errors import AuditFailure, ConfigError, GroupAuthError
 from .harn2013 import SCHEME_TAG as HARN_TAG
-from .harn2013 import harn_gm_init
-from .parties import HarnParty, XiaParty, replay_party, run_world
+from .parties import SCHEMES, SentInvitation, run_world
 from .xia2019 import SCHEME_TAG as XIA_TAG
-from .xia2019 import XiaCredential, xia_gm_init
 
 SCENARIO_HONEST = "honest"
 SCENARIO_TAMPER = "tamper"
@@ -63,10 +61,6 @@ SCENARIOS = (
 ATTACK_SCENARIOS = (
     SCENARIO_IMPERSONATION, SCENARIO_SIMULTANEOUS, SCENARIO_TWO_VICTIMS,
 )
-# scheme tag -> the honest party class, whose rounds fix the scenario's
-# forged-traffic profile
-SCHEMES = {party.scheme: party for party in (HarnParty, XiaParty)}
-
 _INT_FIELDS = ("n", "t", "ell", "prime_bits", "seed", "session")
 _PARTY_FIELDS = ("victim", "second_victim", "replay_member", "tamper_target")
 _GROUP_FIELDS = ("group", "observed_group", "fake_group", "second_fake_group")
@@ -141,10 +135,11 @@ class ScenarioConfig:
             raise ConfigError("prime_bits below 16 is not supported")
         if self.session < 1:
             raise ConfigError("session indices start at 1")
-        if self.scheme == XIA_TAG and self.session > self.ell:
+        indexed = SCHEMES[self.scheme].per_session_generators
+        if indexed and self.session > self.ell:
             raise ConfigError("session %d exceeds the %d issued session "
                               "indices" % (self.session, self.ell))
-        if self.scheme == HARN_TAG and self.scenario in (
+        if not indexed and self.scenario in (
                 SCENARIO_SIMULTANEOUS, SCENARIO_TWO_VICTIMS):
             raise ConfigError(
                 "scenario %r needs per-session generators and is specific "
@@ -230,8 +225,9 @@ class ScenarioConfig:
             raise ConfigError("second_victim/second_fake_group only apply "
                               "to the two-victim scenario")
         if self.replay_member is not None:
-            if self.scheme != XIA_TAG or self.scenario not in (
-                    SCENARIO_IMPERSONATION, SCENARIO_SIMULTANEOUS):
+            if not (SCHEMES[self.scheme].per_session_generators
+                    and self.scenario in (SCENARIO_IMPERSONATION,
+                                          SCENARIO_SIMULTANEOUS)):
                 raise ConfigError("replay_member only applies to single-"
                                   "victim masked-product attacks")
             usable = set(self.observed_group) & (
@@ -291,20 +287,11 @@ class ScenarioConfig:
 
     # -- derived facts ---------------------------------------------------------
 
-    def fake_session(self) -> int:
-        """Session id the victim is lured into."""
-        if self.scheme == HARN_TAG:
-            return self.session + 1  # a fresh run id
-        return self.session  # same index: that is what makes it work
-
     def victims(self) -> tuple:
         if self.scenario == SCENARIO_TAMPER:
             return (self.victim,)
         if self.scenario in ATTACK_SCENARIOS:
-            out = [self.victim]
-            if self.second_victim is not None:
-                out.append(self.second_victim)
-            return tuple(out)
+            return tuple(victim for _, victim in self._plans_raw())
         return ()
 
 
@@ -331,36 +318,32 @@ def load_config(path: Path, seed=None, prime_bits=None) -> ScenarioConfig:
 class TamperScript:
     """Owns one blocked link and forwards it, corrupting the token round.
 
-    The victim sees a token nudged off the true value (sum: +1; product:
-    multiplied by the session generator so it stays inside the subgroup);
-    everyone else sees the genuine broadcast.
+    The victim sees a token nudged off the true value by the scheme's
+    `nudge`; everyone else sees the genuine broadcast.
     """
 
-    def __init__(self, scheme: str, session: int, target: int, victim: int,
-                 modulus: int, generator=None):
-        self.scheme = scheme
+    def __init__(self, scheme, material, session: int, target: int,
+                 victim: int):
+        self.scheme = scheme  # the scheme's class (parties.SCHEMES)
+        self.material = material
         self.session = session
         self.target = target
         self.victim = victim
-        self.modulus = modulus
-        self.generator = generator
+        self.modulus = scheme.modulus_of(material)
 
     def on_start(self, api: AdversaryAPI) -> None:
         pass
 
     def on_tap(self, envelope: Envelope, api: AdversaryAPI) -> None:
-        if envelope.claimed_sender != self.target:
-            return
-        if envelope.session != (self.scheme, self.session):
+        if (envelope.claimed_sender != self.target
+                or envelope.session != (self.scheme.scheme, self.session)):
             return
         payload = envelope.payload
         if envelope.round == ROUND_TOKEN:
             value = decode_residue_hex(payload, self.modulus)
-            if self.generator is None:
-                value = (value + 1) % self.modulus
-            else:
-                value = value * self.generator.value % self.modulus
-            payload = encode_residue_hex(value, self.modulus)
+            payload = encode_residue_hex(
+                self.scheme.nudge(self.material, self.session, value),
+                self.modulus)
         api.inject(
             Envelope(claimed_sender=self.target, session=envelope.session,
                      round=envelope.round, payload=payload),
@@ -379,63 +362,36 @@ def derive_material(config: ScenarioConfig) -> tuple:
     A run and its audit derive from one config object, and the dealer's
     prime search is most of an audit's cost, so the last derivation is
     kept for the object it came from and reused while that object's
-    values are unchanged. Only frozen parts are shared: the credential
-    list is new, and each `XiaParams` (with its decode memo) and
-    `XiaCredential` (with its session ledger) is rebuilt, so the audit
-    still checks every wire value itself. The key is the object, not
-    its values, so a new config derives afresh and the work per scenario
-    does not depend on what ran before it; the memo holds one material.
+    values are unchanged. Only frozen parts are shared: the scheme's
+    `fresh_copy` rebuilds each part with per-world state (`XiaParams`
+    with its decode memo, `XiaCredential` with its session ledger), so
+    the audit still checks every wire value itself. The key is the
+    object, not its values, so a new config derives afresh and the work
+    per scenario does not depend on what ran before it; the memo holds
+    one material.
     """
     global _last_derived
+    scheme = SCHEMES[config.scheme]
     if _last_derived is not None:
         ref, values, (public, credentials, secret) = _last_derived
         if ref() is config and values == config.to_json():
-            if config.scheme == HARN_TAG:
-                return public, list(credentials), secret
-            return (replace(public),
-                    [XiaCredential(c.owner, c.share) for c in credentials],
-                    secret)
-    if config.scheme == HARN_TAG:
-        material = harn_gm_init(config.n, config.t,
-                                prime_bits=config.prime_bits,
-                                rng_seed=config.seed)
-    else:
-        material = xia_gm_init(config.n, config.t, ell=config.ell,
-                               prime_bits=config.prime_bits,
-                               rng_seed=config.seed)
+            return (*scheme.fresh_copy(public, credentials), secret)
+    material = scheme.issue(config)
     _last_derived = (weakref.ref(config), config.to_json(), material)
     return material
 
 
-def _modulus(config: ScenarioConfig, material) -> int:
-    if config.scheme == HARN_TAG:
-        return material.params.prime
-    return material.group.p
-
-
 def _run_attack(config: ScenarioConfig, material, credentials) -> tuple:
-    if config.scheme == HARN_TAG:
-        transcript, outcome = run_harn_impersonation(
-            material, credentials, observed_group=config.observed_group,
-            fake_group=config.fake_group, victim=config.victim,
-            seed=config.seed, observed_run=config.session,
-            fake_run=config.fake_session(),
-        )
-        return transcript, [outcome]
-    plans = [VictimPlan(victim=config.victim, fake_group=config.fake_group,
-                        session=config.session,
-                        replay_member=config.replay_member)]
-    if config.scenario == SCENARIO_TWO_VICTIMS:
-        plans.append(VictimPlan(victim=config.second_victim,
-                                fake_group=config.second_fake_group,
-                                session=config.session))
-    mode = (MODE_TWO_STAGE if config.scenario == SCENARIO_IMPERSONATION
+    binding = BINDINGS[SCHEMES[config.scheme]]
+    # replay_member is only valid with a single victim
+    plans = [VictimPlan(victim, fake, binding.fake_session(config.session),
+                        config.replay_member)
+             for fake, victim in config._plans_raw()]
+    mode = (binding.impersonation_mode
+            if config.scenario == SCENARIO_IMPERSONATION
             else MODE_SIMULTANEOUS)
-    return run_xia_attack(
-        material, credentials, observed_group=config.observed_group,
-        plans=plans, seed=config.seed, observed_session=config.session,
-        mode=mode,
-    )
+    return run_attack(binding, material, credentials, config.observed_group,
+                      plans, config.seed, config.session, mode)
 
 
 def expected_forged_count(config: ScenarioConfig) -> int:
@@ -527,36 +483,24 @@ def scenario_checks(config: ScenarioConfig, transcript: Transcript,
 
 def run_scenario(config: ScenarioConfig) -> tuple:
     """Simulate the configured scenario; returns (transcript, report)."""
+    scheme = SCHEMES[config.scheme]
     material, credentials, _ = derive_material(config)
     outcomes = []
     if config.scenario in ATTACK_SCENARIOS:
         transcript, outcomes = _run_attack(config, material, credentials)
-    elif config.scenario == SCENARIO_TAMPER:
-        generator = None
-        if config.scheme == XIA_TAG:
-            generator = material.generator_for(config.session)
-        transcript = run_world(
-            material, credentials, config.seed, config.group, config.session,
-            AdversaryPolicy(blocked_links={(config.tamper_target,
-                                            config.victim)}),
-            TamperScript(config.scheme, config.session, config.tamper_target,
-                         config.victim, _modulus(config, material), generator),
-        )
     else:
-        transcript = run_world(material, credentials, config.seed,
-                               config.group, config.session)
+        policy = script = None
+        if config.scenario == SCENARIO_TAMPER:
+            policy = AdversaryPolicy(blocked_links={(config.tamper_target,
+                                                     config.victim)})
+            script = TamperScript(scheme, material, config.session,
+                                  config.tamper_target, config.victim)
+        transcript = run_world(scheme, material, credentials, config.seed,
+                               config.group, config.session, policy, script)
     checks = scenario_checks(config, transcript, outcomes)
-    material_facts = {
-        "modulus_hex": format(_modulus(config, material), "x"),
-        "parties": config.n,
-        "threshold": config.t,
-    }
-    if config.scheme == XIA_TAG:
-        material_facts["subgroup_order_hex"] = format(material.group.q, "x")
-        material_facts["session_indices"] = config.ell
     report = {
         "config": config.to_json(),
-        "material": material_facts,
+        "material": scheme.material_facts(material),
         "counts": {
             "envelopes": len(transcript.envelopes()),
             "forged": len(transcript.forged()),
@@ -606,19 +550,21 @@ def audit_transcript(transcript: Transcript,
     """Recompute every recorded decision and the adversary bookkeeping.
 
     Each party's inbox (what was delivered to it, plus what it broadcast
-    itself, in transcript order) is fed to the replay form of the same
-    party class that ran live, and the decisions it reaches must equal
-    the recorded ones. Raises AuditFailure on the first inconsistency
-    between the wire data and the recorded decisions, on a party id
-    outside 1..n (as recipient, genuine sender or decider), on a seq that
-    is not the record's 1-based position, on an envelope whose true
-    origin is neither the adversary nor its claimed sender, or on
-    adversary activity that does not match the configured scenario.
+    itself, its invitations as `SentInvitation`s, in transcript order) is
+    fed to the replay form of the same party class that ran live, and
+    the decisions it reaches must equal the recorded ones. Raises
+    AuditFailure on the first inconsistency between the wire data and
+    the recorded decisions, on a party id outside 1..n (as recipient,
+    genuine sender or decider), on a seq that is not the record's 1-based
+    position, on an envelope whose true origin is neither the adversary
+    nor its claimed sender, or on adversary activity that does not match
+    the configured scenario.
     """
     for position, record in enumerate(transcript.records, 1):
         if record["seq"] != position:
             raise AuditFailure("record %d carries seq %d"
                                % (position, record["seq"]))
+    scheme = SCHEMES[config.scheme]
     material, _, _ = derive_material(config)
     inboxes = {pid: [] for pid in range(1, config.n + 1)}
     recorded = {pid: {} for pid in inboxes}
@@ -639,9 +585,11 @@ def audit_transcript(transcript: Transcript,
         if origin not in inboxes:
             raise AuditFailure("envelope %d sent by unknown party %d"
                                % (record["seq"], origin))
-        inboxes[origin].append(envelope)
         recorded[origin].setdefault((envelope.session, envelope.round),
-                                    envelope.payload)
+                                    []).append(envelope.payload)
+        if envelope.round == ROUND_INVITATION:
+            envelope = SentInvitation(**vars(envelope))
+        inboxes[origin].append(envelope)
     decided = {pid: [] for pid in inboxes}
     for record in transcript.decisions():
         if record["party"] not in decided:
@@ -654,7 +602,7 @@ def audit_transcript(transcript: Transcript,
     problems = []
     replayed_total = 0
     for pid, inbox in inboxes.items():
-        party = replay_party(material, pid, recorded[pid])
+        party = scheme(pid, None, material, recorded=recorded[pid])
         api = _ReplayAPI()
         for envelope in inbox:
             party.on_envelope(envelope, api)
@@ -694,11 +642,12 @@ def audit_transcript(transcript: Transcript,
 def _claimed_members_silent(transcript: Transcript,
                             config: ScenarioConfig) -> bool:
     """No fabricated member genuinely addressed its victim in-session."""
-    fake_session = config.fake_session()
+    binding = BINDINGS[SCHEMES[config.scheme]]
+    fake_session = (config.scheme, binding.fake_session(config.session))
     for fake, victim in config._plans_raw():
         impersonated = set(fake) - {victim}
         for record in transcript.envelopes():
-            if tuple(record["session"]) != (config.scheme, fake_session):
+            if tuple(record["session"]) != fake_session:
                 continue
             if record["true_origin"] != record["claimed_sender"]:
                 continue

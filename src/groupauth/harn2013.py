@@ -12,8 +12,9 @@ published H(s), so the scheme is one-time: a completed run reveals s.
 Arithmetic is mod a public prime chosen at issuance time; participant
 identifiers are the field elements 1..n. The dealer's material is held
 in FieldElements, while tokens, the aggregate and the check run on plain
-ints. This module holds only that math: the protocol around it (the
-invitation, who must have spoken, the quorum rule) is `parties.Party`'s.
+ints. This module holds only that math and the wire decode: the protocol
+around it (the invitation, who must have spoken, the quorum rule) is
+`parties.Party`'s.
 """
 
 import random
@@ -23,50 +24,36 @@ from math import ceil
 from .algebra import (
     FieldElement,
     Polynomial,
+    ThresholdParams,
     lagrange_coefficient,
     poly_eval,
     random_prime,
     residue_digest,
 )
-from .errors import InvalidThreshold, NotAMember
+from .channel import decode_residue_hex
+from .errors import GroupAuthError, InvalidThreshold
 
 SCHEME_TAG = "harn2013"
 
 
 @dataclass(frozen=True)
-class HarnParams:
+class HarnParams(ThresholdParams):
     """Public issuance parameters."""
 
-    n: int
-    t: int
     k: int
     prime: int
-    identifiers: tuple  # FieldElement per participant, value i for party i
-    _by_id: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 2 <= self.t <= self.n:
-            raise InvalidThreshold("need 2 <= t <= n")
+        super().__post_init__()
         if self.k * self.t <= self.n - 1:
             raise InvalidThreshold("need k*t > n-1 to stop share pooling")
-        values = [x.value for x in self.identifiers]
-        if len(values) != self.n or len(set(values)) != self.n or 0 in values:
-            raise ValueError("identifiers must be n distinct non-zero residues")
-        by_id = {x.value: x for x in self.identifiers}
-        object.__setattr__(self, "_by_id", by_id)
 
-    def identifier(self, party_id: int) -> FieldElement:
-        """Field element for a 1-based party id."""
+    def decode(self, payload: str) -> int | None:
+        """Wire token -> residue mod the prime, or None if malformed."""
         try:
-            return self._by_id[party_id]
-        except KeyError:
-            raise NotAMember(
-                "no participant with identifier %d" % party_id
-            ) from None
-
-    def all_members(self, party_ids) -> bool:
-        """Whether every id in `party_ids` names a participant."""
-        return self._by_id.keys() >= set(party_ids)
+            return decode_residue_hex(payload, self.prime)
+        except GroupAuthError:
+            return None
 
 
 # point sets whose token numerators one bundle remembers; see

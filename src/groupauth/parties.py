@@ -1,5 +1,5 @@
-"""Honest participants: one round engine for both schemes, and the world
-runner.
+"""Honest participants: one round engine, one class per scheme, and the
+world runner.
 
 Parties are event handlers: the simulator calls on_envelope for every
 delivery, and the party reacts by broadcasting or by recording a
@@ -12,23 +12,25 @@ token-sum: a token) and decides once it holds a token from every member
 of its view. `Party` is the only copy of that protocol: it keeps each
 session's per-round {sender: value} maps (values are plain ints, the
 party's own included), applies the membership and quorum rules, and
-turns the scheme's aggregate check into the decision. `HarnParty` and
-`XiaParty` supply only the scheme steps, which call the plain-int math
-of `harn2013` and `xia2019`. Envelopes for unknown sessions or for
-another round than the one in progress, senders outside the view,
-duplicates and malformed payloads are ignored rather than treated as
-fatal.
+turns the scheme's aggregate check into the decision. Envelopes for
+unknown sessions or for another round than the one in progress, senders
+outside the view, duplicates and malformed payloads are ignored rather
+than treated as fatal.
+
+`HarnParty` and `XiaParty` are the two schemes (see `Party` for what a
+scheme class answers), and `SCHEMES` maps each wire tag to its class.
 
 The replay form, which the transcript audit feeds a recorded inbox,
-holds no credential and broadcasts nothing: its own contribution to a
-round is the payload it first broadcast genuinely in that round, passed
-through the same decode step as a peer's (if missing or invalid, the
-party never contributes). Everything else, the quorum rule included, is
-the live code path.
+holds no credential and broadcasts nothing: each time it enters a
+round, its own contribution is the next payload it broadcast genuinely
+in that round, passed through the same decode step as a peer's (if
+missing or invalid, the party never contributes), and an invitation it
+broadcast genuinely (a `SentInvitation`) is replayed as the `initiate`
+that sent it. Everything else, the quorum rule and the session ledger
+included, is the live code path.
 """
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .algebra import derive_rng
 from .channel import (
@@ -44,24 +46,26 @@ from .channel import (
     ROUND_TOKEN,
     Transcript,
     decode_json_hex,
-    decode_residue_hex,
     encode_json_hex,
     encode_residue_hex,
 )
 from .errors import GroupAuthError, NotAMember, SessionExhausted
 from .harn2013 import (
     SCHEME_TAG as HARN_TAG,
-    HarnCredential,
     HarnPublicBundle,
+    harn_aggregate,
     harn_compute_token,
+    harn_gm_init,
     harn_verify,
 )
 from .xia2019 import (
     SCHEME_TAG as XIA_TAG,
     XiaCredential,
     XiaParams,
+    xia_aggregate,
     xia_commit,
     xia_compute_token,
+    xia_gm_init,
     xia_verify,
 )
 
@@ -94,6 +98,12 @@ def parse_invitation(envelope: Envelope) -> tuple:
     return group_ids, session
 
 
+@dataclass(frozen=True)
+class SentInvitation(Envelope):
+    """An invitation as the party it is handed to broadcast it genuinely:
+    the audit gives the replay form its own invitations in this type."""
+
+
 @dataclass
 class _Session:
     """One party's state in one session."""
@@ -111,36 +121,70 @@ class _Session:
 class Party:
     """Honest participant: the round engine both schemes share.
 
-    A subclass sets `scheme` (its session tag) and `rounds` (the rounds
-    after the invitation, the token round last) and supplies the scheme
-    steps `decode` (wire payload -> int or None), `_contribute` (this
-    party's own int for a round) and `_verify` (the aggregate check on
-    the token round's ints), plus `_admits` and `_open` if it narrows
-    admission or keeps a session ledger. The engine owns the scheme-tag
-    filter, membership, invitation admission, per-session state,
-    first-wins intake, round completion, the quorum rule before the
-    token round, the replay form and decision recording.
+    A subclass is one scheme. It sets `scheme` (its session tag), `rounds`
+    (the rounds after the invitation, the token round last) and
+    `per_session_generators` (whether sessions are the dealer's one-time
+    indices 1..ell, each with its own generator), and supplies the scheme
+    steps `_contribute` (this party's own int for a round) and `_verify`
+    (the aggregate check on the token round's ints), plus `_admits` and
+    `_open` if it narrows admission or keeps a session ledger; its
+    parameters' `decode` (wire payload -> int or None) is the boundary
+    check. At class level it answers for its public `material`:
+    `issue(config)` (the dealer run: material, credentials, secret),
+    `modulus_of` (of every residue on the wire), `aggregate(values,
+    modulus)` (what the digest check binds), `nudge(material, session,
+    value)` (a token moved off its value, still well-formed) and, where
+    the defaults below do not fit, `participants`, `fresh_copy` and
+    `material_facts`. The engine owns the scheme-tag filter, membership,
+    invitation admission, per-session state, first-wins intake, round
+    completion, the quorum rule before the token round, the replay form
+    and decision recording.
 
-    Passing `recorded`, a map from (session, round) to the payload this
-    party first broadcast genuinely, gives the replay form (module doc).
+    `rng` is the nonce source of a scheme that draws nonces. Passing
+    `recorded`, a map from (session, round) to the list of payloads this
+    party broadcast genuinely in it, in order, gives the replay form
+    (module doc), which takes them off the front as it enters rounds.
     """
 
     scheme = None
     rounds = ()
+    per_session_generators = False
 
-    def __init__(self, party_id: int, credential, params, modulus: int,
-                 recorded: dict | None):
+    def __init__(self, party_id: int, credential, material, rng=None,
+                 recorded: dict | None = None):
         self.party_id = party_id
         self.credential = credential
-        self.params = params  # the scheme's public parameters
-        self.modulus = modulus  # of every residue this party broadcasts
+        self.material = material
+        self.params = self.participants(material)
+        self.decode = self.params.decode  # wire payload -> int or None
+        self.modulus = self.modulus_of(material)
+        self.rng = rng
         self.recorded = recorded
         self.sessions = {}
 
+    @staticmethod
+    def participants(material):
+        """The material's `ThresholdParams`."""
+        return material
+
+    @staticmethod
+    def fresh_copy(material, credentials) -> tuple:
+        """(material, credentials) for another world of the same dealer
+        run: new copies of whatever keeps per-world state."""
+        return material, list(credentials)
+
+    @classmethod
+    def material_facts(cls, material) -> dict:
+        """The report's facts about the public material."""
+        params = cls.participants(material)
+        return {"modulus_hex": format(cls.modulus_of(material), "x"),
+                "parties": params.n, "threshold": params.t}
+
+    # -- the round engine ---------------------------------------------------
+
     def initiate(self, group_ids, session_id: int, api: PartyAPI) -> None:
         view = tuple(sorted(group_ids))
-        if (self.party_id not in view or len(set(view)) != len(view)
-                or not self.params.all_members(view)):
+        if len(set(view)) != len(view) or not self._member_of(view):
             raise NotAMember("party %d cannot initiate group %s"
                              % (self.party_id, list(view)))
         api.broadcast(invitation_envelope(self.scheme, self.party_id,
@@ -148,16 +192,20 @@ class Party:
         self._join(view, session_id, api)
 
     def on_envelope(self, envelope: Envelope, api: PartyAPI) -> None:
+        """Take one delivery. In the replay form, a `SentInvitation` is
+        replayed as the `initiate` that sent it, which claims its session
+        even if one is open (as live)."""
         scheme, session_id = envelope.session
         if scheme != self.scheme:
             return
         if envelope.round == ROUND_INVITATION:
             parsed = parse_invitation(envelope)
-            if parsed is None or session_id in self.sessions:
+            if parsed is None or not self._member_of(parsed[0]):
                 return
-            view = parsed[0]
-            if self.party_id in view and self._admits(view, session_id):
-                self._join(view, session_id, api)
+            if isinstance(envelope, SentInvitation) or (
+                    session_id not in self.sessions
+                    and self._admits(session_id)):
+                self._join(parsed[0], session_id, api)
             return
         session = self.sessions.get(session_id)
         if session is None or envelope.round != session.round:
@@ -174,6 +222,10 @@ class Party:
             return
         received[sender] = value
         self._advance(session, api)
+
+    def _member_of(self, view: tuple) -> bool:
+        """Whether `view` names this party and only participants."""
+        return self.party_id in view and self.params.all_members(view)
 
     def _join(self, view: tuple, session_id: int, api: PartyAPI) -> None:
         session = _Session((self.scheme, session_id), view)
@@ -202,8 +254,8 @@ class Party:
                 round=round_, payload=encode_residue_hex(value, self.modulus),
             ))
         else:
-            payload = self.recorded.get((session.key, round_))
-            value = None if payload is None else self.decode(payload)
+            payloads = self.recorded.get((session.key, round_))
+            value = self.decode(payloads.pop(0)) if payloads else None
         if value is not None:
             received[self.party_id] = value
         self._advance(session, api)
@@ -229,9 +281,9 @@ class Party:
         session.round = None  # takes nothing more
         api.decide(session.key, belief)
 
-    def _admits(self, view: tuple, session_id: int) -> bool:
-        """Whether an invitation naming this party may open a session."""
-        return self.params.all_members(view)
+    def _admits(self, session_id: int) -> bool:
+        """Whether an invitation to a session not yet seen may open it."""
+        return True
 
     def _open(self, session_id: int) -> None:
         """Claim a new session; raises SessionExhausted if it may not
@@ -239,8 +291,8 @@ class Party:
 
 
 class HarnParty(Party):
-    """Honest participant for the token-sum scheme: invitation -> token;
-    all tokens in -> verify the sum."""
+    """The token-sum scheme: invitation -> token; all tokens in -> verify
+    the sum. The tamper nudge adds one."""
 
     scheme = HARN_TAG
     rounds = (ROUND_TOKEN,)
@@ -248,61 +300,90 @@ class HarnParty(Party):
     # __dict__, so both classes keep this entry until it wraps Party's.
     on_envelope = Party.on_envelope
 
-    def __init__(self, party_id: int, credential: HarnCredential | None,
-                 bundle: HarnPublicBundle, recorded: dict | None = None):
-        super().__init__(party_id, credential, bundle.params,
-                         bundle.params.prime, recorded)
-        self.bundle = bundle
+    @staticmethod
+    def issue(config) -> tuple:
+        return harn_gm_init(config.n, config.t, prime_bits=config.prime_bits,
+                            rng_seed=config.seed)
 
-    def decode(self, payload: str):
-        """Wire token -> residue mod the prime, or None if malformed."""
-        try:
-            return decode_residue_hex(payload, self.modulus)
-        except GroupAuthError:
-            return None
+    @staticmethod
+    def participants(material: HarnPublicBundle):
+        return material.params
+
+    @staticmethod
+    def modulus_of(material: HarnPublicBundle) -> int:
+        return material.params.prime
+
+    aggregate = staticmethod(harn_aggregate)
+
+    @staticmethod
+    def nudge(material: HarnPublicBundle, session: int, value: int) -> int:
+        return (value + 1) % material.params.prime
 
     def _contribute(self, session: _Session, round_: str) -> int:
-        return harn_compute_token(self.credential, self.bundle, session.view)
+        return harn_compute_token(self.credential, self.material,
+                                  session.view)
 
     def _verify(self, session: _Session, tokens) -> bool:
-        return harn_verify(tokens, self.bundle)
+        return harn_verify(tokens, self.material)
 
 
 class XiaParty(Party):
-    """Honest participant for the masked-product scheme.
+    """The masked-product scheme.
 
     Invitation -> commit; all commitments in -> token; all tokens in ->
-    verify. The nonce source is a party-local seeded rng so channel runs
-    are reproducible; each session's nonce sits in its `state` slot
-    until the token round uses it.
+    verify the product. The nonce source is a party-local seeded rng so
+    channel runs are reproducible; each session's nonce sits in its
+    `state` slot until the token round uses it. The tamper nudge
+    multiplies by the session's generator, so the token stays in the
+    subgroup.
     """
 
     scheme = XIA_TAG
     rounds = (ROUND_COMMITMENT, ROUND_TOKEN)
+    per_session_generators = True
     # kept for the benchmark's tracer, as in HarnParty
     on_envelope = Party.on_envelope
 
-    def __init__(self, party_id: int, credential: XiaCredential | None,
-                 params: XiaParams, rng: random.Random | None,
-                 recorded: dict | None = None):
-        super().__init__(party_id, credential, params, params.group.p,
-                         recorded)
-        self.rng = rng
+    @staticmethod
+    def issue(config) -> tuple:
+        return xia_gm_init(config.n, config.t, ell=config.ell,
+                           prime_bits=config.prime_bits, rng_seed=config.seed)
 
-    def decode(self, payload: str):
-        """Wire value -> subgroup element as an int, or None if
-        malformed."""
-        return self.params.decode(payload)
+    @staticmethod
+    def fresh_copy(material: XiaParams, credentials) -> tuple:
+        # a new decode memo, and empty session ledgers
+        return (replace(material),
+                [XiaCredential(c.owner, c.share) for c in credentials])
 
-    def _admits(self, view: tuple, session_id: int) -> bool:
-        return (super()._admits(view, session_id)
-                and 1 <= session_id <= self.params.ell)
+    @staticmethod
+    def modulus_of(material: XiaParams) -> int:
+        return material.group.p
+
+    aggregate = staticmethod(xia_aggregate)
+
+    @staticmethod
+    def nudge(material: XiaParams, session: int, value: int) -> int:
+        return value * material.generator_for(session).value \
+            % material.group.p
+
+    @classmethod
+    def material_facts(cls, material: XiaParams) -> dict:
+        return {**super().material_facts(material),
+                "subgroup_order_hex": format(material.group.q, "x"),
+                "session_indices": material.ell}
+
+    def _admits(self, session_id: int) -> bool:
+        return 1 <= session_id <= self.params.ell
 
     def _open(self, session_id: int) -> None:
-        # the credential's ledger raises SessionExhausted on reuse; the
-        # replay form has none
+        # the credential's ledger refuses an index out of range or reused;
+        # the replay form has none and checks the sessions it opened, the
+        # same set for a world started with fresh credentials
         if self.recorded is None:
             self.credential.start_session(session_id, self.params)
+        elif session_id in self.sessions or not self._admits(session_id):
+            raise SessionExhausted("session %d reused or out of range"
+                                   % session_id)
 
     def _contribute(self, session: _Session, round_: str) -> int:
         session_id = session.key[1]
@@ -318,26 +399,24 @@ class XiaParty(Party):
         return xia_verify(tokens, session.key[1], self.params)
 
 
-def _party(material, party_id: int, credential, rng, recorded=None):
-    if isinstance(material, HarnPublicBundle):
-        return HarnParty(party_id, credential, material, recorded)
-    return XiaParty(party_id, credential, material, rng, recorded)
+# wire tag -> the class that is that scheme
+SCHEMES = {party.scheme: party for party in (HarnParty, XiaParty)}
 
 
-def run_world(material, credentials, seed: int, group, session: int,
-              policy=None, script=None) -> Transcript:
+def run_world(scheme, material, credentials, seed: int, group,
+              session: int, policy=None, script=None) -> Transcript:
     """Build one simulated world and run it to quiescence.
 
-    One live honest party per credential (`material` is the scheme's
-    public bundle or params) and the optional adversary `script` share a
-    channel with `policy`. The smallest member of `group` invites it into
-    `session`, then the script starts, then the queue drains.
+    One live honest party of class `scheme` per credential (`material` is
+    the scheme's public material) and the optional adversary `script`
+    share a channel with `policy`. The smallest member of `group` invites
+    it into `session`, then the script starts, then the queue drains.
     """
     sim = ChannelSimulator(policy=policy)
     members = {}
     for credential in credentials:
         pid = credential.owner.value
-        party = _party(material, pid, credential,
+        party = scheme(pid, credential, material,
                        derive_rng(seed, "party", pid))
         members[pid] = (party, sim.register(party))
     if script is not None:
@@ -347,8 +426,3 @@ def run_world(material, credentials, seed: int, group, session: int,
     if script is not None:
         script.on_start(adversary_api)
     return sim.run_until_quiescent()
-
-
-def replay_party(material, party_id: int, recorded: dict):
-    """The replay form of party `party_id` (module doc)."""
-    return _party(material, party_id, None, None, recorded)

@@ -30,6 +30,7 @@ from .algebra import (
     FieldElement,
     GroupElement,
     Polynomial,
+    ThresholdParams,
     derive_seed,
     group_exp,
     group_setup,
@@ -38,18 +39,13 @@ from .algebra import (
     residue_digest,
 )
 from .channel import decode_residue_hex
-from .errors import (
-    GroupAuthError,
-    InvalidThreshold,
-    NotAMember,
-    SessionExhausted,
-)
+from .errors import GroupAuthError, InvalidThreshold, SessionExhausted
 
 SCHEME_TAG = "xia2019"
 
 
 @dataclass(frozen=True)
-class XiaParams:
+class XiaParams(ThresholdParams):
     """Public setup: group, per-session generators, share positions,
     and one verification digest per session index.
 
@@ -61,20 +57,15 @@ class XiaParams:
     remembered, so injected junk cannot grow it.
     """
 
-    n: int
-    t: int
     ell: int
     group: CyclicGroupSpec
     generators: tuple  # ell GroupElements, one per session index
-    identifiers: tuple  # FieldElements mod q, value i for party i
     session_hashes: tuple  # ell digests of (g_sigma)^s
-    _by_id: dict = field(init=False, repr=False, compare=False)
     _decoded: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
 
     def __post_init__(self):
-        if not 2 <= self.t <= self.n:
-            raise InvalidThreshold("need 2 <= t <= n")
+        super().__post_init__()
         if self.ell < 1:
             raise ValueError("need at least one session index")
         if len(self.generators) != self.ell:
@@ -83,11 +74,6 @@ class XiaParams:
             raise ValueError("need one digest per session index")
         if len({g.value for g in self.generators}) != self.ell:
             raise ValueError("generators must be distinct")
-        values = [x.value for x in self.identifiers]
-        if len(values) != self.n or len(set(values)) != self.n or 0 in values:
-            raise ValueError("identifiers must be n distinct non-zero residues")
-        by_id = {x.value: x for x in self.identifiers}
-        object.__setattr__(self, "_by_id", by_id)
 
     def generator_for(self, session: int) -> GroupElement:
         if not 1 <= session <= self.ell:
@@ -95,21 +81,8 @@ class XiaParams:
         return self.generators[session - 1]
 
     def hash_for(self, session: int) -> bytes:
-        if not 1 <= session <= self.ell:
-            raise SessionExhausted("session index %d out of range" % session)
+        self.generator_for(session)  # range check
         return self.session_hashes[session - 1]
-
-    def identifier(self, party_id: int) -> FieldElement:
-        try:
-            return self._by_id[party_id]
-        except KeyError:
-            raise NotAMember(
-                "no participant with identifier %d" % party_id
-            ) from None
-
-    def all_members(self, party_ids) -> bool:
-        """Whether every id in `party_ids` names a participant."""
-        return self._by_id.keys() >= set(party_ids)
 
     def decode(self, payload: str) -> int | None:
         """Wire value -> subgroup element as an int, or None if

@@ -14,10 +14,10 @@ import random
 from groupauth.adversary import (
     MODE_SIMULTANEOUS,
     MODE_TWO_STAGE,
+    HarnImpersonationScript,
     VictimPlan,
     XiaChannelAttack,
-    run_harn_impersonation,
-    run_xia_attack,
+    run_attack,
 )
 from groupauth.algebra import derive_rng, group_exp
 from groupauth.channel import ROUND_TOKEN
@@ -158,9 +158,11 @@ def test_criterion_3_sum_scheme_impersonation():
         bundle, credentials, _ = harn_gm_init(
             n, t, prime_bits=FULL_BITS, rng_seed=1000 + seed
         )
-        transcript, outcome = run_harn_impersonation(
-            bundle, credentials, observed_group=observed, fake_group=fake,
-            victim=victim, seed=seed,
+        transcript, (outcome,) = run_attack(
+            HarnImpersonationScript, bundle, credentials,
+            observed_group=observed,
+            plans=[VictimPlan(victim=victim, fake_group=fake, session=2)],
+            seed=seed, mode=MODE_SIMULTANEOUS,
         )
         assert outcome.victim_belief.accepted
         assert outcome.claimed == frozenset(fake)
@@ -190,8 +192,9 @@ def run_xia_trial(seed, mode):
         n, t, ell=1, prime_bits=FULL_BITS, rng_seed=2000 + seed
     )
     plan = VictimPlan(victim=victim, fake_group=fake, session=1)
-    transcript, outcomes = run_xia_attack(
-        params, credentials, observed_group=observed, plans=[plan],
+    transcript, outcomes = run_attack(
+        XiaChannelAttack, params, credentials,
+        observed_group=observed, plans=[plan],
         seed=seed, observed_session=1, mode=mode,
     )
     return params, secret, observed, victim, fake, transcript, outcomes[0]
@@ -225,8 +228,7 @@ def test_criterion_4_product_scheme_impersonation():
                 )
         assert victim_product == power.value
     script = XiaChannelAttack(
-        group=params.group, generators=params.generators,
-        observed_session=1, observed_group=observed,
+        material=params, observed_session=1, observed_group=observed,
         plans=[VictimPlan(victim=victim, fake_group=fake, session=1)],
         mode=MODE_TWO_STAGE, rng=random.Random(0),
     )
@@ -253,8 +255,9 @@ def test_criterion_5_interleaved_and_two_victim_variants():
             VictimPlan(victim=4, fake_group=(4, 6, 7), session=1),
             VictimPlan(victim=5, fake_group=(5, 6, 8), session=1),
         ]
-        _, outcomes = run_xia_attack(
-            params, credentials, observed_group=observed, plans=plans,
+        _, outcomes = run_attack(
+            XiaChannelAttack, params, credentials,
+            observed_group=observed, plans=plans,
             seed=seed, observed_session=1, mode=MODE_SIMULTANEOUS,
         )
         first, second = outcomes

@@ -18,8 +18,7 @@ from groupauth.adversary import (
     attack_xia_stage1,
     evaluate_attack,
     recompute_observed_aggregate,
-    run_harn_impersonation,
-    run_xia_attack,
+    run_attack,
 )
 from groupauth.algebra import derive_rng, group_exp
 from groupauth.channel import (
@@ -122,9 +121,9 @@ def test_harn_recovery_needs_the_invitation(harn_world):
 def harn_forge(secret, victim_token, fake_group, seed, modulus=10_007):
     """Closing tokens of a token-sum script over `modulus`, victim 4."""
     bundle = SimpleNamespace(params=SimpleNamespace(prime=modulus))
-    script = HarnImpersonationScript(bundle, 1, (1, 2, 3), 2, fake_group, 4,
-                                     random.Random(seed))
     plan = VictimPlan(victim=4, fake_group=fake_group, session=2)
+    script = HarnImpersonationScript(bundle, 1, (1, 2, 3), [plan],
+                                     MODE_SIMULTANEOUS, random.Random(seed))
     return script.closing_tokens(plan, secret, victim_token)
 
 
@@ -175,12 +174,11 @@ def closing_binding(scheme, harn_world, xia_world, rng):
     """(binding of `scheme`, token value for an int, the aggregate)."""
     if scheme == HARN_TAG:
         bundle = harn_world[0]
-        script = HarnImpersonationScript(bundle, 1, (1, 2, 3), 2, (4, 5), 4,
-                                         rng)
+        script = HarnImpersonationScript(bundle, 1, (1, 2, 3), [],
+                                         MODE_SIMULTANEOUS, rng)
         return script, lambda e: e % bundle.params.prime, harn_aggregate
     params = xia_world[0]
-    script = XiaChannelAttack(params.group, params.generators, 1, (1, 2, 3),
-                              [], MODE_TWO_STAGE, rng)
+    script = XiaChannelAttack(params, 1, (1, 2, 3), [], MODE_TWO_STAGE, rng)
     return (script, lambda e: group_exp(params.generator_for(1), e).value,
             xia_aggregate)
 
@@ -212,9 +210,11 @@ def test_closing_tokens_aggregate_to_target(scheme, harn_world, xia_world,
 @pytest.fixture(scope="module")
 def harn_attack(harn_world):
     bundle, credentials, _ = harn_world
-    transcript, outcome = run_harn_impersonation(
-        bundle, credentials, observed_group=(1, 2, 3),
-        fake_group=(4, 5, 6), victim=4, seed=101,
+    plan = VictimPlan(victim=4, fake_group=(4, 5, 6), session=2)
+    transcript, (outcome,) = run_attack(
+        HarnImpersonationScript, bundle, credentials,
+        observed_group=(1, 2, 3), plans=[plan], seed=101,
+        mode=MODE_SIMULTANEOUS,
     )
     return transcript, outcome
 
@@ -278,8 +278,9 @@ def test_harn_attack_closing_tokens_arrive_after_victims(harn_attack):
 def xia_attack(xia_world):
     params, credentials, _ = xia_world
     plan = VictimPlan(victim=4, fake_group=(4, 5, 6), session=1)
-    transcript, outcomes = run_xia_attack(
-        params, fresh(credentials), observed_group=(1, 2, 3), plans=[plan],
+    transcript, outcomes = run_attack(
+        XiaChannelAttack, params, fresh(credentials),
+        observed_group=(1, 2, 3), plans=[plan],
         seed=202, observed_session=1, mode=MODE_TWO_STAGE,
     )
     return transcript, outcomes[0]
@@ -304,8 +305,7 @@ def test_xia_attack_ground_truth_is_victim_alone(xia_attack):
 def test_xia_attack_script_never_holds_a_credential(xia_world):
     params, _, _ = xia_world
     script = XiaChannelAttack(
-        group=params.group, generators=params.generators,
-        observed_session=1, observed_group=(1, 2, 3),
+        material=params, observed_session=1, observed_group=(1, 2, 3),
         plans=[VictimPlan(victim=4, fake_group=(4, 5, 6), session=1)],
         mode=MODE_TWO_STAGE, rng=random.Random(0),
     )
@@ -339,8 +339,9 @@ def test_xia_attack_two_stage_orders_stages(xia_attack):
 def test_xia_attack_simultaneous_interleaves_and_succeeds(xia_world):
     params, credentials, _ = xia_world
     plan = VictimPlan(victim=4, fake_group=(4, 5, 6), session=1)
-    _, outcomes = run_xia_attack(
-        params, fresh(credentials), observed_group=(1, 2, 3), plans=[plan],
+    _, outcomes = run_attack(
+        XiaChannelAttack, params, fresh(credentials),
+        observed_group=(1, 2, 3), plans=[plan],
         seed=303, observed_session=1, mode=MODE_SIMULTANEOUS,
     )
     assert outcomes[0].success
@@ -351,8 +352,9 @@ def test_xia_attack_simultaneous_invites_before_observation_completes(
         xia_world):
     params, credentials, _ = xia_world
     plan = VictimPlan(victim=4, fake_group=(4, 5, 6), session=1)
-    transcript, outcomes = run_xia_attack(
-        params, fresh(credentials), observed_group=(1, 2, 3), plans=[plan],
+    transcript, outcomes = run_attack(
+        XiaChannelAttack, params, fresh(credentials),
+        observed_group=(1, 2, 3), plans=[plan],
         seed=303, observed_session=1, mode=MODE_SIMULTANEOUS,
     )
     assert outcomes[0].success
@@ -373,8 +375,9 @@ def test_xia_attack_replayed_token_reappears_verbatim(xia_world):
     params, credentials, _ = xia_world
     plan = VictimPlan(victim=4, fake_group=(3, 4, 5), session=1,
                       replay_member=3)
-    transcript, outcomes = run_xia_attack(
-        params, fresh(credentials), observed_group=(1, 2, 3), plans=[plan],
+    transcript, outcomes = run_attack(
+        XiaChannelAttack, params, fresh(credentials),
+        observed_group=(1, 2, 3), plans=[plan],
         seed=404, observed_session=1, mode=MODE_TWO_STAGE,
     )
     assert outcomes[0].success
@@ -395,8 +398,9 @@ def test_xia_attack_replayed_token_reappears_verbatim(xia_world):
 def test_xia_attack_fails_across_session_indices(xia_world):
     params, credentials, _ = xia_world
     plan = VictimPlan(victim=4, fake_group=(4, 5, 6), session=2)
-    transcript, outcomes = run_xia_attack(
-        params, fresh(credentials), observed_group=(1, 2, 3), plans=[plan],
+    transcript, outcomes = run_attack(
+        XiaChannelAttack, params, fresh(credentials),
+        observed_group=(1, 2, 3), plans=[plan],
         seed=505, observed_session=1, mode=MODE_TWO_STAGE,
     )
     outcome = outcomes[0]
@@ -423,8 +427,9 @@ def test_xia_two_victims_accept_conflicting_groups():
         VictimPlan(victim=4, fake_group=(4, 6, 7), session=1),
         VictimPlan(victim=5, fake_group=(5, 6, 8), session=1),
     ]
-    transcript, outcomes = run_xia_attack(
-        params, fresh(credentials), observed_group=(1, 2), plans=plans,
+    transcript, outcomes = run_attack(
+        XiaChannelAttack, params, fresh(credentials),
+        observed_group=(1, 2), plans=plans,
         seed=707, observed_session=1, mode=MODE_SIMULTANEOUS,
     )
     beliefs = {o.victim: o for o in outcomes}
@@ -466,16 +471,26 @@ def test_evaluation_rejects_honest_xia_run_as_attack(xia_world):
     assert not outcome.success
 
 
-def test_recompute_aggregate_ignores_forged_traffic(harn_attack, harn_world):
-    transcript, _ = harn_attack
-    bundle, _, secret = harn_world
-    # session 2 saw only one genuine token (the victim's); incomplete
+@pytest.mark.parametrize("scheme", [HARN_TAG, XIA_TAG])
+def test_recompute_aggregate_ignores_forged_traffic(scheme, harn_attack,
+                                                    harn_world, xia_attack,
+                                                    xia_world):
+    if scheme == HARN_TAG:
+        (transcript, _), (bundle, _, secret) = harn_attack, harn_world
+        modulus, fake_session = bundle.params.prime, 2
+        observed = secret.value  # the sum of an accepted run is s
+    else:
+        (transcript, _), (params, _, secret) = xia_attack, xia_world
+        modulus, fake_session = params.group.p, 1
+        observed = group_exp(params.generator_for(1), secret).value
+    # the fake session saw only one genuine token (the victim's); the
+    # forged ones of 5 and 6 do not count, so it is incomplete
     assert recompute_observed_aggregate(
-        transcript, HARN_TAG, 2, (4, 5, 6), bundle.params.prime
+        transcript, scheme, fake_session, (4, 5, 6), modulus
     ) is None
     assert recompute_observed_aggregate(
-        transcript, HARN_TAG, 1, (1, 2, 3), bundle.params.prime
-    ) == secret.value
+        transcript, scheme, 1, (1, 2, 3), modulus
+    ) == observed
 
 
 # ---------------------------------------------------------------------------
@@ -497,15 +512,18 @@ def test_stage_one_recovery_runs_once(scheme, harn_world, xia_world,
     monkeypatch.setattr(adversary, name, counted)
     if scheme == HARN_TAG:
         bundle, credentials, _ = harn_world
-        transcript, outcome = run_harn_impersonation(
-            bundle, credentials, observed_group=(1, 2, 3),
-            fake_group=(4, 5, 6), victim=4, seed=101,
+        plan = VictimPlan(victim=4, fake_group=(4, 5, 6), session=2)
+        transcript, (outcome,) = run_attack(
+            HarnImpersonationScript, bundle, credentials,
+            observed_group=(1, 2, 3), plans=[plan], seed=101,
+            mode=MODE_SIMULTANEOUS,
         )
     else:
         params, credentials, _ = xia_world
         plan = VictimPlan(victim=4, fake_group=(4, 5, 6), session=1)
-        transcript, outcomes = run_xia_attack(
-            params, fresh(credentials), observed_group=(1, 2, 3),
+        transcript, outcomes = run_attack(
+            XiaChannelAttack, params, fresh(credentials),
+            observed_group=(1, 2, 3),
             plans=[plan], seed=202, observed_session=1,
         )
         outcome = outcomes[0]

@@ -5,11 +5,13 @@ import hashlib
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from groupauth import cli
-from groupauth.channel import Transcript, encode_residue_hex
+from groupauth import cli, parties
+from groupauth.algebra import derive_rng
+from groupauth.channel import ChannelSimulator, Transcript, encode_residue_hex
 from groupauth.cli import (
     DEMOS,
     SCENARIO_HONEST,
@@ -29,6 +31,7 @@ from groupauth.cli import (
 )
 from groupauth.errors import AuditFailure, ConfigError
 from groupauth.harn2013 import harn_gm_init
+from groupauth.parties import invitation_envelope
 
 BITS = 64  # keep the suite quick; the CLI default is larger
 
@@ -373,7 +376,7 @@ def test_audit_reuses_the_setup_of_its_config_object(monkeypatch):
         calls.append(args)
         return harn_gm_init(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "harn_gm_init", counting)
+    monkeypatch.setattr(parties, "harn_gm_init", counting)
     config = config_for(seed=62)
     transcript, _ = run_scenario(config)
     audit_transcript(transcript, config)
@@ -384,6 +387,69 @@ def test_audit_reuses_the_setup_of_its_config_object(monkeypatch):
     changed, fresh = derive_material(config), derive_material(config_for())
     assert changed[0] != fresh[0]
     assert len(calls) == 4
+
+
+def reinvited_world(scheme, forge_own_invitation=False):
+    """n=4, t=2, ell=1, seed 36: party 1 runs session 1 with party 2,
+    then initiates session 1 again with party 3 (xia2019: its ledger
+    refuses; harn2013: the run id is opened again). With
+    `forge_own_invitation`, the adversary instead sends party 1 an
+    invitation to session 1 in party 1's own name, which it ignores.
+    Returns (transcript, matching honest config)."""
+    config = config_for(scheme=scheme, n=4, t=2, ell=1, seed=36)
+    party = parties.SCHEMES[scheme]
+    material, creds, _ = party.issue(config)
+    sim = ChannelSimulator()
+    apis = {cred.owner.value: sim.register(party(
+        cred.owner.value, cred, material,
+        derive_rng(36, "party", cred.owner.value))) for cred in creds}
+    adversary = sim.register_adversary(SimpleNamespace(on_tap=lambda e, a: 0))
+    sim._parties[1].initiate([1, 2], 1, apis[1])
+    sim.run_until_quiescent()
+    if forge_own_invitation:
+        adversary.inject(invitation_envelope(scheme, 1, 1, [1, 3]), [1])
+    else:
+        sim._parties[1].initiate([1, 3], 1, apis[1])
+    return sim.run_until_quiescent(), config
+
+
+def test_audit_replays_a_refused_session_reuse():
+    transcript, config = reinvited_world("xia2019")
+    reasons = [(d["party"], d["reason"]) for d in transcript.decisions()]
+    assert reasons == [(1, None), (2, None), (1, "session-exhausted")]
+    assert audit_transcript(transcript, config)["decisions_match_wire"] == 3
+    records = [dict(record) for record in transcript.records]
+    refusal = next(i for i, r in enumerate(records)
+                   if r.get("reason") == "session-exhausted")
+    deleted = records[:refusal] + records[refusal + 1:]
+    for i, record in enumerate(deleted[refusal:], refusal + 1):
+        record["seq"] = i
+    flipped = [dict(r) for r in records]
+    flipped[refusal].update(accepted=True, members=[1, 3], reason=None)
+    for doctored in (deleted, flipped):
+        with pytest.raises(AuditFailure):
+            audit_transcript(Transcript(records=doctored), config)
+
+
+def test_audit_replays_a_reopened_harn_run():
+    """The second run under id 1 replays with party 1's second token,
+    not its first."""
+    transcript, config = reinvited_world("harn2013")
+    decisions = [(d["party"], d["members"]) for d in transcript.decisions()]
+    assert decisions == [(2, [1, 2]), (1, [1, 2]), (3, [1, 3]), (1, [1, 3])]
+    assert audit_transcript(transcript, config)["decisions_match_wire"] == 4
+
+
+def test_audit_ignores_a_forged_invitation_in_a_partys_own_name():
+    transcript, config = reinvited_world("xia2019",
+                                         forge_own_invitation=True)
+    assert sorted(d["party"] for d in transcript.decisions()) == [1, 2]
+    # only the honest profile's forged count fails; the replayed
+    # decisions match, so the forgery was not taken as an `initiate`
+    with pytest.raises(AuditFailure) as failure:
+        audit_transcript(transcript, config)
+    assert "forged" in str(failure.value)
+    assert "decided" not in str(failure.value)
 
 
 def test_audit_rejects_non_member_token_after_live_run():
