@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Recompute the regression vectors pinned inside the test suite.
 
-The suite freezes a handful of derived values (group parameters, setup
-fingerprints, one commitment payload) so that refactors cannot silently
+The suite freezes a handful of derived values (the safe primes in
+conftest.py, group parameters, setup fingerprints, one commitment
+payload, output digests) so that refactors cannot silently
 change observable behaviour. When a deliberate behaviour change is made,
 run this script and update the PINNED_* constants in the tests with the
 values printed here.
@@ -13,7 +14,7 @@ import random
 import tempfile
 from pathlib import Path
 
-from groupauth.algebra import group_setup
+from groupauth.algebra import group_setup, random_safe_prime
 from groupauth.channel import encode_residue_hex
 from groupauth.cli import DEMOS, ScenarioConfig, run_scenario, write_outputs
 from groupauth.harn2013 import harn_gm_init
@@ -101,6 +102,12 @@ def print_digests(constant: str, digests: dict) -> None:
 
 
 def main() -> None:
+    print("# tests/conftest.py: random_safe_prime(bits, Random(bits))")
+    for bits in (128, 256, 512):
+        p, _ = random_safe_prime(bits, random.Random(bits))
+        print("P%d = %d" % (bits, p))
+    print()
+
     print("# tests/test_algebra.py::TestGroupSetup")
     spec, generators = group_setup(64, 3, rng_seed=5)
     print("PINNED_P = %d" % spec.p)

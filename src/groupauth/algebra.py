@@ -15,11 +15,13 @@ here is hardened for production use (no constant-time code, PRNG only).
 import hashlib
 import random
 from dataclasses import dataclass, field
+from math import gcd, prod
 
 import sympy
 
 from .errors import (
     DegenerateShareSet,
+    GroupAuthError,
     InversionOfZero,
     InvalidThreshold,
     ModulusMismatch,
@@ -28,6 +30,8 @@ from .errors import (
 )
 
 _SMALL_PRIMES = tuple(sympy.primerange(3, 1000))
+_SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
+_SMALL_PRIMORIAL = prod(_SMALL_PRIMES)
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +242,24 @@ def _divide_numerators(targets, own: int, den: int, numerators: tuple,
 @dataclass(frozen=True)
 class ThresholdParams:
     """n participants and threshold t, the base of both schemes' public
-    parameters; party i has the share-field identifier of value i."""
+    parameters; party i has the share-field identifier of value i.
+
+    `decode` is the wire boundary: a scheme supplies `_check` (payload ->
+    int, raising GroupAuthError if malformed or out of range), and
+    `decode` runs it once per distinct payload and remembers the
+    accepted value. Every party of
+    one world shares one params object, so a broadcast value is checked
+    once, not once per recipient. The memo lives as long as the params
+    object, which is meant to serve one world; rejected payloads are not
+    remembered, so injected junk cannot grow it.
+    """
 
     n: int
     t: int
     identifiers: tuple  # FieldElement per participant, value i for party i
     _by_id: dict = field(init=False, repr=False, compare=False)
+    _decoded: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         if not 2 <= self.t <= self.n:
@@ -266,17 +282,73 @@ class ThresholdParams:
         """Whether every id in `party_ids` names a participant."""
         return self._by_id.keys() >= set(party_ids)
 
+    def decode(self, payload: str) -> int | None:
+        """Wire value -> int, or None if `_check` rejects it; accepted
+        values are memoized per distinct payload."""
+        try:
+            return self._decoded[payload]
+        except KeyError:
+            pass
+        try:
+            value = self._check(payload)
+        except GroupAuthError:
+            return None
+        self._decoded[payload] = value
+        return value
+
+    def _check(self, payload: str) -> int:
+        """The scheme's validation of one wire payload."""
+        raise NotImplementedError
+
 
 # ---------------------------------------------------------------------------
 # prime generation
 
 
 def _sieved(n: int) -> bool:
-    """Cheap small-prime filter before a full primality test."""
-    for r in _SMALL_PRIMES:
-        if n % r == 0:
-            return n == r
-    return True
+    """Small-prime filter before a full primality test: False when an
+    odd prime below 1000 divides n and is not n itself."""
+    return gcd(n, _SMALL_PRIMORIAL) == 1 or n in _SMALL_PRIME_SET
+
+
+_WHEEL_PRIMES = (3, 5, 7, 11, 13)
+_WHEEL = prod(_WHEEL_PRIMES)  # 15,015
+
+
+def _wheel_sieve() -> bytes:
+    """Byte w is 1 when neither w nor 2w + 1 is divisible by 3, 5, 7, 11
+    or 13; index it with q mod _WHEEL."""
+    table = bytearray(b"\x01") * _WHEEL
+    for r in _WHEEL_PRIMES:
+        # r divides q when q = 0 mod r, and 2q + 1 when q = (r - 1) / 2
+        for residue in (0, (r - 1) // 2):
+            table[residue::r] = bytes(len(range(residue, _WHEEL, r)))
+    return bytes(table)
+
+
+_WHEEL_SIEVE = _wheel_sieve()
+
+
+def _pair_sieved(q: int) -> bool:
+    """`_sieved(q) and _sieved(2q + 1)` for q > 997, cheapest test first:
+    one table lookup rejects about 90% of candidates, then one gcd
+    covers both numbers."""
+    return (_WHEEL_SIEVE[q % _WHEEL] == 1
+            and gcd(q * (2 * q + 1), _SMALL_PRIMORIAL) == 1)
+
+
+def _fermat(n: int) -> bool:
+    """Base-2 Fermat test: true for every odd prime, so it only ever
+    rejects composites."""
+    return pow(2, n - 1, n) == 1
+
+
+# Both searches draw candidates from `rng` in turn and return the first
+# that `sympy.isprime` accepts (q and p both, for a safe prime). The
+# filters in front of it reject only composites, so they set what a
+# search costs, never which prime it finds. A Fermat test in front of a
+# plain prime's `isprime` measured no faster, so only the safe-prime
+# search has one.
 
 
 def random_prime(bits: int, rng: random.Random) -> int:
@@ -294,11 +366,13 @@ def random_safe_prime(bits: int, rng: random.Random) -> tuple:
     if bits < 16:
         raise ValueError("safe prime search below 16 bits is not supported")
     while True:
+        # q has bits - 1 >= 15 bits, so it exceeds 997 as _pair_sieved needs
         q = rng.getrandbits(bits - 1) | (1 << (bits - 2)) | 1
-        p = 2 * q + 1
-        if not (_sieved(q) and _sieved(p)):
+        if not _pair_sieved(q):
             continue
-        if sympy.isprime(q) and sympy.isprime(p):
+        p = 2 * q + 1
+        if (_fermat(q) and _fermat(p)
+                and sympy.isprime(q) and sympy.isprime(p)):
             return p, q
 
 

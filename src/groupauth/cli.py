@@ -363,8 +363,8 @@ def derive_material(config: ScenarioConfig) -> tuple:
     prime search is most of an audit's cost, so the last derivation is
     kept for the object it came from and reused while that object's
     values are unchanged. Only frozen parts are shared: the scheme's
-    `fresh_copy` rebuilds each part with per-world state (`XiaParams`
-    with its decode memo, `XiaCredential` with its session ledger), so
+    `fresh_copy` rebuilds each part with per-world state (the params
+    with their decode memo, `XiaCredential` with its session ledger), so
     the audit still checks every wire value itself. The key is the
     object, not its values, so a new config derives afresh and the work
     per scenario does not depend on what ran before it; the memo holds
@@ -422,10 +422,12 @@ def _forged_profile(config: ScenarioConfig, transcript: Transcript) -> tuple:
 
 
 def _decision_index(transcript: Transcript) -> dict:
+    """(party, session) -> every decision record under that key, in
+    transcript order."""
     index = {}
     for record in transcript.decisions():
         key = (record["party"], tuple(record["session"]))
-        index.setdefault(key, record)
+        index.setdefault(key, []).append(record)
     return index
 
 
@@ -439,13 +441,19 @@ def scenario_checks(config: ScenarioConfig, transcript: Transcript,
     checks["forged_count_matches"] = forged == expected
     checks["forged_confined_to_victims"] = not stray
 
+    def only_decision(pid, key):
+        """The party's decision in the session, or None unless it decided
+        there exactly once."""
+        records = decisions.get((pid, key), ())
+        return records[0] if len(records) == 1 else None
+
     def accepted(pid, key, members) -> bool:
-        record = decisions.get((pid, key))
+        record = only_decision(pid, key)
         return bool(record and record["accepted"]
                     and record["members"] == sorted(members))
 
     def rejected(pid, key, reason) -> bool:
-        record = decisions.get((pid, key))
+        record = only_decision(pid, key)
         return bool(record and not record["accepted"]
                     and record["reason"] == reason)
 
@@ -453,7 +461,9 @@ def scenario_checks(config: ScenarioConfig, transcript: Transcript,
         checks["all_members_accept"] = all(
             accepted(pid, session_key, config.group) for pid in config.group
         )
-        checks["no_extra_decisions"] = len(decisions) == len(config.group)
+        checks["no_extra_decisions"] = sum(
+            len(records) for records in decisions.values()
+        ) == len(config.group)
     elif config.scenario == SCENARIO_QUORUM:
         checks["all_members_reject_quorum"] = all(
             rejected(pid, session_key, REASON_QUORUM) for pid in config.group

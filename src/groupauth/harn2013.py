@@ -31,14 +31,15 @@ from .algebra import (
     residue_digest,
 )
 from .channel import decode_residue_hex
-from .errors import GroupAuthError, InvalidThreshold
+from .errors import InvalidThreshold
 
 SCHEME_TAG = "harn2013"
 
 
 @dataclass(frozen=True)
 class HarnParams(ThresholdParams):
-    """Public issuance parameters."""
+    """Public issuance parameters. A wire value must be a residue mod the
+    prime (see `ThresholdParams.decode`)."""
 
     k: int
     prime: int
@@ -48,12 +49,9 @@ class HarnParams(ThresholdParams):
         if self.k * self.t <= self.n - 1:
             raise InvalidThreshold("need k*t > n-1 to stop share pooling")
 
-    def decode(self, payload: str) -> int | None:
-        """Wire token -> residue mod the prime, or None if malformed."""
-        try:
-            return decode_residue_hex(payload, self.prime)
-        except GroupAuthError:
-            return None
+    def _check(self, payload: str) -> int:
+        """Wire token -> residue mod the prime."""
+        return decode_residue_hex(payload, self.prime)
 
 
 # point sets whose token numerators one bundle remembers; see

@@ -133,12 +133,14 @@ class Party:
     `issue(config)` (the dealer run: material, credentials, secret),
     `modulus_of` (of every residue on the wire), `aggregate(values,
     modulus)` (what the digest check binds), `nudge(material, session,
-    value)` (a token moved off its value, still well-formed) and, where
-    the defaults below do not fit, `participants`, `fresh_copy` and
-    `material_facts`. The engine owns the scheme-tag filter, membership,
-    invitation admission, per-session state, first-wins intake, round
-    completion, the quorum rule before the token round, the replay form
-    and decision recording.
+    value)` (a token moved off its value, still well-formed),
+    `fresh_copy(material, credentials)` (both again for another world of
+    the same dealer run: new copies of whatever keeps per-world state,
+    the params' decode memo included) and, where the defaults below do
+    not fit, `participants` and `material_facts`. The engine owns the
+    scheme-tag filter, membership, invitation admission, per-session
+    state, first-wins intake, round completion, the quorum rule before
+    the token round, the replay form and decision recording.
 
     `rng` is the nonce source of a scheme that draws nonces. Passing
     `recorded`, a map from (session, round) to the list of payloads this
@@ -166,12 +168,6 @@ class Party:
     def participants(material):
         """The material's `ThresholdParams`."""
         return material
-
-    @staticmethod
-    def fresh_copy(material, credentials) -> tuple:
-        """(material, credentials) for another world of the same dealer
-        run: new copies of whatever keeps per-world state."""
-        return material, list(credentials)
 
     @classmethod
     def material_facts(cls, material) -> dict:
@@ -304,6 +300,12 @@ class HarnParty(Party):
     def issue(config) -> tuple:
         return harn_gm_init(config.n, config.t, prime_bits=config.prime_bits,
                             rng_seed=config.seed)
+
+    @staticmethod
+    def fresh_copy(material: HarnPublicBundle, credentials) -> tuple:
+        # a new decode memo (and numerator memo)
+        return (replace(material, params=replace(material.params)),
+                list(credentials))
 
     @staticmethod
     def participants(material: HarnPublicBundle):

@@ -39,7 +39,7 @@ from .algebra import (
     residue_digest,
 )
 from .channel import decode_residue_hex
-from .errors import GroupAuthError, InvalidThreshold, SessionExhausted
+from .errors import InvalidThreshold, SessionExhausted
 
 SCHEME_TAG = "xia2019"
 
@@ -47,22 +47,13 @@ SCHEME_TAG = "xia2019"
 @dataclass(frozen=True)
 class XiaParams(ThresholdParams):
     """Public setup: group, per-session generators, share positions,
-    and one verification digest per session index.
-
-    `decode` is the wire boundary: it validates each distinct payload
-    once and remembers the accepted value. Every party of one world
-    shares one params object, so a broadcast value is checked once, not
-    once per recipient. The memo lives as long as the params object,
-    which is meant to serve one world; rejected payloads are not
-    remembered, so injected junk cannot grow it.
-    """
+    and one verification digest per session index. A wire value must be
+    a member of the order-q subgroup (see `ThresholdParams.decode`)."""
 
     ell: int
     group: CyclicGroupSpec
     generators: tuple  # ell GroupElements, one per session index
     session_hashes: tuple  # ell digests of (g_sigma)^s
-    _decoded: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
 
     def __post_init__(self):
         super().__post_init__()
@@ -84,21 +75,10 @@ class XiaParams(ThresholdParams):
         self.generator_for(session)  # range check
         return self.session_hashes[session - 1]
 
-    def decode(self, payload: str) -> int | None:
-        """Wire value -> subgroup element as an int, or None if
-        malformed; accepted values are memoized per distinct payload."""
-        try:
-            return self._decoded[payload]
-        except KeyError:
-            pass
-        try:
-            value = self.group.element(
-                decode_residue_hex(payload, self.group.p)
-            ).value
-        except GroupAuthError:
-            return None
-        self._decoded[payload] = value
-        return value
+    def _check(self, payload: str) -> int:
+        """Wire value -> subgroup element as an int."""
+        return self.group.element(
+            decode_residue_hex(payload, self.group.p)).value
 
 
 @dataclass

@@ -26,6 +26,8 @@ Q64 = 4_995_170_651_525_545_391
 
 # Larger safe primes p = 2q + 1, fixed so no test has to search for one:
 # random_safe_prime(bits, random.Random(bits)) for bits = 128, 256, 512.
+# test_algebra.py checks P128 and P256 against the search;
+# scripts/regen_vectors.py prints all three.
 P128 = 247882374964466167615874452021369419059
 P256 = int(
     "1097734871254844745214564749674600027660"

@@ -12,12 +12,18 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupauth import algebra
 from groupauth.algebra import (
+    _SMALL_PRIMES,
+    _WHEEL,
     CyclicGroupSpec,
     FieldElement,
     GroupElement,
     Polynomial,
+    _fermat,
     _jacobi,
+    _pair_sieved,
+    _sieved,
     derive_rng,
     derive_seed,
     field_inverse,
@@ -36,7 +42,15 @@ from groupauth.errors import (
     SubgroupViolation,
 )
 
-from conftest import MEDIUM_PRIME, P64, Q64, SAFE_PRIMES, SMALL_PRIME
+from conftest import (
+    MEDIUM_PRIME,
+    P64,
+    P128,
+    P256,
+    Q64,
+    SAFE_PRIMES,
+    SMALL_PRIME,
+)
 
 
 def fe(v, p=SMALL_PRIME):
@@ -496,6 +510,110 @@ class TestGroupSetup:
         p, q = random_safe_prime(32, random.Random(4))
         assert p == 2 * q + 1
         assert p.bit_length() == 32
+
+
+# ---------------------------------------------------------------------------
+# prime search against the plain trial-division search as oracle
+
+
+def oracle_sieved(n):
+    """Trial division by every odd prime below 1000, first factor wins."""
+    for r in _SMALL_PRIMES:
+        if n % r == 0:
+            return n == r
+    return True
+
+
+def oracle_random_prime(bits, rng):
+    while True:
+        candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        if oracle_sieved(candidate) and sympy.isprime(candidate):
+            return candidate
+
+
+def oracle_random_safe_prime(bits, rng):
+    while True:
+        q = rng.getrandbits(bits - 1) | (1 << (bits - 2)) | 1
+        p = 2 * q + 1
+        if not (oracle_sieved(q) and oracle_sieved(p)):
+            continue
+        if sympy.isprime(q) and sympy.isprime(p):
+            return p, q
+
+
+def sized_ints(low_bits, high_bits):
+    """Integers of a drawn bit length, so every size is tried alike."""
+    return st.integers(low_bits, high_bits).flatmap(
+        lambda bits: st.integers(1 << (bits - 1), (1 << bits) - 1))
+
+
+class CountingSympy:
+    """Stands in for `sympy` inside `groupauth.algebra`; counts isprime."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def isprime(self, n):
+        self.calls += 1
+        return sympy.isprime(n)
+
+
+class TestPrimeFilters:
+    def test_small_ints_match_oracle(self):
+        # the n == r rule: a small prime is never rejected as its own factor
+        for n in range(-1000, 998):
+            assert _sieved(n) == oracle_sieved(n), n
+
+    @settings(max_examples=300)
+    @given(sized_ints(16, 512))
+    def test_random_ints_match_oracle(self, n):
+        assert _sieved(n) == oracle_sieved(n)
+
+    @settings(max_examples=300)
+    @given(sized_ints(15, 511))
+    def test_random_pairs_match_oracle(self, q):
+        assert _pair_sieved(q) == (
+            oracle_sieved(q) and oracle_sieved(2 * q + 1))
+
+    def test_every_wheel_residue_matches_oracle(self):
+        for q in range(998, 998 + _WHEEL):
+            assert _pair_sieved(q) == (
+                oracle_sieved(q) and oracle_sieved(2 * q + 1)), q
+
+    def test_fermat_passes_every_odd_prime(self):
+        assert all(_fermat(p) for p in sympy.primerange(3, 20_000))
+        assert not _fermat(91) and _fermat(341)  # 341 = 11 * 31 fools it
+
+
+class TestPrimeSearch:
+    @pytest.mark.parametrize("bits", [8, 9, 10, 16, 17, 24, 32, 64, 128])
+    def test_random_prime_matches_oracle(self, bits):
+        for seed in range(20):
+            assert random_prime(bits, random.Random(seed)) == \
+                oracle_random_prime(bits, random.Random(seed))
+
+    @pytest.mark.parametrize("bits", [16, 17, 24, 32, 64, 128])
+    def test_random_safe_prime_matches_oracle(self, bits):
+        for seed in range(20):
+            assert random_safe_prime(bits, random.Random(seed)) == \
+                oracle_random_safe_prime(bits, random.Random(seed))
+
+    @pytest.mark.parametrize("bits", [8, 9])
+    def test_small_search_returns_a_small_prime(self, bits):
+        # the prime found divides the small-prime product: the n == r rule
+        # lets it through
+        assert random_prime(bits, random.Random(0)) in _SMALL_PRIMES
+
+    @pytest.mark.parametrize("bits, p", [(128, P128), (256, P256)])
+    def test_conftest_safe_primes_are_search_results(self, bits, p):
+        assert random_safe_prime(bits, random.Random(bits)) == (p, p // 2)
+
+    def test_two_isprime_calls_per_safe_prime(self, monkeypatch):
+        counting = CountingSympy()
+        monkeypatch.setattr(algebra, "sympy", counting)
+        for seed in range(10):
+            random_safe_prime(128, random.Random(seed))
+        assert counting.calls == 20  # q and p of each safe prime
 
 
 # ---------------------------------------------------------------------------

@@ -366,6 +366,35 @@ def test_run_and_audit_get_separate_xia_params(monkeypatch):
     assert audit_creds[0].used_sessions == set()
 
 
+def test_run_and_audit_get_separate_harn_params(monkeypatch):
+    """As for xia2019: one dealer run, but the audit gets its own params
+    and with them its own decode memo."""
+    seen, calls = [], []
+
+    def recording(config):
+        material = derive_material(config)
+        seen.append(material)
+        return material
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return harn_gm_init(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "derive_material", recording)
+    monkeypatch.setattr(parties, "harn_gm_init", counting)
+    config = config_for(n=4, t=2, seed=64)
+    transcript, _ = run_scenario(config)
+    audit_transcript(transcript, config)
+    assert len(calls) == 1
+    (run_bundle, run_creds, _), (audit_bundle, audit_creds, _) = seen
+    run_params, audit_params = run_bundle.params, audit_bundle.params
+    assert run_bundle == audit_bundle and run_bundle is not audit_bundle
+    assert run_params == audit_params and run_params is not audit_params
+    assert run_params._decoded is not audit_params._decoded
+    assert run_params._decoded and audit_params._decoded
+    assert run_creds == audit_creds
+
+
 def test_audit_reuses_the_setup_of_its_config_object(monkeypatch):
     """One dealer run serves a run and its audit of one config object;
     an equal new object, or the same object with changed values, derives
@@ -429,6 +458,24 @@ def test_audit_replays_a_refused_session_reuse():
     for doctored in (deleted, flipped):
         with pytest.raises(AuditFailure):
             audit_transcript(Transcript(records=doctored), config)
+
+
+def test_a_second_decision_under_one_key_fails_the_checks():
+    """Party 1 decides twice under one key in the reopened harn run.
+    With party 3's decision left out, the first decisions of parties 1
+    and 2 alone pass the checks for group [1, 2]; the second decision
+    of party 1 must fail them."""
+    transcript, _ = reinvited_world("harn2013")
+    kept = [r for r in transcript.records
+            if r["type"] != "decision" or r["party"] != 3]
+    config = config_for(n=4, t=2, seed=36, group=[1, 2])
+    checks = cli.scenario_checks(config, Transcript(records=kept), [])
+    assert checks["all_members_accept"] is False
+    assert checks["no_extra_decisions"] is False
+    single = [r for r in kept
+              if r["type"] != "decision" or r["members"] == [1, 2]]
+    checks = cli.scenario_checks(config, Transcript(records=single), [])
+    assert checks["all_members_accept"] and checks["no_extra_decisions"]
 
 
 def test_audit_replays_a_reopened_harn_run():

@@ -8,6 +8,7 @@ read from the issuer's polynomials, which are never exposed.
 """
 
 import random
+from dataclasses import replace
 from math import ceil
 
 import pytest
@@ -278,6 +279,40 @@ class TestNumeratorMemo:
                 bundle.params.prime)
         assert list(bundle._numerators) == [
             tuple(g) for g in groups[-NUMERATOR_MEMO_VIEWS:]]
+
+
+class TestDecodeMemo:
+    """`HarnParams.decode` remembers accepted payloads only, and a
+    remembered value is the one a cold decode gives."""
+
+    def test_memo_hit_equals_cold_decode(self):
+        bundle, _, _ = harn_gm_init(5, 2, prime_bits=64, rng_seed=54)
+        params, p = bundle.params, bundle.params.prime
+        payloads = [encode_residue_hex(v, p) for v in (0, 1, 12345, p - 1)]
+        first = [params.decode(x) for x in payloads]
+        assert first == [0, 1, 12345, p - 1]
+        assert params._decoded == dict(zip(payloads, first))
+        assert [params.decode(x) for x in payloads] == first
+        cold = replace(params)
+        assert cold._decoded == {}
+        assert [cold.decode(x) for x in payloads] == first
+
+    def test_rejected_payload_is_rejected_every_time_and_never_stored(self):
+        bundle, _, _ = harn_gm_init(5, 2, prime_bits=64, rng_seed=55)
+        params, p = bundle.params, bundle.params.prime
+        width = len(encode_residue_hex(0, p))
+        bad = [
+            encode_residue_hex(p, p + 1),  # the prime itself: out of range
+            "f" * width,  # canonical width, value >= p
+            "0" * (width - 1),  # too short
+            "0" * (width + 1),  # too long
+            "0" * (width - 1) + "A",  # upper case
+            "0" * (width - 1) + "g",  # not hex
+            "",
+        ]
+        for _ in range(3):
+            assert [params.decode(x) for x in bad] == [None] * len(bad)
+        assert params._decoded == {}
 
 
 class TestVerification:
