@@ -20,7 +20,7 @@ from .adversary import (
     evaluate_attack,
     run_attack,
 )
-from .algebra import CyclicGroupSpec, FieldElement, GroupElement, Polynomial
+from .algebra import CyclicGroupSpec, FieldElement, GroupElement
 from .channel import (
     AdversaryPolicy,
     BeliefState,
@@ -49,7 +49,6 @@ __all__ = [
     "GroupAuthError",
     "GroupElement",
     "HarnParty",
-    "Polynomial",
     "ScenarioConfig",
     "Transcript",
     "VictimPlan",

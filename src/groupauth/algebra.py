@@ -1,11 +1,11 @@
 """Prime-field and prime-order-subgroup arithmetic.
 
-Everything is plain arbitrary-precision int wrapped in small value types:
-FieldElement / Polynomial over Z_p, and GroupElement in the order-q
-subgroup of Z_p* for a safe prime p = 2q + 1. Subgroup membership is
-checked when an int becomes a GroupElement, not on the results of group
-operations, which cannot leave the subgroup; hot loops such as Lagrange
-interpolation run on the ints inside the wrappers.
+The math runs on plain arbitrary-precision ints: polynomial evaluation
+and Lagrange weights mod a prime, and powers in the order-q subgroup of
+Z_p* for a safe prime p = 2q + 1. Two small value types remain:
+FieldElement, a canonical residue that holds the dealer's material, and
+GroupElement, whose constructor checks subgroup membership; powers built
+by `group_exp` skip that check, since they cannot leave the subgroup.
 
 Randomness is simulation-grade: callers pass a seeded random.Random (or a
 seed) so that every derived object is reproducible byte for byte. Nothing
@@ -22,10 +22,7 @@ import sympy
 from .errors import (
     DegenerateShareSet,
     GroupAuthError,
-    InversionOfZero,
     InvalidThreshold,
-    ModulusMismatch,
-    NotAMember,
     SubgroupViolation,
 )
 
@@ -59,11 +56,10 @@ def derive_rng(master, *labels) -> random.Random:
 
 @dataclass(frozen=True)
 class FieldElement:
-    """Canonical residue modulo an odd prime.
+    """Canonical residue modulo an odd prime: the type of the dealer's
+    material (secrets, shares, positions, weights, identifiers).
 
-    The constructor reduces, so negative intermediate values (Lagrange
-    numerators and denominators in particular) are always stored as
-    0 <= value < modulus.
+    The constructor reduces, so 0 <= value < modulus always holds.
     """
 
     value: int
@@ -74,105 +70,30 @@ class FieldElement:
             raise ValueError("modulus must be at least 2")
         object.__setattr__(self, "value", self.value % self.modulus)
 
-    def _match(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement):
-            raise TypeError("expected a FieldElement, got %r" % (other,))
-        if other.modulus != self.modulus:
-            raise ModulusMismatch(
-                "cannot combine residues mod %d and mod %d"
-                % (self.modulus, other.modulus)
-            )
 
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._match(other)
-        return FieldElement(self.value + other.value, self.modulus)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._match(other)
-        return FieldElement(self.value - other.value, self.modulus)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._match(other)
-        return FieldElement(self.value * other.value, self.modulus)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(-self.value, self.modulus)
-
-    def inverse(self) -> "FieldElement":
-        return field_inverse(self)
-
-
-def field_inverse(a: FieldElement) -> "FieldElement":
-    """Multiplicative inverse in Z_p; inverting zero is an error."""
-    if a.value == 0:
-        raise InversionOfZero("zero has no multiplicative inverse")
-    return FieldElement(pow(a.value, -1, a.modulus), a.modulus)
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Dense polynomial over one prime field, constant term first.
-
-    The tuple length is degree + 1; high coefficients may be zero, so the
-    represented degree is an upper bound.
-    """
-
-    coefficients: tuple
-
-    def __post_init__(self):
-        if not self.coefficients:
-            raise ValueError("a polynomial needs at least a constant term")
-        moduli = {c.modulus for c in self.coefficients}
-        if len(moduli) != 1:
-            raise ModulusMismatch("polynomial coefficients mix moduli")
-
-    @property
-    def modulus(self) -> int:
-        return self.coefficients[0].modulus
-
-    @classmethod
-    def random(cls, degree: int, modulus: int, rng: random.Random,
-               constant: FieldElement | None = None) -> "Polynomial":
-        """Sample degree + 1 uniform coefficients, optionally pinning a_0."""
-        if degree < 0:
-            raise ValueError("degree must be non-negative")
-        coeffs = []
-        if constant is not None:
-            if constant.modulus != modulus:
-                raise ModulusMismatch("constant term has the wrong modulus")
-            coeffs.append(constant)
-        else:
-            coeffs.append(FieldElement(rng.randrange(modulus), modulus))
-        for _ in range(degree):
-            coeffs.append(FieldElement(rng.randrange(modulus), modulus))
-        return cls(tuple(coeffs))
-
-
-def poly_eval(f: Polynomial, x: FieldElement) -> FieldElement:
-    """Horner evaluation of f at x, on ints, wrapped once."""
-    if x.modulus != f.modulus:
-        raise ModulusMismatch("evaluation point has the wrong modulus")
-    modulus, point = f.modulus, x.value
+def poly_eval(coefficients, x: int, modulus: int) -> int:
+    """Horner evaluation mod `modulus` of the polynomial whose int
+    coefficients are listed constant term first."""
     acc = 0
-    for coeff in reversed(f.coefficients):
-        acc = (acc * point + coeff.value) % modulus
-    return FieldElement(acc, modulus)
+    for coeff in reversed(coefficients):
+        acc = (acc * x + coeff) % modulus
+    return acc
 
 
-def lagrange_coefficient(target, own: FieldElement, others, numerators=None):
-    """Lagrange basis value  prod_r (target - x_r) / (own - x_r).
+def lagrange_coefficient(targets, own: int, others, modulus: int,
+                         numerators=None) -> tuple:
+    """Lagrange basis values  prod_r (target - x_r) / (own - x_r)  mod a
+    prime, one int per target in `targets`.
 
     `others` lists every evaluation position except `own`. Multiplying a
-    share f(own) by this value contributes to the interpolation of
-    f(target) from the full point set. Duplicate positions (within
-    `others`, or `own` appearing in `others`) make the denominator vanish
-    and are rejected.
-
-    `target` is one FieldElement, or a sequence of them; a sequence gives
-    a tuple with one weight per target (empty for an empty sequence).
-    Either way the positions are checked once and the shared denominator
-    prod_r (own - x_r) is formed and inverted once, so k weights for one
-    point set cost one inversion and k numerator products.
+    share f(own) by a target's weight contributes to the interpolation
+    of f(target) from the full point set. Positions are reduced mod
+    `modulus` first; duplicates among them (within `others`, or `own`
+    appearing in `others`) make the denominator vanish and are rejected.
+    Otherwise the shared denominator prod_r (own - x_r) is a product of
+    nonzero residues mod a prime, so it is invertible; it is formed and
+    inverted once, so k weights for one point set cost one inversion and
+    k numerator products.
 
     `numerators`, if given, holds one int per target: the product of
     (target - x) over the whole point set, `own` included. It is the
@@ -182,46 +103,38 @@ def lagrange_coefficient(target, own: FieldElement, others, numerators=None):
     those divisors are inverted together by Montgomery's trick, so k
     weights cost O(k + m) for m positions and one inversion.
     """
-    single = isinstance(target, FieldElement)
-    targets = (target,) if single else tuple(target)
-    for tgt in targets:
-        own._match(tgt)
-    modulus = own.modulus
+    targets = tuple(targets)
+    own %= modulus
     den = 1
     positions = set()
     for x in others:
-        own._match(x)
-        if x.value == own.value or x.value in positions:
-            raise DegenerateShareSet(
-                "duplicate evaluation position %d" % x.value
-            )
-        positions.add(x.value)
-        den = den * (own.value - x.value) % modulus
-    if den == 0:
-        raise InversionOfZero("zero has no multiplicative inverse")
+        x %= modulus
+        if x == own or x in positions:
+            raise DegenerateShareSet("duplicate evaluation position %d" % x)
+        positions.add(x)
+        den = den * (own - x) % modulus
     if numerators is not None:
-        weights = _divide_numerators(targets, own.value, den,
-                                     tuple(numerators), modulus)
-    else:
-        inverse = pow(den, -1, modulus)
-        weights = []
-        for tgt in targets:
-            num = inverse
-            for x in positions:
-                num = num * (tgt.value - x) % modulus
-            weights.append(FieldElement(num, modulus))
-    return weights[0] if single else tuple(weights)
+        return _divide_numerators(targets, own, den, tuple(numerators),
+                                  modulus)
+    inverse = pow(den, -1, modulus)
+    weights = []
+    for target in targets:
+        num = inverse
+        for x in positions:
+            num = num * (target - x) % modulus
+        weights.append(num)
+    return tuple(weights)
 
 
 def _divide_numerators(targets, own: int, den: int, numerators: tuple,
-                       modulus: int) -> list:
+                       modulus: int) -> tuple:
     """Weights numerators[j] / ((target_j - own) * den), with one
     inversion for all of them (Montgomery's trick)."""
     if len(numerators) != len(targets):
         raise ValueError("need one numerator per target")
     gaps, tops = [], []
-    for tgt, num in zip(targets, numerators):
-        gap = (tgt.value - own) % modulus
+    for target, num in zip(targets, numerators):
+        gap = (target - own) % modulus
         # a target at `own` has weight 1; its numerator holds the zero
         # factor (own - own), so stand in den / den
         gaps.append(gap or 1)
@@ -233,10 +146,9 @@ def _divide_numerators(targets, own: int, den: int, numerators: tuple,
     weights = [None] * len(gaps)
     for j in reversed(range(len(gaps))):
         # inverse = 1 / (den * gaps[0] * ... * gaps[j])
-        weights[j] = FieldElement(tops[j] * inverse % modulus * prefix[j],
-                                  modulus)
+        weights[j] = tops[j] * inverse % modulus * prefix[j] % modulus
         inverse = inverse * gaps[j] % modulus
-    return weights
+    return tuple(weights)
 
 
 @dataclass(frozen=True)
@@ -257,7 +169,7 @@ class ThresholdParams:
     n: int
     t: int
     identifiers: tuple  # FieldElement per participant, value i for party i
-    _by_id: dict = field(init=False, repr=False, compare=False)
+    _ids: frozenset = field(init=False, repr=False, compare=False)
     _decoded: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
 
@@ -267,20 +179,11 @@ class ThresholdParams:
         values = [x.value for x in self.identifiers]
         if len(values) != self.n or len(set(values)) != self.n or 0 in values:
             raise ValueError("identifiers must be n distinct non-zero residues")
-        by_id = {x.value: x for x in self.identifiers}
-        object.__setattr__(self, "_by_id", by_id)
-
-    def identifier(self, party_id: int) -> FieldElement:
-        """Field element for a 1-based party id."""
-        try:
-            return self._by_id[party_id]
-        except KeyError:
-            raise NotAMember("no participant with identifier %d"
-                             % party_id) from None
+        object.__setattr__(self, "_ids", frozenset(values))
 
     def all_members(self, party_ids) -> bool:
         """Whether every id in `party_ids` names a participant."""
-        return self._by_id.keys() >= set(party_ids)
+        return self._ids.issuperset(party_ids)
 
     def decode(self, payload: str) -> int | None:
         """Wire value -> int, or None if `_check` rejects it; accepted
@@ -421,9 +324,6 @@ class CyclicGroupSpec:
         if self.q < 2:
             raise ValueError("subgroup order too small")
 
-    def identity(self) -> "GroupElement":
-        return GroupElement._unchecked(1, self)
-
     def element(self, value: int) -> "GroupElement":
         """Wrap an int, enforcing subgroup membership."""
         return GroupElement(value, self)
@@ -433,9 +333,9 @@ class CyclicGroupSpec:
 class GroupElement:
     """Member of the order-q subgroup.
 
-    The public constructor checks membership. Products, inverses, powers
-    and the identity are built by `_unchecked`, because the subgroup is
-    closed under them; only their operands' types and groups are checked.
+    The public constructor checks membership. Powers are built by
+    `_unchecked` (see `group_exp`), because the subgroup is closed under
+    them.
     """
 
     value: int
@@ -459,36 +359,12 @@ class GroupElement:
         object.__setattr__(element, "group", group)
         return element
 
-    def _match(self, other: "GroupElement") -> None:
-        if not isinstance(other, GroupElement):
-            raise TypeError("expected a GroupElement, got %r" % (other,))
-        if other.group != self.group:
-            raise ModulusMismatch("cannot combine elements of two groups")
 
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        self._match(other)
-        return GroupElement._unchecked(
-            self.value * other.value % self.group.p, self.group
-        )
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement._unchecked(
-            pow(self.value, -1, self.group.p), self.group
-        )
-
-
-def group_exp(g: GroupElement, e) -> GroupElement:
-    """g raised to an exponent living in Z_q.
-
-    Accepts an int (reduced mod q, so negative exponents become q - |e|
-    residues) or a FieldElement whose modulus must equal q.
-    """
-    q = g.group.q
-    if isinstance(e, FieldElement):
-        if e.modulus != q:
-            raise ModulusMismatch("exponent must live mod the group order")
-        e = e.value
-    return GroupElement._unchecked(pow(g.value, e % q, g.group.p), g.group)
+def group_exp(g: GroupElement, e: int) -> GroupElement:
+    """g raised to an int exponent, reduced mod q (so negative exponents
+    become q - |e| residues)."""
+    return GroupElement._unchecked(pow(g.value, e % g.group.q, g.group.p),
+                                   g.group)
 
 
 def group_setup(bit_length: int, generator_count: int,

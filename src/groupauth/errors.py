@@ -10,14 +10,6 @@ class GroupAuthError(Exception):
     """Base class for every deliberate failure in this package."""
 
 
-class ModulusMismatch(GroupAuthError):
-    """Two values from different algebraic structures were combined."""
-
-
-class InversionOfZero(GroupAuthError):
-    """Multiplicative inverse of the zero field element was requested."""
-
-
 class DegenerateShareSet(GroupAuthError):
     """Interpolation points contain a duplicate evaluation position."""
 

@@ -11,10 +11,10 @@ published H(s), so the scheme is one-time: a completed run reveals s.
 
 Arithmetic is mod a public prime chosen at issuance time; participant
 identifiers are the field elements 1..n. The dealer's material is held
-in FieldElements, while tokens, the aggregate and the check run on plain
-ints. This module holds only that math and the wire decode: the protocol
-around it (the invitation, who must have spoken, the quorum rule) is
-`parties.Party`'s.
+in FieldElements, while the polynomials, tokens, the aggregate and the
+check run on plain ints. This module holds only that math and the wire
+decode: the protocol around it (the invitation, who must have spoken,
+the quorum rule) is `parties.Party`'s.
 """
 
 import random
@@ -23,7 +23,6 @@ from math import ceil
 
 from .algebra import (
     FieldElement,
-    Polynomial,
     ThresholdParams,
     lagrange_coefficient,
     poly_eval,
@@ -31,7 +30,7 @@ from .algebra import (
     residue_digest,
 )
 from .channel import decode_residue_hex
-from .errors import InvalidThreshold
+from .errors import InvalidThreshold, NotAMember
 
 SCHEME_TAG = "harn2013"
 
@@ -123,7 +122,10 @@ def harn_gm_init(n: int, t: int, prime_bits: int = 64,
     identifiers = tuple(FieldElement(i, p) for i in range(1, n + 1))
     params = HarnParams(n=n, t=t, k=k, prime=p, identifiers=identifiers)
 
-    polys = [Polynomial.random(t - 1, p, rng) for _ in range(k)]
+    def draw_polynomial():  # t int coefficients, constant term first
+        return [rng.randrange(p) for _ in range(t)]
+
+    polys = [draw_polynomial() for _ in range(k)]
 
     taken = {x.value for x in identifiers}
     w = []
@@ -137,12 +139,12 @@ def harn_gm_init(n: int, t: int, prime_bits: int = 64,
     # free weights for the first k-1 polynomials (the zip below stops with
     # d), then solve the last one; resample f_k until f_k(w_k) is invertible
     d = [FieldElement(rng.randrange(p), p) for _ in range(k - 1)]
-    partial = sum(dj.value * poly_eval(f, wj).value
+    partial = sum(dj.value * poly_eval(f, wj.value, p)
                   for dj, f, wj in zip(d, polys, w)) % p
-    last = poly_eval(polys[-1], w[-1]).value
+    last = poly_eval(polys[-1], w[-1].value, p)
     while last == 0:
-        polys[-1] = Polynomial.random(t - 1, p, rng)
-        last = poly_eval(polys[-1], w[-1]).value
+        polys[-1] = draw_polynomial()
+        last = poly_eval(polys[-1], w[-1].value, p)
     d.append(FieldElement((s.value - partial) * pow(last, -1, p), p))
 
     bundle = HarnPublicBundle(
@@ -152,7 +154,8 @@ def harn_gm_init(n: int, t: int, prime_bits: int = 64,
         secret_hash=residue_digest(s.value, p),
     )
     credentials = [
-        HarnCredential(owner=x, tokens=tuple(poly_eval(f, x) for f in polys))
+        HarnCredential(owner=x, tokens=tuple(
+            FieldElement(poly_eval(f, x.value, p), p) for f in polys))
         for x in identifiers
     ]
     return bundle, credentials, s
@@ -172,22 +175,25 @@ def harn_compute_token(credential: HarnCredential, bundle: HarnPublicBundle,
     first member of the group to get there), so a token costs O(k + m)
     and one inversion; the sum runs on ints.
     """
-    params = bundle.params
-    own = credential.owner
-    others = [params.identifier(i) for i in group if i != own.value]
-    points = tuple(sorted([own.value, *(x.value for x in others)]))
+    params, p = bundle.params, bundle.params.prime
+    if not params.all_members(group):
+        raise NotAMember("group %s names a non-participant" % list(group))
+    own = credential.owner.value
+    others = [i for i in group if i != own]
+    points = tuple(sorted([own, *others]))
     numerators = bundle._numerators.get(points)
     fresh = numerators is None
     if fresh:
-        numerators = _view_numerators(bundle.w, points, params.prime)
-    weights = lagrange_coefficient(bundle.w, own, others, numerators)
+        numerators = _view_numerators(bundle.w, points, p)
+    weights = lagrange_coefficient([wj.value for wj in bundle.w], own,
+                                   others, p, numerators)
     if fresh:
         _remember(bundle._numerators, points, numerators)
     total = sum(
-        dj.value * fj.value * lam.value
+        dj.value * fj.value * lam
         for dj, fj, lam in zip(bundle.d, credential.tokens, weights)
     )
-    return total % params.prime
+    return total % p
 
 
 def _view_numerators(w: tuple, points: tuple, prime: int) -> tuple:

@@ -127,7 +127,7 @@ class Party:
     indices 1..ell, each with its own generator), and supplies the scheme
     steps `_contribute` (this party's own int for a round) and `_verify`
     (the aggregate check on the token round's ints), plus `_admits` and
-    `_open` if it narrows admission or keeps a session ledger; its
+    `_open` if it narrows admission or keeps its own session ledger; its
     parameters' `decode` (wire payload -> int or None) is the boundary
     check. At class level it answers for its public `material`:
     `issue(config)` (the dealer run: material, credentials, secret),
@@ -283,7 +283,10 @@ class Party:
 
     def _open(self, session_id: int) -> None:
         """Claim a new session; raises SessionExhausted if it may not
-        open."""
+        open. A session id this party has opened before never opens
+        again, so a one-time secret is never used twice."""
+        if session_id in self.sessions:
+            raise SessionExhausted("session %d reused" % session_id)
 
 
 class HarnParty(Party):
@@ -383,9 +386,10 @@ class XiaParty(Party):
         # same set for a world started with fresh credentials
         if self.recorded is None:
             self.credential.start_session(session_id, self.params)
-        elif session_id in self.sessions or not self._admits(session_id):
-            raise SessionExhausted("session %d reused or out of range"
-                                   % session_id)
+            return
+        super()._open(session_id)
+        if not self._admits(session_id):
+            raise SessionExhausted("session %d out of range" % session_id)
 
     def _contribute(self, session: _Session, round_: str) -> int:
         session_id = session.key[1]

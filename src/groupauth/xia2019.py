@@ -29,7 +29,6 @@ from .algebra import (
     CyclicGroupSpec,
     FieldElement,
     GroupElement,
-    Polynomial,
     ThresholdParams,
     derive_seed,
     group_exp,
@@ -39,7 +38,7 @@ from .algebra import (
     residue_digest,
 )
 from .channel import decode_residue_hex
-from .errors import InvalidThreshold, SessionExhausted
+from .errors import InvalidThreshold, NotAMember, SessionExhausted
 
 SCHEME_TAG = "xia2019"
 
@@ -118,17 +117,19 @@ def xia_gm_init(n: int, t: int, ell: int, prime_bits: int = 64,
     rng = random.Random(derive_seed(rng_seed, "shares"))
     q = spec.q
     s = FieldElement(rng.randrange(q), q)
-    f = Polynomial.random(t - 1, q, rng, constant=s)
+    f = [s.value] + [rng.randrange(q) for _ in range(t - 1)]
     identifiers = tuple(FieldElement(i, q) for i in range(1, n + 1))
     session_hashes = tuple(
-        residue_digest(group_exp(g, s).value, spec.p) for g in generators
+        residue_digest(group_exp(g, s.value).value, spec.p)
+        for g in generators
     )
     params = XiaParams(
         n=n, t=t, ell=ell, group=spec, generators=tuple(generators),
         identifiers=identifiers, session_hashes=session_hashes,
     )
     credentials = [
-        XiaCredential(owner=x, share=poly_eval(f, x)) for x in identifiers
+        XiaCredential(owner=x, share=FieldElement(poly_eval(f, x.value, q), q))
+        for x in identifiers
     ]
     return params, credentials, s
 
@@ -168,14 +169,14 @@ def xia_compute_token(credential: XiaCredential, params: XiaParams,
     the u_i behind this member's own commitment.
     """
     p = params.group.p
-    own = credential.owner
-    others = [params.identifier(peer) for peer in commitments
-              if peer != own.value]
-    weight = lagrange_coefficient(FieldElement(0, params.group.q), own,
-                                  others)
+    if not params.all_members(commitments):
+        raise NotAMember("commitments name a non-participant")
+    own = credential.owner.value
+    others = [peer for peer in commitments if peer != own]
+    weight, = lagrange_coefficient((0,), own, others, params.group.q)
     base = group_exp(params.generator_for(session),
-                     credential.share.value * weight.value)
-    mask = gamma_mask(own.value, commitments, p)
+                     credential.share.value * weight)
+    mask = gamma_mask(own, commitments, p)
     return base.value * pow(mask, nonce, p) % p
 
 

@@ -152,7 +152,7 @@ def test_xia_stage1_product_equals_session_power(xia_world):
     product = attack_xia_stage1(
         transcript.envelope_objects(), 1, params.group
     )
-    assert product == group_exp(params.generator_for(1), secret)
+    assert product == group_exp(params.generator_for(1), secret.value)
 
 
 def test_xia_stage1_needs_every_token(xia_world):
@@ -293,7 +293,7 @@ def test_xia_attack_victim_accepts_fabricated_group(xia_attack, xia_world):
     assert outcome.victim_belief.accepted
     assert outcome.claimed == frozenset({4, 5, 6})
     assert outcome.learned_secret == group_exp(
-        params.generator_for(1), secret
+        params.generator_for(1), secret.value
     ).value
 
 
@@ -482,7 +482,7 @@ def test_recompute_aggregate_ignores_forged_traffic(scheme, harn_attack,
     else:
         (transcript, _), (params, _, secret) = xia_attack, xia_world
         modulus, fake_session = params.group.p, 1
-        observed = group_exp(params.generator_for(1), secret).value
+        observed = group_exp(params.generator_for(1), secret.value).value
     # the fake session saw only one genuine token (the victim's); the
     # forged ones of 5 and 6 do not count, so it is incomplete
     assert recompute_observed_aggregate(

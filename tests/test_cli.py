@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import groupauth
 from groupauth import cli, parties
 from groupauth.algebra import derive_rng
 from groupauth.channel import ChannelSimulator, Transcript, encode_residue_hex
@@ -420,8 +421,8 @@ def test_audit_reuses_the_setup_of_its_config_object(monkeypatch):
 
 def reinvited_world(scheme, forge_own_invitation=False):
     """n=4, t=2, ell=1, seed 36: party 1 runs session 1 with party 2,
-    then initiates session 1 again with party 3 (xia2019: its ledger
-    refuses; harn2013: the run id is opened again). With
+    then initiates session 1 again with party 3, which it refuses (xia2019:
+    its credential's ledger; harn2013: the run id is already open). With
     `forge_own_invitation`, the adversary instead sends party 1 an
     invitation to session 1 in party 1's own name, which it ignores.
     Returns (transcript, matching honest config)."""
@@ -442,10 +443,15 @@ def reinvited_world(scheme, forge_own_invitation=False):
     return sim.run_until_quiescent(), config
 
 
-def test_audit_replays_a_refused_session_reuse():
-    transcript, config = reinvited_world("xia2019")
+@pytest.mark.parametrize("scheme, first", [("xia2019", 1), ("harn2013", 2)],
+                         ids=["xia2019", "harn2013"])
+def test_audit_replays_a_refused_session_reuse(scheme, first):
+    """`first` is the member of [1, 2] that decides first: the
+    initiator under xia2019, its peer under harn2013."""
+    transcript, config = reinvited_world(scheme)
     reasons = [(d["party"], d["reason"]) for d in transcript.decisions()]
-    assert reasons == [(1, None), (2, None), (1, "session-exhausted")]
+    assert reasons == [(first, None), (3 - first, None),
+                       (1, "session-exhausted")]
     assert audit_transcript(transcript, config)["decisions_match_wire"] == 3
     records = [dict(record) for record in transcript.records]
     refusal = next(i for i, r in enumerate(records)
@@ -461,10 +467,11 @@ def test_audit_replays_a_refused_session_reuse():
 
 
 def test_a_second_decision_under_one_key_fails_the_checks():
-    """Party 1 decides twice under one key in the reopened harn run.
-    With party 3's decision left out, the first decisions of parties 1
-    and 2 alone pass the checks for group [1, 2]; the second decision
-    of party 1 must fail them."""
+    """Party 1 decides twice under one key when it refuses to reopen its
+    harn run (party 3 waits for a token that party 1 never sends). With
+    party 3's decisions left out, the first decisions of parties 1 and 2
+    alone pass the checks for group [1, 2]; the second decision of party
+    1 must fail them."""
     transcript, _ = reinvited_world("harn2013")
     kept = [r for r in transcript.records
             if r["type"] != "decision" or r["party"] != 3]
@@ -476,15 +483,6 @@ def test_a_second_decision_under_one_key_fails_the_checks():
               if r["type"] != "decision" or r["members"] == [1, 2]]
     checks = cli.scenario_checks(config, Transcript(records=single), [])
     assert checks["all_members_accept"] and checks["no_extra_decisions"]
-
-
-def test_audit_replays_a_reopened_harn_run():
-    """The second run under id 1 replays with party 1's second token,
-    not its first."""
-    transcript, config = reinvited_world("harn2013")
-    decisions = [(d["party"], d["members"]) for d in transcript.decisions()]
-    assert decisions == [(2, [1, 2]), (1, [1, 2]), (3, [1, 3]), (1, [1, 3])]
-    assert audit_transcript(transcript, config)["decisions_match_wire"] == 4
 
 
 def test_audit_ignores_a_forged_invitation_in_a_partys_own_name():
@@ -530,6 +528,16 @@ def test_audit_rejects_wrong_scenario_profile():
                                 scenario=SCENARIO_TAMPER, group=[1, 2, 3])
     with pytest.raises(AuditFailure, match="forged"):
         audit_transcript(transcript, claimed_tamper)
+
+
+# ---------------------------------------------------------------------------
+# public surface
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in groupauth.__all__
+               if not hasattr(groupauth, name)]
+    assert missing == []
 
 
 # ---------------------------------------------------------------------------

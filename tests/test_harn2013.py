@@ -15,12 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupauth.algebra import FieldElement, lagrange_coefficient
+from groupauth.algebra import lagrange_coefficient
 from groupauth.channel import (
     BeliefState,
     Envelope,
     REASON_HASH_MISMATCH,
     REASON_QUORUM,
+    REASON_SESSION_EXHAUSTED,
     ROUND_INVITATION,
     ROUND_TOKEN,
     encode_residue_hex,
@@ -42,12 +43,13 @@ from conftest import RecordingAPI
 def interpolated_position_value(bundle, credentials, j, member_ids):
     """Oracle: recover f_j(w_j) from member credentials by interpolation."""
     p = bundle.params.prime
-    acc = FieldElement(0, p)
+    acc = 0
     chosen = [c for c in credentials if c.owner.value in member_ids]
     for cred in chosen:
-        others = [c.owner for c in chosen if c.owner.value != cred.owner.value]
-        lam = lagrange_coefficient(bundle.w[j], cred.owner, others)
-        acc = acc + cred.tokens[j] * lam
+        own = cred.owner.value
+        others = [c.owner.value for c in chosen if c.owner.value != own]
+        lam, = lagrange_coefficient((bundle.w[j].value,), own, others, p)
+        acc = (acc + cred.tokens[j].value * lam) % p
     return acc
 
 
@@ -55,11 +57,12 @@ def per_polynomial_token(bundle, cred, member_ids):
     """Oracle: the released scalar with one single-target Lagrange call
     per polynomial, sum_j d_j * f_j(own) * lagrange(w_j; own, others)."""
     p = bundle.params.prime
-    others = [FieldElement(i, p) for i in member_ids if i != cred.owner.value]
-    acc = FieldElement(0, p)
+    own = cred.owner.value
+    others = [i for i in member_ids if i != own]
+    acc = 0
     for j in range(bundle.params.k):
-        lam = lagrange_coefficient(bundle.w[j], cred.owner, others)
-        acc = acc + bundle.d[j] * cred.tokens[j] * lam
+        lam, = lagrange_coefficient((bundle.w[j].value,), own, others, p)
+        acc = (acc + bundle.d[j].value * cred.tokens[j].value * lam) % p
     return acc
 
 
@@ -96,11 +99,11 @@ class TestIssuance:
     def test_issuance_invariant_via_interpolation_oracle(self):
         bundle, creds, s = harn_gm_init(5, 3, prime_bits=64, rng_seed=3)
         p = bundle.params.prime
-        total = FieldElement(0, p)
+        total = 0
         for j in range(bundle.params.k):
             fj_at_wj = interpolated_position_value(bundle, creds, j, {1, 2, 3})
-            total = total + bundle.d[j] * fj_at_wj
-        assert total == s
+            total = (total + bundle.d[j].value * fj_at_wj) % p
+        assert total == s.value
 
     def test_secret_hash_matches_secret(self):
         from groupauth.algebra import residue_digest
@@ -148,10 +151,11 @@ class TestTokenRelease:
         bundle, creds, _ = harn_gm_init(2, 2, prime_bits=64, rng_seed=11)
         assert bundle.params.k == 1
         p = bundle.params.prime
-        x1, x2 = bundle.params.identifiers
+        x1, x2 = (x.value for x in bundle.params.identifiers)
         token = harn_compute_token(creds[0], bundle, [1, 2])
-        lam = (bundle.w[0] - x2) * (x1 - x2).inverse()
-        assert token == (bundle.d[0] * creds[0].tokens[0] * lam).value
+        lam = (bundle.w[0].value - x2) * pow(x1 - x2, -1, p)
+        assert token == (bundle.d[0].value * creds[0].tokens[0].value
+                         * lam) % p
 
     def test_full_group_tokens_sum_to_secret(self):
         bundle, creds, s = harn_gm_init(5, 3, prime_bits=64, rng_seed=12)
@@ -199,6 +203,21 @@ class TestTokenRelease:
             ]
 
 
+    def test_reopened_run_id_refused(self):
+        """A run id opens once: initiating it again with another group
+        sends the invitation but no second token and decides
+        session-exhausted, so one run's one-time secret is never reused."""
+        bundle, creds, _ = harn_gm_init(4, 2, prime_bits=48, rng_seed=16)
+        party, api = HarnParty(1, creds[0], bundle), RecordingAPI()
+        party.initiate([1, 2], 1, api)
+        party.initiate([1, 3], 1, api)
+        assert api.rounds() == [ROUND_INVITATION, ROUND_TOKEN,
+                                ROUND_INVITATION]
+        assert api.decisions == [((SCHEME_TAG, 1), BeliefState(
+            False, reason=REASON_SESSION_EXHAUSTED))]
+        assert party.sessions[1].view == (1, 2)
+
+
 class TestTokenMatchesPerPolynomialFormula:
     """One Lagrange call with all k targets gives the same scalar as k
     single-target calls."""
@@ -221,7 +240,7 @@ class TestTokenMatchesPerPolynomialFormula:
                     continue
                 expect = per_polynomial_token(bundle, cred, group)
                 tokens.append(harn_compute_token(cred, bundle, group))
-                assert tokens[-1] == expect.value
+                assert tokens[-1] == expect
             assert harn_aggregate(tokens, p) == s.value
 
     def test_repeated_non_owner_rejected(self):
@@ -247,7 +266,7 @@ class TestNumeratorMemo:
             assert list(bundle._numerators) == [tuple(group)]
         warm = [harn_compute_token(c, bundle, group) for c in members]
         assert warm == cold == [
-            per_polynomial_token(bundle, c, group).value for c in members
+            per_polynomial_token(bundle, c, group) for c in members
         ]
         assert harn_aggregate(warm, bundle.params.prime) == s.value
 
@@ -275,7 +294,7 @@ class TestNumeratorMemo:
                 api)
             assert len(bundle._numerators) <= NUMERATOR_MEMO_VIEWS
             assert api.broadcasts[-1].payload == encode_residue_hex(
-                per_polynomial_token(bundle, creds[0], group).value,
+                per_polynomial_token(bundle, creds[0], group),
                 bundle.params.prime)
         assert list(bundle._numerators) == [
             tuple(g) for g in groups[-NUMERATOR_MEMO_VIEWS:]]

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupauth.algebra import (
-    FieldElement,
     derive_rng,
     group_exp,
     lagrange_coefficient,
@@ -85,20 +84,21 @@ class TestSetup:
     def test_share_polynomial_passes_through_secret(self):
         params, creds, s = setup_small()
         q = params.group.q
-        zero = FieldElement(0, q)
         # interpolate f(0) from any t = 3 credentials
-        chosen = creds[1:4]
-        acc = FieldElement(0, q)
-        for c in chosen:
-            others = [o.owner for o in chosen if o.owner.value != c.owner.value]
-            acc = acc + c.share * lagrange_coefficient(zero, c.owner, others)
-        assert acc == s
+        chosen = [c.owner.value for c in creds[1:4]]
+        acc = 0
+        for c in creds[1:4]:
+            own = c.owner.value
+            others = [x for x in chosen if x != own]
+            weight, = lagrange_coefficient((0,), own, others, q)
+            acc = (acc + c.share.value * weight) % q
+        assert acc == s.value
 
     def test_session_hashes_commit_to_generator_powers(self):
         params, _, s = setup_small()
         for sigma in range(1, params.ell + 1):
             expect = residue_digest(
-                group_exp(params.generator_for(sigma), s).value,
+                group_exp(params.generator_for(sigma), s.value).value,
                 params.group.p,
             )
             assert params.hash_for(sigma) == expect
@@ -247,6 +247,15 @@ class TestTokenComputation:
             ((SCHEME_TAG, 1), BeliefState(False, reason=REASON_QUORUM))
         ]
 
+    def test_non_member_commitment_rejected(self):
+        """The scheme math refuses a group that names a non-participant."""
+        params, creds, _ = setup_small()  # n = 5
+        nonces, commitments, _ = run_honest_session(params, creds,
+                                                    (1, 2, 3), 1, seed=3)
+        commitments[6] = commitments.pop(3)
+        with pytest.raises(NotAMember):
+            xia_compute_token(creds[0], params, 1, commitments, nonces[1])
+
     def test_token_twice_rejected(self):
         params, creds, _ = setup_small(t=2, n=4)
         _, commitments, _ = run_honest_session(params, creds, (3, 4), 1,
@@ -276,10 +285,11 @@ class TestTokenComputation:
         params, creds, s = setup_small()
         _, _, tokens = run_honest_session(params, creds, (1, 2, 4, 5), 1,
                                           seed=7)
-        product = params.group.identity()
+        p = params.group.p
+        product = 1
         for token in tokens:
-            product = product * params.group.element(token)
-        assert product == group_exp(params.generator_for(1), s)
+            product = product * params.group.element(token).value % p
+        assert product == group_exp(params.generator_for(1), s.value).value
 
     @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0))
     @settings(max_examples=30)
@@ -292,17 +302,18 @@ class TestTokenComputation:
         )
         # rebuild the mask product alone, without the share part
         by_id = {c.owner.value: c for c in creds}
-        q = params.group.q
+        p, q = params.group.p, params.group.q
         g = params.generator_for(1)
-        share_part = params.group.identity()
+        share_part = 1
         for i in member_ids:
-            own = params.identifier(i)
-            others = [params.identifier(j) for j in member_ids if j != i]
-            weight = lagrange_coefficient(FieldElement(0, q), own, others)
-            share_part = share_part * group_exp(g, by_id[i].share * weight)
-        token_product = xia_aggregate(tokens, params.group.p)
-        masks = params.group.element(token_product) * share_part.inverse()
-        assert masks.value == 1
+            others = [j for j in member_ids if j != i]
+            weight, = lagrange_coefficient((0,), i, others, q)
+            share_part = share_part * group_exp(
+                g, by_id[i].share.value * weight).value % p
+        token_product = xia_aggregate(tokens, p)
+        masks = params.group.element(token_product).value \
+            * pow(share_part, -1, p) % p
+        assert masks == 1
 
 
 class TestVerification:
@@ -383,7 +394,8 @@ class TestVerification:
         p = params.group.p
         prod_a = xia_aggregate(tokens_a, p)
         prod_b = xia_aggregate(tokens_b, p)
-        assert prod_a == prod_b == group_exp(params.generator_for(1), s).value
+        assert prod_a == prod_b == group_exp(params.generator_for(1),
+                                             s.value).value
 
     def test_subquorum_aggregates_never_accept(self):
         """m < t shares interpolate the wrong exponent except w.p. ~1/q:
@@ -397,16 +409,14 @@ class TestVerification:
         accepts = 0
         for _ in range(200):
             member_ids = tuple(sorted(rng.sample(range(1, 7), 2)))
-            product = params.group.identity()
+            product = 1
             for i in member_ids:
-                own = params.identifier(i)
-                others = [
-                    params.identifier(j) for j in member_ids if j != i
-                ]
-                weight = lagrange_coefficient(FieldElement(0, q), own, others)
+                others = [j for j in member_ids if j != i]
+                weight, = lagrange_coefficient((0,), i, others, q)
                 # nonce masks cancel regardless of quorum, so the product
                 # reduces to the share part alone
-                product = product * group_exp(g, by_id[i].share * weight)
-            digest = residue_digest(product.value, params.group.p)
+                product = product * group_exp(
+                    g, by_id[i].share.value * weight).value % params.group.p
+            digest = residue_digest(product, params.group.p)
             accepts += digest == target
         assert accepts == 0
