@@ -21,14 +21,12 @@ from groupauth.harn2013 import harn_gm_init
 from groupauth.xia2019 import xia_commit, xia_gm_init
 
 
-def harn_fingerprint(bundle, credentials, secret) -> str:
-    parts = [
-        str(bundle.params.n), str(bundle.params.t), str(bundle.params.k),
-        str(bundle.params.prime), str(secret.value),
-    ]
-    parts += [str(x.value) for x in bundle.w]
-    parts += [str(x.value) for x in bundle.d]
-    parts.append(bundle.secret_hash.hex())
+def harn_fingerprint(params, credentials, secret) -> str:
+    parts = [str(params.n), str(params.t), str(params.k),
+             str(params.modulus), str(secret.value)]
+    parts += [str(x.value) for x in params.w]
+    parts += [str(x.value) for x in params.d]
+    parts.append(params.secret_hash.hex())
     for credential in credentials:
         parts.append(str(credential.owner.value))
         parts += [str(t.value) for t in credential.tokens]
@@ -118,11 +116,11 @@ def main() -> None:
     print()
 
     print("# tests/test_harn2013.py::TestIssuance")
-    bundle, credentials, secret = harn_gm_init(5, 2, prime_bits=64,
+    params, credentials, secret = harn_gm_init(5, 2, prime_bits=64,
                                                rng_seed=7)
-    print("PINNED_DIGEST = %r" % harn_fingerprint(bundle, credentials,
+    print("PINNED_DIGEST = %r" % harn_fingerprint(params, credentials,
                                                   secret))
-    print("PINNED_PRIME = %d" % bundle.params.prime)
+    print("PINNED_PRIME = %d" % params.modulus)
     print("PINNED_SECRET = %d" % secret.value)
     print()
 

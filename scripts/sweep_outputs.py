@@ -4,7 +4,10 @@ refactor leaves every output byte-identical.
 
 Usage: PYTHONPATH=src python3 scripts/sweep_outputs.py > sweep.txt
 
-Run it on two checkouts and diff the two files; they must be equal. Each
+Run it on two checkouts and diff the two files; they must be equal.
+tests/test_sweep_outputs.py compares the lines with the committed
+tests/sweep_outputs.txt; regenerate that file with the command above,
+redirected there, only for a deliberate behaviour change. Each
 line holds the config name, the sha256 of its transcript.jsonl digest
 followed by its report.json digest, the report's verdict, and the checks
 that `audit_transcript` returns (or the audit's failure). The sweep
@@ -49,7 +52,8 @@ def sweep_configs() -> dict:
     return configs
 
 
-def main() -> None:
+def sweep_lines():
+    """Yield the fingerprint line of each sweep config, in name order."""
     for name, config, transcript, report, digests in run_configs(
             sweep_configs()):
         try:
@@ -58,7 +62,12 @@ def main() -> None:
         except GroupAuthError as exc:
             audit = "FAIL %s" % exc
         digest = hashlib.sha256("".join(digests).encode()).hexdigest()
-        print(name, digest, report["verdict"], audit)
+        yield " ".join((name, digest, report["verdict"], audit))
+
+
+def main() -> None:
+    for line in sweep_lines():
+        print(line)
 
 
 if __name__ == "__main__":

@@ -20,12 +20,13 @@ fabricated group. `ChannelAttack` is that attack, one tap-driven loop:
      aggregate lands on the one recovered in stage one.
 
 Two bindings supply only their scheme's algebra: stage-one recovery,
-token decode, one filler draw and the closing value, plus the session a
-victim is lured into. `HarnImpersonationScript` lures its victims into a
-fresh run id of the token-sum scheme. `XiaChannelAttack` lures them into
-the observed session index of the masked-product scheme, whose
-generator is what makes the observed power reusable. Neither holds a
-credential. `run_attack` runs either one in a world.
+one filler draw and the closing value, plus the session a victim is
+lured into; the scheme's params decode a wire token.
+`HarnImpersonationScript` lures its victims into a fresh run id of the
+token-sum scheme. `XiaChannelAttack` lures them into the observed
+session index of the masked-product scheme, whose generator is what
+makes the observed power reusable. Neither holds a credential.
+`run_attack` runs either one in a world.
 
 Attack success is decided by evaluate_attack, which looks only at the
 transcript: the scripts report nothing about themselves.
@@ -142,13 +143,14 @@ class ChannelAttack:
     """Impersonates fabricated groups toward their victims (module doc).
 
     A binding sets `party`, its scheme's class (parties.SCHEMES), which
-    tags every forged envelope, forges its `rounds` before the token
-    round at invitation time and reads `material`, the public material.
-    It sets `impersonation_mode`, the mode of a single-victim attack, and
-    supplies `fake_session` (the session a victim is lured into, from the
-    observed one), `_recover` (stage one), `_decode` (a wire token),
-    `_draw` (one filler value) and `_complete` (the value closing an
-    aggregate on the target).
+    tags every forged envelope and forges its `rounds` before the token
+    round at invitation time. `material` is the scheme's params, whose
+    `decode` reads a wire token and whose `modulus` encodes one. A
+    binding sets `impersonation_mode`, the mode of a single-victim
+    attack, and supplies `fake_session` (the session a victim is lured
+    into, from the observed one), `_recover` (stage one), `_draw` (one
+    filler value) and `_complete` (the value closing an aggregate on the
+    target).
     """
 
     party = None
@@ -159,7 +161,7 @@ class ChannelAttack:
         if mode not in (MODE_TWO_STAGE, MODE_SIMULTANEOUS):
             raise ValueError("unknown attack mode %r" % mode)
         self.material = material
-        self.modulus = self.party.modulus_of(material)
+        self.modulus = material.modulus
         self.observed_session = observed_session
         self.observed_group = tuple(sorted(observed_group))
         self.plans = list(plans)
@@ -201,7 +203,8 @@ class ChannelAttack:
             if (envelope.session == (scheme, plan.session)
                     and sender == plan.victim
                     and sender not in self.victim_tokens):
-                self.victim_tokens[sender] = self._decode(envelope.payload)
+                self.victim_tokens[sender] = self.material.decode(
+                    envelope.payload)
         if self.target is None:
             return
         for plan in self.plans:
@@ -258,7 +261,7 @@ class ChannelAttack:
                 raise InsufficientObservation(
                     "no observed token to replay for %d" % plan.replay_member
                 )
-            values[plan.replay_member] = self._decode(payload)
+            values[plan.replay_member] = self.material.decode(payload)
         free = [i for i in members if i not in values]
         for member in free[:-1]:
             values[member] = self._draw(plan.session)
@@ -292,9 +295,6 @@ class HarnImpersonationScript(ChannelAttack):
         return attack_harn_learn_secret(self.observed, self.observed_session,
                                         self.modulus)
 
-    def _decode(self, payload: str) -> int:
-        return decode_residue_hex(payload, self.modulus)
-
     def _draw(self, session: int) -> int:
         return self.rng.randrange(self.modulus)
 
@@ -327,11 +327,6 @@ class XiaChannelAttack(ChannelAttack):
     def _recover(self) -> int:
         return attack_xia_stage1(self.observed, self.observed_session,
                                  self.material.group).value
-
-    def _decode(self, payload: str) -> int:
-        return self.material.group.element(
-            decode_residue_hex(payload, self.modulus)
-        ).value
 
     def _draw(self, session: int) -> int:
         return group_exp(self.material.generators[session - 1],

@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 import weakref
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .adversary import (
@@ -133,6 +133,9 @@ class ScenarioConfig:
             raise ConfigError("need at least one session index")
         if self.prime_bits < 16:
             raise ConfigError("prime_bits below 16 is not supported")
+        if self.prime_bits < self.n.bit_length() + 2:  # ids below q and p
+            raise ConfigError("n = %d needs prime_bits >= %d"
+                              % (self.n, self.n.bit_length() + 2))
         if self.session < 1:
             raise ConfigError("session indices start at 1")
         indexed = SCHEMES[self.scheme].per_session_generators
@@ -304,11 +307,15 @@ def load_config(path: Path, seed=None, prime_bits=None) -> ScenarioConfig:
         raise ConfigError("config %s is not valid JSON: %s" % (path, exc))
     if not isinstance(raw, dict):
         raise ConfigError("config %s must hold a JSON object" % path)
-    if seed is not None:
-        raw["seed"] = seed
-    if prime_bits is not None:
-        raw["prime_bits"] = prime_bits
-    return ScenarioConfig.from_json(raw)
+    return config_with(raw, seed, prime_bits)
+
+
+def config_with(raw: dict, seed=None, prime_bits=None) -> ScenarioConfig:
+    """JSON object `raw` as a config, with `seed` and `prime_bits` in
+    place of its own where given."""
+    given = {"seed": seed, "prime_bits": prime_bits}
+    return ScenarioConfig.from_json(
+        {**raw, **{k: v for k, v in given.items() if v is not None}})
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +336,7 @@ class TamperScript:
         self.session = session
         self.target = target
         self.victim = victim
-        self.modulus = scheme.modulus_of(material)
+        self.modulus = material.modulus
 
     def on_start(self, api: AdversaryAPI) -> None:
         pass
@@ -362,21 +369,21 @@ def derive_material(config: ScenarioConfig) -> tuple:
     A run and its audit derive from one config object, and the dealer's
     prime search is most of an audit's cost, so the last derivation is
     kept for the object it came from and reused while that object's
-    values are unchanged. Only frozen parts are shared: the scheme's
-    `fresh_copy` rebuilds each part with per-world state (the params
-    with their decode memo, `XiaCredential` with its session ledger), so
-    the audit still checks every wire value itself. The key is the
-    object, not its values, so a new config derives afresh and the work
-    per scenario does not depend on what ran before it; the memo holds
-    one material.
+    values are unchanged. Only frozen parts are shared: the params and
+    every credential are copied with `dataclasses.replace`, which gives
+    the params fresh memos and a `XiaCredential` an empty session
+    ledger, so the audit still checks every wire value itself. The key
+    is the object, not its values, so a new config derives afresh and
+    the work per scenario does not depend on what ran before it; the
+    memo holds one material.
     """
     global _last_derived
-    scheme = SCHEMES[config.scheme]
     if _last_derived is not None:
         ref, values, (public, credentials, secret) = _last_derived
         if ref() is config and values == config.to_json():
-            return (*scheme.fresh_copy(public, credentials), secret)
-    material = scheme.issue(config)
+            return (replace(public), [replace(c) for c in credentials],
+                    secret)
+    material = SCHEMES[config.scheme].issue(config)
     _last_derived = (weakref.ref(config), config.to_json(), material)
     return material
 
@@ -759,13 +766,25 @@ def _print_report_summary(report: dict) -> None:
     print("verdict: %s" % report["verdict"])
 
 
-def _cmd_run(args) -> int:
-    config = load_config(args.config, args.seed, args.prime_bits)
+def _run_and_write(config: ScenarioConfig, out_dir: Path) -> dict:
+    """Simulate `config`, write its outputs under `out_dir` and print the
+    report summary; returns the report. A directory that cannot be
+    written is a ConfigError."""
     transcript, report = run_scenario(config)
-    out_dir = Path(args.out_dir) if args.out_dir else Path("groupauth-out")
-    written = write_outputs(transcript, report, config, out_dir)
+    try:
+        written = write_outputs(transcript, report, config, out_dir)
+    except OSError as exc:
+        raise ConfigError("cannot write outputs under %s: %s"
+                          % (out_dir, exc))
     _print_report_summary(report)
     print("wrote %s under %s" % (", ".join(written), out_dir))
+    return report
+
+
+def _cmd_run(args) -> int:
+    config = load_config(args.config, args.seed, args.prime_bits)
+    out_dir = Path(args.out_dir) if args.out_dir else Path("groupauth-out")
+    report = _run_and_write(config, out_dir)
     return 0 if report["verdict"] == "expected" else 1
 
 
@@ -802,20 +821,11 @@ def _cmd_demo(args) -> int:
         print("unknown demo %r; run `groupauth demo --list`" % args.name,
               file=sys.stderr)
         return 2
-    raw = dict(entry["config"])
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.prime_bits is not None:
-        raw["prime_bits"] = args.prime_bits
-    config = ScenarioConfig.from_json(raw)
+    config = config_with(entry["config"], args.seed, args.prime_bits)
     print("# %s" % entry["description"])
-    transcript, report = run_scenario(config)
     out_dir = (Path(args.out_dir) if args.out_dir
                else Path("groupauth-demos") / args.name)
-    write_outputs(transcript, report, config, out_dir)
-    _print_report_summary(report)
-    print("wrote transcript.jsonl, report.json, config.json under %s"
-          % out_dir)
+    report = _run_and_write(config, out_dir)
     try:
         audit_transcript(
             Transcript.read_jsonl(out_dir / "transcript.jsonl"), config

@@ -12,9 +12,11 @@ published H(s), so the scheme is one-time: a completed run reveals s.
 Arithmetic is mod a public prime chosen at issuance time; participant
 identifiers are the field elements 1..n. The dealer's material is held
 in FieldElements, while the polynomials, tokens, the aggregate and the
-check run on plain ints. This module holds only that math and the wire
-decode: the protocol around it (the invitation, who must have spoken,
-the quorum rule) is `parties.Party`'s.
+check run on plain ints. Everything the issuer publishes is one
+`HarnParams`, as `XiaParams` is for the masked-product scheme. This
+module holds only that math and the wire decode: the protocol around it
+(the invitation, who must have spoken, the quorum rule) is
+`parties.Party`'s.
 """
 
 import random
@@ -35,50 +37,31 @@ from .errors import InvalidThreshold, NotAMember
 SCHEME_TAG = "harn2013"
 
 
-@dataclass(frozen=True)
-class HarnParams(ThresholdParams):
-    """Public issuance parameters. A wire value must be a residue mod the
-    prime (see `ThresholdParams.decode`)."""
-
-    k: int
-    prime: int
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.k * self.t <= self.n - 1:
-            raise InvalidThreshold("need k*t > n-1 to stop share pooling")
-
-    def _check(self, payload: str) -> int:
-        """Wire token -> residue mod the prime."""
-        return decode_residue_hex(payload, self.prime)
-
-
-# point sets whose token numerators one bundle remembers; see
-# HarnPublicBundle
+# point sets whose token numerators one params object remembers; see
+# HarnParams
 NUMERATOR_MEMO_VIEWS = 4
 
 
 @dataclass(frozen=True)
-class HarnPublicBundle:
-    """Everything the issuer publishes: positions, weights, H(s).
+class HarnParams(ThresholdParams):
+    """Everything the issuer publishes: the prime `modulus`, positions w,
+    weights d and H(s). A wire value must be a residue mod the prime (see
+    `ThresholdParams.decode`).
 
     `_numerators` is a memo every token of one point set shares: for the
     sorted member ids of a group it keeps c_j = prod_r (w_j - x_r) over
-    the whole group, one int per position w_j, and every party of a
-    world holds the same bundle. `harn_compute_token` stores an entry
-    only after `lagrange_coefficient` has accepted the point set, so a
-    degenerate group leaves none.
-
-    Its memory is bounded whatever arrives on the wire: it keeps the
-    NUMERATOR_MEMO_VIEWS most recently stored point sets and drops the
-    oldest, so it never holds more than that many keys of at most n ids
-    and values of k ints. An adversary who injects invitations to many
-    distinct groups only evicts entries; each such group then costs its
-    members O(k*m) once more, which is what every token cost without the
-    memo.
+    the whole group, one int per position w_j. `harn_compute_token`
+    stores an entry only after `lagrange_coefficient` has accepted the
+    point set, so a degenerate group leaves none. Whatever arrives on
+    the wire, the memo keeps only the NUMERATOR_MEMO_VIEWS most recently
+    stored point sets (keys of at most n ids, values of k ints): an
+    adversary who injects invitations to many distinct groups only
+    evicts entries, and each such group then costs its members O(k*m)
+    once more, which is what every token cost without the memo.
     """
 
-    params: HarnParams
+    k: int
+    modulus: int
     w: tuple  # k distinct FieldElements, disjoint from identifiers
     d: tuple  # k FieldElements with sum_j d_j f_j(w_j) = s
     secret_hash: bytes
@@ -86,14 +69,20 @@ class HarnPublicBundle:
                               compare=False)
 
     def __post_init__(self):
-        k = self.params.k
-        if len(self.w) != k or len(self.d) != k:
+        super().__post_init__()
+        if self.k * self.t <= self.n - 1:
+            raise InvalidThreshold("need k*t > n-1 to stop share pooling")
+        if len(self.w) != self.k or len(self.d) != self.k:
             raise ValueError("need exactly k positions and k weights")
-        wv = {x.value for x in self.w}
-        if len(wv) != k:
+        positions = {x.value for x in self.w}
+        if len(positions) != self.k:
             raise ValueError("positions w must be distinct")
-        if wv & {x.value for x in self.params.identifiers}:
+        if not self._ids.isdisjoint(positions):
             raise ValueError("positions w must avoid participant identifiers")
+
+    def _check(self, payload: str) -> int:
+        """Wire token -> residue mod the prime."""
+        return decode_residue_hex(payload, self.modulus)
 
 
 @dataclass(frozen=True)
@@ -109,7 +98,7 @@ def harn_gm_init(n: int, t: int, prime_bits: int = 64,
     """Issue credentials for n participants with threshold t.
 
     Uses k = ceil(n/t) masked polynomials of degree t-1, which satisfies
-    the k*t > n-1 safety condition. Returns (bundle, credentials, s);
+    the k*t > n-1 safety condition. Returns (params, credentials, s);
     the secret s is returned for test oracles and never leaves the issuer
     in a real deployment.
     """
@@ -120,7 +109,6 @@ def harn_gm_init(n: int, t: int, prime_bits: int = 64,
     k = ceil(n / t)
     s = FieldElement(rng.randrange(p), p)
     identifiers = tuple(FieldElement(i, p) for i in range(1, n + 1))
-    params = HarnParams(n=n, t=t, k=k, prime=p, identifiers=identifiers)
 
     def draw_polynomial():  # t int coefficients, constant term first
         return [rng.randrange(p) for _ in range(t)]
@@ -147,21 +135,19 @@ def harn_gm_init(n: int, t: int, prime_bits: int = 64,
         last = poly_eval(polys[-1], w[-1].value, p)
     d.append(FieldElement((s.value - partial) * pow(last, -1, p), p))
 
-    bundle = HarnPublicBundle(
-        params=params,
-        w=tuple(w),
-        d=tuple(d),
-        secret_hash=residue_digest(s.value, p),
+    params = HarnParams(
+        n=n, t=t, identifiers=identifiers, k=k, modulus=p, w=tuple(w),
+        d=tuple(d), secret_hash=residue_digest(s.value, p),
     )
     credentials = [
         HarnCredential(owner=x, tokens=tuple(
             FieldElement(poly_eval(f, x.value, p), p) for f in polys))
         for x in identifiers
     ]
-    return bundle, credentials, s
+    return params, credentials, s
 
 
-def harn_compute_token(credential: HarnCredential, bundle: HarnPublicBundle,
+def harn_compute_token(credential: HarnCredential, params: HarnParams,
                        group) -> int:
     """Release this member's scalar for one joint authentication.
 
@@ -171,27 +157,27 @@ def harn_compute_token(credential: HarnCredential, bundle: HarnPublicBundle,
         sum_j d_j * f_j(x_own) * lagrange(w_j; x_own, others)
     so that summing over all m members telescopes to s when m >= t. All k
     weights come from one `lagrange_coefficient` call, given the point
-    set's numerators from the bundle's memo (computed in O(k*m) by the
+    set's numerators from the params' memo (computed in O(k*m) by the
     first member of the group to get there), so a token costs O(k + m)
     and one inversion; the sum runs on ints.
     """
-    params, p = bundle.params, bundle.params.prime
+    p = params.modulus
     if not params.all_members(group):
         raise NotAMember("group %s names a non-participant" % list(group))
     own = credential.owner.value
     others = [i for i in group if i != own]
     points = tuple(sorted([own, *others]))
-    numerators = bundle._numerators.get(points)
+    numerators = params._numerators.get(points)
     fresh = numerators is None
     if fresh:
-        numerators = _view_numerators(bundle.w, points, p)
-    weights = lagrange_coefficient([wj.value for wj in bundle.w], own,
+        numerators = _view_numerators(params.w, points, p)
+    weights = lagrange_coefficient([wj.value for wj in params.w], own,
                                    others, p, numerators)
     if fresh:
-        _remember(bundle._numerators, points, numerators)
+        _remember(params._numerators, points, numerators)
     total = sum(
         dj.value * fj.value * lam
-        for dj, fj, lam in zip(bundle.d, credential.tokens, weights)
+        for dj, fj, lam in zip(params.d, credential.tokens, weights)
     )
     return total % p
 
@@ -220,7 +206,7 @@ def harn_aggregate(values, prime: int) -> int:
     return sum(values) % prime
 
 
-def harn_verify(tokens, bundle: HarnPublicBundle) -> bool:
+def harn_verify(tokens, params: HarnParams) -> bool:
     """Whether the sum of the released scalars `tokens` (ints) hashes to
     the published H(s).
 
@@ -228,5 +214,5 @@ def harn_verify(tokens, bundle: HarnPublicBundle) -> bool:
     hands the one-time secret to every observer, which is what the
     impersonation attack exploits.
     """
-    p = bundle.params.prime
-    return residue_digest(harn_aggregate(tokens, p), p) == bundle.secret_hash
+    p = params.modulus
+    return residue_digest(harn_aggregate(tokens, p), p) == params.secret_hash

@@ -30,7 +30,7 @@ that sent it. Everything else, the quorum rule and the session ledger
 included, is the live code path.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .algebra import derive_rng
 from .channel import (
@@ -52,7 +52,7 @@ from .channel import (
 from .errors import GroupAuthError, NotAMember, SessionExhausted
 from .harn2013 import (
     SCHEME_TAG as HARN_TAG,
-    HarnPublicBundle,
+    HarnParams,
     harn_aggregate,
     harn_compute_token,
     harn_gm_init,
@@ -60,7 +60,6 @@ from .harn2013 import (
 )
 from .xia2019 import (
     SCHEME_TAG as XIA_TAG,
-    XiaCredential,
     XiaParams,
     xia_aggregate,
     xia_commit,
@@ -127,20 +126,18 @@ class Party:
     indices 1..ell, each with its own generator), and supplies the scheme
     steps `_contribute` (this party's own int for a round) and `_verify`
     (the aggregate check on the token round's ints), plus `_admits` and
-    `_open` if it narrows admission or keeps its own session ledger; its
-    parameters' `decode` (wire payload -> int or None) is the boundary
-    check. At class level it answers for its public `material`:
-    `issue(config)` (the dealer run: material, credentials, secret),
-    `modulus_of` (of every residue on the wire), `aggregate(values,
-    modulus)` (what the digest check binds), `nudge(material, session,
-    value)` (a token moved off its value, still well-formed),
-    `fresh_copy(material, credentials)` (both again for another world of
-    the same dealer run: new copies of whatever keeps per-world state,
-    the params' decode memo included) and, where the defaults below do
-    not fit, `participants` and `material_facts`. The engine owns the
-    scheme-tag filter, membership, invitation admission, per-session
-    state, first-wins intake, round completion, the quorum rule before
-    the token round, the replay form and decision recording.
+    `_open` if it narrows admission or keeps its own session ledger. Its
+    public material is one `ThresholdParams` subclass, `params`, whose
+    `decode` (wire payload -> int or None) is the boundary check and
+    whose `modulus` is that of every residue on the wire. At class level
+    it answers `issue(config)` (the dealer run: params, credentials,
+    secret), `aggregate(values, modulus)` (what the digest check binds),
+    `nudge(params, session, value)` (a token moved off its value, still
+    well-formed) and, where the default below does not fit,
+    `material_facts`. The engine owns the scheme-tag filter, membership,
+    invitation admission, per-session state, first-wins intake, round
+    completion, the quorum rule before the token round, the replay form
+    and decision recording.
 
     `rng` is the nonce source of a scheme that draws nonces. Passing
     `recorded`, a map from (session, round) to the list of payloads this
@@ -152,28 +149,20 @@ class Party:
     rounds = ()
     per_session_generators = False
 
-    def __init__(self, party_id: int, credential, material, rng=None,
+    def __init__(self, party_id: int, credential, params, rng=None,
                  recorded: dict | None = None):
         self.party_id = party_id
         self.credential = credential
-        self.material = material
-        self.params = self.participants(material)
-        self.decode = self.params.decode  # wire payload -> int or None
-        self.modulus = self.modulus_of(material)
+        self.params = params
+        self.decode = params.decode  # wire payload -> int or None
         self.rng = rng
         self.recorded = recorded
         self.sessions = {}
 
     @staticmethod
-    def participants(material):
-        """The material's `ThresholdParams`."""
-        return material
-
-    @classmethod
-    def material_facts(cls, material) -> dict:
+    def material_facts(params) -> dict:
         """The report's facts about the public material."""
-        params = cls.participants(material)
-        return {"modulus_hex": format(cls.modulus_of(material), "x"),
+        return {"modulus_hex": format(params.modulus, "x"),
                 "parties": params.n, "threshold": params.t}
 
     # -- the round engine ---------------------------------------------------
@@ -247,7 +236,8 @@ class Party:
             value = self._contribute(session, round_)
             api.broadcast(Envelope(
                 claimed_sender=self.party_id, session=session.key,
-                round=round_, payload=encode_residue_hex(value, self.modulus),
+                round=round_,
+                payload=encode_residue_hex(value, self.params.modulus),
             ))
         else:
             payloads = self.recorded.get((session.key, round_))
@@ -304,32 +294,17 @@ class HarnParty(Party):
         return harn_gm_init(config.n, config.t, prime_bits=config.prime_bits,
                             rng_seed=config.seed)
 
-    @staticmethod
-    def fresh_copy(material: HarnPublicBundle, credentials) -> tuple:
-        # a new decode memo (and numerator memo)
-        return (replace(material, params=replace(material.params)),
-                list(credentials))
-
-    @staticmethod
-    def participants(material: HarnPublicBundle):
-        return material.params
-
-    @staticmethod
-    def modulus_of(material: HarnPublicBundle) -> int:
-        return material.params.prime
-
     aggregate = staticmethod(harn_aggregate)
 
     @staticmethod
-    def nudge(material: HarnPublicBundle, session: int, value: int) -> int:
-        return (value + 1) % material.params.prime
+    def nudge(params: HarnParams, session: int, value: int) -> int:
+        return (value + 1) % params.modulus
 
     def _contribute(self, session: _Session, round_: str) -> int:
-        return harn_compute_token(self.credential, self.material,
-                                  session.view)
+        return harn_compute_token(self.credential, self.params, session.view)
 
     def _verify(self, session: _Session, tokens) -> bool:
-        return harn_verify(tokens, self.material)
+        return harn_verify(tokens, self.params)
 
 
 class XiaParty(Party):
@@ -354,28 +329,17 @@ class XiaParty(Party):
         return xia_gm_init(config.n, config.t, ell=config.ell,
                            prime_bits=config.prime_bits, rng_seed=config.seed)
 
-    @staticmethod
-    def fresh_copy(material: XiaParams, credentials) -> tuple:
-        # a new decode memo, and empty session ledgers
-        return (replace(material),
-                [XiaCredential(c.owner, c.share) for c in credentials])
-
-    @staticmethod
-    def modulus_of(material: XiaParams) -> int:
-        return material.group.p
-
     aggregate = staticmethod(xia_aggregate)
 
     @staticmethod
-    def nudge(material: XiaParams, session: int, value: int) -> int:
-        return value * material.generator_for(session).value \
-            % material.group.p
+    def nudge(params: XiaParams, session: int, value: int) -> int:
+        return value * params.generator_for(session).value % params.modulus
 
-    @classmethod
-    def material_facts(cls, material: XiaParams) -> dict:
-        return {**super().material_facts(material),
-                "subgroup_order_hex": format(material.group.q, "x"),
-                "session_indices": material.ell}
+    @staticmethod
+    def material_facts(params: XiaParams) -> dict:
+        return {**Party.material_facts(params),
+                "subgroup_order_hex": format(params.group.q, "x"),
+                "session_indices": params.ell}
 
     def _admits(self, session_id: int) -> bool:
         return 1 <= session_id <= self.params.ell
@@ -409,11 +373,11 @@ class XiaParty(Party):
 SCHEMES = {party.scheme: party for party in (HarnParty, XiaParty)}
 
 
-def run_world(scheme, material, credentials, seed: int, group,
+def run_world(scheme, params, credentials, seed: int, group,
               session: int, policy=None, script=None) -> Transcript:
     """Build one simulated world and run it to quiescence.
 
-    One live honest party of class `scheme` per credential (`material` is
+    One live honest party of class `scheme` per credential (`params` is
     the scheme's public material) and the optional adversary `script`
     share a channel with `policy`. The smallest member of `group` invites
     it into `session`, then the script starts, then the queue drains.
@@ -422,7 +386,7 @@ def run_world(scheme, material, credentials, seed: int, group,
     members = {}
     for credential in credentials:
         pid = credential.owner.value
-        party = scheme(pid, credential, material,
+        party = scheme(pid, credential, params,
                        derive_rng(seed, "party", pid))
         members[pid] = (party, sim.register(party))
     if script is not None:

@@ -74,6 +74,11 @@ class XiaParams(ThresholdParams):
         self.generator_for(session)  # range check
         return self.session_hashes[session - 1]
 
+    @property
+    def modulus(self) -> int:
+        """The prime p of every residue on the wire."""
+        return self.group.p
+
     def _check(self, payload: str) -> int:
         """Wire value -> subgroup element as an int."""
         return self.group.element(
@@ -82,11 +87,12 @@ class XiaParams(ThresholdParams):
 
 @dataclass
 class XiaCredential:
-    """One participant's share of f plus its one-time session ledger."""
+    """One participant's share of f plus its one-time session ledger; a
+    copy (`dataclasses.replace`) starts with an empty ledger."""
 
     owner: FieldElement
     share: FieldElement
-    used_sessions: set = field(default_factory=set)
+    used_sessions: set = field(default_factory=set, init=False)
 
     def start_session(self, session: int, params: XiaParams) -> None:
         """Claim session index `session`; every sigma is single-use per

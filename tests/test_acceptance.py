@@ -75,18 +75,18 @@ def test_criterion_1_sum_scheme_completeness():
     checked = 0
     for n in range(2, 7):
         for t in range(2, n + 1):
-            bundle, credentials, secret = harn_gm_init(
+            params, credentials, secret = harn_gm_init(
                 n, t, prime_bits=FULL_BITS, rng_seed=100 * n + t
             )
             by_id = {c.owner.value: c for c in credentials}
             for m in range(t, n + 1):
                 for subset in itertools.combinations(range(1, n + 1), m):
                     tokens = [
-                        harn_compute_token(by_id[i], bundle, subset)
+                        harn_compute_token(by_id[i], params, subset)
                         for i in subset
                     ]
-                    accepted = harn_verify(tokens, bundle)
-                    recovered = harn_aggregate(tokens, bundle.params.prime)
+                    accepted = harn_verify(tokens, params)
+                    recovered = harn_aggregate(tokens, params.modulus)
                     assert accepted, (n, t, subset)
                     assert recovered == secret.value
                     checked += 1
@@ -157,11 +157,11 @@ def test_criterion_3_sum_scheme_impersonation():
     successes = 0
     for seed in range(100):
         n, t, observed, victim, fake = HARN_SHAPES[seed % len(HARN_SHAPES)]
-        bundle, credentials, _ = harn_gm_init(
+        params, credentials, _ = harn_gm_init(
             n, t, prime_bits=FULL_BITS, rng_seed=1000 + seed
         )
         transcript, (outcome,) = run_attack(
-            HarnImpersonationScript, bundle, credentials,
+            HarnImpersonationScript, params, credentials,
             observed_group=observed,
             plans=[VictimPlan(victim=victim, fake_group=fake, session=2)],
             seed=seed, mode=MODE_SIMULTANEOUS,

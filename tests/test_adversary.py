@@ -38,13 +38,13 @@ from groupauth.xia2019 import XiaCredential, xia_aggregate, xia_gm_init
 # honest worlds used as observation material
 
 
-def run_harn_honest(bundle, credentials, group_ids, run_id=1):
+def run_harn_honest(params, credentials, group_ids, run_id=1):
     sim = ChannelSimulator()
     apis = {}
     parties = {}
     for credential in credentials:
         pid = credential.owner.value
-        party = HarnParty(pid, credential, bundle)
+        party = HarnParty(pid, credential, params)
         parties[pid] = party
         apis[pid] = sim.register(party)
     initiator = min(group_ids)
@@ -75,9 +75,9 @@ def fresh(credentials):
 
 @pytest.fixture(scope="module")
 def harn_world():
-    bundle, credentials, secret = harn_gm_init(6, 2, prime_bits=64,
+    params, credentials, secret = harn_gm_init(6, 2, prime_bits=64,
                                                rng_seed=77)
-    return bundle, credentials, secret
+    return params, credentials, secret
 
 
 @pytest.fixture(scope="module")
@@ -92,37 +92,37 @@ def xia_world():
 
 
 def test_harn_secret_recovered_from_broadcasts_alone(harn_world):
-    bundle, credentials, secret = harn_world
-    transcript = run_harn_honest(bundle, credentials, (1, 2, 3))
+    params, credentials, secret = harn_world
+    transcript = run_harn_honest(params, credentials, (1, 2, 3))
     learned = attack_harn_learn_secret(
-        transcript.envelope_objects(), 1, bundle.params.prime
+        transcript.envelope_objects(), 1, params.modulus
     )
     assert learned == secret.value
 
 
 def test_harn_recovery_needs_every_token(harn_world):
-    bundle, credentials, _ = harn_world
-    transcript = run_harn_honest(bundle, credentials, (1, 2, 3))
+    params, credentials, _ = harn_world
+    transcript = run_harn_honest(params, credentials, (1, 2, 3))
     envelopes = transcript.envelope_objects()
     token_indices = [
         i for i, e in enumerate(envelopes) if e.round == ROUND_TOKEN
     ]
     partial = [e for i, e in enumerate(envelopes) if i != token_indices[-1]]
     with pytest.raises(InsufficientObservation):
-        attack_harn_learn_secret(partial, 1, bundle.params.prime)
+        attack_harn_learn_secret(partial, 1, params.modulus)
 
 
 def test_harn_recovery_needs_the_invitation(harn_world):
-    bundle, _, _ = harn_world
+    params, _, _ = harn_world
     with pytest.raises(InsufficientObservation):
-        attack_harn_learn_secret([], 1, bundle.params.prime)
+        attack_harn_learn_secret([], 1, params.modulus)
 
 
 def harn_forge(secret, victim_token, fake_group, seed, modulus=10_007):
     """Closing tokens of a token-sum script over `modulus`, victim 4."""
-    bundle = SimpleNamespace(params=SimpleNamespace(prime=modulus))
+    params = SimpleNamespace(modulus=modulus)
     plan = VictimPlan(victim=4, fake_group=fake_group, session=2)
-    script = HarnImpersonationScript(bundle, 1, (1, 2, 3), [plan],
+    script = HarnImpersonationScript(params, 1, (1, 2, 3), [plan],
                                      MODE_SIMULTANEOUS, random.Random(seed))
     return script.closing_tokens(plan, secret, victim_token)
 
@@ -173,10 +173,10 @@ def test_xia_stage1_needs_every_token(xia_world):
 def closing_binding(scheme, harn_world, xia_world, rng):
     """(binding of `scheme`, token value for an int, the aggregate)."""
     if scheme == HARN_TAG:
-        bundle = harn_world[0]
-        script = HarnImpersonationScript(bundle, 1, (1, 2, 3), [],
+        params = harn_world[0]
+        script = HarnImpersonationScript(params, 1, (1, 2, 3), [],
                                          MODE_SIMULTANEOUS, rng)
-        return script, lambda e: e % bundle.params.prime, harn_aggregate
+        return script, lambda e: e % params.modulus, harn_aggregate
     params = xia_world[0]
     script = XiaChannelAttack(params, 1, (1, 2, 3), [], MODE_TWO_STAGE, rng)
     return (script, lambda e: group_exp(params.generator_for(1), e).value,
@@ -209,10 +209,10 @@ def test_closing_tokens_aggregate_to_target(scheme, harn_world, xia_world,
 
 @pytest.fixture(scope="module")
 def harn_attack(harn_world):
-    bundle, credentials, _ = harn_world
+    params, credentials, _ = harn_world
     plan = VictimPlan(victim=4, fake_group=(4, 5, 6), session=2)
     transcript, (outcome,) = run_attack(
-        HarnImpersonationScript, bundle, credentials,
+        HarnImpersonationScript, params, credentials,
         observed_group=(1, 2, 3), plans=[plan], seed=101,
         mode=MODE_SIMULTANEOUS,
     )
@@ -447,12 +447,12 @@ def test_xia_two_victims_accept_conflicting_groups():
 
 
 def test_evaluation_rejects_honest_harn_run_as_attack(harn_world):
-    bundle, credentials, _ = harn_world
-    transcript = run_harn_honest(bundle, credentials, (1, 2, 3))
+    params, credentials, _ = harn_world
+    transcript = run_harn_honest(params, credentials, (1, 2, 3))
     outcome = evaluate_attack(
         transcript, HARN_TAG, victim=1, fake_session=1,
         observed_session=1, observed_group=(1, 2, 3),
-        modulus=bundle.params.prime,
+        modulus=params.modulus,
     )
     assert outcome.victim_belief.accepted
     assert not outcome.success
@@ -476,8 +476,8 @@ def test_recompute_aggregate_ignores_forged_traffic(scheme, harn_attack,
                                                     harn_world, xia_attack,
                                                     xia_world):
     if scheme == HARN_TAG:
-        (transcript, _), (bundle, _, secret) = harn_attack, harn_world
-        modulus, fake_session = bundle.params.prime, 2
+        (transcript, _), (params, _, secret) = harn_attack, harn_world
+        modulus, fake_session = params.modulus, 2
         observed = secret.value  # the sum of an accepted run is s
     else:
         (transcript, _), (params, _, secret) = xia_attack, xia_world
@@ -511,10 +511,10 @@ def test_stage_one_recovery_runs_once(scheme, harn_world, xia_world,
 
     monkeypatch.setattr(adversary, name, counted)
     if scheme == HARN_TAG:
-        bundle, credentials, _ = harn_world
+        params, credentials, _ = harn_world
         plan = VictimPlan(victim=4, fake_group=(4, 5, 6), session=2)
         transcript, (outcome,) = run_attack(
-            HarnImpersonationScript, bundle, credentials,
+            HarnImpersonationScript, params, credentials,
             observed_group=(1, 2, 3), plans=[plan], seed=101,
             mode=MODE_SIMULTANEOUS,
         )

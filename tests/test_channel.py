@@ -409,16 +409,16 @@ def build_xia_world(n=4, t=2, ell=1, seed=21, policy=None):
 
 
 def build_harn_world(n=4, t=2, seed=22, policy=None):
-    bundle, creds, s = harn_gm_init(n, t, prime_bits=64, rng_seed=seed)
+    params, creds, s = harn_gm_init(n, t, prime_bits=64, rng_seed=seed)
     sim = ChannelSimulator(policy=policy)
     apis = {}
     parties = {}
     for cred in creds:
         pid = cred.owner.value
-        party = HarnParty(pid, cred, bundle)
+        party = HarnParty(pid, cred, params)
         parties[pid] = party
         apis[pid] = sim.register(party)
-    return bundle, creds, s, sim, parties, apis
+    return params, creds, s, sim, parties, apis
 
 
 class TestHonestRuns:
@@ -441,7 +441,7 @@ class TestHonestRuns:
         assert transcript.forged() == []
 
     def test_harn_round_counts_and_decisions(self):
-        bundle, _, _, sim, parties, apis = build_harn_world(n=5, t=2, seed=32)
+        params, _, _, sim, parties, apis = build_harn_world(n=5, t=2, seed=32)
         parties[2].initiate([2, 3, 5], 7, apis[2])
         transcript = sim.run_until_quiescent()
         rounds = [r["round"] for r in transcript.envelopes()]
@@ -471,7 +471,7 @@ class TestHonestRuns:
         assert all(d["reason"] == "quorum" for d in decisions)
 
     def test_harn_quorum_violation_rejects(self):
-        bundle, _, _, sim, parties, apis = build_harn_world(n=4, t=3, seed=35)
+        params, _, _, sim, parties, apis = build_harn_world(n=4, t=3, seed=35)
         parties[1].initiate([1, 2], 1, apis[1])
         transcript = sim.run_until_quiescent()
         decisions = transcript.decisions()
@@ -510,8 +510,8 @@ class TestHonestRuns:
         assert all(d["accepted"] for d in decisions)
 
     def test_out_of_range_token_is_dropped_every_time(self):
-        bundle, _, _, sim, parties, apis = build_harn_world(n=3, seed=38)
-        p = bundle.params.prime
+        params, _, _, sim, parties, apis = build_harn_world(n=3, seed=38)
+        p = params.modulus
         bad = "f" * hex_width(p)  # canonical spelling of a value >= p
         adversary = sim.register_adversary(TapCollector())
         parties[1].initiate([1, 2], 1, apis[1])

@@ -343,34 +343,17 @@ def test_audit_rejects_corrupted_payload(tmp_path):
         audit_transcript(doctored, config)
 
 
-def test_run_and_audit_get_separate_xia_params(monkeypatch):
-    """The audit reuses the run's group search but gets its own params,
-    and with them its own decode memo, so it checks every wire value
-    itself."""
-    seen = []
-
-    def recording(config):
-        material = derive_material(config)
-        seen.append(material)
-        return material
-
-    monkeypatch.setattr(cli, "derive_material", recording)
-    config = config_for(scheme="xia2019", n=4, t=2, seed=61)
-    transcript, _ = run_scenario(config)
-    audit_transcript(transcript, config)
-    (run_params, run_creds, _), (audit_params, audit_creds, _) = seen
-    assert run_params.group is audit_params.group
-    assert run_params == audit_params and run_params is not audit_params
-    assert run_params._decoded is not audit_params._decoded
-    assert run_params._decoded and audit_params._decoded
-    assert all(a is not b for a, b in zip(run_creds, audit_creds))
-    assert audit_creds[0].used_sessions == set()
-
-
-def test_run_and_audit_get_separate_harn_params(monkeypatch):
-    """As for xia2019: one dealer run, but the audit gets its own params
-    and with them its own decode memo."""
+@pytest.mark.parametrize("scheme, dealer, seed", [
+    ("xia2019", "xia_gm_init", 61),
+    ("harn2013", "harn_gm_init", 64),
+], ids=["xia2019", "harn2013"])
+def test_run_and_audit_get_separate_params(monkeypatch, scheme, dealer,
+                                           seed):
+    """The audit reuses the run's dealer run but gets its own params, and
+    with them its own decode memo, so it checks every wire value itself,
+    and its own credentials, so xia session ledgers start empty."""
     seen, calls = [], []
+    issue = getattr(parties, dealer)
 
     def recording(config):
         material = derive_material(config)
@@ -379,21 +362,27 @@ def test_run_and_audit_get_separate_harn_params(monkeypatch):
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return harn_gm_init(*args, **kwargs)
+        return issue(*args, **kwargs)
 
     monkeypatch.setattr(cli, "derive_material", recording)
-    monkeypatch.setattr(parties, "harn_gm_init", counting)
-    config = config_for(n=4, t=2, seed=64)
+    monkeypatch.setattr(parties, dealer, counting)
+    config = config_for(scheme=scheme, n=4, t=2, seed=seed)
     transcript, _ = run_scenario(config)
     audit_transcript(transcript, config)
     assert len(calls) == 1
-    (run_bundle, run_creds, _), (audit_bundle, audit_creds, _) = seen
-    run_params, audit_params = run_bundle.params, audit_bundle.params
-    assert run_bundle == audit_bundle and run_bundle is not audit_bundle
+    (run_params, run_creds, _), (audit_params, audit_creds, _) = seen
+    assert run_params.identifiers is audit_params.identifiers
     assert run_params == audit_params and run_params is not audit_params
     assert run_params._decoded is not audit_params._decoded
     assert run_params._decoded and audit_params._decoded
-    assert run_creds == audit_creds
+    assert all(a is not b for a, b in zip(run_creds, audit_creds))
+    if scheme == "xia2019":
+        assert run_params.group is audit_params.group
+        assert [c.share for c in run_creds] == [c.share for c in audit_creds]
+        assert all(c.used_sessions == set() for c in audit_creds)
+    else:
+        assert run_params._numerators is not audit_params._numerators
+        assert run_creds == audit_creds
 
 
 def test_audit_reuses_the_setup_of_its_config_object(monkeypatch):
@@ -710,6 +699,37 @@ def test_invalid_config_is_usage_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"scheme": "harn2013"}))
     assert main(["run", str(path)]) == 2
+
+
+def test_n_at_the_field_size_is_a_config_error(tmp_path, capsys):
+    """n >= 2**(prime_bits - 2) is refused before any dealer work."""
+    path = write_config(tmp_path, scheme="harn2013",
+                        scenario=SCENARIO_QUORUM, n=70000, t=3,
+                        prime_bits=16, group=[1, 2])
+    code = main(["run", str(path), "--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "config error:" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert config_for(n=2**14 - 1, prime_bits=16).n == 2**14 - 1
+    with pytest.raises(ConfigError, match="n = 16384 needs prime_bits >= 17"):
+        config_for(scheme="xia2019", n=2**14, prime_bits=16)
+
+
+@pytest.mark.parametrize("command", ["run", "demo"])
+def test_out_dir_naming_a_file_is_a_config_error(command, tmp_path, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    target = (str(write_config(tmp_path)) if command == "run"
+              else "harn-honest")
+    code = main([command, target, "--out-dir", str(blocker),
+                 "--prime-bits", str(BITS)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "config error: cannot write outputs under %s" % blocker \
+        in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert blocker.read_text() == "not a directory\n"
 
 
 def test_no_subcommand_is_usage_error(capsys):

@@ -40,46 +40,46 @@ from groupauth.parties import HarnParty, invitation_envelope
 from conftest import RecordingAPI
 
 
-def interpolated_position_value(bundle, credentials, j, member_ids):
+def interpolated_position_value(params, credentials, j, member_ids):
     """Oracle: recover f_j(w_j) from member credentials by interpolation."""
-    p = bundle.params.prime
+    p = params.modulus
     acc = 0
     chosen = [c for c in credentials if c.owner.value in member_ids]
     for cred in chosen:
         own = cred.owner.value
         others = [c.owner.value for c in chosen if c.owner.value != own]
-        lam, = lagrange_coefficient((bundle.w[j].value,), own, others, p)
+        lam, = lagrange_coefficient((params.w[j].value,), own, others, p)
         acc = (acc + cred.tokens[j].value * lam) % p
     return acc
 
 
-def per_polynomial_token(bundle, cred, member_ids):
+def per_polynomial_token(params, cred, member_ids):
     """Oracle: the released scalar with one single-target Lagrange call
     per polynomial, sum_j d_j * f_j(own) * lagrange(w_j; own, others)."""
-    p = bundle.params.prime
+    p = params.modulus
     own = cred.owner.value
     others = [i for i in member_ids if i != own]
     acc = 0
-    for j in range(bundle.params.k):
-        lam, = lagrange_coefficient((bundle.w[j].value,), own, others, p)
-        acc = (acc + bundle.d[j].value * cred.tokens[j].value * lam) % p
+    for j in range(params.k):
+        lam, = lagrange_coefficient((params.w[j].value,), own, others, p)
+        acc = (acc + params.d[j].value * cred.tokens[j].value * lam) % p
     return acc
 
 
-def deliver_token(party, api, bundle, sender, value, session=1):
+def deliver_token(party, api, params, sender, value, session=1):
     party.on_envelope(Envelope(
         claimed_sender=sender, session=(SCHEME_TAG, session),
         round=ROUND_TOKEN,
-        payload=encode_residue_hex(value, bundle.params.prime),
+        payload=encode_residue_hex(value, params.modulus),
     ), api)
 
 
 class TestIssuance:
     def test_polynomial_count_rule(self):
         for n, t in [(2, 2), (5, 2), (5, 3), (6, 2), (7, 3), (9, 4)]:
-            bundle, _, _ = harn_gm_init(n, t, prime_bits=48, rng_seed=1)
-            assert bundle.params.k == ceil(n / t)
-            assert bundle.params.k * t > n - 1
+            params, _, _ = harn_gm_init(n, t, prime_bits=48, rng_seed=1)
+            assert params.k == ceil(n / t)
+            assert params.k * t > n - 1
 
     def test_threshold_validation(self):
         with pytest.raises(InvalidThreshold):
@@ -90,32 +90,32 @@ class TestIssuance:
             harn_gm_init(1, 1, prime_bits=48, rng_seed=0)
 
     def test_positions_disjoint_from_identifiers(self):
-        bundle, _, _ = harn_gm_init(6, 2, prime_bits=48, rng_seed=2)
-        wv = {x.value for x in bundle.w}
-        ids = {x.value for x in bundle.params.identifiers}
-        assert len(wv) == bundle.params.k
+        params, _, _ = harn_gm_init(6, 2, prime_bits=48, rng_seed=2)
+        wv = {x.value for x in params.w}
+        ids = {x.value for x in params.identifiers}
+        assert len(wv) == params.k
         assert not wv & ids
 
     def test_issuance_invariant_via_interpolation_oracle(self):
-        bundle, creds, s = harn_gm_init(5, 3, prime_bits=64, rng_seed=3)
-        p = bundle.params.prime
+        params, creds, s = harn_gm_init(5, 3, prime_bits=64, rng_seed=3)
+        p = params.modulus
         total = 0
-        for j in range(bundle.params.k):
-            fj_at_wj = interpolated_position_value(bundle, creds, j, {1, 2, 3})
-            total = (total + bundle.d[j].value * fj_at_wj) % p
+        for j in range(params.k):
+            fj_at_wj = interpolated_position_value(params, creds, j, {1, 2, 3})
+            total = (total + params.d[j].value * fj_at_wj) % p
         assert total == s.value
 
     def test_secret_hash_matches_secret(self):
         from groupauth.algebra import residue_digest
 
-        bundle, _, s = harn_gm_init(4, 2, prime_bits=64, rng_seed=4)
-        assert bundle.secret_hash == residue_digest(
-            s.value, bundle.params.prime
+        params, _, s = harn_gm_init(4, 2, prime_bits=64, rng_seed=4)
+        assert params.secret_hash == residue_digest(
+            s.value, params.modulus
         )
 
     def test_identifiers_are_one_through_n(self):
-        bundle, creds, _ = harn_gm_init(5, 2, prime_bits=48, rng_seed=5)
-        assert [x.value for x in bundle.params.identifiers] == [1, 2, 3, 4, 5]
+        params, creds, _ = harn_gm_init(5, 2, prime_bits=48, rng_seed=5)
+        assert [x.value for x in params.identifiers] == [1, 2, 3, 4, 5]
         assert [c.owner.value for c in creds] == [1, 2, 3, 4, 5]
 
     # Pinned on first run of harn_gm_init(5, 2, prime_bits=64, rng_seed=7).
@@ -128,16 +128,16 @@ class TestIssuance:
     def test_deterministic_issuance_pinned(self):
         import hashlib
 
-        bundle, creds, s = harn_gm_init(5, 2, prime_bits=64, rng_seed=7)
-        assert bundle.params.prime == self.PINNED_PRIME
+        params, creds, s = harn_gm_init(5, 2, prime_bits=64, rng_seed=7)
+        assert params.modulus == self.PINNED_PRIME
         assert s.value == self.PINNED_SECRET
         parts = [
-            str(bundle.params.n), str(bundle.params.t), str(bundle.params.k),
-            str(bundle.params.prime), str(s.value),
+            str(params.n), str(params.t), str(params.k),
+            str(params.modulus), str(s.value),
         ]
-        parts += [str(x.value) for x in bundle.w]
-        parts += [str(x.value) for x in bundle.d]
-        parts.append(bundle.secret_hash.hex())
+        parts += [str(x.value) for x in params.w]
+        parts += [str(x.value) for x in params.d]
+        parts.append(params.secret_hash.hex())
         for c in creds:
             parts.append(str(c.owner.value))
             parts += [str(t.value) for t in c.tokens]
@@ -148,33 +148,33 @@ class TestIssuance:
 class TestTokenRelease:
     def test_two_party_formula_specialisation(self):
         """n = t = 2 gives k = 1 and a single hand-checkable product."""
-        bundle, creds, _ = harn_gm_init(2, 2, prime_bits=64, rng_seed=11)
-        assert bundle.params.k == 1
-        p = bundle.params.prime
-        x1, x2 = (x.value for x in bundle.params.identifiers)
-        token = harn_compute_token(creds[0], bundle, [1, 2])
-        lam = (bundle.w[0].value - x2) * pow(x1 - x2, -1, p)
-        assert token == (bundle.d[0].value * creds[0].tokens[0].value
+        params, creds, _ = harn_gm_init(2, 2, prime_bits=64, rng_seed=11)
+        assert params.k == 1
+        p = params.modulus
+        x1, x2 = (x.value for x in params.identifiers)
+        token = harn_compute_token(creds[0], params, [1, 2])
+        lam = (params.w[0].value - x2) * pow(x1 - x2, -1, p)
+        assert token == (params.d[0].value * creds[0].tokens[0].value
                          * lam) % p
 
     def test_full_group_tokens_sum_to_secret(self):
-        bundle, creds, s = harn_gm_init(5, 3, prime_bits=64, rng_seed=12)
+        params, creds, s = harn_gm_init(5, 3, prime_bits=64, rng_seed=12)
         group = [1, 2, 3, 4, 5]
-        tokens = [harn_compute_token(c, bundle, group) for c in creds]
-        assert harn_aggregate(tokens, bundle.params.prime) == s.value
+        tokens = [harn_compute_token(c, params, group) for c in creds]
+        assert harn_aggregate(tokens, params.modulus) == s.value
 
     def test_subset_tokens_sum_to_secret(self):
-        bundle, creds, s = harn_gm_init(6, 2, prime_bits=64, rng_seed=13)
+        params, creds, s = harn_gm_init(6, 2, prime_bits=64, rng_seed=13)
         group = [2, 4, 5]
-        tokens = [harn_compute_token(c, bundle, group) for c in creds
+        tokens = [harn_compute_token(c, params, group) for c in creds
                   if c.owner.value in group]
-        assert harn_aggregate(tokens, bundle.params.prime) == s.value
+        assert harn_aggregate(tokens, params.modulus) == s.value
 
     def test_non_member_rejected(self):
         """The engine refuses to start a group that omits the initiator
         or names a party without a credential, and sends nothing."""
-        bundle, creds, _ = harn_gm_init(4, 2, prime_bits=48, rng_seed=14)
-        party, api = HarnParty(4, creds[3], bundle), RecordingAPI()
+        params, creds, _ = harn_gm_init(4, 2, prime_bits=48, rng_seed=14)
+        party, api = HarnParty(4, creds[3], params), RecordingAPI()
         with pytest.raises(NotAMember):
             party.initiate([1, 2], 1, api)
         with pytest.raises(NotAMember):
@@ -184,8 +184,8 @@ class TestTokenRelease:
     def test_repeated_id_rejected(self):
         """A group naming one id twice could never complete; the engine
         refuses it at initiate and sends nothing."""
-        bundle, creds, _ = harn_gm_init(4, 2, prime_bits=48, rng_seed=14)
-        party, api = HarnParty(1, creds[0], bundle), RecordingAPI()
+        params, creds, _ = harn_gm_init(4, 2, prime_bits=48, rng_seed=14)
+        party, api = HarnParty(1, creds[0], params), RecordingAPI()
         for group in ([1, 1, 2], [1, 2, 2]):
             with pytest.raises(NotAMember):
                 party.initiate(group, 1, api)
@@ -193,9 +193,9 @@ class TestTokenRelease:
 
     def test_quorum_enforced(self):
         """Below the threshold the engine rejects before any token."""
-        bundle, creds, _ = harn_gm_init(4, 3, prime_bits=48, rng_seed=15)
+        params, creds, _ = harn_gm_init(4, 3, prime_bits=48, rng_seed=15)
         for group in ([1, 2], [1]):
-            party, api = HarnParty(1, creds[0], bundle), RecordingAPI()
+            party, api = HarnParty(1, creds[0], params), RecordingAPI()
             party.initiate(group, 1, api)
             assert api.rounds() == [ROUND_INVITATION]
             assert api.decisions == [
@@ -207,8 +207,8 @@ class TestTokenRelease:
         """A run id opens once: initiating it again with another group
         sends the invitation but no second token and decides
         session-exhausted, so one run's one-time secret is never reused."""
-        bundle, creds, _ = harn_gm_init(4, 2, prime_bits=48, rng_seed=16)
-        party, api = HarnParty(1, creds[0], bundle), RecordingAPI()
+        params, creds, _ = harn_gm_init(4, 2, prime_bits=48, rng_seed=16)
+        party, api = HarnParty(1, creds[0], params), RecordingAPI()
         party.initiate([1, 2], 1, api)
         party.initiate([1, 3], 1, api)
         assert api.rounds() == [ROUND_INVITATION, ROUND_TOKEN,
@@ -227,8 +227,8 @@ class TestTokenMatchesPerPolynomialFormula:
         (128, 8, 64, 45),
     ])
     def test_seeded_groups(self, n, t, bits, seed):
-        bundle, creds, s = harn_gm_init(n, t, prime_bits=bits, rng_seed=seed)
-        p = bundle.params.prime
+        params, creds, s = harn_gm_init(n, t, prime_bits=bits, rng_seed=seed)
+        p = params.modulus
         rng = random.Random(seed)
         groups = [list(range(1, n + 1))]
         for size in sorted({t, t + 1, (n + t) // 2, n - 1}):
@@ -238,53 +238,53 @@ class TestTokenMatchesPerPolynomialFormula:
             for cred in creds:
                 if cred.owner.value not in group:
                     continue
-                expect = per_polynomial_token(bundle, cred, group)
-                tokens.append(harn_compute_token(cred, bundle, group))
+                expect = per_polynomial_token(params, cred, group)
+                tokens.append(harn_compute_token(cred, params, group))
                 assert tokens[-1] == expect
             assert harn_aggregate(tokens, p) == s.value
 
     def test_repeated_non_owner_rejected(self):
-        bundle, creds, _ = harn_gm_init(6, 2, prime_bits=48, rng_seed=47)
+        params, creds, _ = harn_gm_init(6, 2, prime_bits=48, rng_seed=47)
         with pytest.raises(DegenerateShareSet):
-            harn_compute_token(creds[0], bundle, [1, 3, 3])
+            harn_compute_token(creds[0], params, [1, 3, 3])
         with pytest.raises(DegenerateShareSet):
-            harn_compute_token(creds[0], bundle, [1, 5, 2, 5])
+            harn_compute_token(creds[0], params, [1, 5, 2, 5])
 
 
 class TestNumeratorMemo:
-    """The bundle's per-group numerator memo changes no token and stays
+    """The params' per-group numerator memo changes no token and stays
     bounded."""
 
     def test_cold_and_warm_tokens_equal(self):
-        bundle, creds, s = harn_gm_init(9, 2, prime_bits=64, rng_seed=51)
+        params, creds, s = harn_gm_init(9, 2, prime_bits=64, rng_seed=51)
         group = [2, 3, 5, 7, 8]
         members = [c for c in creds if c.owner.value in group]
         cold = []
         for cred in members:
-            bundle._numerators.clear()
-            cold.append(harn_compute_token(cred, bundle, group))
-            assert list(bundle._numerators) == [tuple(group)]
-        warm = [harn_compute_token(c, bundle, group) for c in members]
+            params._numerators.clear()
+            cold.append(harn_compute_token(cred, params, group))
+            assert list(params._numerators) == [tuple(group)]
+        warm = [harn_compute_token(c, params, group) for c in members]
         assert warm == cold == [
-            per_polynomial_token(bundle, c, group) for c in members
+            per_polynomial_token(params, c, group) for c in members
         ]
-        assert harn_aggregate(warm, bundle.params.prime) == s.value
+        assert harn_aggregate(warm, params.modulus) == s.value
 
     def test_degenerate_group_leaves_no_entry(self):
-        bundle, creds, _ = harn_gm_init(6, 2, prime_bits=48, rng_seed=52)
+        params, creds, _ = harn_gm_init(6, 2, prime_bits=48, rng_seed=52)
         for group in ([1, 3, 3], [1, 5, 2, 5]):
             with pytest.raises(DegenerateShareSet):
-                harn_compute_token(creds[0], bundle, group)
+                harn_compute_token(creds[0], params, group)
         with pytest.raises(NotAMember):
-            harn_compute_token(creds[0], bundle, [1, 2, 7])
-        assert bundle._numerators == {}
+            harn_compute_token(creds[0], params, [1, 2, 7])
+        assert params._numerators == {}
 
     def test_injected_invitations_stay_within_bound(self):
         """Each invitation to a new group stores one entry; past the
         bound the oldest goes, and every token is still right."""
         n = 9
-        bundle, creds, _ = harn_gm_init(n, 2, prime_bits=64, rng_seed=53)
-        party, api = HarnParty(1, creds[0], bundle), RecordingAPI()
+        params, creds, _ = harn_gm_init(n, 2, prime_bits=64, rng_seed=53)
+        party, api = HarnParty(1, creds[0], params), RecordingAPI()
         groups = [[1, a, b] for a in range(2, n + 1)
                   for b in range(a + 1, n + 1)]
         assert len(groups) > 3 * NUMERATOR_MEMO_VIEWS
@@ -292,11 +292,11 @@ class TestNumeratorMemo:
             party.on_envelope(
                 invitation_envelope(SCHEME_TAG, group[1], session, group),
                 api)
-            assert len(bundle._numerators) <= NUMERATOR_MEMO_VIEWS
+            assert len(params._numerators) <= NUMERATOR_MEMO_VIEWS
             assert api.broadcasts[-1].payload == encode_residue_hex(
-                per_polynomial_token(bundle, creds[0], group),
-                bundle.params.prime)
-        assert list(bundle._numerators) == [
+                per_polynomial_token(params, creds[0], group),
+                params.modulus)
+        assert list(params._numerators) == [
             tuple(g) for g in groups[-NUMERATOR_MEMO_VIEWS:]]
 
 
@@ -305,8 +305,8 @@ class TestDecodeMemo:
     remembered value is the one a cold decode gives."""
 
     def test_memo_hit_equals_cold_decode(self):
-        bundle, _, _ = harn_gm_init(5, 2, prime_bits=64, rng_seed=54)
-        params, p = bundle.params, bundle.params.prime
+        params, _, _ = harn_gm_init(5, 2, prime_bits=64, rng_seed=54)
+        p = params.modulus
         payloads = [encode_residue_hex(v, p) for v in (0, 1, 12345, p - 1)]
         first = [params.decode(x) for x in payloads]
         assert first == [0, 1, 12345, p - 1]
@@ -317,8 +317,8 @@ class TestDecodeMemo:
         assert [cold.decode(x) for x in payloads] == first
 
     def test_rejected_payload_is_rejected_every_time_and_never_stored(self):
-        bundle, _, _ = harn_gm_init(5, 2, prime_bits=64, rng_seed=55)
-        params, p = bundle.params, bundle.params.prime
+        params, _, _ = harn_gm_init(5, 2, prime_bits=64, rng_seed=55)
+        p = params.modulus
         width = len(encode_residue_hex(0, p))
         bad = [
             encode_residue_hex(p, p + 1),  # the prime itself: out of range
@@ -335,45 +335,45 @@ class TestDecodeMemo:
 
 
 class TestVerification:
-    def _honest_tokens(self, bundle, creds, group):
+    def _honest_tokens(self, params, creds, group):
         return [
-            harn_compute_token(c, bundle, group)
+            harn_compute_token(c, params, group)
             for c in creds
             if c.owner.value in group
         ]
 
     def test_honest_run_accepts_and_reveals_secret(self):
-        bundle, creds, s = harn_gm_init(5, 2, prime_bits=64, rng_seed=21)
-        tokens = self._honest_tokens(bundle, creds, [1, 3, 5])
-        assert harn_verify(tokens, bundle) is True
+        params, creds, s = harn_gm_init(5, 2, prime_bits=64, rng_seed=21)
+        tokens = self._honest_tokens(params, creds, [1, 3, 5])
+        assert harn_verify(tokens, params) is True
         # the one-time secret is now public
-        assert harn_aggregate(tokens, bundle.params.prime) == s.value
+        assert harn_aggregate(tokens, params.modulus) == s.value
 
     def test_single_perturbation_rejects(self):
-        bundle, creds, _ = harn_gm_init(5, 2, prime_bits=64, rng_seed=22)
-        tokens = self._honest_tokens(bundle, creds, [1, 2, 3])
-        bad = (tokens[0] + 1) % bundle.params.prime
-        assert harn_verify([bad] + tokens[1:], bundle) is False
+        params, creds, _ = harn_gm_init(5, 2, prime_bits=64, rng_seed=22)
+        tokens = self._honest_tokens(params, creds, [1, 2, 3])
+        bad = (tokens[0] + 1) % params.modulus
+        assert harn_verify([bad] + tokens[1:], params) is False
 
     def test_empty_token_list_rejects(self):
-        bundle, _, _ = harn_gm_init(4, 2, prime_bits=48, rng_seed=23)
-        assert harn_verify([], bundle) is False
-        assert harn_aggregate([], bundle.params.prime) == 0
+        params, _, _ = harn_gm_init(4, 2, prime_bits=48, rng_seed=23)
+        assert harn_verify([], params) is False
+        assert harn_aggregate([], params.modulus) == 0
 
     def test_duplicate_senders_malformed(self):
         """A second token claiming the same sender never replaces the
         first: the engine keeps the first, so a forged first token makes
         the sum miss."""
-        bundle, creds, _ = harn_gm_init(4, 2, prime_bits=48, rng_seed=24)
-        tokens = self._honest_tokens(bundle, creds, [1, 2, 3])
-        party, api = HarnParty(1, creds[0], bundle), RecordingAPI()
+        params, creds, _ = harn_gm_init(4, 2, prime_bits=48, rng_seed=24)
+        tokens = self._honest_tokens(params, creds, [1, 2, 3])
+        party, api = HarnParty(1, creds[0], params), RecordingAPI()
         party.initiate([1, 2, 3], 1, api)
         assert api.rounds() == [ROUND_INVITATION, ROUND_TOKEN]
-        deliver_token(party, api, bundle, 2,
-                      (tokens[1] + 1) % bundle.params.prime)
-        deliver_token(party, api, bundle, 2, tokens[1])
+        deliver_token(party, api, params, 2,
+                      (tokens[1] + 1) % params.modulus)
+        deliver_token(party, api, params, 2, tokens[1])
         assert api.decisions == []
-        deliver_token(party, api, bundle, 3, tokens[2])
+        deliver_token(party, api, params, 3, tokens[2])
         assert api.decisions == [
             ((SCHEME_TAG, 1), BeliefState(False,
                                           reason=REASON_HASH_MISMATCH))
@@ -385,13 +385,13 @@ class TestVerification:
 
         for n in range(2, 5):
             for t in range(2, n + 1):
-                bundle, creds, _ = harn_gm_init(
+                params, creds, _ = harn_gm_init(
                     n, t, prime_bits=48, rng_seed=100 * n + t
                 )
                 for m in range(t, n + 1):
                     for group in combinations(range(1, n + 1), m):
-                        tokens = self._honest_tokens(bundle, creds, group)
-                        assert harn_verify(tokens, bundle), (n, t, group)
+                        tokens = self._honest_tokens(params, creds, group)
+                        assert harn_verify(tokens, params), (n, t, group)
 
 
 class TestAggregateOnlyVerification:
@@ -401,21 +401,21 @@ class TestAggregateOnlyVerification:
         st.integers(min_value=0), min_size=1, max_size=5))
     @settings(max_examples=30)
     def test_any_partial_sum_completes_to_acceptance(self, seed_left, rest):
-        bundle, creds, s = harn_gm_init(6, 2, prime_bits=64, rng_seed=31)
-        p = bundle.params.prime
+        params, creds, s = harn_gm_init(6, 2, prime_bits=64, rng_seed=31)
+        p = params.modulus
         values = [v % p for v in [seed_left] + rest]
         closing = (s.value - harn_aggregate(values, p)) % p
         tokens = values + [closing]
-        assert harn_verify(tokens, bundle)
+        assert harn_verify(tokens, params)
         assert harn_aggregate(tokens, p) == s.value
 
     def test_closing_value_is_unique(self):
-        bundle, _, s = harn_gm_init(4, 2, prime_bits=64, rng_seed=32)
-        p = bundle.params.prime
+        params, _, s = harn_gm_init(4, 2, prime_bits=64, rng_seed=32)
+        p = params.modulus
         rng = random.Random(5)
         opening = rng.randrange(p)
         closing = (s.value - opening) % p
-        assert harn_verify([opening, closing], bundle)
+        assert harn_verify([opening, closing], params)
         for delta in (1, 2, 17):
             off = (closing + delta) % p
-            assert not harn_verify([opening, off], bundle)
+            assert not harn_verify([opening, off], params)
