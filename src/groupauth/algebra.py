@@ -15,9 +15,8 @@ here is hardened for production use (no constant-time code, PRNG only).
 import hashlib
 import random
 from dataclasses import dataclass, field
-from math import gcd, prod
-
-import sympy
+from math import gcd, isqrt, prod
+from types import SimpleNamespace
 
 from .errors import (
     DegenerateShareSet,
@@ -26,7 +25,17 @@ from .errors import (
     SubgroupViolation,
 )
 
-_SMALL_PRIMES = tuple(sympy.primerange(3, 1000))
+
+def _odd_primes_below(limit: int) -> tuple:
+    """The odd primes below `limit`, by the sieve of Eratosthenes."""
+    sieve = bytearray(b"\x01") * limit
+    for r in range(3, isqrt(limit - 1) + 1, 2):
+        if sieve[r]:
+            sieve[r * r::2 * r] = bytes(len(range(r * r, limit, 2 * r)))
+    return tuple(r for r in range(3, limit, 2) if sieve[r])
+
+
+_SMALL_PRIMES = _odd_primes_below(1000)
 _SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
 _SMALL_PRIMORIAL = prod(_SMALL_PRIMES)
 
@@ -246,12 +255,95 @@ def _fermat(n: int) -> bool:
     return pow(2, n - 1, n) == 1
 
 
+# Below this bound, Miller-Rabin to the thirteen prime bases 2..41 has no
+# strong pseudoprime (J. Sorenson and J. Webster, "Strong pseudoprimes to
+# twelve prime bases", Math. Comp. 86, 2017), so it decides primality.
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _strong_probable_prime(n: int, base: int) -> bool:
+    """Miller-Rabin round: whether the odd n > base is a strong probable
+    prime to `base`."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    x = pow(base, (n - 1) >> s, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's method-A parameters for an odd
+    n above 10^6 (R. Baillie and S. Wagstaff, "Lucas Pseudoprimes",
+    Math. Comp. 35, 1980): D is the first of 5, -7, 9, -11, ... with
+    (D/n) = -1, P = 1 and Q = (1 - D) / 4."""
+    if isqrt(n) ** 2 == n:
+        return False  # (D/n) is never -1 for a square
+    d = 5
+    while True:
+        j = _jacobi(d, n)
+        if j == -1:
+            break
+        if j == 0:
+            return False  # 1 < gcd(d, n) <= |d| < n
+        d = -d - 2 if d > 0 else 2 - d
+    q = (1 - d) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1  # n + 1 = k * 2^s, k odd
+    # U_m, V_m and Q^m mod n, from m = 1 up to m = k by doubling steps
+    # and, for each one bit of k, a step to m + 1
+    u, v, qm = 1, 1, q % n
+    for bit in bin((n + 1) >> s)[3:]:
+        u, v, qm = u * v % n, (v * v - 2 * qm) % n, qm * qm % n
+        if bit == "1":
+            # U_{m+1} = (U_m + V_m) / 2 and V_{m+1} = (D U_m + V_m) / 2
+            u, v = u + v, d * u + v
+            u = (u + n if u & 1 else u) >> 1
+            v = (v + n if v & 1 else v) >> 1
+            u, v, qm = u % n, v % n, qm * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v = (v * v - 2 * qm) % n
+        if v == 0:
+            return True
+        qm = qm * qm % n
+    return False
+
+
+def is_probable_prime(n: int) -> bool:
+    """Whether n is prime: exact below _MR_BOUND, and above it the
+    strong Baillie-PSW test, which has no known counterexample.
+
+    Trial division by the primes below 1000 first; then Miller-Rabin to
+    the bases 2..41 below the bound, and above it Miller-Rabin to base 2
+    and a strong Lucas test.
+    """
+    if n < 3 or not n & 1:
+        return n == 2
+    if not _sieved(n):
+        return False
+    if n < 1000 * 1000:
+        return True  # a composite this small has a factor below 1000
+    if n < _MR_BOUND:
+        return all(_strong_probable_prime(n, a) for a in _MR_BASES)
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+
+
+# perfbench/tracer.py counts primality tests by replacing this attribute,
+# so both searches call `sympy.isprime` through it; it goes once the
+# tracer counts is_probable_prime itself.
+sympy = SimpleNamespace(isprime=is_probable_prime)
+
 # Both searches draw candidates from `rng` in turn and return the first
-# that `sympy.isprime` accepts (q and p both, for a safe prime). The
+# that `is_probable_prime` accepts (q and p both, for a safe prime). The
 # filters in front of it reject only composites, so they set what a
 # search costs, never which prime it finds. A Fermat test in front of a
-# plain prime's `isprime` measured no faster, so only the safe-prime
-# search has one.
+# plain prime's test measured no faster, so only the safe-prime search
+# has one.
 
 
 def random_prime(bits: int, rng: random.Random) -> int:

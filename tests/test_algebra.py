@@ -11,6 +11,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from groupauth import algebra
 from groupauth.algebra import (
@@ -23,10 +24,12 @@ from groupauth.algebra import (
     _jacobi,
     _pair_sieved,
     _sieved,
+    _strong_lucas_probable_prime,
     derive_rng,
     derive_seed,
     group_exp,
     group_setup,
+    is_probable_prime,
     lagrange_coefficient,
     poly_eval,
     random_prime,
@@ -491,14 +494,16 @@ def sized_ints(low_bits, high_bits):
 
 
 class CountingSympy:
-    """Stands in for `sympy` inside `groupauth.algebra`; counts isprime."""
+    """Stands in for the `sympy` seam inside `groupauth.algebra`: counts
+    the primality tests and forwards each to the test it replaces."""
 
     def __init__(self):
         self.calls = 0
+        self._isprime = algebra.sympy.isprime
 
     def isprime(self, n):
         self.calls += 1
-        return sympy.isprime(n)
+        return self._isprime(n)
 
 
 class TestPrimeFilters:
@@ -526,6 +531,62 @@ class TestPrimeFilters:
     def test_fermat_passes_every_odd_prime(self):
         assert all(_fermat(p) for p in sympy.primerange(3, 20_000))
         assert not _fermat(91) and _fermat(341)  # 341 = 11 * 31 fools it
+
+
+# The Sorenson-Webster bound: the least strong pseudoprime to the prime
+# bases 2..41, and the point where is_probable_prime turns to BPSW.
+MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+class TestPrimality:
+    """is_probable_prime against sympy.isprime as oracle."""
+
+    def test_small_ints_match_oracle(self):
+        for n in range(-10, 100_000):
+            assert is_probable_prime(n) == sympy.isprime(n), n
+
+    @settings(max_examples=300)
+    @given(sized_ints(2, 512))
+    def test_random_ints_match_oracle(self, n):
+        assert is_probable_prime(n) == sympy.isprime(n)
+
+    @pytest.mark.parametrize("centre", [1 << 64, MR_BOUND],
+                             ids=["2^64", "mr-bound"])
+    def test_odd_ints_near_regime_edges_match_oracle(self, centre):
+        for n in range((centre - 5_000) | 1, centre + 5_000, 2):
+            assert is_probable_prime(n) == sympy.isprime(n), n
+
+    @pytest.mark.parametrize("n", [
+        2047, 3277, 4033, 4681, 8321,  # strong pseudoprimes to base 2
+        5459, 5777, 10877, 16109, 18971,  # strong Lucas pseudoprimes
+        561, 1105, 1729, 2465, 2821, 6601, 8911,  # Carmichael numbers
+        # least strong pseudoprimes to the prime bases up to 7, 23, 37, 41
+        3215031751, 3825123056546413051, 318665857834031151167461,
+        MR_BOUND,
+    ])
+    def test_pseudoprimes_are_composite(self, n):
+        assert not sympy.isprime(n)
+        assert not is_probable_prime(n)
+
+    @pytest.mark.parametrize("p", [1009, 65537, 4294967291, P64, P128])
+    def test_prime_squares_are_composite(self, p):
+        assert not is_probable_prime(p * p)  # P64 and P128 square past 2^64
+
+    @pytest.mark.parametrize("p", [P128, P256],
+                             ids=lambda p: "%d-bit" % p.bit_length())
+    def test_conftest_safe_primes_match_oracle(self, p):
+        assert is_probable_prime(p) and sympy.isprime(p)
+        assert is_probable_prime(p // 2) and sympy.isprime(p // 2)
+
+    def test_lucas_test_matches_oracle_above_trial_division(self):
+        # the range holds two strong Lucas pseudoprimes, which both pass
+        assert _strong_lucas_probable_prime(1033997)
+        assert _strong_lucas_probable_prime(1106327)
+        for n in range(1_030_001, 1_110_000, 2):
+            assert _strong_lucas_probable_prime(n) == is_strong_lucas_prp(n), n
+
+    def test_small_primes_are_the_odd_primes_below_1000(self):
+        assert _SMALL_PRIMES == tuple(sympy.primerange(3, 1000))
 
 
 class TestPrimeSearch:

@@ -4,6 +4,9 @@ and byte-determinism of the command-line front end."""
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -757,6 +760,34 @@ def test_every_demo_runs_and_audits(name, tmp_path, capsys):
     assert code == 0, stdout
     assert "verdict: expected" in stdout
     assert "audit: PASS" in stdout
+
+
+def run_fresh_python(code, cwd):
+    """Run `code` in a new interpreter that imports this groupauth."""
+    src = str(Path(groupauth.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
+                           if p)
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_import_does_not_load_sympy(tmp_path):
+    done = run_fresh_python(
+        "import sys, groupauth\nassert 'sympy' not in sys.modules", tmp_path)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("name", ["xia-impersonation", "harn-impersonation"])
+def test_demo_runs_and_audits_without_sympy(name, tmp_path):
+    # a None entry in sys.modules makes any `import sympy` fail
+    argv = ["demo", name, "--prime-bits", "64", "--out-dir",
+            str(tmp_path / name)]
+    code = ("import sys\nsys.modules['sympy'] = None\n"
+            "from groupauth.cli import main\nsys.exit(main(%r))" % argv)
+    done = run_fresh_python(code, tmp_path)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "audit: PASS" in done.stdout
 
 
 def test_load_config_applies_overrides(tmp_path):
