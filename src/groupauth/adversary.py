@@ -45,18 +45,18 @@ from .channel import (
     ROUND_TOKEN,
     Transcript,
     WILDCARD,
+    decode_invitation,
     decode_residue_hex,
     encode_residue_hex,
+    invitation_envelope,
 )
-from .errors import InsufficientObservation
+from .errors import GroupAuthError, InsufficientObservation
 from .harn2013 import SCHEME_TAG as HARN_TAG
 from .harn2013 import harn_aggregate
 from .parties import (
     SCHEMES,
     HarnParty,
     XiaParty,
-    invitation_envelope,
-    parse_invitation,
     run_world,
 )
 from .xia2019 import SCHEME_TAG as XIA_TAG
@@ -80,9 +80,12 @@ def _observed_tokens(envelopes, session: tuple, modulus: int) -> list:
         if envelope.session != session:
             continue
         if envelope.round == ROUND_INVITATION and group is None:
-            parsed = parse_invitation(envelope)
-            if parsed:
-                group = parsed[0]
+            try:
+                ids, announced = decode_invitation(envelope.payload)
+            except GroupAuthError:
+                continue
+            if announced == session[1]:
+                group = ids
         elif envelope.round == ROUND_TOKEN:
             tokens.setdefault(envelope.claimed_sender, envelope.payload)
     if group is None:

@@ -18,10 +18,12 @@ from dataclasses import dataclass, field
 from math import gcd, isqrt, prod
 from types import SimpleNamespace
 
+from .channel import decode_invitation
 from .errors import (
     DegenerateShareSet,
     GroupAuthError,
     InvalidThreshold,
+    MalformedTranscript,
     SubgroupViolation,
 )
 
@@ -165,14 +167,15 @@ class ThresholdParams:
     """n participants and threshold t, the base of both schemes' public
     parameters; party i has the share-field identifier of value i.
 
-    `decode` is the wire boundary: a scheme supplies `_check` (payload ->
-    int, raising GroupAuthError if malformed or out of range), and
-    `decode` runs it once per distinct payload and remembers the
-    accepted value. Every party of
-    one world shares one params object, so a broadcast value is checked
-    once, not once per recipient. The memo lives as long as the params
-    object, which is meant to serve one world; rejected payloads are not
-    remembered, so injected junk cannot grow it.
+    The params are the wire boundary: `decode` runs a scheme's `_check`
+    (payload -> int, raising GroupAuthError if malformed or out of range)
+    and `invitation` parses an invitation whose group names only
+    participants, each once per distinct payload, remembering what it
+    accepted. Every party of one world shares one params object, so a
+    broadcast is checked once, not once per recipient. The memos live as
+    long as the params object, which is meant to serve one world;
+    rejected payloads are not remembered, so injected junk cannot grow
+    them.
     """
 
     n: int
@@ -181,6 +184,8 @@ class ThresholdParams:
     _ids: frozenset = field(init=False, repr=False, compare=False)
     _decoded: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
+    _invitations: dict = field(default_factory=dict, init=False,
+                               repr=False, compare=False)
 
     def __post_init__(self):
         if not 2 <= self.t <= self.n:
@@ -195,22 +200,40 @@ class ThresholdParams:
         return self._ids.issuperset(party_ids)
 
     def decode(self, payload: str) -> int | None:
-        """Wire value -> int, or None if `_check` rejects it; accepted
-        values are memoized per distinct payload."""
+        """Wire value -> int, or None if `_check` rejects it."""
         try:
             return self._decoded[payload]
         except KeyError:
-            pass
+            return _remember(self._decoded, self._check, payload)
+
+    def invitation(self, payload: str) -> tuple | None:
+        """Invitation payload -> (sorted group ids, their frozenset,
+        session), or None if malformed or naming a non-participant."""
         try:
-            value = self._check(payload)
-        except GroupAuthError:
-            return None
-        self._decoded[payload] = value
-        return value
+            return self._invitations[payload]
+        except KeyError:
+            return _remember(self._invitations, self._check_invitation,
+                             payload)
 
     def _check(self, payload: str) -> int:
         """The scheme's validation of one wire payload."""
         raise NotImplementedError
+
+    def _check_invitation(self, payload: str) -> tuple:
+        group_ids, session = decode_invitation(payload)
+        if not self.all_members(group_ids):
+            raise MalformedTranscript("invitation names a non-participant")
+        return group_ids, frozenset(group_ids), session
+
+
+def _remember(memo: dict, check, payload: str):
+    """check(payload), kept in `memo`, or None if it raises GroupAuthError."""
+    try:
+        value = check(payload)
+    except GroupAuthError:
+        return None
+    memo[payload] = value
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -257,14 +280,19 @@ def _fermat(n: int) -> bool:
 
 # Below this bound, Miller-Rabin to the thirteen prime bases 2..41 has no
 # strong pseudoprime (J. Sorenson and J. Webster, "Strong pseudoprimes to
-# twelve prime bases", Math. Comp. 86, 2017), so it decides primality.
+# twelve prime bases", Math. Comp. 86, 2017), so it decides primality;
+# below 2^64 the seven bases of J. Sinclair (2011) do, as in sympy.isprime.
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BASES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 
 def _strong_probable_prime(n: int, base: int) -> bool:
-    """Miller-Rabin round: whether the odd n > base is a strong probable
-    prime to `base`."""
+    """Miller-Rabin round: whether the odd n > 2 is a strong probable
+    prime to `base`. A base that is 0 or 1 mod n tells nothing and
+    passes, as in sympy's `mr`."""
+    if base % n < 2:
+        return True
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
     x = pow(base, (n - 1) >> s, n)
     if x == 1 or x == n - 1:
@@ -319,8 +347,8 @@ def is_probable_prime(n: int) -> bool:
     strong Baillie-PSW test, which has no known counterexample.
 
     Trial division by the primes below 1000 first; then Miller-Rabin to
-    the bases 2..41 below the bound, and above it Miller-Rabin to base 2
-    and a strong Lucas test.
+    seven bases below 2^64, to the bases 2..41 below the bound, and
+    above it Miller-Rabin to base 2 and a strong Lucas test.
     """
     if n < 3 or not n & 1:
         return n == 2
@@ -329,7 +357,8 @@ def is_probable_prime(n: int) -> bool:
     if n < 1000 * 1000:
         return True  # a composite this small has a factor below 1000
     if n < _MR_BOUND:
-        return all(_strong_probable_prime(n, a) for a in _MR_BASES)
+        bases = _MR_BASES_64 if n < 1 << 64 else _MR_BASES
+        return all(_strong_probable_prime(n, a) for a in bases)
     return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
 
 

@@ -36,6 +36,8 @@ REASON_HASH_MISMATCH = "hash-mismatch"
 REASON_SESSION_EXHAUSTED = "session-exhausted"
 
 _HEX_DIGITS = frozenset("0123456789abcdef")
+# the one canonical JSON form of payloads and transcript lines
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +78,7 @@ def decode_residue_hex(text: str, modulus: int) -> int:
 
 def encode_json_hex(obj) -> str:
     """Canonical JSON, utf-8, hex; used for structured payloads."""
-    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    return blob.encode("utf-8").hex()
+    return _CANONICAL.encode(obj).encode("utf-8").hex()
 
 
 def decode_json_hex(text: str):
@@ -87,7 +88,7 @@ def decode_json_hex(text: str):
         raise MalformedTranscript("bad structured payload")
     try:
         return json.loads(bytes.fromhex(text).decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, UnicodeDecodeError, RecursionError) as exc:
         raise MalformedTranscript("bad structured payload") from exc
 
 
@@ -112,6 +113,32 @@ class Envelope:
 
     def with_seq(self, seq: int) -> "Envelope":
         return replace(self, seq=seq)
+
+
+def invitation_envelope(scheme: str, inviter: int, session: int,
+                        group_ids) -> Envelope:
+    """In-band, unauthenticated session announcement."""
+    return Envelope(
+        claimed_sender=inviter,
+        session=(scheme, session),
+        round=ROUND_INVITATION,
+        payload=encode_json_hex(
+            {"group": sorted(int(i) for i in group_ids), "session": session}
+        ),
+    )
+
+
+def decode_invitation(text: str) -> tuple:
+    """(sorted group ids, session), if a non-empty set of ids is named."""
+    body = decode_json_hex(text)
+    try:
+        group_ids = tuple(sorted(int(i) for i in body["group"]))
+        session = int(body["session"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise MalformedTranscript("bad invitation") from exc
+    if not group_ids or len(set(group_ids)) != len(group_ids):
+        raise MalformedTranscript("bad invitation group")
+    return group_ids, session
 
 
 @dataclass(frozen=True)
@@ -171,7 +198,7 @@ def _is_str(value) -> bool:
 
 
 def _is_ids(value) -> bool:
-    return type(value) is list and all(_is_int(i) for i in value)
+    return type(value) is list and {int}.issuperset(map(type, value))
 
 
 def _is_session(value) -> bool:
@@ -248,10 +275,7 @@ class Transcript:
         ]
 
     def to_jsonl(self) -> str:
-        return "".join(
-            json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
-            for r in self.records
-        )
+        return "".join(_CANONICAL.encode(r) + "\n" for r in self.records)
 
     def write_jsonl(self, path) -> None:
         with open(path, "w", encoding="utf-8") as handle:
@@ -352,6 +376,7 @@ class ChannelSimulator:
         self.max_events = max_events
         self._parties = {}
         self._apis = {}
+        self._fanout = {}  # sender -> its recipients; reset by register
         self._adversary = None
         self._adversary_api = None
         self._seq = 0
@@ -365,6 +390,7 @@ class ChannelSimulator:
         if pid in self._parties:
             raise UnknownParty("party %d registered twice" % pid)
         self._parties[pid] = party
+        self._fanout.clear()
         api = PartyAPI(self, pid)
         self._apis[pid] = api
         return api
@@ -393,10 +419,11 @@ class ChannelSimulator:
         if sender not in self._parties:
             raise UnknownParty("broadcast from unregistered party %r" % sender)
         stamped = envelope.with_seq(self._next_seq())
-        recipients = [
-            pid for pid in self.party_ids
-            if pid != sender and not self.policy.blocks(sender, pid)
-        ]
+        recipients = self._fanout.get(sender)
+        if recipients is None:
+            recipients = self._fanout[sender] = tuple(
+                pid for pid in self.party_ids
+                if pid != sender and not self.policy.blocks(sender, pid))
         self.transcript.append_envelope(stamped, sender, recipients)
         self.schedule.push_fanout(stamped, recipients)
         if self._adversary is not None:

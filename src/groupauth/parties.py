@@ -15,7 +15,10 @@ party's own included), applies the membership and quorum rules, and
 turns the scheme's aggregate check into the decision. Envelopes for
 unknown sessions or for another round than the one in progress, senders
 outside the view, duplicates and malformed payloads are ignored rather
-than treated as fatal.
+than treated as fatal. A check that depends only on a payload and the
+public material (decode, and an invitation's parse and participants)
+runs once per world, in the params all parties share; every check left
+per delivery is O(1).
 
 `HarnParty` and `XiaParty` are the two schemes (see `Party` for what a
 scheme class answers), and `SCHEMES` maps each wire tag to its class.
@@ -45,11 +48,10 @@ from .channel import (
     ROUND_INVITATION,
     ROUND_TOKEN,
     Transcript,
-    decode_json_hex,
-    encode_json_hex,
     encode_residue_hex,
+    invitation_envelope,
 )
-from .errors import GroupAuthError, NotAMember, SessionExhausted
+from .errors import NotAMember, SessionExhausted
 from .harn2013 import (
     SCHEME_TAG as HARN_TAG,
     HarnParams,
@@ -69,46 +71,19 @@ from .xia2019 import (
 )
 
 
-def invitation_envelope(scheme: str, inviter: int, session: int,
-                        group_ids) -> Envelope:
-    """In-band, unauthenticated session announcement."""
-    return Envelope(
-        claimed_sender=inviter,
-        session=(scheme, session),
-        round=ROUND_INVITATION,
-        payload=encode_json_hex(
-            {"group": sorted(int(i) for i in group_ids), "session": session}
-        ),
-    )
-
-
-def parse_invitation(envelope: Envelope) -> tuple:
-    """Return (group_ids, session) or None if structurally invalid."""
-    try:
-        body = decode_json_hex(envelope.payload)
-        group_ids = tuple(sorted(int(i) for i in body["group"]))
-        session = int(body["session"])
-    except (GroupAuthError, KeyError, TypeError, ValueError, OverflowError):
-        return None
-    if session != envelope.session[1] or not group_ids:
-        return None
-    if len(set(group_ids)) != len(group_ids):
-        return None
-    return group_ids, session
-
-
 @dataclass(frozen=True)
 class SentInvitation(Envelope):
     """An invitation as the party it is handed to broadcast it genuinely:
     the audit gives the replay form its own invitations in this type."""
 
 
-@dataclass
+@dataclass(slots=True)
 class _Session:
     """One party's state in one session."""
 
     key: tuple  # (scheme tag, session id), as on the wire
     view: tuple  # sorted member ids from the invitation
+    members: frozenset  # the same ids, for the sender check
     state: int | None = None  # the scheme's own value (xia: this nonce)
     round: str | None = None  # round in progress; None once decided
     # round -> {claimed sender: decoded contribution}, this party's own
@@ -128,13 +103,13 @@ class Party:
     (the aggregate check on the token round's ints), plus `_admits` and
     `_open` if it narrows admission or keeps its own session ledger. Its
     public material is one `ThresholdParams` subclass, `params`, whose
-    `decode` (wire payload -> int or None) is the boundary check and
-    whose `modulus` is that of every residue on the wire. At class level
-    it answers `issue(config)` (the dealer run: params, credentials,
-    secret), `aggregate(values, modulus)` (what the digest check binds),
-    `nudge(params, session, value)` (a token moved off its value, still
-    well-formed) and, where the default below does not fit,
-    `material_facts`. The engine owns the scheme-tag filter, membership,
+    `decode` (wire payload -> int or None) and `invitation` are the
+    boundary checks and whose `modulus` is that of every residue on the
+    wire. At class level it answers `issue(config)` (the dealer run:
+    params, credentials, secret), `aggregate(values, modulus)` (what the
+    digest check binds), `nudge(params, session, value)` (a token moved
+    off its value, still well-formed) and, where the default below does
+    not fit, `material_facts`. The engine owns the scheme-tag filter, membership,
     invitation admission, per-session state, first-wins intake, round
     completion, the quorum rule before the token round, the replay form
     and decision recording.
@@ -168,13 +143,14 @@ class Party:
     # -- the round engine ---------------------------------------------------
 
     def initiate(self, group_ids, session_id: int, api: PartyAPI) -> None:
-        view = tuple(sorted(group_ids))
-        if len(set(view)) != len(view) or not self._member_of(view):
+        invitation = invitation_envelope(self.scheme, self.party_id,
+                                         session_id, group_ids)
+        parsed = self.params.invitation(invitation.payload)
+        if parsed is None or self.party_id not in parsed[1]:
             raise NotAMember("party %d cannot initiate group %s"
-                             % (self.party_id, list(view)))
-        api.broadcast(invitation_envelope(self.scheme, self.party_id,
-                                          session_id, view))
-        self._join(view, session_id, api)
+                             % (self.party_id, sorted(group_ids)))
+        api.broadcast(invitation)
+        self._join(parsed[0], parsed[1], session_id, api)
 
     def on_envelope(self, envelope: Envelope, api: PartyAPI) -> None:
         """Take one delivery. In the replay form, a `SentInvitation` is
@@ -183,37 +159,37 @@ class Party:
         scheme, session_id = envelope.session
         if scheme != self.scheme:
             return
-        if envelope.round == ROUND_INVITATION:
-            parsed = parse_invitation(envelope)
-            if parsed is None or not self._member_of(parsed[0]):
+        round_ = envelope.round
+        if round_ == ROUND_INVITATION:
+            parsed = self.params.invitation(envelope.payload)
+            if (parsed is None or parsed[2] != session_id
+                    or self.party_id not in parsed[1]):
                 return
             if isinstance(envelope, SentInvitation) or (
                     session_id not in self.sessions
                     and self._admits(session_id)):
-                self._join(parsed[0], session_id, api)
+                self._join(parsed[0], parsed[1], session_id, api)
             return
         session = self.sessions.get(session_id)
-        if session is None or envelope.round != session.round:
+        if session is None or round_ != session.round:
             return
         # first-wins intake; a party's own contribution never comes from
         # the wire
         sender = envelope.claimed_sender
-        received = session.received[session.round]
-        if (sender == self.party_id or sender not in session.view
+        received = session.received[round_]
+        if (sender == self.party_id or sender not in session.members
                 or sender in received):
             return
         value = self.decode(envelope.payload)
         if value is None:
             return
         received[sender] = value
-        self._advance(session, api)
+        if len(received) == len(session.view):
+            self._advance(session, api)
 
-    def _member_of(self, view: tuple) -> bool:
-        """Whether `view` names this party and only participants."""
-        return self.party_id in view and self.params.all_members(view)
-
-    def _join(self, view: tuple, session_id: int, api: PartyAPI) -> None:
-        session = _Session((self.scheme, session_id), view)
+    def _join(self, view: tuple, members: frozenset, session_id: int,
+              api: PartyAPI) -> None:
+        session = _Session((self.scheme, session_id), view, members)
         try:
             self._open(session_id)
         except SessionExhausted:
@@ -244,20 +220,19 @@ class Party:
             value = self.decode(payloads.pop(0)) if payloads else None
         if value is not None:
             received[self.party_id] = value
-        self._advance(session, api)
+        if len(received) == len(session.view):
+            self._advance(session, api)
 
     def _advance(self, session: _Session, api: PartyAPI) -> None:
-        """Once every view member has contributed to the round in
-        progress, start the next round or, after the token round, decide
-        on the aggregate check."""
-        if len(session.received[session.round]) != len(session.view):
-            return
+        """Every view member has contributed to the round in progress:
+        start the next round or, after the token round, decide on the
+        aggregate check."""
         if session.round != ROUND_TOKEN:
             following = self.rounds[self.rounds.index(session.round) + 1]
             self._enter(session, following, api)
         elif self._verify(session, session.received[ROUND_TOKEN].values()):
             self._decide(session, BeliefState(
-                True, members=frozenset(session.view)), api)
+                True, members=session.members), api)
         else:
             self._decide(session, BeliefState(
                 False, reason=REASON_HASH_MISMATCH), api)

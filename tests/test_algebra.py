@@ -563,10 +563,19 @@ class TestPrimality:
         # least strong pseudoprimes to the prime bases up to 7, 23, 37, 41
         3215031751, 3825123056546413051, 318665857834031151167461,
         MR_BOUND,
+        # strong pseudoprimes to base 2 just below 2^64
+        18446743208455367653, 18446744066047760377,
     ])
     def test_pseudoprimes_are_composite(self, n):
         assert not sympy.isprime(n)
         assert not is_probable_prime(n)
+
+    def test_base_divisible_by_n_is_skipped(self):
+        # the base 1,795,265,022 is 6 * 299,210,837; reduced mod that
+        # prime it is 0, which would call the prime composite
+        assert 1_795_265_022 % 299_210_837 == 0
+        assert sympy.isprime(299_210_837)
+        assert is_probable_prime(299_210_837)
 
     @pytest.mark.parametrize("p", [1009, 65537, 4294967291, P64, P128])
     def test_prime_squares_are_composite(self, p):

@@ -15,7 +15,12 @@ import pytest
 import groupauth
 from groupauth import cli, parties
 from groupauth.algebra import derive_rng
-from groupauth.channel import ChannelSimulator, Transcript, encode_residue_hex
+from groupauth.channel import (
+    ChannelSimulator,
+    Transcript,
+    encode_residue_hex,
+    invitation_envelope,
+)
 from groupauth.cli import (
     DEMOS,
     SCENARIO_HONEST,
@@ -35,7 +40,6 @@ from groupauth.cli import (
 )
 from groupauth.errors import AuditFailure, ConfigError
 from groupauth.harn2013 import harn_gm_init
-from groupauth.parties import invitation_envelope
 
 BITS = 64  # keep the suite quick; the CLI default is larger
 
@@ -353,8 +357,9 @@ def test_audit_rejects_corrupted_payload(tmp_path):
 def test_run_and_audit_get_separate_params(monkeypatch, scheme, dealer,
                                            seed):
     """The audit reuses the run's dealer run but gets its own params, and
-    with them its own decode memo, so it checks every wire value itself,
-    and its own credentials, so xia session ledgers start empty."""
+    with them its own decode and invitation memos, so it checks every
+    wire value itself, and its own credentials, so xia session ledgers
+    start empty."""
     seen, calls = [], []
     issue = getattr(parties, dealer)
 
@@ -378,6 +383,8 @@ def test_run_and_audit_get_separate_params(monkeypatch, scheme, dealer,
     assert run_params == audit_params and run_params is not audit_params
     assert run_params._decoded is not audit_params._decoded
     assert run_params._decoded and audit_params._decoded
+    assert run_params._invitations is not audit_params._invitations
+    assert run_params._invitations and audit_params._invitations
     assert all(a is not b for a, b in zip(run_creds, audit_creds))
     if scheme == "xia2019":
         assert run_params.group is audit_params.group

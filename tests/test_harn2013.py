@@ -24,7 +24,9 @@ from groupauth.channel import (
     REASON_SESSION_EXHAUSTED,
     ROUND_INVITATION,
     ROUND_TOKEN,
+    encode_json_hex,
     encode_residue_hex,
+    invitation_envelope,
 )
 from groupauth.errors import DegenerateShareSet, InvalidThreshold, NotAMember
 from groupauth.harn2013 import (
@@ -35,7 +37,7 @@ from groupauth.harn2013 import (
     harn_gm_init,
     harn_verify,
 )
-from groupauth.parties import HarnParty, invitation_envelope
+from groupauth.parties import HarnParty
 
 from conftest import RecordingAPI
 
@@ -332,6 +334,61 @@ class TestDecodeMemo:
         for _ in range(3):
             assert [params.decode(x) for x in bad] == [None] * len(bad)
         assert params._decoded == {}
+
+
+class TestInvitationMemo:
+    """`HarnParams.invitation` parses each accepted invitation payload
+    once per world; the session match and this party's membership are
+    still checked on every delivery."""
+
+    def test_accepted_payload_refused_under_another_session(self):
+        params, creds, _ = harn_gm_init(4, 2, prime_bits=48, rng_seed=56)
+        invite = invitation_envelope(SCHEME_TAG, 2, 2, [1, 2])
+        first, api = HarnParty(1, creds[0], params), RecordingAPI()
+        first.on_envelope(invite, api)
+        assert list(first.sessions) == [2]
+        assert list(params._invitations) == [invite.payload]
+        moved = replace(invite, session=(SCHEME_TAG, 1))
+        for party in (first, HarnParty(2, creds[1], params)):
+            party.on_envelope(moved, api)
+            assert 1 not in party.sessions
+        assert api.rounds() == [ROUND_TOKEN]
+
+    def test_malformed_invitation_never_stored(self):
+        params, creds, _ = harn_gm_init(4, 2, prime_bits=48, rng_seed=57)
+        party, api = HarnParty(1, creds[0], params), RecordingAPI()
+        good = invitation_envelope(SCHEME_TAG, 2, 1, [1, 2])
+        bad = [
+            "zz",  # not hex
+            good.payload.upper(),  # upper-case hex
+            encode_json_hex({"group": [], "session": 1}),
+            encode_json_hex({"group": [1, 2, 2], "session": 1}),
+            encode_json_hex({"group": [1, 2, 9], "session": 1}),
+            encode_json_hex({"group": [1, 2]}),
+            encode_json_hex({"group": "12", "session": "x"}),
+            encode_json_hex([1, 2]),
+            ("[" * 100_000).encode().hex(),  # nested past the stack
+        ]
+        for _ in range(2):
+            for payload in bad:
+                party.on_envelope(replace(good, payload=payload), api)
+        assert params._invitations == {}
+        assert api.broadcasts == [] and not party.sessions
+
+    def test_out_of_view_sender_dropped_when_memo_warm(self):
+        params, creds, _ = harn_gm_init(4, 2, prime_bits=48, rng_seed=58)
+        invite = invitation_envelope(SCHEME_TAG, 1, 1, [1, 2])
+        party, api = HarnParty(2, creds[1], params), RecordingAPI()
+        HarnParty(3, creds[2], params).on_envelope(invite, RecordingAPI())
+        assert list(params._invitations) == [invite.payload]
+        party.on_envelope(invite, api)
+        genuine = harn_compute_token(creds[0], params, [1, 2])
+        deliver_token(party, api, params, 3, genuine)
+        assert list(party.sessions[1].received[ROUND_TOKEN]) == [2]
+        assert api.decisions == []
+        deliver_token(party, api, params, 1, genuine)
+        assert api.decisions == [((SCHEME_TAG, 1), BeliefState(
+            True, members=frozenset({1, 2})))]
 
 
 class TestVerification:

@@ -9,6 +9,7 @@ returned secret.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -28,10 +29,12 @@ from groupauth.channel import (
     ROUND_COMMITMENT,
     ROUND_INVITATION,
     ROUND_TOKEN,
+    encode_json_hex,
     encode_residue_hex,
+    invitation_envelope,
 )
 from groupauth.errors import InvalidThreshold, NotAMember, SessionExhausted
-from groupauth.parties import XiaParty, invitation_envelope
+from groupauth.parties import XiaParty
 from groupauth.xia2019 import (
     SCHEME_TAG,
     gamma_mask,
@@ -187,6 +190,59 @@ class TestSessionLifecycle:
         assert party.sessions[1].view == (1, 3, 5)
         assert api.broadcasts[0] == invitation_envelope(SCHEME_TAG, 3, 1,
                                                         [1, 3, 5])
+
+
+class TestInvitationMemo:
+    """`XiaParams.invitation` parses each accepted invitation payload
+    once per world; the session match and this party's membership are
+    still checked on every delivery."""
+
+    def test_accepted_payload_refused_under_another_session(self):
+        params, creds, _ = setup_small()
+        invite = invitation_envelope(SCHEME_TAG, 2, 2, [1, 2, 3])
+        party, api = engine_party(params, creds, 1, seed=1)
+        party.on_envelope(invite, api)
+        assert list(party.sessions) == [2]
+        assert list(params._invitations) == [invite.payload]
+        party.on_envelope(replace(invite, session=(SCHEME_TAG, 1)), api)
+        assert list(party.sessions) == [2]
+        assert creds[0].used_sessions == {2}
+        assert api.rounds() == [ROUND_COMMITMENT]
+
+    def test_malformed_invitation_never_stored(self):
+        params, creds, _ = setup_small()  # n = 5
+        party, api = engine_party(params, creds, 1, seed=1)
+        good = invitation_envelope(SCHEME_TAG, 2, 1, [1, 2, 3])
+        bad = [
+            good.payload + "0",  # odd-length hex
+            encode_json_hex({"group": [1, 2, 6], "session": 1}),
+            encode_json_hex({"group": [1, 3, 1], "session": 1}),
+            encode_json_hex({"group": [1, 2, 3], "session": None}),
+            encode_json_hex({"group": [1, "x"], "session": 1}),
+            encode_json_hex({"session": 1}),
+        ]
+        for _ in range(2):
+            for payload in bad:
+                party.on_envelope(replace(good, payload=payload), api)
+        assert params._invitations == {}
+        assert api.broadcasts == [] and not party.sessions
+        assert creds[0].used_sessions == set()
+
+    def test_out_of_view_sender_dropped_when_memo_warm(self):
+        params, creds, _ = setup_small()
+        _, commitments, _ = run_honest_session(params, creds, (1, 2, 3), 1,
+                                               seed=4)
+        invite = invitation_envelope(SCHEME_TAG, 2, 1, [1, 2, 3])
+        for pid in (4, 1):
+            party, api = engine_party(params, creds, pid, seed=4)
+            party.on_envelope(invite, api)
+        assert list(params._invitations) == [invite.payload]
+        deliver(party, api, params, 2, ROUND_COMMITMENT, commitments[2])
+        deliver(party, api, params, 5, ROUND_COMMITMENT, commitments[3])
+        assert sorted(party.sessions[1].received[ROUND_COMMITMENT]) == [1, 2]
+        assert api.rounds() == [ROUND_COMMITMENT]
+        deliver(party, api, params, 3, ROUND_COMMITMENT, commitments[3])
+        assert api.rounds() == [ROUND_COMMITMENT, ROUND_TOKEN]
 
 
 class TestCommitment:
