@@ -29,7 +29,7 @@ def harn_fingerprint(params, credentials, secret) -> str:
     parts.append(params.secret_hash.hex())
     for credential in credentials:
         parts.append(str(credential.owner.value))
-        parts += [str(t.value) for t in credential.tokens]
+        parts += [str(t) for t in credential.tokens]
     return hashlib.sha256("|".join(parts).encode()).hexdigest()
 
 

@@ -35,7 +35,7 @@ transcript: the scripts report nothing about themselves.
 import random
 from dataclasses import dataclass
 
-from .algebra import CyclicGroupSpec, GroupElement, derive_rng, group_exp
+from .algebra import CyclicGroupSpec, GroupElement, derive_rng
 from .channel import (
     AdversaryAPI,
     AdversaryPolicy,
@@ -332,8 +332,8 @@ class XiaChannelAttack(ChannelAttack):
                                  self.material.group).value
 
     def _draw(self, session: int) -> int:
-        return group_exp(self.material.generators[session - 1],
-                         self.rng.randrange(self.material.group.q)).value
+        return self.material.power(
+            session, self.rng.randrange(self.material.group.q)).value
 
     def _complete(self, target: int, fixed) -> int:
         product = xia_aggregate(fixed, self.modulus)

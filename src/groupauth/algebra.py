@@ -2,10 +2,12 @@
 
 The math runs on plain arbitrary-precision ints: polynomial evaluation
 and Lagrange weights mod a prime, and powers in the order-q subgroup of
-Z_p* for a safe prime p = 2q + 1. Two small value types remain:
-FieldElement, a canonical residue that holds the dealer's material, and
-GroupElement, whose constructor checks subgroup membership; powers built
-by `group_exp` skip that check, since they cannot leave the subgroup.
+Z_p* for a safe prime p = 2q + 1 (by `pow`, or from a `fixed_base_table`
+for a base raised many times). Two small value types remain:
+FieldElement, a canonical residue that holds the dealer's material other
+than harn shares, and GroupElement, whose constructor checks subgroup
+membership; powers built by `group_exp` skip that check, since they
+cannot leave the subgroup.
 
 Randomness is simulation-grade: callers pass a seeded random.Random (or a
 seed) so that every derived object is reproducible byte for byte. Nothing
@@ -68,7 +70,7 @@ def derive_rng(master, *labels) -> random.Random:
 @dataclass(frozen=True)
 class FieldElement:
     """Canonical residue modulo an odd prime: the type of the dealer's
-    material (secrets, shares, positions, weights, identifiers).
+    material (secrets, xia shares, positions, weights, identifiers).
 
     The constructor reduces, so 0 <= value < modulus always holds.
     """
@@ -481,11 +483,35 @@ class GroupElement:
         return element
 
 
-def group_exp(g: GroupElement, e: int) -> GroupElement:
+_WINDOW = 5  # digit bits of a fixed-base table; 5 measured fastest
+
+
+def fixed_base_table(g: GroupElement) -> tuple:
+    """Row i holds g^(j * 2^(_WINDOW * i)) for 0 <= j < 2^_WINDOW, one row
+    per _WINDOW-bit digit of an exponent below q (Brickell, Gordon,
+    McCurley and Wilson, "Fast Exponentiation with Precomputation")."""
+    p, rows, base = g.group.p, [], g.value
+    for _ in range(0, g.group.q.bit_length(), _WINDOW):
+        row = [1]
+        for _ in range(1 << _WINDOW):
+            row.append(row[-1] * base % p)
+        base = row.pop()  # the next row's g^1
+        rows.append(row)
+    return tuple(rows)
+
+
+def group_exp(g: GroupElement, e: int, table=None) -> GroupElement:
     """g raised to an int exponent, reduced mod q (so negative exponents
-    become q - |e| residues)."""
-    return GroupElement._unchecked(pow(g.value, e % g.group.q, g.group.p),
-                                   g.group)
+    become q - |e| residues): by `pow`, or given g's `fixed_base_table`
+    as the product of one table entry per digit of e."""
+    p, e = g.group.p, e % g.group.q
+    if table is None:
+        return GroupElement._unchecked(pow(g.value, e, p), g.group)
+    acc, digit = 1, (1 << _WINDOW) - 1
+    for row in table:
+        acc = acc * row[e & digit] % p
+        e >>= _WINDOW
+    return GroupElement._unchecked(acc, g.group)
 
 
 def group_setup(bit_length: int, generator_count: int,

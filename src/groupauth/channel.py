@@ -129,7 +129,9 @@ def invitation_envelope(scheme: str, inviter: int, session: int,
 
 
 def decode_invitation(text: str) -> tuple:
-    """(sorted group ids, session), if a non-empty set of ids is named."""
+    """(sorted group ids, session), if a non-empty set of ids is named
+    and `text` is what `invitation_envelope` writes for them, so each
+    invitation has one accepted spelling."""
     body = decode_json_hex(text)
     try:
         group_ids = tuple(sorted(int(i) for i in body["group"]))
@@ -138,6 +140,9 @@ def decode_invitation(text: str) -> tuple:
         raise MalformedTranscript("bad invitation") from exc
     if not group_ids or len(set(group_ids)) != len(group_ids):
         raise MalformedTranscript("bad invitation group")
+    if text != encode_json_hex({"group": list(group_ids),
+                                "session": session}):
+        raise MalformedTranscript("invitation not in canonical form")
     return group_ids, session
 
 

@@ -10,13 +10,13 @@ every listed member contributed. Verification compares H(sum) with the
 published H(s), so the scheme is one-time: a completed run reveals s.
 
 Arithmetic is mod a public prime chosen at issuance time; participant
-identifiers are the field elements 1..n. The dealer's material is held
-in FieldElements, while the polynomials, tokens, the aggregate and the
-check run on plain ints. Everything the issuer publishes is one
-`HarnParams`, as `XiaParams` is for the masked-product scheme. This
-module holds only that math and the wire decode: the protocol around it
-(the invitation, who must have spoken, the quorum rule) is
-`parties.Party`'s.
+identifiers are the field elements 1..n. The secret, identifiers,
+positions and weights are FieldElements; the polynomials, shares,
+tokens, the aggregate and the check are plain ints. Everything the
+issuer publishes is one `HarnParams`, as `XiaParams` is for the
+masked-product scheme. This module holds only that math and the wire
+decode: the protocol around it (the invitation, who must have spoken,
+the quorum rule) is `parties.Party`'s.
 """
 
 import random
@@ -87,7 +87,8 @@ class HarnParams(ThresholdParams):
 
 @dataclass(frozen=True)
 class HarnCredential:
-    """Secret share vector (f_1(x), ..., f_k(x)) held by one participant."""
+    """Secret share vector (f_1(x), ..., f_k(x)), as ints mod the prime,
+    held by the participant with identifier x, `owner`."""
 
     owner: FieldElement
     tokens: tuple
@@ -139,11 +140,15 @@ def harn_gm_init(n: int, t: int, prime_bits: int = 64,
         n=n, t=t, identifiers=identifiers, k=k, modulus=p, w=tuple(w),
         d=tuple(d), secret_hash=residue_digest(s.value, p),
     )
-    credentials = [
-        HarnCredential(owner=x, tokens=tuple(
-            FieldElement(poly_eval(f, x.value, p), p) for f in polys))
-        for x in identifiers
-    ]
+    columns = []  # f_j at every identifier: one Horner pass, as poly_eval
+    for f in polys:
+        shares = [0] * n
+        for coeff in reversed(f):
+            shares = [(acc * x + coeff) % p
+                      for acc, x in zip(shares, range(1, n + 1))]
+        columns.append(shares)
+    credentials = [HarnCredential(owner=x, tokens=tokens)
+                   for x, tokens in zip(identifiers, zip(*columns))]
     return params, credentials, s
 
 
@@ -176,7 +181,7 @@ def harn_compute_token(credential: HarnCredential, params: HarnParams,
     if fresh:
         _remember(params._numerators, points, numerators)
     total = sum(
-        dj.value * fj.value * lam
+        dj.value * fj * lam
         for dj, fj, lam in zip(params.d, credential.tokens, weights)
     )
     return total % p

@@ -31,6 +31,7 @@ from .algebra import (
     GroupElement,
     ThresholdParams,
     derive_seed,
+    fixed_base_table,
     group_exp,
     group_setup,
     lagrange_coefficient,
@@ -47,12 +48,16 @@ SCHEME_TAG = "xia2019"
 class XiaParams(ThresholdParams):
     """Public setup: group, per-session generators, share positions,
     and one verification digest per session index. A wire value must be
-    a member of the order-q subgroup (see `ThresholdParams.decode`)."""
+    a member of the order-q subgroup (see `ThresholdParams.decode`).
+    `_powers` keeps one `fixed_base_table` per session index, built on
+    that session's first `power`."""
 
     ell: int
     group: CyclicGroupSpec
     generators: tuple  # ell GroupElements, one per session index
     session_hashes: tuple  # ell digests of (g_sigma)^s
+    _powers: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         super().__post_init__()
@@ -69,6 +74,14 @@ class XiaParams(ThresholdParams):
         if not 1 <= session <= self.ell:
             raise SessionExhausted("session index %d out of range" % session)
         return self.generators[session - 1]
+
+    def power(self, session: int, e: int) -> GroupElement:
+        """(g_sigma)^e for session index sigma, through its table."""
+        g = self.generator_for(session)
+        table = self._powers.get(session)
+        if table is None:
+            table = self._powers[session] = fixed_base_table(g)
+        return group_exp(g, e, table)
 
     def hash_for(self, session: int) -> bytes:
         self.generator_for(session)  # range check
@@ -144,7 +157,7 @@ def xia_commit(params: XiaParams, session: int,
                rng: random.Random) -> tuple:
     """Draw a fresh nonce u in Z_q; returns (u, (g_sigma)^u)."""
     nonce = rng.randrange(params.group.q)
-    return nonce, group_exp(params.generator_for(session), nonce).value
+    return nonce, params.power(session, nonce).value
 
 
 def gamma_mask(owner: int, commitments: dict, p: int) -> int:
@@ -180,8 +193,7 @@ def xia_compute_token(credential: XiaCredential, params: XiaParams,
     own = credential.owner.value
     others = [peer for peer in commitments if peer != own]
     weight, = lagrange_coefficient((0,), own, others, params.group.q)
-    base = group_exp(params.generator_for(session),
-                     credential.share.value * weight)
+    base = params.power(session, credential.share.value * weight)
     mask = gamma_mask(own, commitments, p)
     return base.value * pow(mask, nonce, p) % p
 

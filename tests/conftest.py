@@ -5,7 +5,10 @@ no deadline (big-int arithmetic has noisy timing), and a fixed seed
 derivation per test via the default database.
 """
 
+import functools
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -39,6 +42,28 @@ P512 = int(
     "3270592636556440867"
 )
 SAFE_PRIMES = (P64, P128, P256, P512)
+
+# JSON texts that each parse to the invitation of group (1, 2) to session 1
+# but are not the one spelling `invitation_envelope` writes for it.
+OTHER_INVITATION_SPELLINGS = (
+    '{"group":["1",2.0],"session":"1"}',
+    '{"group":{"1":0,"2":0},"session":1}',
+    '{"group":[1,2],"session":1,"extra":0}',
+    '{"group":[true,2],"session":1}',
+    '{"group":[2,1],"session":1}',
+    '{"group": [1, 2], "session": 1}',
+)
+
+
+@functools.cache
+def load_regen_vectors():
+    """scripts/regen_vectors.py as a module; scripts/ is not a package,
+    so it is loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "regen_vectors.py"
+    spec = importlib.util.spec_from_file_location("regen_vectors", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

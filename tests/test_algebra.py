@@ -5,6 +5,7 @@ here (naive basis-expansion interpolation for Lagrange weights) rather
 than against the implementation itself.
 """
 
+import functools
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from groupauth.algebra import (
     _strong_lucas_probable_prime,
     derive_rng,
     derive_seed,
+    fixed_base_table,
     group_exp,
     group_setup,
     is_probable_prime,
@@ -415,6 +417,53 @@ class TestUncheckedResults:
             for result in (group_exp(a, e), group_exp(b, -e),
                            group_exp(a, 0)):
                 assert result == GroupElement(result.value, spec)
+
+
+# random_safe_prime(16, random.Random(16)); the other sizes from conftest
+FIXED_BASE_SPECS = tuple(CyclicGroupSpec(p, (p - 1) // 2)
+                         for p in (54563, P64, P128, P256))
+
+
+def spec_id(spec):
+    return "%d-bit" % spec.p.bit_length()
+
+
+@functools.cache
+def generator_and_table(spec):
+    rng = random.Random(spec.p)
+    g = GroupElement(rng.randrange(2, spec.p - 1) ** 2 % spec.p, spec)
+    return g, fixed_base_table(g)
+
+
+class TestFixedBaseTable:
+    """Powers through a fixed-base table equal `pow`'s."""
+
+    @pytest.mark.parametrize("spec", FIXED_BASE_SPECS, ids=spec_id)
+    def test_table_shape(self, spec):
+        g, table = generator_and_table(spec)
+        width = 1 << algebra._WINDOW
+        assert len(table) == -(-spec.q.bit_length() // algebra._WINDOW)
+        for i, row in enumerate(table):
+            step = 1 << (algebra._WINDOW * i)
+            assert list(row) == [pow(g.value, j * step, spec.p)
+                                 for j in range(width)]
+
+    @pytest.mark.parametrize("spec", FIXED_BASE_SPECS, ids=spec_id)
+    def test_edge_exponents(self, spec):
+        g, table = generator_and_table(spec)
+        q = spec.q
+        for e in (0, 1, q - 1, q, q + 1, -1, -q, 2 ** 300):
+            result = group_exp(g, e, table)
+            assert result.value == pow(g.value, e % q, spec.p), e
+            assert result == group_exp(g, e)
+
+    @pytest.mark.parametrize("spec", FIXED_BASE_SPECS, ids=spec_id)
+    @given(e=st.integers(min_value=-2 ** 300, max_value=2 ** 300))
+    @settings(max_examples=50)
+    def test_random_exponents(self, spec, e):
+        g, table = generator_and_table(spec)
+        assert group_exp(g, e, table).value == pow(g.value, e % spec.q,
+                                                   spec.p)
 
 
 class TestGroupSetup:

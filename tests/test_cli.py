@@ -2,7 +2,6 @@
 and byte-determinism of the command-line front end."""
 
 import hashlib
-import importlib.util
 import json
 import os
 import subprocess
@@ -40,6 +39,8 @@ from groupauth.cli import (
 )
 from groupauth.errors import AuditFailure, ConfigError
 from groupauth.harn2013 import harn_gm_init
+
+from conftest import load_regen_vectors
 
 BITS = 64  # keep the suite quick; the CLI default is larger
 
@@ -390,6 +391,8 @@ def test_run_and_audit_get_separate_params(monkeypatch, scheme, dealer,
         assert run_params.group is audit_params.group
         assert [c.share for c in run_creds] == [c.share for c in audit_creds]
         assert all(c.used_sessions == set() for c in audit_creds)
+        # the run's powers built a table; the audit's replay builds none
+        assert run_params._powers and audit_params._powers == {}
     else:
         assert run_params._numerators is not audit_params._numerators
         assert run_creds == audit_creds
@@ -841,10 +844,7 @@ PINNED_DEMO_DIGESTS = {
 }
 
 
-_REGEN = Path(__file__).resolve().parent.parent / "scripts" / "regen_vectors.py"
-_SPEC = importlib.util.spec_from_file_location("regen_vectors", _REGEN)
-regen_vectors = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(regen_vectors)
+regen_vectors = load_regen_vectors()
 
 # The same digests for scripts/regen_vectors.py's WIDE_CONFIGS, groups wider
 # than any demo (n=16 and n=128, 64-bit); that script prints these values

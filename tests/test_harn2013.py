@@ -39,7 +39,11 @@ from groupauth.harn2013 import (
 )
 from groupauth.parties import HarnParty
 
-from conftest import RecordingAPI
+from conftest import (
+    OTHER_INVITATION_SPELLINGS,
+    RecordingAPI,
+    load_regen_vectors,
+)
 
 
 def interpolated_position_value(params, credentials, j, member_ids):
@@ -51,7 +55,7 @@ def interpolated_position_value(params, credentials, j, member_ids):
         own = cred.owner.value
         others = [c.owner.value for c in chosen if c.owner.value != own]
         lam, = lagrange_coefficient((params.w[j].value,), own, others, p)
-        acc = (acc + cred.tokens[j].value * lam) % p
+        acc = (acc + cred.tokens[j] * lam) % p
     return acc
 
 
@@ -64,7 +68,7 @@ def per_polynomial_token(params, cred, member_ids):
     acc = 0
     for j in range(params.k):
         lam, = lagrange_coefficient((params.w[j].value,), own, others, p)
-        acc = (acc + params.d[j].value * cred.tokens[j].value * lam) % p
+        acc = (acc + params.d[j].value * cred.tokens[j] * lam) % p
     return acc
 
 
@@ -128,22 +132,10 @@ class TestIssuance:
     PINNED_SECRET = 7713914763314685786
 
     def test_deterministic_issuance_pinned(self):
-        import hashlib
-
         params, creds, s = harn_gm_init(5, 2, prime_bits=64, rng_seed=7)
         assert params.modulus == self.PINNED_PRIME
         assert s.value == self.PINNED_SECRET
-        parts = [
-            str(params.n), str(params.t), str(params.k),
-            str(params.modulus), str(s.value),
-        ]
-        parts += [str(x.value) for x in params.w]
-        parts += [str(x.value) for x in params.d]
-        parts.append(params.secret_hash.hex())
-        for c in creds:
-            parts.append(str(c.owner.value))
-            parts += [str(t.value) for t in c.tokens]
-        digest = hashlib.sha256("|".join(parts).encode()).hexdigest()
+        digest = load_regen_vectors().harn_fingerprint(params, creds, s)
         assert digest == self.PINNED_DIGEST
 
 
@@ -156,7 +148,7 @@ class TestTokenRelease:
         x1, x2 = (x.value for x in params.identifiers)
         token = harn_compute_token(creds[0], params, [1, 2])
         lam = (params.w[0].value - x2) * pow(x1 - x2, -1, p)
-        assert token == (params.d[0].value * creds[0].tokens[0].value
+        assert token == (params.d[0].value * creds[0].tokens[0]
                          * lam) % p
 
     def test_full_group_tokens_sum_to_secret(self):
@@ -374,6 +366,18 @@ class TestInvitationMemo:
                 party.on_envelope(replace(good, payload=payload), api)
         assert params._invitations == {}
         assert api.broadcasts == [] and not party.sessions
+
+    def test_each_invitation_has_one_spelling(self):
+        params, creds, _ = harn_gm_init(4, 2, prime_bits=48, rng_seed=57)
+        party, api = HarnParty(1, creds[0], params), RecordingAPI()
+        good = invitation_envelope(SCHEME_TAG, 2, 1, [1, 2])
+        for text in OTHER_INVITATION_SPELLINGS:
+            party.on_envelope(replace(good, payload=text.encode().hex()), api)
+        assert params._invitations == {}
+        assert api.broadcasts == [] and not party.sessions
+        party.on_envelope(good, api)
+        assert list(params._invitations) == [good.payload]
+        assert list(party.sessions) == [1]
 
     def test_out_of_view_sender_dropped_when_memo_warm(self):
         params, creds, _ = harn_gm_init(4, 2, prime_bits=48, rng_seed=58)

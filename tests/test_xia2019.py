@@ -15,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupauth import xia2019
 from groupauth.algebra import (
     derive_rng,
+    fixed_base_table,
     group_exp,
     lagrange_coefficient,
     residue_digest,
@@ -45,7 +47,11 @@ from groupauth.xia2019 import (
     xia_verify,
 )
 
-from conftest import RecordingAPI
+from conftest import (
+    OTHER_INVITATION_SPELLINGS,
+    RecordingAPI,
+    load_regen_vectors,
+)
 
 
 def setup_small(seed=11, n=5, t=3, ell=2, bits=64):
@@ -130,19 +136,11 @@ class TestSetup:
     PINNED_SECRET = 2178285255649958375
 
     def test_deterministic_setup_pinned(self):
-        import hashlib
-
         params, creds, s = setup_small()
         assert params.group.p == self.PINNED_P
         assert params.group.q == self.PINNED_Q
         assert s.value == self.PINNED_SECRET
-        parts = [str(params.n), str(params.t), str(params.ell),
-                 str(params.group.p), str(params.group.q), str(s.value)]
-        parts += [str(g.value) for g in params.generators]
-        parts += [h.hex() for h in params.session_hashes]
-        for c in creds:
-            parts += [str(c.owner.value), str(c.share.value)]
-        digest = hashlib.sha256("|".join(parts).encode()).hexdigest()
+        digest = load_regen_vectors().xia_fingerprint(params, creds, s)
         assert digest == self.PINNED_DIGEST
 
 
@@ -228,6 +226,19 @@ class TestInvitationMemo:
         assert api.broadcasts == [] and not party.sessions
         assert creds[0].used_sessions == set()
 
+    def test_each_invitation_has_one_spelling(self):
+        params, creds, _ = setup_small(t=2)
+        party, api = engine_party(params, creds, 1, seed=1)
+        good = invitation_envelope(SCHEME_TAG, 2, 1, [1, 2])
+        for text in OTHER_INVITATION_SPELLINGS:
+            party.on_envelope(replace(good, payload=text.encode().hex()), api)
+        assert params._invitations == {}
+        assert api.broadcasts == [] and not party.sessions
+        assert creds[0].used_sessions == set()
+        party.on_envelope(good, api)
+        assert list(params._invitations) == [good.payload]
+        assert api.rounds() == [ROUND_COMMITMENT]
+
     def test_out_of_view_sender_dropped_when_memo_warm(self):
         params, creds, _ = setup_small()
         _, commitments, _ = run_honest_session(params, creds, (1, 2, 3), 1,
@@ -243,6 +254,29 @@ class TestInvitationMemo:
         assert api.rounds() == [ROUND_COMMITMENT]
         deliver(party, api, params, 3, ROUND_COMMITMENT, commitments[3])
         assert api.rounds() == [ROUND_COMMITMENT, ROUND_TOKEN]
+
+
+class TestFixedBaseMemo:
+    """`XiaParams.power` builds a session's fixed-base table on that
+    session's first power and reuses it after."""
+
+    def test_one_table_per_session_on_first_use(self, monkeypatch):
+        built = []
+
+        def counting(g):
+            built.append(g)
+            return fixed_base_table(g)
+
+        monkeypatch.setattr(xia2019, "fixed_base_table", counting)
+        params, creds, s = setup_small()
+        assert params._powers == {}
+        for session in (2, 1, 2):
+            _, _, tokens = run_honest_session(params, creds, (1, 2, 3),
+                                              session, seed=session)
+            assert xia_verify(tokens, session, params)
+        assert built == [params.generator_for(2), params.generator_for(1)]
+        assert sorted(params._powers) == [1, 2]
+        assert replace(params)._powers == {}
 
 
 class TestCommitment:
