@@ -445,8 +445,8 @@ class TestFixedBaseTable:
         assert len(table) == -(-spec.q.bit_length() // algebra._WINDOW)
         for i, row in enumerate(table):
             step = 1 << (algebra._WINDOW * i)
-            assert list(row) == [pow(g.value, j * step, spec.p)
-                                 for j in range(width)]
+            assert row == [pow(g.value, j * step, spec.p)
+                           for j in range(width)]
 
     @pytest.mark.parametrize("spec", FIXED_BASE_SPECS, ids=spec_id)
     def test_edge_exponents(self, spec):

@@ -268,7 +268,7 @@ class TestFixedBaseMemo:
             return fixed_base_table(g)
 
         monkeypatch.setattr(xia2019, "fixed_base_table", counting)
-        params, creds, s = setup_small()
+        params, creds, _ = setup_small()
         assert params._powers == {}
         for session in (2, 1, 2):
             _, _, tokens = run_honest_session(params, creds, (1, 2, 3),
