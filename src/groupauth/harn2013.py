@@ -140,15 +140,11 @@ def harn_gm_init(n: int, t: int, prime_bits: int = 64,
         n=n, t=t, identifiers=identifiers, k=k, modulus=p, w=tuple(w),
         d=tuple(d), secret_hash=residue_digest(s.value, p),
     )
-    columns = []  # f_j at every identifier: one Horner pass, as poly_eval
-    for f in polys:
-        shares = [0] * n
-        for coeff in reversed(f):
-            shares = [(acc * x + coeff) % p
-                      for acc, x in zip(shares, range(1, n + 1))]
-        columns.append(shares)
-    credentials = [HarnCredential(owner=x, tokens=tokens)
-                   for x, tokens in zip(identifiers, zip(*columns))]
+    credentials = [
+        HarnCredential(owner=x, tokens=tuple(
+            poly_eval(f, x.value, p) for f in polys))
+        for x in identifiers
+    ]
     return params, credentials, s
 
 

@@ -43,19 +43,28 @@ from .errors import InvalidThreshold, NotAMember, SessionExhausted
 
 SCHEME_TAG = "xia2019"
 
+# Powers of one generator served by `pow` before its table is built. At
+# 64 to 256 bits a table costs about 7 pows to build and a power through
+# it about a quarter of one, so it pays back only over about 9 more
+# powers. A session serves two powers per member and the adversary's
+# draws: 2 to 14 in the demos' small groups, which pow alone serves best.
+_POWS_BEFORE_TABLE = 16
+
 
 @dataclass(frozen=True)
 class XiaParams(ThresholdParams):
     """Public setup: group, per-session generators, share positions,
     and one verification digest per session index. A wire value must be
     a member of the order-q subgroup (see `ThresholdParams.decode`).
-    `_powers` keeps one `fixed_base_table` per session index, built on
-    that session's first `power`."""
+    `_served` counts each session index's powers by `pow`; once one has
+    served `_POWS_BEFORE_TABLE`, `_powers` keeps its `fixed_base_table`."""
 
     ell: int
     group: CyclicGroupSpec
     generators: tuple  # ell GroupElements, one per session index
     session_hashes: tuple  # ell digests of (g_sigma)^s
+    _served: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
     _powers: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
 
@@ -76,10 +85,14 @@ class XiaParams(ThresholdParams):
         return self.generators[session - 1]
 
     def power(self, session: int, e: int) -> GroupElement:
-        """(g_sigma)^e for session index sigma, through its table."""
+        """(g_sigma)^e for session index sigma: by `pow` for the session's
+        first `_POWS_BEFORE_TABLE` powers, then through its table."""
         g = self.generator_for(session)
         table = self._powers.get(session)
         if table is None:
+            served = self._served[session] = self._served.get(session, 0) + 1
+            if served <= _POWS_BEFORE_TABLE:
+                return group_exp(g, e)
             table = self._powers[session] = fixed_base_table(g)
         return group_exp(g, e, table)
 

@@ -391,8 +391,10 @@ def test_run_and_audit_get_separate_params(monkeypatch, scheme, dealer,
         assert run_params.group is audit_params.group
         assert [c.share for c in run_creds] == [c.share for c in audit_creds]
         assert all(c.used_sessions == set() for c in audit_creds)
-        # the run's powers built a table; the audit's replay builds none
-        assert run_params._powers and audit_params._powers == {}
+        # the run's powers were counted; the audit's replay raises no
+        # generator to a power, so it counts none and builds no table
+        assert run_params._served
+        assert audit_params._served == audit_params._powers == {}
     else:
         assert run_params._numerators is not audit_params._numerators
         assert run_creds == audit_creds

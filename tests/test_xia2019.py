@@ -257,10 +257,12 @@ class TestInvitationMemo:
 
 
 class TestFixedBaseMemo:
-    """`XiaParams.power` builds a session's fixed-base table on that
-    session's first power and reuses it after."""
+    """`XiaParams.power` serves a session's first `_POWS_BEFORE_TABLE`
+    powers by `pow`, then builds that session's fixed-base table once
+    and reuses it."""
 
-    def test_one_table_per_session_on_first_use(self, monkeypatch):
+    def test_table_built_once_a_session_has_served_enough(self,
+                                                           monkeypatch):
         built = []
 
         def counting(g):
@@ -269,14 +271,30 @@ class TestFixedBaseMemo:
 
         monkeypatch.setattr(xia2019, "fixed_base_table", counting)
         params, creds, _ = setup_small()
-        assert params._powers == {}
+        rng = random.Random(5)
+
+        def check_power(session):
+            e = rng.randrange(params.group.q)
+            assert (params.power(session, e).value
+                    == group_exp(params.generator_for(session), e).value)
+
+        assert params._served == params._powers == {}
+        for _ in range(xia2019._POWS_BEFORE_TABLE):
+            for session in (2, 1):
+                check_power(session)
+        assert built == [] and params._powers == {}
         for session in (2, 1, 2):
+            check_power(session)
+        assert built == [params.generator_for(2), params.generator_for(1)]
+        assert sorted(params._powers) == [1, 2]
+        # a world whose session has its table still verifies
+        for session in (1, 2):
             _, _, tokens = run_honest_session(params, creds, (1, 2, 3),
                                               session, seed=session)
             assert xia_verify(tokens, session, params)
-        assert built == [params.generator_for(2), params.generator_for(1)]
-        assert sorted(params._powers) == [1, 2]
-        assert replace(params)._powers == {}
+        assert len(built) == 2
+        copy = replace(params)
+        assert copy._served == copy._powers == {}
 
 
 class TestCommitment:
