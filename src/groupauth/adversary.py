@@ -49,6 +49,7 @@ from .channel import (
     decode_residue_hex,
     encode_residue_hex,
     invitation_envelope,
+    is_forged,
 )
 from .errors import GroupAuthError, InsufficientObservation
 from .harn2013 import SCHEME_TAG as HARN_TAG
@@ -379,56 +380,40 @@ class AttackOutcome:
         }
 
 
-def recompute_observed_aggregate(transcript: Transcript, scheme: str,
-                                 session_id: int, group_ids,
-                                 modulus: int) -> int | None:
-    """Sum (token-sum scheme) or product (masked-product scheme) of the
-    tokens genuinely broadcast in one session; None until complete."""
-    tokens = {}
-    for record in transcript.envelopes():
-        if (tuple(record["session"]) == (scheme, session_id)
-                and record["round"] == ROUND_TOKEN
-                and record["true_origin"] == record["claimed_sender"]):
-            tokens.setdefault(
-                record["claimed_sender"],
-                decode_residue_hex(record["payload_hex"], modulus),
-            )
-    if any(i not in tokens for i in group_ids):
-        return None
-    return SCHEMES[scheme].aggregate([tokens[i] for i in group_ids], modulus)
-
-
-def evaluate_attack(transcript: Transcript, scheme: str, victim: int,
+def evaluate_attack(envelopes, decisions, scheme: str, victim: int,
                     fake_session: int, observed_session: int,
                     observed_group, modulus: int) -> AttackOutcome:
-    """Judge an attack purely from the transcript.
-
-    Recomputes what the adversary supposedly learned, reconstructs the
-    victim's recorded belief, and derives ground truth from true-origin
-    data; the attack scripts get no say.
-    """
+    """Judge an attack purely from a transcript's envelope and decision
+    records, walking each list once: the victim's recorded belief, the
+    ground truth of genuine envelopes, and what the adversary supposedly
+    learned (the aggregate of the tokens `observed_group` genuinely sent
+    in `observed_session`, None until all are in). The attack scripts get
+    no say."""
     belief = BeliefState(False, reason="no-decision")
-    for record in transcript.decisions():
+    for record in decisions:
         if (record["party"] == victim
                 and tuple(record["session"]) == (scheme, fake_session)):
             belief = BeliefState.from_json(record)
             break
 
-    ground_truth = set()
-    for record in transcript.envelopes():
-        if tuple(record["session"]) != (scheme, fake_session):
+    ground_truth, tokens = set(), {}
+    for record in envelopes:
+        if is_forged(record):
             continue
-        genuine = record["true_origin"] == record["claimed_sender"]
-        if not genuine:
-            continue
-        if victim in record["recipients"]:
-            ground_truth.add(record["claimed_sender"])
-        if record["true_origin"] == victim:
-            ground_truth.add(victim)
+        session = tuple(record["session"])
+        if session == (scheme, fake_session) and (
+                victim in record["recipients"]
+                or record["true_origin"] == victim):
+            ground_truth.add(record["true_origin"])
+        if session == (scheme, observed_session) \
+                and record["round"] == ROUND_TOKEN:
+            tokens.setdefault(record["claimed_sender"], record["payload_hex"])
 
-    learned = recompute_observed_aggregate(
-        transcript, scheme, observed_session, observed_group, modulus
-    )
+    learned = None
+    if all(i in tokens for i in observed_group):
+        learned = SCHEMES[scheme].aggregate(
+            [decode_residue_hex(tokens[i], modulus) for i in observed_group],
+            modulus)
     claimed = belief.members
     success = bool(
         belief.accepted and claimed and not claimed <= ground_truth
@@ -449,16 +434,15 @@ BINDINGS = {binding.party: binding
             for binding in (HarnImpersonationScript, XiaChannelAttack)}
 
 
-def run_attack(binding, material, credentials, observed_group, plans,
-               seed: int, observed_session: int = 1,
-               mode: str = MODE_TWO_STAGE) -> tuple:
+def attack_world(binding, material, credentials, observed_group, plans,
+                 seed: int, observed_session: int = 1,
+                 mode: str = MODE_TWO_STAGE) -> Transcript:
     """Run `binding` against the world of `material`: `observed_group`
     authenticates in `observed_session`, and each victim of `plans` has
-    its honest inbound traffic blocked. Returns (transcript, [outcome
-    per plan])."""
+    its honest inbound traffic blocked. Returns the transcript."""
     script = binding(material, observed_session, observed_group, plans,
                      mode, derive_rng(seed, "adversary"))
-    transcript = run_world(
+    return run_world(
         binding.party, material, credentials, seed, script.observed_group,
         observed_session,
         AdversaryPolicy(blocked_links={
@@ -466,10 +450,19 @@ def run_attack(binding, material, credentials, observed_group, plans,
         }),
         script,
     )
+
+
+def run_attack(binding, material, credentials, observed_group, plans,
+               seed: int, observed_session: int = 1,
+               mode: str = MODE_TWO_STAGE) -> tuple:
+    """`attack_world`, then each plan's outcome judged from the
+    transcript alone. Returns (transcript, [outcome per plan])."""
+    transcript = attack_world(binding, material, credentials, observed_group,
+                              plans, seed, observed_session, mode)
+    envelopes, decisions = transcript.envelopes(), transcript.decisions()
     return transcript, [
-        evaluate_attack(
-            transcript, binding.party.scheme, plan.victim, plan.session,
-            observed_session, script.observed_group, script.modulus,
-        )
-        for plan in script.plans
+        evaluate_attack(envelopes, decisions, binding.party.scheme,
+                        plan.victim, plan.session, observed_session,
+                        observed_group, material.modulus)
+        for plan in plans
     ]

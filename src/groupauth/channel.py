@@ -203,12 +203,19 @@ def _is_str(value) -> bool:
 
 
 def _is_ids(value) -> bool:
-    return type(value) is list and {int}.issuperset(map(type, value))
+    """Party ids in strictly increasing order, as the writer lists them."""
+    return (type(value) is list and {int}.issuperset(map(type, value))
+            and value == sorted(set(value)))
 
 
 def _is_session(value) -> bool:
     return (type(value) is list and len(value) == 2
             and _is_str(value[0]) and _is_int(value[1]))
+
+
+def is_forged(record: dict) -> bool:
+    """The adversary put the envelope on the wire, whoever it names."""
+    return record["true_origin"] == ADVERSARY_ID
 
 
 # key -> type check for each transcript record type
@@ -274,10 +281,7 @@ class Transcript:
         ]
 
     def forged(self) -> list:
-        return [
-            r for r in self.envelopes()
-            if r["claimed_sender"] != r["true_origin"]
-        ]
+        return [r for r in self.envelopes() if is_forged(r)]
 
     def to_jsonl(self) -> str:
         return "".join(_CANONICAL.encode(r) + "\n" for r in self.records)
@@ -439,6 +443,8 @@ class ChannelSimulator:
         if self._adversary is None:
             raise UnknownParty("no adversary registered on this channel")
         recipients = list(recipients)
+        if len(set(recipients)) != len(recipients):
+            raise MalformedTranscript("inject names a recipient twice")
         for pid in recipients:
             if pid not in self._parties:
                 raise UnknownParty("cannot inject to unknown party %r" % pid)

@@ -23,10 +23,10 @@ from .adversary import (
     BINDINGS,
     MODE_SIMULTANEOUS,
     VictimPlan,
-    run_attack,
+    attack_world,
+    evaluate_attack,
 )
 from .channel import (
-    ADVERSARY_ID,
     AdversaryAPI,
     AdversaryPolicy,
     Envelope,
@@ -37,6 +37,7 @@ from .channel import (
     Transcript,
     decode_residue_hex,
     encode_residue_hex,
+    is_forged,
 )
 from .errors import AuditFailure, ConfigError, GroupAuthError
 from .harn2013 import SCHEME_TAG as HARN_TAG
@@ -288,15 +289,6 @@ class ScenarioConfig:
             out[f.name] = list(value) if isinstance(value, tuple) else value
         return out
 
-    # -- derived facts ---------------------------------------------------------
-
-    def victims(self) -> tuple:
-        if self.scenario == SCENARIO_TAMPER:
-            return (self.victim,)
-        if self.scenario in ATTACK_SCENARIOS:
-            return tuple(victim for _, victim in self._plans_raw())
-        return ()
-
 
 def load_config(path: Path, seed=None, prime_bits=None) -> ScenarioConfig:
     try:
@@ -388,21 +380,8 @@ def derive_material(config: ScenarioConfig) -> tuple:
     return material
 
 
-def _run_attack(config: ScenarioConfig, material, credentials) -> tuple:
-    binding = BINDINGS[SCHEMES[config.scheme]]
-    # replay_member is only valid with a single victim
-    plans = [VictimPlan(victim, fake, binding.fake_session(config.session),
-                        config.replay_member)
-             for fake, victim in config._plans_raw()]
-    mode = (binding.impersonation_mode
-            if config.scenario == SCENARIO_IMPERSONATION
-            else MODE_SIMULTANEOUS)
-    return run_attack(binding, material, credentials, config.observed_group,
-                      plans, config.seed, config.session, mode)
-
-
 def expected_forged_count(config: ScenarioConfig) -> int:
-    """How many envelopes the scenario's adversary injects.
+    """Envelopes the scenario's adversary injects under the FIFO schedule.
 
     The tamper script forwards the target's contribution to each round,
     plus the invitation if the target sent it. An attack sends each
@@ -418,40 +397,36 @@ def expected_forged_count(config: ScenarioConfig) -> int:
                for fake, _ in config._plans_raw())
 
 
-def _forged_profile(config: ScenarioConfig, transcript: Transcript) -> tuple:
-    """(forged envelopes on the wire, how many the scenario's profile
-    expects, seqs of those that reached a party other than a victim)."""
-    forged = transcript.forged()
-    victims = set(config.victims())
-    stray = [record["seq"] for record in forged
-             if not set(record["recipients"]) <= victims]
-    return len(forged), expected_forged_count(config), stray
-
-
-def _decision_index(transcript: Transcript) -> dict:
-    """(party, session) -> every decision record under that key, in
-    transcript order."""
-    index = {}
-    for record in transcript.decisions():
+def _judge(config: ScenarioConfig, material, envelopes, decisions) -> tuple:
+    """(forged envelopes, attack outcomes, the scenario's named pass/fail
+    checks) of a transcript's records: the judge of report and audit."""
+    forged = [record for record in envelopes if is_forged(record)]
+    outcomes = []
+    if config.scenario in ATTACK_SCENARIOS:
+        fake_session = BINDINGS[SCHEMES[config.scheme]].fake_session(
+            config.session)
+        outcomes = [
+            evaluate_attack(envelopes, decisions, config.scheme, victim,
+                            fake_session, config.session,
+                            config.observed_group, material.modulus)
+            for _, victim in config._plans_raw()
+        ]
+    by_key = {}  # (party, session) -> its decision records, in order
+    for record in decisions:
         key = (record["party"], tuple(record["session"]))
-        index.setdefault(key, []).append(record)
-    return index
-
-
-def scenario_checks(config: ScenarioConfig, transcript: Transcript,
-                    outcomes) -> dict:
-    """Named pass/fail facts defining the scenario's expected outcome."""
-    checks = {}
-    decisions = _decision_index(transcript)
+        by_key.setdefault(key, []).append(record)
     session_key = (config.scheme, config.session)
-    forged, expected, stray = _forged_profile(config, transcript)
-    checks["forged_count_matches"] = forged == expected
-    checks["forged_confined_to_victims"] = not stray
+    victims = {config.victim, config.second_victim} - {None}
+    checks = {
+        "forged_count_matches": len(forged) == expected_forged_count(config),
+        "forged_confined_to_victims": all(
+            set(record["recipients"]) <= victims for record in forged),
+    }
 
     def only_decision(pid, key):
         """The party's decision in the session, or None unless it decided
         there exactly once."""
-        records = decisions.get((pid, key), ())
+        records = by_key.get((pid, key), ())
         return records[0] if len(records) == 1 else None
 
     def accepted(pid, key, members) -> bool:
@@ -468,9 +443,7 @@ def scenario_checks(config: ScenarioConfig, transcript: Transcript,
         checks["all_members_accept"] = all(
             accepted(pid, session_key, config.group) for pid in config.group
         )
-        checks["no_extra_decisions"] = sum(
-            len(records) for records in decisions.values()
-        ) == len(config.group)
+        checks["no_extra_decisions"] = len(decisions) == len(config.group)
     elif config.scenario == SCENARIO_QUORUM:
         checks["all_members_reject_quorum"] = all(
             rejected(pid, session_key, REASON_QUORUM) for pid in config.group
@@ -495,16 +468,46 @@ def scenario_checks(config: ScenarioConfig, transcript: Transcript,
             outcome.claimed == frozenset(fake)
             for outcome, (fake, _) in zip(outcomes, config._plans_raw())
         )
-    return checks
+    return forged, outcomes, checks
+
+
+def build_report(config: ScenarioConfig, material,
+                 transcript: Transcript) -> dict:
+    """report.json: the config and its public material, and the rest
+    read off `transcript`, so the transcript on disk gives it back."""
+    envelopes, decisions = transcript.envelopes(), transcript.decisions()
+    forged, outcomes, checks = _judge(config, material, envelopes, decisions)
+    return {
+        "config": config.to_json(),
+        "material": SCHEMES[config.scheme].material_facts(material),
+        "counts": {
+            "envelopes": len(envelopes),
+            "forged": len(forged),
+            "decisions": len(decisions),
+        },
+        "decisions": decisions,
+        "outcomes": [outcome.to_json() for outcome in outcomes],
+        "checks": checks,
+        "verdict": "expected" if all(checks.values()) else "unexpected",
+    }
 
 
 def run_scenario(config: ScenarioConfig) -> tuple:
     """Simulate the configured scenario; returns (transcript, report)."""
     scheme = SCHEMES[config.scheme]
     material, credentials, _ = derive_material(config)
-    outcomes = []
     if config.scenario in ATTACK_SCENARIOS:
-        transcript, outcomes = _run_attack(config, material, credentials)
+        binding = BINDINGS[scheme]
+        # replay_member is only valid with a single victim
+        plans = [VictimPlan(victim, fake, binding.fake_session(config.session),
+                            config.replay_member)
+                 for fake, victim in config._plans_raw()]
+        mode = (binding.impersonation_mode
+                if config.scenario == SCENARIO_IMPERSONATION
+                else MODE_SIMULTANEOUS)
+        transcript = attack_world(binding, material, credentials,
+                                  config.observed_group, plans, config.seed,
+                                  config.session, mode)
     else:
         policy = script = None
         if config.scenario == SCENARIO_TAMPER:
@@ -514,21 +517,7 @@ def run_scenario(config: ScenarioConfig) -> tuple:
                                   config.tamper_target, config.victim)
         transcript = run_world(scheme, material, credentials, config.seed,
                                config.group, config.session, policy, script)
-    checks = scenario_checks(config, transcript, outcomes)
-    report = {
-        "config": config.to_json(),
-        "material": scheme.material_facts(material),
-        "counts": {
-            "envelopes": len(transcript.envelopes()),
-            "forged": len(transcript.forged()),
-            "decisions": len(transcript.decisions()),
-        },
-        "decisions": transcript.decisions(),
-        "outcomes": [outcome.to_json() for outcome in outcomes],
-        "checks": checks,
-        "verdict": "expected" if all(checks.values()) else "unexpected",
-    }
-    return transcript, report
+    return transcript, build_report(config, material, transcript)
 
 
 def write_outputs(transcript: Transcript, report: dict,
@@ -569,7 +558,8 @@ def audit_transcript(transcript: Transcript,
     Each party's inbox (what was delivered to it, plus what it broadcast
     itself, its invitations as `SentInvitation`s, in transcript order) is
     fed to the replay form of the same party class that ran live, and
-    the decisions it reaches must equal the recorded ones. Raises
+    the decisions it reaches must equal the recorded ones. The adversary
+    bookkeeping is judged as the report judges it (`_judge`). Raises
     AuditFailure on the first inconsistency between the wire data and
     the recorded decisions, on a party id outside 1..n (as recipient,
     genuine sender or decider), on a seq that is not the record's 1-based
@@ -583,18 +573,18 @@ def audit_transcript(transcript: Transcript,
                                % (position, record["seq"]))
     scheme = SCHEMES[config.scheme]
     material, _, _ = derive_material(config)
+    envelopes, decisions = transcript.envelopes(), transcript.decisions()
     inboxes = {pid: [] for pid in range(1, config.n + 1)}
     recorded = {pid: {} for pid in inboxes}
-    for record, envelope in zip(transcript.envelopes(),
-                                transcript.envelope_objects()):
+    for record, envelope in zip(envelopes, transcript.envelope_objects()):
         for pid in record["recipients"]:
             if pid not in inboxes:
                 raise AuditFailure("envelope %d reached unknown party %d"
                                    % (record["seq"], pid))
             inboxes[pid].append(envelope)
-        origin = record["true_origin"]
-        if origin == ADVERSARY_ID:
+        if is_forged(record):
             continue
+        origin = record["true_origin"]
         if origin != envelope.claimed_sender:
             raise AuditFailure("envelope %d claims sender %d but came from "
                                "party %d" % (record["seq"],
@@ -608,7 +598,7 @@ def audit_transcript(transcript: Transcript,
             envelope = SentInvitation(**vars(envelope))
         inboxes[origin].append(envelope)
     decided = {pid: [] for pid in inboxes}
-    for record in transcript.decisions():
+    for record in decisions:
         if record["party"] not in decided:
             raise AuditFailure("decision %d by unknown party %d"
                                % (record["seq"], record["party"]))
@@ -629,23 +619,27 @@ def audit_transcript(transcript: Transcript,
                 "party %d decided %r but the wire data says %r"
                 % (pid, decided[pid], api.decisions)
             )
-    forged, expected_forged, stray = _forged_profile(config, transcript)
-    if forged != expected_forged:
+    try:
+        forged, outcomes, judged = _judge(config, material, envelopes,
+                                          decisions)
+    except GroupAuthError as exc:
+        raise AuditFailure("; ".join(problems + [str(exc)]))
+    if not judged["forged_count_matches"]:
         problems.append(
             "%d forged envelopes on the wire, scenario profile says %d"
-            % (forged, expected_forged)
+            % (len(forged), expected_forged_count(config))
         )
-    if stray:
+    if not judged["forged_confined_to_victims"]:
         problems.append(
-            "forged envelopes %s reached parties other than the victims"
-            % stray
-        )
+            "forged envelopes reached parties other than the victims")
     checks = {
         "decisions_match_wire": replayed_total,
-        "forged_count": forged,
+        "forged_count": len(forged),
     }
     if config.scenario in ATTACK_SCENARIOS:
-        silent = _claimed_members_silent(transcript, config)
+        silent = not any(
+            (set(fake) - {victim}) & outcome.ground_truth
+            for (fake, victim), outcome in zip(config._plans_raw(), outcomes))
         checks["claimed_members_never_spoke_to_victim"] = silent
         if not silent:
             problems.append(
@@ -654,24 +648,6 @@ def audit_transcript(transcript: Transcript,
     if problems:
         raise AuditFailure("; ".join(problems))
     return checks
-
-
-def _claimed_members_silent(transcript: Transcript,
-                            config: ScenarioConfig) -> bool:
-    """No fabricated member genuinely addressed its victim in-session."""
-    binding = BINDINGS[SCHEMES[config.scheme]]
-    fake_session = (config.scheme, binding.fake_session(config.session))
-    for fake, victim in config._plans_raw():
-        impersonated = set(fake) - {victim}
-        for record in transcript.envelopes():
-            if tuple(record["session"]) != fake_session:
-                continue
-            if record["true_origin"] != record["claimed_sender"]:
-                continue
-            if record["true_origin"] in impersonated \
-                    and victim in record["recipients"]:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from groupauth.adversary import (
     attack_harn_learn_secret,
     attack_xia_stage1,
     evaluate_attack,
-    recompute_observed_aggregate,
     run_attack,
 )
 from groupauth.algebra import derive_rng, group_exp
@@ -450,8 +449,8 @@ def test_evaluation_rejects_honest_harn_run_as_attack(harn_world):
     params, credentials, _ = harn_world
     transcript = run_harn_honest(params, credentials, (1, 2, 3))
     outcome = evaluate_attack(
-        transcript, HARN_TAG, victim=1, fake_session=1,
-        observed_session=1, observed_group=(1, 2, 3),
+        transcript.envelopes(), transcript.decisions(), HARN_TAG, victim=1,
+        fake_session=1, observed_session=1, observed_group=(1, 2, 3),
         modulus=params.modulus,
     )
     assert outcome.victim_belief.accepted
@@ -463,8 +462,8 @@ def test_evaluation_rejects_honest_xia_run_as_attack(xia_world):
     params, credentials, _ = xia_world
     transcript = run_xia_honest(params, fresh(credentials), (1, 2, 3), session=1)
     outcome = evaluate_attack(
-        transcript, XIA_TAG, victim=2, fake_session=1,
-        observed_session=1, observed_group=(1, 2, 3),
+        transcript.envelopes(), transcript.decisions(), XIA_TAG, victim=2,
+        fake_session=1, observed_session=1, observed_group=(1, 2, 3),
         modulus=params.group.p,
     )
     assert outcome.victim_belief.accepted
@@ -483,14 +482,18 @@ def test_recompute_aggregate_ignores_forged_traffic(scheme, harn_attack,
         (transcript, _), (params, _, secret) = xia_attack, xia_world
         modulus, fake_session = params.group.p, 1
         observed = group_exp(params.generator_for(1), secret.value).value
+
+    def learned(session, group):
+        return evaluate_attack(
+            transcript.envelopes(), transcript.decisions(), scheme, victim=4,
+            fake_session=fake_session, observed_session=session,
+            observed_group=group, modulus=modulus,
+        ).learned_secret
+
     # the fake session saw only one genuine token (the victim's); the
     # forged ones of 5 and 6 do not count, so it is incomplete
-    assert recompute_observed_aggregate(
-        transcript, scheme, fake_session, (4, 5, 6), modulus
-    ) is None
-    assert recompute_observed_aggregate(
-        transcript, scheme, 1, (1, 2, 3), modulus
-    ) == observed
+    assert learned(fake_session, (4, 5, 6)) is None
+    assert learned(1, (1, 2, 3)) == observed
 
 
 # ---------------------------------------------------------------------------

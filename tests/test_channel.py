@@ -261,6 +261,29 @@ class TestTapAndInject:
         with pytest.raises(UnknownParty):
             api.inject(env(), recipients=[9])
 
+    def test_inject_refuses_a_repeated_recipient(self):
+        """Every transcript the channel writes must read back, and the
+        reader refuses a recipient list that names a party twice."""
+        sim = ChannelSimulator()
+        for i in (1, 2):
+            sim.register(Recorder(i))
+        api = sim.register_adversary(TapCollector())
+        with pytest.raises(MalformedTranscript):
+            api.inject(env(), recipients=[2, 1, 2])
+        assert sim.transcript.records == []
+
+    def test_adversary_traffic_is_forged_whatever_sender_it_names(self):
+        """Forged means true origin 0, also when the claimed sender is 0."""
+        sim = ChannelSimulator()
+        for i in (1, 2):
+            sim.register(Recorder(i))
+        api = sim.register_adversary(TapCollector())
+        api.inject(env(sender=ADVERSARY_ID), recipients=[1, 2])
+        api.inject(env(sender=2), recipients=[1])
+        sim.broadcast(1, env(sender=1))
+        forged = sim.transcript.forged()
+        assert [r["claimed_sender"] for r in forged] == [ADVERSARY_ID, 2]
+
     def test_forged_envelope_indistinguishable_at_recipient(self):
         """The delivered object carries the same fields either way; only
         the transcript keeps the true origin."""
@@ -386,6 +409,14 @@ class TestTranscript:
         b'"recipients":["2"]}',
         b'{"type":"decision","seq":1,"party":1,"session":["harn2013",1],'
         b'"accepted":true,"members":[1,false],"reason":null}',
+        b'{"type":"envelope","seq":1,"claimed_sender":1,"true_origin":1,'
+        b'"session":["harn2013",1],"round":"token","payload_hex":"ab",'
+        b'"recipients":[2,2]}',
+        b'{"type":"envelope","seq":1,"claimed_sender":1,"true_origin":1,'
+        b'"session":["harn2013",1],"round":"token","payload_hex":"ab",'
+        b'"recipients":[3,2]}',
+        b'{"type":"decision","seq":1,"party":1,"session":["harn2013",1],'
+        b'"accepted":true,"members":[2,1],"reason":null}',
     ])
     def test_malformed_record_rejected(self, tmp_path, line):
         path = tmp_path / "t.jsonl"

@@ -480,12 +480,15 @@ def test_a_second_decision_under_one_key_fails_the_checks():
     kept = [r for r in transcript.records
             if r["type"] != "decision" or r["party"] != 3]
     config = config_for(n=4, t=2, seed=36, group=[1, 2])
-    checks = cli.scenario_checks(config, Transcript(records=kept), [])
+    material, _, _ = derive_material(config)
+    checks = cli.build_report(config, material,
+                              Transcript(records=kept))["checks"]
     assert checks["all_members_accept"] is False
     assert checks["no_extra_decisions"] is False
     single = [r for r in kept
               if r["type"] != "decision" or r["members"] == [1, 2]]
-    checks = cli.scenario_checks(config, Transcript(records=single), [])
+    checks = cli.build_report(config, material,
+                              Transcript(records=single))["checks"]
     assert checks["all_members_accept"] and checks["no_extra_decisions"]
 
 
@@ -532,6 +535,57 @@ def test_audit_rejects_wrong_scenario_profile():
                                 scenario=SCENARIO_TAMPER, group=[1, 2, 3])
     with pytest.raises(AuditFailure, match="forged"):
         audit_transcript(transcript, claimed_tamper)
+
+
+# ---------------------------------------------------------------------------
+# one judge: the report and the audit read the same transcript facts
+
+
+def demo_run(name):
+    """(config, transcript, report) of a built-in demo at BITS."""
+    config = ScenarioConfig.from_json(dict(DEMOS[name]["config"],
+                                           prime_bits=BITS))
+    transcript, report = run_scenario(config)
+    return config, transcript, report
+
+
+@pytest.mark.parametrize("name", sorted(DEMOS))
+def test_report_is_a_function_of_its_transcript(name, tmp_path):
+    config, transcript, report = demo_run(name)
+    write_outputs(transcript, report, config, tmp_path)
+    reread = Transcript.read_jsonl(tmp_path / "transcript.jsonl")
+    material, _, _ = derive_material(config)
+    rebuilt = cli.build_report(config, material, reread)
+    assert json.dumps(rebuilt, indent=2, sort_keys=True) + "\n" == \
+        (tmp_path / "report.json").read_text()
+
+
+@pytest.mark.parametrize("name", ["harn-impersonation", "xia-impersonation",
+                                  "xia-two-victims"])
+def test_audit_fails_when_a_claimed_member_spoke_to_the_victim(name):
+    config, transcript, _ = demo_run(name)
+    records = [dict(r) for r in transcript.records]
+    relabelled = next(r for r in records if r["type"] == "envelope"
+                      and r["true_origin"] == 0
+                      and r["round"] != "invitation"
+                      and r["recipients"] == [config.victim])
+    relabelled["true_origin"] = relabelled["claimed_sender"]
+    with pytest.raises(AuditFailure, match="spoke to it"):
+        audit_transcript(Transcript(records=records), config)
+
+
+def test_audit_names_the_replay_mismatch_when_the_judge_cannot_decode():
+    """A non-canonical observed token is dropped by the replayed parties
+    and refused by the judge's decode; the audit fails and names both."""
+    config, transcript, _ = demo_run("harn-impersonation")
+    records = [dict(r) for r in transcript.records]
+    token = next(r for r in records if r["type"] == "envelope"
+                 and r["round"] == "token" and r["session"][1] == 1)
+    token["payload_hex"] = token["payload_hex"].upper() + "G"
+    with pytest.raises(AuditFailure) as failure:
+        audit_transcript(Transcript(records=records), config)
+    assert "wire data says" in str(failure.value)
+    assert "bad residue encoding" in str(failure.value)
 
 
 # ---------------------------------------------------------------------------
@@ -667,6 +721,15 @@ def genuine_from(lines, sender):
     return lines + [json.dumps(token)]
 
 
+def sent_as_party_zero(lines):
+    """Append the first envelope again, sent by the adversary in the name
+    of party 0 to parties 1 and 2."""
+    record = json.loads(lines[0])
+    record.update(seq=len(lines) + 1, claimed_sender=0, true_origin=0,
+                  recipients=[1, 2])
+    return lines + [json.dumps(record)]
+
+
 def repeat_seq(lines):
     """Give record 1 the seq of record 0."""
     records = [json.loads(line) for line in lines]
@@ -688,9 +751,20 @@ def repeat_seq(lines):
     ("harn-impersonation", lambda lines: forge_origin(lines, 99)),
     ("harn-impersonation", repeat_seq),
     ("harn-honest", lambda lines: genuine_from(lines, 99)),
+    ("harn-honest", sent_as_party_zero),
+    ("xia-honest", sent_as_party_zero),
+    ("harn-honest",
+     lambda lines: replace_first_record(lines, recipients=[2, 2, 3, 4, 5])),
+    ("xia-honest",
+     lambda lines: replace_first_record(lines, recipients=[5, 4, 3, 2])),
+    ("xia-impersonation",
+     lambda lines: replace_first_record(lines, recipients=[6, 5, 3, 2])),
 ], ids=["envelope-without-fields", "string-session", "unknown-recipient",
         "decision-by-unknown-party", "forged-from-unknown-origin",
-        "repeated-seq", "genuine-from-unknown-party"])
+        "repeated-seq", "genuine-from-unknown-party",
+        "harn-forged-as-party-zero", "xia-forged-as-party-zero",
+        "repeated-recipient", "reversed-recipients",
+        "attack-reversed-recipients"])
 def test_audit_command_fails_on_hostile_transcript(demo, doctor, tmp_path,
                                                    capsys):
     out_dir = tmp_path / "out"
