@@ -382,13 +382,13 @@ class AttackOutcome:
 
 def evaluate_attack(envelopes, decisions, scheme: str, victim: int,
                     fake_session: int, observed_session: int,
-                    observed_group, modulus: int) -> AttackOutcome:
+                    observed_group, params) -> AttackOutcome:
     """Judge an attack purely from a transcript's envelope and decision
     records, walking each list once: the victim's recorded belief, the
     ground truth of genuine envelopes, and what the adversary supposedly
     learned (the aggregate of the tokens `observed_group` genuinely sent
-    in `observed_session`, None until all are in). The attack scripts get
-    no say."""
+    in `observed_session`, None until each has sent one that `params`
+    decodes). The attack scripts get no say."""
     belief = BeliefState(False, reason="no-decision")
     for record in decisions:
         if (record["party"] == victim
@@ -411,9 +411,9 @@ def evaluate_attack(envelopes, decisions, scheme: str, victim: int,
 
     learned = None
     if all(i in tokens for i in observed_group):
-        learned = SCHEMES[scheme].aggregate(
-            [decode_residue_hex(tokens[i], modulus) for i in observed_group],
-            modulus)
+        values = [params.decode(tokens[i]) for i in observed_group]
+        if None not in values:
+            learned = SCHEMES[scheme].aggregate(values, params.modulus)
     claimed = belief.members
     success = bool(
         belief.accepted and claimed and not claimed <= ground_truth
@@ -463,6 +463,6 @@ def run_attack(binding, material, credentials, observed_group, plans,
     return transcript, [
         evaluate_attack(envelopes, decisions, binding.party.scheme,
                         plan.victim, plan.session, observed_session,
-                        observed_group, material.modulus)
+                        observed_group, material)
         for plan in plans
     ]

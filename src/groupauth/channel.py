@@ -203,9 +203,12 @@ def _is_str(value) -> bool:
 
 
 def _is_ids(value) -> bool:
-    """Party ids in strictly increasing order, as the writer lists them."""
-    return (type(value) is list and {int}.issuperset(map(type, value))
-            and value == sorted(set(value)))
+    return type(value) is list and {int}.issuperset(map(type, value))
+
+
+def _is_recipients(value) -> bool:
+    """Party ids in strictly increasing order, as append_envelope writes."""
+    return _is_ids(value) and value == sorted(set(value))
 
 
 def _is_session(value) -> bool:
@@ -223,7 +226,7 @@ RECORD_SCHEMA = {
     "envelope": {
         "type": _is_str, "seq": _is_int, "claimed_sender": _is_int,
         "true_origin": _is_int, "session": _is_session, "round": _is_str,
-        "payload_hex": _is_str, "recipients": _is_ids,
+        "payload_hex": _is_str, "recipients": _is_recipients,
     },
     "decision": {
         "type": _is_str, "seq": _is_int, "party": _is_int,

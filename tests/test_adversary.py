@@ -451,7 +451,7 @@ def test_evaluation_rejects_honest_harn_run_as_attack(harn_world):
     outcome = evaluate_attack(
         transcript.envelopes(), transcript.decisions(), HARN_TAG, victim=1,
         fake_session=1, observed_session=1, observed_group=(1, 2, 3),
-        modulus=params.modulus,
+        params=params,
     )
     assert outcome.victim_belief.accepted
     assert not outcome.success
@@ -464,7 +464,7 @@ def test_evaluation_rejects_honest_xia_run_as_attack(xia_world):
     outcome = evaluate_attack(
         transcript.envelopes(), transcript.decisions(), XIA_TAG, victim=2,
         fake_session=1, observed_session=1, observed_group=(1, 2, 3),
-        modulus=params.group.p,
+        params=params,
     )
     assert outcome.victim_belief.accepted
     assert not outcome.success
@@ -476,18 +476,18 @@ def test_recompute_aggregate_ignores_forged_traffic(scheme, harn_attack,
                                                     xia_world):
     if scheme == HARN_TAG:
         (transcript, _), (params, _, secret) = harn_attack, harn_world
-        modulus, fake_session = params.modulus, 2
+        fake_session = 2
         observed = secret.value  # the sum of an accepted run is s
     else:
         (transcript, _), (params, _, secret) = xia_attack, xia_world
-        modulus, fake_session = params.group.p, 1
+        fake_session = 1
         observed = group_exp(params.generator_for(1), secret.value).value
 
     def learned(session, group):
         return evaluate_attack(
             transcript.envelopes(), transcript.decisions(), scheme, victim=4,
             fake_session=fake_session, observed_session=session,
-            observed_group=group, modulus=modulus,
+            observed_group=group, params=params,
         ).learned_secret
 
     # the fake session saw only one genuine token (the victim's); the

@@ -415,8 +415,6 @@ class TestTranscript:
         b'{"type":"envelope","seq":1,"claimed_sender":1,"true_origin":1,'
         b'"session":["harn2013",1],"round":"token","payload_hex":"ab",'
         b'"recipients":[3,2]}',
-        b'{"type":"decision","seq":1,"party":1,"session":["harn2013",1],'
-        b'"accepted":true,"members":[2,1],"reason":null}',
     ])
     def test_malformed_record_rejected(self, tmp_path, line):
         path = tmp_path / "t.jsonl"

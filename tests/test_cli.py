@@ -574,18 +574,21 @@ def test_audit_fails_when_a_claimed_member_spoke_to_the_victim(name):
         audit_transcript(Transcript(records=records), config)
 
 
-def test_audit_names_the_replay_mismatch_when_the_judge_cannot_decode():
-    """A non-canonical observed token is dropped by the replayed parties
-    and refused by the judge's decode; the audit fails and names both."""
+def test_undecodable_observed_token_fails_the_replay_not_the_judge():
+    """A non-canonical observed token: the replayed parties drop it, so the
+    audit names the mismatch; the judge decodes through the same params,
+    so it counts the token as never sent and learns nothing."""
     config, transcript, _ = demo_run("harn-impersonation")
     records = [dict(r) for r in transcript.records]
     token = next(r for r in records if r["type"] == "envelope"
                  and r["round"] == "token" and r["session"][1] == 1)
     token["payload_hex"] = token["payload_hex"].upper() + "G"
-    with pytest.raises(AuditFailure) as failure:
-        audit_transcript(Transcript(records=records), config)
-    assert "wire data says" in str(failure.value)
-    assert "bad residue encoding" in str(failure.value)
+    doctored = Transcript(records=records)
+    with pytest.raises(AuditFailure, match="wire data says"):
+        audit_transcript(doctored, config)
+    material, _, _ = derive_material(config)
+    report = cli.build_report(config, material, doctored)
+    assert [o["learned_secret"] for o in report["outcomes"]] == [None]
 
 
 # ---------------------------------------------------------------------------
