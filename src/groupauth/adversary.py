@@ -21,7 +21,11 @@ fabricated group. `ChannelAttack` is that attack, one tap-driven loop:
 
 Two bindings supply only their scheme's algebra: stage-one recovery,
 one filler draw and the closing value, plus the session a victim is
-lured into; the scheme's params decode a wire token.
+lured into. The attack never sees a payload's layout: the scheme's
+params encode every forged value and decode every observed one, and
+the binding's scheme class names the traffic it reads and writes. So a
+binding subclass that changes only `party` runs the same attack on
+another scheme.
 `HarnImpersonationScript` lures its victims into a fresh run id of the
 token-sum scheme. `XiaChannelAttack` lures them into the observed
 session index of the masked-product scheme, whose generator is what
@@ -35,7 +39,7 @@ transcript: the scripts report nothing about themselves.
 import random
 from dataclasses import dataclass
 
-from .algebra import CyclicGroupSpec, GroupElement, derive_rng
+from .algebra import GroupElement, derive_rng
 from .channel import (
     AdversaryAPI,
     AdversaryPolicy,
@@ -45,14 +49,10 @@ from .channel import (
     ROUND_TOKEN,
     Transcript,
     WILDCARD,
-    decode_invitation,
-    decode_residue_hex,
-    encode_residue_hex,
     invitation_envelope,
     is_forged,
 )
-from .errors import GroupAuthError, InsufficientObservation
-from .harn2013 import SCHEME_TAG as HARN_TAG
+from .errors import InsufficientObservation
 from .harn2013 import harn_aggregate
 from .parties import (
     SCHEMES,
@@ -60,7 +60,6 @@ from .parties import (
     XiaParty,
     run_world,
 )
-from .xia2019 import SCHEME_TAG as XIA_TAG
 from .xia2019 import xia_aggregate
 
 MODE_TWO_STAGE = "two-stage"
@@ -71,54 +70,52 @@ MODE_SIMULTANEOUS = "simultaneous"
 # stage one: passive recovery of an observed aggregate
 
 
-def _observed_tokens(envelopes, session: tuple, modulus: int) -> list:
-    """Decoded tokens of the group that the session's first valid
-    invitation announces, in member order, each sender's first token
-    counting. Raises InsufficientObservation until that group has fully
-    spoken."""
+def _observed_tokens(envelopes, session: tuple, params) -> list:
+    """Tokens of the group that the session's first valid invitation
+    announces, in member order, as `params` decodes them: each sender's
+    first token that decodes counts, as in a party's intake. Raises
+    InsufficientObservation until that group has fully spoken."""
     group, tokens = None, {}
     for envelope in envelopes:
         if envelope.session != session:
             continue
         if envelope.round == ROUND_INVITATION and group is None:
-            try:
-                ids, announced = decode_invitation(envelope.payload)
-            except GroupAuthError:
-                continue
-            if announced == session[1]:
-                group = ids
+            parsed = params.invitation(envelope.payload)
+            if parsed is not None and parsed[2] == session[1]:
+                group = parsed[0]
         elif envelope.round == ROUND_TOKEN:
-            tokens.setdefault(envelope.claimed_sender, envelope.payload)
+            value = params.decode(envelope.payload)
+            if value is not None:
+                tokens.setdefault(envelope.claimed_sender, value)
     if group is None:
         raise InsufficientObservation("no invitation seen for %s session %d"
                                       % session)
     missing = [i for i in group if i not in tokens]
     if missing:
         raise InsufficientObservation("still waiting on tokens %s" % missing)
-    return [decode_residue_hex(tokens[i], modulus) for i in group]
+    return [tokens[i] for i in group]
 
 
-def attack_harn_learn_secret(envelopes, run_id: int, modulus: int) -> int:
-    """Recover the one-time secret from a completed run's broadcasts.
+def attack_harn_learn_secret(envelopes, run_id: int, params,
+                             scheme: str = HarnParty.scheme) -> int:
+    """Recover the one-time secret from a completed run's broadcasts in
+    `scheme` (a binding passes its own).
 
     Works for any observer, member or not: the secret is simply the sum
     of the released tokens.
     """
     return harn_aggregate(
-        _observed_tokens(envelopes, (HARN_TAG, run_id), modulus), modulus
+        _observed_tokens(envelopes, (scheme, run_id), params), params.modulus
     )
 
 
-def attack_xia_stage1(envelopes, session_id: int,
-                      group: CyclicGroupSpec) -> GroupElement:
-    """Product of one observed session's tokens: equals (g_sigma)^s.
-
-    Each token must lie in the subgroup (SubgroupViolation otherwise).
-    """
-    tokens = _observed_tokens(envelopes, (XIA_TAG, session_id), group.p)
-    return group.element(xia_aggregate(
-        [group.element(value).value for value in tokens], group.p
-    ))
+def attack_xia_stage1(envelopes, session_id: int, params,
+                      scheme: str = XiaParty.scheme) -> GroupElement:
+    """Product of one observed session's tokens in `scheme` (a binding
+    passes its own): equals (g_sigma)^s. `params.decode` has put each
+    token in the subgroup."""
+    tokens = _observed_tokens(envelopes, (scheme, session_id), params)
+    return params.group.element(xia_aggregate(tokens, params.modulus))
 
 
 # ---------------------------------------------------------------------------
@@ -147,14 +144,14 @@ class ChannelAttack:
     """Impersonates fabricated groups toward their victims (module doc).
 
     A binding sets `party`, its scheme's class (parties.SCHEMES), which
-    tags every forged envelope and forges its `rounds` before the token
-    round at invitation time. `material` is the scheme's params, whose
-    `decode` reads a wire token and whose `modulus` encodes one. A
-    binding sets `impersonation_mode`, the mode of a single-victim
-    attack, and supplies `fake_session` (the session a victim is lured
-    into, from the observed one), `_recover` (stage one), `_draw` (one
-    filler value) and `_complete` (the value closing an aggregate on the
-    target).
+    tags every forged envelope and every envelope stage one observes, and
+    forges its `rounds` before the token round at invitation time.
+    `material` is the scheme's params, whose `decode` reads a wire value
+    and whose `encode` writes one. A binding sets `impersonation_mode`,
+    the mode of a single-victim attack, and supplies `fake_session` (the
+    session a victim is lured into, from the observed one), `_recover`
+    (stage one), `_draw` (one filler value) and `_complete` (the value
+    closing an aggregate on the target).
     """
 
     party = None
@@ -243,7 +240,7 @@ class ChannelAttack:
         api.inject(
             Envelope(claimed_sender=member,
                      session=(self.party.scheme, plan.session), round=round_,
-                     payload=encode_residue_hex(value, self.modulus)),
+                     payload=self.material.encode(value)),
             recipients=[plan.victim],
         )
 
@@ -297,7 +294,7 @@ class HarnImpersonationScript(ChannelAttack):
 
     def _recover(self) -> int:
         return attack_harn_learn_secret(self.observed, self.observed_session,
-                                        self.modulus)
+                                        self.material, self.party.scheme)
 
     def _draw(self, session: int) -> int:
         return self.rng.randrange(self.modulus)
@@ -330,7 +327,7 @@ class XiaChannelAttack(ChannelAttack):
 
     def _recover(self) -> int:
         return attack_xia_stage1(self.observed, self.observed_session,
-                                 self.material.group).value
+                                 self.material, self.party.scheme).value
 
     def _draw(self, session: int) -> int:
         return self.material.power(

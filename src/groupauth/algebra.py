@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from math import gcd, isqrt, prod
 from types import SimpleNamespace
 
-from .channel import decode_invitation
+from .channel import decode_invitation, decode_residue_hex, encode_residue_hex
 from .errors import (
     DegenerateShareSet,
     GroupAuthError,
@@ -169,11 +169,16 @@ class ThresholdParams:
     """n participants and threshold t, the base of both schemes' public
     parameters; party i has the share-field identifier of value i.
 
-    The params are the wire boundary: `decode` runs a scheme's `_check`
-    (payload -> int, raising GroupAuthError if malformed or out of range)
-    and `invitation` parses an invitation whose group names only
+    The params are the wire boundary and own the wire format: `encode`
+    writes a value's payload, `decode` runs a scheme's `_check` (payload
+    -> int, raising GroupAuthError if malformed or out of range) and
+    `invitation` parses an invitation whose group names only
     participants, each once per distinct payload, remembering what it
-    accepted. Every party of one world shares one params object, so a
+    accepted. By default a payload is one residue mod `modulus`, which a
+    subclass supplies, in fixed-width lowercase hex; a scheme with a
+    richer payload overrides `encode` and `_check` together, and its
+    `_check` may return an int subclass that carries the extra fields.
+    Every party of one world shares one params object, so a
     broadcast is checked once, not once per recipient. The memos live as
     long as the params object, which is meant to serve one world;
     rejected payloads are not remembered, so injected junk cannot grow
@@ -201,6 +206,10 @@ class ThresholdParams:
         """Whether every id in `party_ids` names a participant."""
         return self._ids.issuperset(party_ids)
 
+    def encode(self, value: int) -> str:
+        """int in 0..modulus-1 -> wire payload (ValueError otherwise)."""
+        return encode_residue_hex(value, self.modulus)
+
     def decode(self, payload: str) -> int | None:
         """Wire value -> int, or None if `_check` rejects it."""
         try:
@@ -218,8 +227,9 @@ class ThresholdParams:
                              payload)
 
     def _check(self, payload: str) -> int:
-        """The scheme's validation of one wire payload."""
-        raise NotImplementedError
+        """The scheme's validation of one wire payload: by default, the
+        residue `encode` wrote."""
+        return decode_residue_hex(payload, self.modulus)
 
     def _check_invitation(self, payload: str) -> tuple:
         group_ids, session = decode_invitation(payload)

@@ -16,7 +16,7 @@ the claimed sender and the true origin.
 import json
 import weakref
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import (
     MalformedTranscript,
@@ -102,17 +102,20 @@ class Envelope:
 
     claimed_sender is just a field: nothing binds it to whoever handed
     the envelope to the channel. session is (scheme tag, session id).
-    seq is stamped by the channel when the envelope is accepted.
+    The channel numbers each send in its transcript record only.
     """
 
     claimed_sender: int
     session: tuple
     round: str
     payload: str
-    seq: int | None = None
 
-    def with_seq(self, seq: int) -> "Envelope":
-        return replace(self, seq=seq)
+    @classmethod
+    def from_record(cls, record: dict) -> "Envelope":
+        """The envelope of a transcript record (origin information
+        dropped)."""
+        return cls(record["claimed_sender"], tuple(record["session"]),
+                   record["round"], record["payload_hex"])
 
 
 def invitation_envelope(scheme: str, inviter: int, session: int,
@@ -244,11 +247,11 @@ class Transcript:
 
     records: list = field(default_factory=list)
 
-    def append_envelope(self, envelope: Envelope, true_origin: int,
-                        recipients: list) -> None:
+    def append_envelope(self, seq: int, envelope: Envelope,
+                        true_origin: int, recipients: list) -> None:
         self.records.append({
             "type": "envelope",
-            "seq": envelope.seq,
+            "seq": seq,
             "claimed_sender": envelope.claimed_sender,
             "true_origin": true_origin,
             "session": list(envelope.session),
@@ -269,19 +272,6 @@ class Transcript:
 
     def decisions(self) -> list:
         return [r for r in self.records if r["type"] == "decision"]
-
-    def envelope_objects(self) -> list:
-        """Rebuild Envelope values (origin information dropped)."""
-        return [
-            Envelope(
-                claimed_sender=r["claimed_sender"],
-                session=tuple(r["session"]),
-                round=r["round"],
-                payload=r["payload_hex"],
-                seq=r["seq"],
-            )
-            for r in self.envelopes()
-        ]
 
     def forged(self) -> list:
         return [r for r in self.envelopes() if is_forged(r)]
@@ -358,8 +348,8 @@ class AdversaryAPI:
 class DeliverySchedule:
     """Pending deliveries in first-in, first-out order.
 
-    broadcast and inject stamp an envelope and push its fan-out before the
-    tap can react, so pushes arrive in seq order and FIFO delivers by
+    broadcast and inject record an envelope and push its fan-out before
+    the tap can react, so pushes arrive in seq order and FIFO delivers by
     (seq, fan-out position).
     """
 
@@ -430,16 +420,16 @@ class ChannelSimulator:
         """
         if sender not in self._parties:
             raise UnknownParty("broadcast from unregistered party %r" % sender)
-        stamped = envelope.with_seq(self._next_seq())
         recipients = self._fanout.get(sender)
         if recipients is None:
             recipients = self._fanout[sender] = tuple(
                 pid for pid in self.party_ids
                 if pid != sender and not self.policy.blocks(sender, pid))
-        self.transcript.append_envelope(stamped, sender, recipients)
-        self.schedule.push_fanout(stamped, recipients)
+        self.transcript.append_envelope(self._next_seq(), envelope, sender,
+                                        recipients)
+        self.schedule.push_fanout(envelope, recipients)
         if self._adversary is not None:
-            self._adversary.on_tap(stamped, self._adversary_api)
+            self._adversary.on_tap(envelope, self._adversary_api)
 
     def inject(self, envelope: Envelope, recipients) -> None:
         """Adversary-only: deliver to an exact recipient set, unblocked."""
@@ -451,9 +441,9 @@ class ChannelSimulator:
         for pid in recipients:
             if pid not in self._parties:
                 raise UnknownParty("cannot inject to unknown party %r" % pid)
-        stamped = envelope.with_seq(self._next_seq())
-        self.transcript.append_envelope(stamped, ADVERSARY_ID, recipients)
-        self.schedule.push_fanout(stamped, recipients)
+        self.transcript.append_envelope(self._next_seq(), envelope,
+                                        ADVERSARY_ID, recipients)
+        self.schedule.push_fanout(envelope, recipients)
 
     def record_decision(self, party_id: int, session: tuple,
                         belief: BeliefState) -> None:

@@ -35,8 +35,6 @@ from .channel import (
     ROUND_INVITATION,
     ROUND_TOKEN,
     Transcript,
-    decode_residue_hex,
-    encode_residue_hex,
     is_forged,
 )
 from .errors import AuditFailure, ConfigError, GroupAuthError
@@ -328,7 +326,6 @@ class TamperScript:
         self.session = session
         self.target = target
         self.victim = victim
-        self.modulus = material.modulus
 
     def on_start(self, api: AdversaryAPI) -> None:
         pass
@@ -339,10 +336,9 @@ class TamperScript:
             return
         payload = envelope.payload
         if envelope.round == ROUND_TOKEN:
-            value = decode_residue_hex(payload, self.modulus)
-            payload = encode_residue_hex(
-                self.scheme.nudge(self.material, self.session, value),
-                self.modulus)
+            value = self.material.decode(payload)
+            payload = self.material.encode(
+                self.scheme.nudge(self.material, self.session, value))
         api.inject(
             Envelope(claimed_sender=self.target, session=envelope.session,
                      round=envelope.round, payload=payload),
@@ -423,44 +419,44 @@ def _judge(config: ScenarioConfig, material, envelopes, decisions) -> tuple:
             set(record["recipients"]) <= victims for record in forged),
     }
 
-    def only_decision(pid, key):
+    def only_decision(pid):
         """The party's decision in the session, or None unless it decided
         there exactly once."""
-        records = by_key.get((pid, key), ())
+        records = by_key.get((pid, session_key), ())
         return records[0] if len(records) == 1 else None
 
-    def accepted(pid, key, members) -> bool:
-        record = only_decision(pid, key)
+    def accepted(pid, members: list) -> bool:
+        record = only_decision(pid)
         return bool(record and record["accepted"]
-                    and record["members"] == sorted(members))
+                    and record["members"] == members)
 
-    def rejected(pid, key, reason) -> bool:
-        record = only_decision(pid, key)
+    def rejected(pid, reason) -> bool:
+        record = only_decision(pid)
         return bool(record and not record["accepted"]
                     and record["reason"] == reason)
 
+    # config groups are sorted tuples, so each is compared as the list a
+    # decision record holds, built once per check
     if config.scenario == SCENARIO_HONEST:
+        group = list(config.group)
         checks["all_members_accept"] = all(
-            accepted(pid, session_key, config.group) for pid in config.group
-        )
+            accepted(pid, group) for pid in group)
         checks["no_extra_decisions"] = len(decisions) == len(config.group)
     elif config.scenario == SCENARIO_QUORUM:
         checks["all_members_reject_quorum"] = all(
-            rejected(pid, session_key, REASON_QUORUM) for pid in config.group
+            rejected(pid, REASON_QUORUM) for pid in config.group
         )
     elif config.scenario == SCENARIO_TAMPER:
         checks["victim_rejects_hash_mismatch"] = rejected(
-            config.victim, session_key, REASON_HASH_MISMATCH
+            config.victim, REASON_HASH_MISMATCH
         )
+        group = list(config.group)
         checks["others_accept"] = all(
-            accepted(pid, session_key, config.group)
-            for pid in config.group if pid != config.victim
-        )
+            accepted(pid, group) for pid in group if pid != config.victim)
     else:
+        observed = list(config.observed_group)
         checks["observed_run_accepted"] = all(
-            accepted(pid, session_key, config.observed_group)
-            for pid in config.observed_group
-        )
+            accepted(pid, observed) for pid in observed)
         checks["victims_deceived"] = bool(outcomes) and all(
             outcome.success for outcome in outcomes
         )
@@ -576,7 +572,8 @@ def audit_transcript(transcript: Transcript,
     envelopes, decisions = transcript.envelopes(), transcript.decisions()
     inboxes = {pid: [] for pid in range(1, config.n + 1)}
     recorded = {pid: {} for pid in inboxes}
-    for record, envelope in zip(envelopes, transcript.envelope_objects()):
+    for record in envelopes:
+        envelope = Envelope.from_record(record)
         for pid in record["recipients"]:
             if pid not in inboxes:
                 raise AuditFailure("envelope %d reached unknown party %d"

@@ -14,9 +14,10 @@ identifiers are the field elements 1..n. The secret, identifiers,
 positions and weights are FieldElements; the polynomials, shares,
 tokens, the aggregate and the check are plain ints. Everything the
 issuer publishes is one `HarnParams`, as `XiaParams` is for the
-masked-product scheme. This module holds only that math and the wire
-decode: the protocol around it (the invitation, who must have spoken,
-the quorum rule) is `parties.Party`'s.
+masked-product scheme. This module holds only that math: the wire
+format is the params' default (`ThresholdParams`), and the protocol
+around it (the invitation, who must have spoken, the quorum rule) is
+`parties.Party`'s.
 """
 
 import random
@@ -31,7 +32,6 @@ from .algebra import (
     random_prime,
     residue_digest,
 )
-from .channel import decode_residue_hex
 from .errors import InvalidThreshold, NotAMember
 
 SCHEME_TAG = "harn2013"
@@ -45,8 +45,8 @@ NUMERATOR_MEMO_VIEWS = 4
 @dataclass(frozen=True)
 class HarnParams(ThresholdParams):
     """Everything the issuer publishes: the prime `modulus`, positions w,
-    weights d and H(s). A wire value must be a residue mod the prime (see
-    `ThresholdParams.decode`).
+    weights d and H(s). A wire value is a residue mod the prime, in the
+    default format of `ThresholdParams`.
 
     `_numerators` is a memo every token of one point set shares: for the
     sorted member ids of a group it keeps c_j = prod_r (w_j - x_r) over
@@ -79,10 +79,6 @@ class HarnParams(ThresholdParams):
             raise ValueError("positions w must be distinct")
         if not self._ids.isdisjoint(positions):
             raise ValueError("positions w must avoid participant identifiers")
-
-    def _check(self, payload: str) -> int:
-        """Wire token -> residue mod the prime."""
-        return decode_residue_hex(payload, self.modulus)
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,16 @@ party's own included), applies the membership and quorum rules, and
 turns the scheme's aggregate check into the decision. Envelopes for
 unknown sessions or for another round than the one in progress, senders
 outside the view, duplicates and malformed payloads are ignored rather
-than treated as fatal. A check that depends only on a payload and the
-public material (decode, and an invitation's parse and participants)
-runs once per world, in the params all parties share; every check left
-per delivery is O(1).
+than treated as fatal. The params all parties share own the wire
+format: the engine writes every contribution with their `encode` and
+reads it with their `decode`, so it never sees a payload's layout. A
+check that depends only on a payload and the public material (decode,
+and an invitation's parse and participants) runs once per world, in
+those params; every check left per delivery is O(1).
 
 `HarnParty` and `XiaParty` are the two schemes (see `Party` for what a
-scheme class answers), and `SCHEMES` maps each wire tag to its class.
+scheme class answers), and `SCHEMES` maps each wire tag to its class; a
+further scheme registers there, with no change to the engine.
 
 The replay form, which the transcript audit feeds a recorded inbox,
 holds no credential and broadcasts nothing: each time it enters a
@@ -48,7 +51,6 @@ from .channel import (
     ROUND_INVITATION,
     ROUND_TOKEN,
     Transcript,
-    encode_residue_hex,
     invitation_envelope,
 )
 from .errors import NotAMember, SessionExhausted
@@ -100,16 +102,17 @@ class Party:
     `per_session_generators` (whether sessions are the dealer's one-time
     indices 1..ell, each with its own generator), and supplies the scheme
     steps `_contribute` (this party's own int for a round) and `_verify`
-    (the aggregate check on the token round's ints), plus `_admits` and
-    `_open` if it narrows admission or keeps its own session ledger. Its
-    public material is one `ThresholdParams` subclass, `params`, whose
-    `decode` (wire payload -> int or None) and `invitation` are the
-    boundary checks and whose `modulus` is that of every residue on the
-    wire. At class level it answers `issue(config)` (the dealer run:
-    params, credentials, secret), `aggregate(values, modulus)` (what the
-    digest check binds), `nudge(params, session, value)` (a token moved
-    off its value, still well-formed) and, where the default below does
-    not fit, `material_facts`. The engine owns the scheme-tag filter, membership,
+    (the aggregate check on the token round's ints; `session.received`
+    says who claimed each), plus `_admits` and `_open` if it narrows
+    admission or keeps its own session ledger. Its public material is one
+    `ThresholdParams` subclass, `params`, which owns the wire format:
+    `encode` writes a contribution's payload, and `decode` (wire payload
+    -> int or None) and `invitation` are the boundary checks. At class
+    level it answers `issue(config)` (the dealer run: params,
+    credentials, secret), `aggregate(values, modulus)` (what the digest
+    check binds), `nudge(params, session, value)` (a token moved off its
+    value, still well-formed) and, where the default below does not fit,
+    `material_facts`. The engine owns the scheme-tag filter, membership,
     invitation admission, per-session state, first-wins intake, round
     completion, the quorum rule before the token round, the replay form
     and decision recording.
@@ -212,8 +215,7 @@ class Party:
             value = self._contribute(session, round_)
             api.broadcast(Envelope(
                 claimed_sender=self.party_id, session=session.key,
-                round=round_,
-                payload=encode_residue_hex(value, self.params.modulus),
+                round=round_, payload=self.params.encode(value),
             ))
         else:
             payloads = self.recorded.get((session.key, round_))

@@ -38,7 +38,6 @@ from .algebra import (
     poly_eval,
     residue_digest,
 )
-from .channel import decode_residue_hex
 from .errors import InvalidThreshold, NotAMember, SessionExhausted
 
 SCHEME_TAG = "xia2019"
@@ -107,8 +106,7 @@ class XiaParams(ThresholdParams):
 
     def _check(self, payload: str) -> int:
         """Wire value -> subgroup element as an int."""
-        return self.group.element(
-            decode_residue_hex(payload, self.group.p)).value
+        return self.group.element(super()._check(payload)).value
 
 
 @dataclass

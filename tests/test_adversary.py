@@ -23,6 +23,7 @@ from groupauth.algebra import derive_rng, group_exp
 from groupauth.channel import (
     ADVERSARY_ID,
     ChannelSimulator,
+    Envelope,
     ROUND_TOKEN,
 )
 from groupauth.errors import InsufficientObservation
@@ -66,6 +67,11 @@ def run_xia_honest(params, credentials, group_ids, session=1, seed=0):
     return sim.run_until_quiescent()
 
 
+def wire(transcript):
+    """Every envelope on the wire, rebuilt from its transcript record."""
+    return [Envelope.from_record(r) for r in transcript.envelopes()]
+
+
 def fresh(credentials):
     """Session bookkeeping lives on the credential, so every simulated
     world gets its own copies."""
@@ -93,28 +99,26 @@ def xia_world():
 def test_harn_secret_recovered_from_broadcasts_alone(harn_world):
     params, credentials, secret = harn_world
     transcript = run_harn_honest(params, credentials, (1, 2, 3))
-    learned = attack_harn_learn_secret(
-        transcript.envelope_objects(), 1, params.modulus
-    )
+    learned = attack_harn_learn_secret(wire(transcript), 1, params)
     assert learned == secret.value
 
 
 def test_harn_recovery_needs_every_token(harn_world):
     params, credentials, _ = harn_world
     transcript = run_harn_honest(params, credentials, (1, 2, 3))
-    envelopes = transcript.envelope_objects()
+    envelopes = wire(transcript)
     token_indices = [
         i for i, e in enumerate(envelopes) if e.round == ROUND_TOKEN
     ]
     partial = [e for i, e in enumerate(envelopes) if i != token_indices[-1]]
     with pytest.raises(InsufficientObservation):
-        attack_harn_learn_secret(partial, 1, params.modulus)
+        attack_harn_learn_secret(partial, 1, params)
 
 
 def test_harn_recovery_needs_the_invitation(harn_world):
     params, _, _ = harn_world
     with pytest.raises(InsufficientObservation):
-        attack_harn_learn_secret([], 1, params.modulus)
+        attack_harn_learn_secret([], 1, params)
 
 
 def harn_forge(secret, victim_token, fake_group, seed, modulus=10_007):
@@ -148,9 +152,7 @@ def test_harn_forge_always_sums_to_secret(secret, victim_token, size, seed):
 def test_xia_stage1_product_equals_session_power(xia_world):
     params, credentials, secret = xia_world
     transcript = run_xia_honest(params, fresh(credentials), (1, 2, 3), session=1)
-    product = attack_xia_stage1(
-        transcript.envelope_objects(), 1, params.group
-    )
+    product = attack_xia_stage1(wire(transcript), 1, params)
     assert product == group_exp(params.generator_for(1), secret.value)
 
 
@@ -158,11 +160,11 @@ def test_xia_stage1_needs_every_token(xia_world):
     params, credentials, _ = xia_world
     transcript = run_xia_honest(params, fresh(credentials), (1, 2, 3), session=1)
     envelopes = [
-        e for e in transcript.envelope_objects()
+        e for e in wire(transcript)
         if not (e.round == ROUND_TOKEN and e.claimed_sender == 2)
     ]
     with pytest.raises(InsufficientObservation):
-        attack_xia_stage1(envelopes, 1, params.group)
+        attack_xia_stage1(envelopes, 1, params)
 
 
 # ---------------------------------------------------------------------------

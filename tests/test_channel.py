@@ -235,7 +235,7 @@ class TestTapAndInject:
         sim.run_until_quiescent()
         assert len(tap.seen) == 1
         assert tap.seen[0].claimed_sender == 1
-        assert tap.seen[0].seq == 1
+        assert sim.transcript.records[0]["seq"] == 1
 
     def test_inject_reaches_exact_recipients_and_bypasses_blocks(self):
         policy = AdversaryPolicy(blocked_links={(WILDCARD, 2)})

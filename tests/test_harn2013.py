@@ -327,6 +327,18 @@ class TestDecodeMemo:
             assert [params.decode(x) for x in bad] == [None] * len(bad)
         assert params._decoded == {}
 
+    @given(st.data())
+    def test_decode_inverts_encode(self, data):
+        params, _, _ = harn_gm_init(5, 2, prime_bits=64, rng_seed=56)
+        value = data.draw(st.integers(0, params.modulus - 1))
+        assert params.decode(params.encode(value)) == value
+
+    def test_encode_refuses_a_value_outside_the_residues(self):
+        params, _, _ = harn_gm_init(5, 2, prime_bits=64, rng_seed=56)
+        for value in (-1, params.modulus, params.modulus + 1):
+            with pytest.raises(ValueError):
+                params.encode(value)
+
 
 class TestInvitationMemo:
     """`HarnParams.invitation` parses each accepted invitation payload

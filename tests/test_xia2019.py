@@ -317,6 +317,19 @@ class TestCommitment:
         assert params.decode(env.payload) == commitment
         assert pow(commitment, params.group.q, params.group.p) == 1
 
+    @given(st.data())
+    def test_decode_inverts_encode_on_the_subgroup(self, data):
+        params, _, _ = setup_small()
+        exponent = data.draw(st.integers(0, params.group.q - 1))
+        value = group_exp(params.generator_for(1), exponent).value
+        assert params.decode(params.encode(value)) == value
+
+    def test_encode_refuses_a_value_outside_the_residues(self):
+        params, _, _ = setup_small()
+        for value in (-1, params.modulus, params.modulus + 1):
+            with pytest.raises(ValueError):
+                params.encode(value)
+
     def test_double_commit_rejected(self):
         """A second invitation to an open session draws no second
         commitment."""
