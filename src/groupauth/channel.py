@@ -8,9 +8,10 @@ indistinguishable from a genuine one at the receiving party.
 
 Delivery is asynchronous in the adversary's favour: taps fire at send
 time, and reactions enqueue after everything already pending, so the
-adversary can always speak last within a round. Every send and every
-decision is appended to a JSONL-serialisable transcript that records both
-the claimed sender and the true origin.
+adversary can always speak last within a round. A send reaches its
+recipients in the order its record lists them, before the next send does.
+Every send and every decision is appended to a JSONL-serialisable
+transcript that records both the claimed sender and the true origin.
 """
 
 import json
@@ -186,11 +187,10 @@ class AdversaryPolicy:
 
     blocked_links: set = field(default_factory=set)
 
-    def blocks(self, sender: int, recipient: int) -> bool:
-        return (
-            (sender, recipient) in self.blocked_links
-            or (WILDCARD, recipient) in self.blocked_links
-        )
+    def cut_from(self, sender: int) -> set:
+        """The recipients whose link from `sender` is blocked."""
+        return {recipient for source, recipient in self.blocked_links
+                if source == sender or source == WILDCARD}
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +248,7 @@ class Transcript:
     records: list = field(default_factory=list)
 
     def append_envelope(self, seq: int, envelope: Envelope,
-                        true_origin: int, recipients: list) -> None:
+                        true_origin: int, recipients: tuple) -> None:
         self.records.append({
             "type": "envelope",
             "seq": seq,
@@ -257,7 +257,7 @@ class Transcript:
             "session": list(envelope.session),
             "round": envelope.round,
             "payload_hex": envelope.payload,
-            "recipients": sorted(recipients),
+            "recipients": list(recipients),
         })
 
     def append_decision(self, seq: int, party: int, session: tuple,
@@ -346,21 +346,21 @@ class AdversaryAPI:
 
 
 class DeliverySchedule:
-    """Pending deliveries in first-in, first-out order.
+    """Pending sends in first-in, first-out order, one entry per send.
 
-    broadcast and inject record an envelope and push its fan-out before
-    the tap can react, so pushes arrive in seq order and FIFO delivers by
-    (seq, fan-out position).
+    broadcast and inject record an envelope and push the recipients that
+    its record lists before the tap can react, so entries arrive in seq
+    order and the run loop delivers by (seq, position in `recipients`).
     """
 
     def __init__(self):
         self._pending = deque()
 
-    def push_fanout(self, envelope: Envelope, recipients: list) -> None:
-        self._pending.extend((envelope, recipient) for recipient in recipients)
+    def push_fanout(self, envelope: Envelope, recipients: tuple) -> None:
+        self._pending.append((envelope, recipients))
 
     def pop(self) -> tuple:
-        """Next (envelope, recipient) pair."""
+        """Next (envelope, recipients) entry."""
         return self._pending.popleft()
 
     def __len__(self):
@@ -402,10 +402,6 @@ class ChannelSimulator:
         self._adversary_api = AdversaryAPI(self)
         return self._adversary_api
 
-    @property
-    def party_ids(self) -> list:
-        return sorted(self._parties)
-
     # -- channel operations -------------------------------------------------
 
     def _next_seq(self) -> int:
@@ -422,9 +418,9 @@ class ChannelSimulator:
             raise UnknownParty("broadcast from unregistered party %r" % sender)
         recipients = self._fanout.get(sender)
         if recipients is None:
-            recipients = self._fanout[sender] = tuple(
-                pid for pid in self.party_ids
-                if pid != sender and not self.policy.blocks(sender, pid))
+            recipients = self._fanout[sender] = tuple(sorted(
+                self._parties.keys() - self.policy.cut_from(sender)
+                - {sender}))
         self.transcript.append_envelope(self._next_seq(), envelope, sender,
                                         recipients)
         self.schedule.push_fanout(envelope, recipients)
@@ -441,6 +437,7 @@ class ChannelSimulator:
         for pid in recipients:
             if pid not in self._parties:
                 raise UnknownParty("cannot inject to unknown party %r" % pid)
+        recipients = tuple(sorted(recipients))
         self.transcript.append_envelope(self._next_seq(), envelope,
                                         ADVERSARY_ID, recipients)
         self.schedule.push_fanout(envelope, recipients)
@@ -452,17 +449,19 @@ class ChannelSimulator:
         )
 
     def run_until_quiescent(self) -> Transcript:
-        """Deliver queued envelopes until nothing is pending."""
+        """Deliver queued sends until none is pending; `max_events`
+        caps single deliveries, not sends."""
+        handlers = {pid: (party.on_envelope, self._apis[pid])
+                    for pid, party in self._parties.items()}
         delivered = 0
         while len(self.schedule):
-            if delivered >= self.max_events:
-                raise SimulationDiverged(
-                    "delivery budget of %d exhausted" % self.max_events
-                )
-            envelope, recipient = self.schedule.pop()
-            party = self._parties.get(recipient)
-            if party is None:
-                continue
-            party.on_envelope(envelope, self._apis[recipient])
-            delivered += 1
+            envelope, recipients = self.schedule.pop()
+            for recipient in recipients:
+                if delivered >= self.max_events:
+                    raise SimulationDiverged(
+                        "delivery budget of %d exhausted" % self.max_events
+                    )
+                on_envelope, api = handlers[recipient]
+                on_envelope(envelope, api)
+                delivered += 1
         return self.transcript

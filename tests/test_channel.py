@@ -5,7 +5,7 @@ import gc
 import weakref
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupauth.algebra import derive_rng
@@ -60,6 +60,22 @@ class PingPong:
             round=ROUND_TOKEN,
             payload="00",
         ))
+
+
+class Echo:
+    """Appends each delivery, as (claimed sender, recipient), to a log
+    shared by the world; if `reacts`, answers every envelope that is not
+    itself an answer with a broadcast of its own."""
+
+    def __init__(self, party_id, log, reacts=True):
+        self.party_id = party_id
+        self.log = log
+        self.reacts = reacts
+
+    def on_envelope(self, envelope, api):
+        self.log.append((envelope.claimed_sender, self.party_id))
+        if self.reacts and envelope.payload != "echo":
+            api.broadcast(env(sender=self.party_id, payload="echo"))
 
 
 def env(sender=1, session=("harn2013", 1), round_=ROUND_TOKEN, payload="ab"):
@@ -214,6 +230,48 @@ class TestBroadcast:
         assert len(parties[2].received) == 1
         assert parties[2].received[0].claimed_sender == 3
 
+    @settings(max_examples=60)
+    @given(
+        ids=st.sets(st.integers(1, 8), min_size=1, max_size=6),
+        links=st.sets(st.tuples(st.one_of(st.just(WILDCARD),
+                                          st.integers(0, 10)),
+                                st.integers(0, 10)), max_size=8),
+        self_link=st.booleans(),
+        data=st.data(),
+    )
+    def test_fanout_matches_the_per_pair_rule(self, ids, links, self_link,
+                                              data):
+        """The per-sender set algebra cuts exactly the links that a
+        per-pair check blocks, wildcards, unregistered ids and a
+        self-link included."""
+        sender = data.draw(st.sampled_from(sorted(ids)))
+        if self_link:
+            links = links | {(sender, sender)}
+        sim = ChannelSimulator(policy=AdversaryPolicy(blocked_links=links))
+        parties = {i: Recorder(i) for i in ids}
+        for party in parties.values():
+            sim.register(party)
+        sim.broadcast(sender, env(sender=sender))
+        sim.run_until_quiescent()
+        expected = [pid for pid in sorted(ids) if pid != sender
+                    and (sender, pid) not in links
+                    and (WILDCARD, pid) not in links]
+        assert sim.transcript.envelopes()[0]["recipients"] == expected
+        assert [pid for pid in sorted(ids)
+                if parties[pid].received] == expected
+
+    def test_reaction_waits_for_the_fanout_in_progress(self):
+        """Global FIFO: party 2's answer to party 1 reaches anyone only
+        after party 1's broadcast has reached every recipient."""
+        log = []
+        sim = ChannelSimulator()
+        for i in (1, 2, 3):
+            sim.register(Echo(i, log, reacts=i == 2))
+        sim.broadcast(1, env())
+        sim.run_until_quiescent()
+        assert log == [(1, 2), (1, 3), (2, 1), (2, 3)]
+        assert [r["seq"] for r in sim.transcript.envelopes()] == [1, 2]
+
 
 class TapCollector:
     def __init__(self):
@@ -271,6 +329,23 @@ class TestTapAndInject:
         with pytest.raises(MalformedTranscript):
             api.inject(env(), recipients=[2, 1, 2])
         assert sim.transcript.records == []
+
+    def test_inject_delivers_in_record_order(self):
+        """An injection reaches its recipients in the order its record
+        lists them, so the first listed recipient's reaction takes the
+        next seq whatever order the adversary named them in."""
+        log = []
+        sim = ChannelSimulator()
+        for i in (1, 2, 3):
+            sim.register(Echo(i, log, reacts=i != 2))
+        api = sim.register_adversary(TapCollector())
+        api.inject(env(sender=2), recipients=[3, 1])
+        sim.run_until_quiescent()
+        forged, first, second = sim.transcript.envelopes()
+        assert forged["recipients"] == [1, 3]
+        assert log[:2] == [(2, 1), (2, 3)]
+        assert (first["seq"], first["true_origin"]) == (2, 1)
+        assert (second["seq"], second["true_origin"]) == (3, 3)
 
     def test_adversary_traffic_is_forged_whatever_sender_it_names(self):
         """Forged means true origin 0, also when the claimed sender is 0."""
@@ -332,6 +407,18 @@ class TestRunLoop:
         sim.broadcast(1, env())
         with pytest.raises(SimulationDiverged):
             sim.run_until_quiescent()
+
+    def test_budget_counts_single_deliveries(self):
+        """One broadcast to five parties is cut after exactly
+        `max_events` deliveries, partway through its fan-out."""
+        sim = ChannelSimulator(max_events=3)
+        parties = [Recorder(i) for i in range(1, 7)]
+        for party in parties:
+            sim.register(party)
+        sim.broadcast(1, env())
+        with pytest.raises(SimulationDiverged):
+            sim.run_until_quiescent()
+        assert [len(p.received) for p in parties] == [0, 1, 1, 1, 0, 0]
 
     def test_empty_run_is_a_noop(self):
         sim = ChannelSimulator()
