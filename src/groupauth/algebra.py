@@ -93,6 +93,17 @@ def poly_eval(coefficients, x: int, modulus: int) -> int:
     return acc
 
 
+def poly_eval_points(coefficients, xs, modulus: int) -> list:
+    """`poly_eval` at every int of the list `xs`, in order: Horner over
+    all the points at once, one list pass per coefficient below the
+    leading one (there must be one)."""
+    *lower, top = coefficients
+    acc = [top % modulus] * len(xs)
+    for coeff in reversed(lower):
+        acc = [(a * x + coeff) % modulus for a, x in zip(acc, xs)]
+    return acc
+
+
 def lagrange_coefficient(targets, own: int, others, modulus: int,
                          numerators=None) -> tuple:
     """Lagrange basis values  prod_r (target - x_r) / (own - x_r)  mod a

@@ -305,7 +305,7 @@ class Transcript:
                         "unknown record type at line %d" % line_no
                     )
                 schema = RECORD_SCHEMA[kind]
-                if set(record) != set(schema) or not all(
+                if record.keys() != schema.keys() or not all(
                         check(record[key]) for key, check in schema.items()):
                     raise MalformedTranscript(
                         "malformed %s record at line %d" % (kind, line_no)

@@ -17,6 +17,7 @@ import json
 import sys
 import weakref
 from dataclasses import dataclass, fields, replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .adversary import (
@@ -521,13 +522,54 @@ def write_outputs(transcript: Transcript, report: dict,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     transcript.write_jsonl(out_dir / "transcript.jsonl")
-    (out_dir / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n"
-    )
+    (out_dir / "report.json").write_text(dumps_indented(report) + "\n")
     (out_dir / "config.json").write_text(
-        json.dumps(config.to_json(), indent=2, sort_keys=True) + "\n"
+        dumps_indented(config.to_json()) + "\n"
     )
     return ["transcript.jsonl", "report.json", "config.json"]
+
+
+def dumps_indented(value) -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)`, the same str, for
+    str-keyed dicts, lists and JSON leaves (a non-str key raises
+    TypeError), without the pure-Python encoder that any indent selects:
+    strs go to json's C escaper, a list of plain ints is joined in one
+    call and every other leaf goes to json.dumps itself."""
+    chunks = []
+    _lay_out(value, "\n", chunks)
+    return "".join(chunks)
+
+
+def _lay_out(value, newline: str, chunks: list) -> None:
+    """Append `value` to `chunks`; `newline` starts a line at its depth."""
+    if isinstance(value, str):
+        chunks.append(encode_basestring_ascii(value))
+    elif type(value) is int:
+        chunks.append(str(value))
+    elif not isinstance(value, (dict, list, tuple)) or not value:
+        chunks.append(json.dumps(value))  # any other leaf, {} or []
+    elif isinstance(value, dict):
+        inner = newline + "  "
+        opener = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError("keys must be str, not %r" % (key,))
+            chunks.append(opener + encode_basestring_ascii(key) + ": ")
+            _lay_out(value[key], inner, chunks)
+            opener = "," + inner
+        chunks.append(newline + "}")
+    elif set(map(type, value)) == {int}:  # plain ints, so no bools
+        inner = newline + "  "
+        chunks.append("[" + inner + ("," + inner).join(map(str, value))
+                      + newline + "]")
+    else:
+        inner = newline + "  "
+        opener = "[" + inner
+        for item in value:
+            chunks.append(opener)
+            _lay_out(item, inner, chunks)
+            opener = "," + inner
+        chunks.append(newline + "]")
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .algebra import (
     ThresholdParams,
     lagrange_coefficient,
     poly_eval,
+    poly_eval_points,
     random_prime,
     residue_digest,
 )
@@ -136,10 +137,12 @@ def harn_gm_init(n: int, t: int, prime_bits: int = 64,
         n=n, t=t, identifiers=identifiers, k=k, modulus=p, w=tuple(w),
         d=tuple(d), secret_hash=residue_digest(s.value, p),
     )
+    # one column of shares per polynomial, read back one row per member
+    xs = [x.value for x in identifiers]
+    columns = [poly_eval_points(f, xs, p) for f in polys]
     credentials = [
-        HarnCredential(owner=x, tokens=tuple(
-            poly_eval(f, x.value, p) for f in polys))
-        for x in identifiers
+        HarnCredential(owner=x, tokens=row)
+        for x, row in zip(identifiers, zip(*columns))
     ]
     return params, credentials, s
 

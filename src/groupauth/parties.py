@@ -98,13 +98,15 @@ class Party:
     """Honest participant: the round engine both schemes share.
 
     A subclass is one scheme. It sets `scheme` (its session tag), `rounds`
-    (the rounds after the invitation, the token round last) and
+    (the rounds after the invitation, the token round last),
     `per_session_generators` (whether sessions are the dealer's one-time
-    indices 1..ell, each with its own generator), and supplies the scheme
-    steps `_contribute` (this party's own int for a round) and `_verify`
-    (the aggregate check on the token round's ints; `session.received`
-    says who claimed each), plus `_admits` and `_open` if it narrows
-    admission or keeps its own session ledger. Its public material is one
+    indices 1..ell, each with its own generator) and `draws_nonces`
+    (whether its contributions use `rng`, so a world seeds one for each
+    party), and supplies the scheme steps `_contribute` (this party's own
+    int for a round) and `_verify` (the aggregate check on the token
+    round's ints; `session.received` says who claimed each), plus
+    `_admits` and `_open` if it narrows admission or keeps its own
+    session ledger. Its public material is one
     `ThresholdParams` subclass, `params`, which owns the wire format:
     `encode` writes a contribution's payload, and `decode` (wire payload
     -> int or None) and `invitation` are the boundary checks. At class
@@ -117,15 +119,17 @@ class Party:
     completion, the quorum rule before the token round, the replay form
     and decision recording.
 
-    `rng` is the nonce source of a scheme that draws nonces. Passing
-    `recorded`, a map from (session, round) to the list of payloads this
-    party broadcast genuinely in it, in order, gives the replay form
-    (module doc), which takes them off the front as it enters rounds.
+    `rng` is the nonce source of a scheme that draws nonces, else None.
+    Passing `recorded`, a map from (session, round) to the list of
+    payloads this party broadcast genuinely in it, in order, gives the
+    replay form (module doc), which takes them off the front as it
+    enters rounds.
     """
 
     scheme = None
     rounds = ()
     per_session_generators = False
+    draws_nonces = False
 
     def __init__(self, party_id: int, credential, params, rng=None,
                  recorded: dict | None = None):
@@ -298,6 +302,7 @@ class XiaParty(Party):
     scheme = XIA_TAG
     rounds = (ROUND_COMMITMENT, ROUND_TOKEN)
     per_session_generators = True
+    draws_nonces = True
     # kept for the benchmark's tracer, as in HarnParty
     on_envelope = Party.on_envelope
 
@@ -355,16 +360,18 @@ def run_world(scheme, params, credentials, seed: int, group,
     """Build one simulated world and run it to quiescence.
 
     One live honest party of class `scheme` per credential (`params` is
-    the scheme's public material) and the optional adversary `script`
-    share a channel with `policy`. The smallest member of `group` invites
-    it into `session`, then the script starts, then the queue drains.
+    the scheme's public material; if the scheme draws nonces, each party
+    gets its own rng, seeded from `seed`) and the optional adversary
+    `script` share a channel with `policy`. The smallest member of
+    `group` invites it into `session`, then the script starts, then the
+    queue drains.
     """
     sim = ChannelSimulator(policy=policy)
     members = {}
     for credential in credentials:
         pid = credential.owner.value
-        party = scheme(pid, credential, params,
-                       derive_rng(seed, "party", pid))
+        rng = derive_rng(seed, "party", pid) if scheme.draws_nonces else None
+        party = scheme(pid, credential, params, rng)
         members[pid] = (party, sim.register(party))
     if script is not None:
         adversary_api = sim.register_adversary(script)

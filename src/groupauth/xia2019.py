@@ -35,7 +35,7 @@ from .algebra import (
     group_exp,
     group_setup,
     lagrange_coefficient,
-    poly_eval,
+    poly_eval_points,
     residue_digest,
 )
 from .errors import InvalidThreshold, NotAMember, SessionExhausted
@@ -157,9 +157,10 @@ def xia_gm_init(n: int, t: int, ell: int, prime_bits: int = 64,
         n=n, t=t, ell=ell, group=spec, generators=tuple(generators),
         identifiers=identifiers, session_hashes=session_hashes,
     )
+    shares = poly_eval_points(f, [x.value for x in identifiers], q)
     credentials = [
-        XiaCredential(owner=x, share=FieldElement(poly_eval(f, x.value, q), q))
-        for x in identifiers
+        XiaCredential(owner=x, share=FieldElement(share, q))
+        for x, share in zip(identifiers, shares)
     ]
     return params, credentials, s
 

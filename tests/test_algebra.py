@@ -34,6 +34,7 @@ from groupauth.algebra import (
     is_probable_prime,
     lagrange_coefficient,
     poly_eval,
+    poly_eval_points,
     random_prime,
     random_safe_prime,
     residue_digest,
@@ -153,6 +154,22 @@ class TestPolynomial:
         for coeff in reversed(coeffs):
             acc = FieldElement(acc.value * x + coeff, P64)
         assert poly_eval(coeffs, x, P64) == acc.value
+
+    @given(st.lists(st.integers(min_value=-P64, max_value=2 * P64),
+                    min_size=1, max_size=8),
+           st.lists(st.integers(min_value=-P64, max_value=2 * P64),
+                    max_size=12))
+    def test_eval_points_matches_eval(self, coeffs, xs):
+        """One Horner pass per coefficient over all points gives each
+        point what single-point evaluation gives it, unreduced inputs
+        included."""
+        assert poly_eval_points(coeffs, xs, P64) == [
+            poly_eval(coeffs, x, P64) for x in xs]
+
+    def test_eval_points_reduces_a_constant(self):
+        assert poly_eval_points([-1], [0, 5], SMALL_PRIME) == [22, 22]
+        assert poly_eval_points([SMALL_PRIME + 3], [], SMALL_PRIME) == []
+        assert poly_eval_points([SMALL_PRIME + 3], [7], SMALL_PRIME) == [3]
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from groupauth.errors import (
     UnknownParty,
 )
 from groupauth.harn2013 import harn_gm_init
-from groupauth.parties import HarnParty, XiaParty
+from groupauth.parties import HarnParty, XiaParty, run_world
 from groupauth.xia2019 import xia_gm_init
 
 
@@ -660,3 +660,29 @@ class TestHonestRuns:
             if d["reason"] == "session-exhausted"
         ]
         assert len(exhausted) == 1  # party 1 refuses; party 3 is fresh
+
+
+@pytest.mark.parametrize("scheme,issue", [
+    (HarnParty, lambda: harn_gm_init(5, 2, prime_bits=64, rng_seed=43)),
+    (XiaParty, lambda: xia_gm_init(5, 2, ell=1, prime_bits=64, rng_seed=43)),
+])
+def test_run_world_seeds_an_rng_only_where_nonces_are_drawn(scheme, issue):
+    """A harn party holds no rng; a xia party holds the one derived from
+    the world seed and its id, as before the scheme said which it needs."""
+    built = {}
+
+    class Recording(scheme):
+        def __init__(self, party_id, credential, params, rng=None):
+            super().__init__(party_id, credential, params, rng)
+            built[party_id] = None if rng is None else rng.getstate()
+
+    params, creds, _ = issue()
+    transcript = run_world(Recording, params, creds, 44, (1, 2, 3), 1)
+    assert len(transcript.decisions()) == 3
+    assert sorted(built) == [1, 2, 3, 4, 5]
+    for pid, state in built.items():
+        if scheme.draws_nonces:
+            assert state == derive_rng(44, "party", pid).getstate()
+        else:
+            assert state is None
+    assert XiaParty.draws_nonces and not HarnParty.draws_nonces

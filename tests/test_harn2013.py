@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupauth.algebra import lagrange_coefficient
+from groupauth import harn2013
+from groupauth.algebra import lagrange_coefficient, poly_eval
 from groupauth.channel import (
     BeliefState,
     Envelope,
@@ -110,6 +111,33 @@ class TestIssuance:
             fj_at_wj = interpolated_position_value(params, creds, j, {1, 2, 3})
             total = (total + params.d[j].value * fj_at_wj) % p
         assert total == s.value
+
+    @pytest.mark.parametrize("n,t", [(2, 2), (3, 2), (3, 3), (5, 2),
+                                     (5, 5), (7, 3), (9, 4)])
+    def test_shares_are_the_dealer_polynomials_at_each_id(self, monkeypatch,
+                                                          n, t):
+        """Oracle: every tokens[j] is the single-point Horner value
+        poly_eval(f_j, x, p) of the polynomials the dealer evaluated, and
+        those are k polynomials of degree t-1 that satisfy the issuance
+        invariant at the published positions."""
+        polys = []
+        column_eval = harn2013.poly_eval_points
+
+        def spy(coefficients, xs, modulus):
+            polys.append(list(coefficients))
+            return column_eval(coefficients, xs, modulus)
+
+        monkeypatch.setattr(harn2013, "poly_eval_points", spy)
+        params, creds, s = harn_gm_init(n, t, prime_bits=64,
+                                        rng_seed=n * 10 + t)
+        p = params.modulus
+        assert len(polys) == params.k == ceil(n / t)
+        assert all(len(f) == t for f in polys)
+        for cred in creds:
+            assert cred.tokens == tuple(
+                poly_eval(f, cred.owner.value, p) for f in polys)
+        assert sum(dj.value * poly_eval(f, wj.value, p) for dj, f, wj
+                   in zip(params.d, polys, params.w)) % p == s.value
 
     def test_secret_hash_matches_secret(self):
         from groupauth.algebra import residue_digest
