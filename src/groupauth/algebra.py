@@ -16,6 +16,7 @@ here is hardened for production use (no constant-time code, PRNG only).
 
 import hashlib
 import random
+import weakref
 from dataclasses import dataclass, field
 from math import gcd, isqrt, prod
 from types import SimpleNamespace
@@ -181,29 +182,27 @@ class ThresholdParams:
     parameters; party i has the share-field identifier of value i.
 
     The params are the wire boundary and own the wire format: `encode`
-    writes a value's payload, `decode` runs a scheme's `_check` (payload
-    -> int, raising GroupAuthError if malformed or out of range) and
-    `invitation` parses an invitation whose group names only
-    participants, each once per distinct payload, remembering what it
-    accepted. By default a payload is one residue mod `modulus`, which a
-    subclass supplies, in fixed-width lowercase hex; a scheme with a
-    richer payload overrides `encode` and `_check` together, and its
-    `_check` may return an int subclass that carries the extra fields.
-    Every party of one world shares one params object, so a
-    broadcast is checked once, not once per recipient. The memos live as
-    long as the params object, which is meant to serve one world;
-    rejected payloads are not remembered, so injected junk cannot grow
-    them.
+    writes a value's payload. `decode` (payload -> int, or None if the
+    scheme's `_check` raises GroupAuthError: malformed or out of range)
+    and `invitation` (payload -> sorted group ids, their frozenset and
+    the session, or None if malformed or naming a non-participant) are
+    the lookups of two memos, `_decoded` and `_invitations` (see
+    `_Memo`), so each distinct payload is checked once. By default a
+    payload is one residue mod `modulus`, which a subclass supplies, in
+    fixed-width lowercase hex; a scheme with a richer payload overrides
+    `encode` and `_check` together, and its `_check` may return an int
+    subclass that carries the extra fields. Every party of one world
+    shares one params object, so a broadcast is checked once, not once
+    per recipient. The memos live as long as the params object, which is
+    meant to serve one world.
     """
 
     n: int
     t: int
     identifiers: tuple  # FieldElement per participant, value i for party i
     _ids: frozenset = field(init=False, repr=False, compare=False)
-    _decoded: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
-    _invitations: dict = field(default_factory=dict, init=False,
-                               repr=False, compare=False)
+    _decoded: dict = field(init=False, repr=False, compare=False)
+    _invitations: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 2 <= self.t <= self.n:
@@ -212,6 +211,11 @@ class ThresholdParams:
         if len(values) != self.n or len(set(values)) != self.n or 0 in values:
             raise ValueError("identifiers must be n distinct non-zero residues")
         object.__setattr__(self, "_ids", frozenset(values))
+        object.__setattr__(self, "_decoded", _Memo(self._check))
+        object.__setattr__(self, "_invitations",
+                           _Memo(self._check_invitation))
+        object.__setattr__(self, "decode", self._decoded.__getitem__)
+        object.__setattr__(self, "invitation", self._invitations.__getitem__)
 
     def all_members(self, party_ids) -> bool:
         """Whether every id in `party_ids` names a participant."""
@@ -220,22 +224,6 @@ class ThresholdParams:
     def encode(self, value: int) -> str:
         """int in 0..modulus-1 -> wire payload (ValueError otherwise)."""
         return encode_residue_hex(value, self.modulus)
-
-    def decode(self, payload: str) -> int | None:
-        """Wire value -> int, or None if `_check` rejects it."""
-        try:
-            return self._decoded[payload]
-        except KeyError:
-            return _remember(self._decoded, self._check, payload)
-
-    def invitation(self, payload: str) -> tuple | None:
-        """Invitation payload -> (sorted group ids, their frozenset,
-        session), or None if malformed or naming a non-participant."""
-        try:
-            return self._invitations[payload]
-        except KeyError:
-            return _remember(self._invitations, self._check_invitation,
-                             payload)
 
     def _check(self, payload: str) -> int:
         """The scheme's validation of one wire payload: by default, the
@@ -249,14 +237,23 @@ class ThresholdParams:
         return group_ids, frozenset(group_ids), session
 
 
-def _remember(memo: dict, check, payload: str):
-    """check(payload), kept in `memo`, or None if it raises GroupAuthError."""
-    try:
-        value = check(payload)
-    except GroupAuthError:
-        return None
-    memo[payload] = value
-    return value
+class _Memo(dict):
+    """payload -> check(payload), or None if that raises GroupAuthError,
+    checked on first lookup and kept only if accepted: a hit runs no
+    Python code and junk never grows the memo. `check` is a method of
+    the params that own the memo, held weakly so that the two form no
+    cycle; the memo serves only while they live."""
+
+    def __init__(self, check):
+        self.check = weakref.WeakMethod(check)
+
+    def __missing__(self, payload: str):
+        try:
+            value = self.check()(payload)
+        except GroupAuthError:
+            return None
+        self[payload] = value
+        return value
 
 
 # ---------------------------------------------------------------------------

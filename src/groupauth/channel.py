@@ -39,6 +39,8 @@ REASON_SESSION_EXHAUSTED = "session-exhausted"
 _HEX_DIGITS = frozenset("0123456789abcdef")
 # the one canonical JSON form of payloads and transcript lines
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# json.loads's own parser without its wrappers, for lines as written
+_SCAN = json.JSONDecoder().scan_once
 
 
 # ---------------------------------------------------------------------------
@@ -197,26 +199,33 @@ class AdversaryPolicy:
 # transcript
 
 
-def _is_int(value) -> bool:
-    return type(value) is int
-
-
-def _is_str(value) -> bool:
-    return type(value) is str
-
-
 def _is_ids(value) -> bool:
     return type(value) is list and {int}.issuperset(map(type, value))
 
 
-def _is_recipients(value) -> bool:
-    """Party ids in strictly increasing order, as append_envelope writes."""
-    return _is_ids(value) and value == sorted(set(value))
-
-
 def _is_session(value) -> bool:
     return (type(value) is list and len(value) == 2
-            and _is_str(value[0]) and _is_int(value[1]))
+            and type(value[0]) is str and type(value[1]) is int)
+
+
+def _is_envelope(record: dict) -> bool:
+    """The value types of an envelope record; its recipients are party
+    ids in strictly increasing order, as append_envelope writes them."""
+    recipients = record["recipients"]
+    return (type(record["seq"]) is type(record["claimed_sender"])
+            is type(record["true_origin"]) is int
+            and type(record["round"]) is type(record["payload_hex"]) is str
+            and _is_session(record["session"]) and _is_ids(recipients)
+            and recipients == sorted(set(recipients)))
+
+
+def _is_decision(record: dict) -> bool:
+    members, reason = record["members"], record["reason"]
+    return (type(record["seq"]) is type(record["party"]) is int
+            and type(record["accepted"]) is bool
+            and _is_session(record["session"])
+            and (members is None or _is_ids(members))
+            and (reason is None or type(reason) is str))
 
 
 def is_forged(record: dict) -> bool:
@@ -224,20 +233,14 @@ def is_forged(record: dict) -> bool:
     return record["true_origin"] == ADVERSARY_ID
 
 
-# key -> type check for each transcript record type
+# record type -> (its keys, the check of their values); its "type" is
+# the record type, a str
 RECORD_SCHEMA = {
-    "envelope": {
-        "type": _is_str, "seq": _is_int, "claimed_sender": _is_int,
-        "true_origin": _is_int, "session": _is_session, "round": _is_str,
-        "payload_hex": _is_str, "recipients": _is_recipients,
-    },
-    "decision": {
-        "type": _is_str, "seq": _is_int, "party": _is_int,
-        "session": _is_session,
-        "accepted": lambda value: type(value) is bool,
-        "members": lambda value: value is None or _is_ids(value),
-        "reason": lambda value: value is None or _is_str(value),
-    },
+    "envelope": (frozenset("type seq claimed_sender true_origin session "
+                           "round payload_hex recipients".split()),
+                 _is_envelope),
+    "decision": (frozenset("type seq party session accepted members "
+                           "reason".split()), _is_decision),
 }
 
 
@@ -290,26 +293,27 @@ class Transcript:
         with open(path, "rb") as handle:
             for line_no, raw in enumerate(handle, 1):
                 if not raw.endswith(b"\n"):
-                    raise MalformedTranscript(
-                        "truncated transcript at line %d" % line_no
-                    )
+                    raise MalformedTranscript("truncated transcript at line "
+                                              "%d" % line_no)
                 try:
-                    record = json.loads(raw.decode("utf-8"))
-                except (UnicodeDecodeError, ValueError, RecursionError) as exc:
-                    raise MalformedTranscript(
-                        "unparseable transcript line %d" % line_no
-                    ) from exc
+                    text = raw.decode("utf-8")
+                    try:  # one value then the newline, or json.loads decides
+                        record, end = _SCAN(text, 0)
+                    except StopIteration:
+                        end = None
+                    if end != len(text) - 1:
+                        record = json.loads(text)
+                except (ValueError, RecursionError) as exc:
+                    raise MalformedTranscript("unparseable transcript line "
+                                              "%d" % line_no) from exc
                 kind = record.get("type") if isinstance(record, dict) else None
                 if kind not in ("envelope", "decision"):
-                    raise MalformedTranscript(
-                        "unknown record type at line %d" % line_no
-                    )
-                schema = RECORD_SCHEMA[kind]
-                if record.keys() != schema.keys() or not all(
-                        check(record[key]) for key, check in schema.items()):
-                    raise MalformedTranscript(
-                        "malformed %s record at line %d" % (kind, line_no)
-                    )
+                    raise MalformedTranscript("unknown record type at line "
+                                              "%d" % line_no)
+                keys, valid = RECORD_SCHEMA[kind]
+                if record.keys() != keys or not valid(record):
+                    raise MalformedTranscript("malformed %s record at line %d"
+                                              % (kind, line_no))
                 records.append(record)
         return cls(records=records)
 

@@ -576,34 +576,32 @@ def _lay_out(value, newline: str, chunks: list) -> None:
 # transcript audit: replay every decision from wire data alone
 
 
-class _ReplayAPI:
-    """Stands in for PartyAPI while the audit replays one party: keeps
-    each decision in the shape of a transcript decision record."""
-
-    def __init__(self):
-        self.decisions = []
+class _ReplayAPI(list):
+    """Stands in for PartyAPI while the audit replays one party: the list
+    of its decisions, each in the shape of a transcript decision record."""
 
     def decide(self, session: tuple, belief) -> None:
         record = belief.to_json()
-        self.decisions.append((session, record["accepted"],
-                               record["members"], record["reason"]))
+        self.append((session, record["accepted"], record["members"],
+                     record["reason"]))
 
 
 def audit_transcript(transcript: Transcript,
                      config: ScenarioConfig) -> dict:
     """Recompute every recorded decision and the adversary bookkeeping.
 
-    Each party's inbox (what was delivered to it, plus what it broadcast
-    itself, its invitations as `SentInvitation`s, in transcript order) is
-    fed to the replay form of the same party class that ran live, and
-    the decisions it reaches must equal the recorded ones. The adversary
-    bookkeeping is judged as the report judges it (`_judge`). Raises
-    AuditFailure on the first inconsistency between the wire data and
-    the recorded decisions, on a party id outside 1..n (as recipient,
-    genuine sender or decider), on a seq that is not the record's 1-based
-    position, on an envelope whose true origin is neither the adversary
-    nor its claimed sender, or on adversary activity that does not match
-    the configured scenario.
+    Each party 1..n is played by the replay form of the party class that
+    ran live, in two passes over the envelope records: the first checks
+    them all and collects what each genuine origin sent, the second hands
+    each record, in seq order, to its recipients and then, if genuine, to
+    its origin (an invitation as a `SentInvitation`). The decisions they
+    reach must equal the recorded ones; the adversary bookkeeping is
+    judged as the report judges it (`_judge`). Raises AuditFailure on the
+    first inconsistency between the wire data and the recorded decisions,
+    on a party id outside 1..n (as recipient, genuine sender or decider),
+    on a seq that is not the record's 1-based position, on an envelope
+    whose true origin is neither the adversary nor its claimed sender, or
+    on adversary activity that does not match the configured scenario.
     """
     for position, record in enumerate(transcript.records, 1):
         if record["seq"] != position:
@@ -612,15 +610,17 @@ def audit_transcript(transcript: Transcript,
     scheme = SCHEMES[config.scheme]
     material, _, _ = derive_material(config)
     envelopes, decisions = transcript.envelopes(), transcript.decisions()
-    inboxes = {pid: [] for pid in range(1, config.n + 1)}
-    recorded = {pid: {} for pid in inboxes}
+    recorded = {pid: {} for pid in range(1, config.n + 1)}
+    known = frozenset(recorded)
+    deliveries = []  # (envelope, the ids of the replay parties it reaches)
     for record in envelopes:
         envelope = Envelope.from_record(record)
-        for pid in record["recipients"]:
-            if pid not in inboxes:
-                raise AuditFailure("envelope %d reached unknown party %d"
-                                   % (record["seq"], pid))
-            inboxes[pid].append(envelope)
+        recipients = record["recipients"]
+        if not known.issuperset(recipients):
+            raise AuditFailure("envelope %d reached unknown party %d" % (
+                record["seq"], next(pid for pid in recipients
+                                    if pid not in known)))
+        deliveries.append((envelope, recipients))
         if is_forged(record):
             continue
         origin = record["true_origin"]
@@ -628,15 +628,15 @@ def audit_transcript(transcript: Transcript,
             raise AuditFailure("envelope %d claims sender %d but came from "
                                "party %d" % (record["seq"],
                                              envelope.claimed_sender, origin))
-        if origin not in inboxes:
+        if origin not in recorded:
             raise AuditFailure("envelope %d sent by unknown party %d"
                                % (record["seq"], origin))
         recorded[origin].setdefault((envelope.session, envelope.round),
                                     []).append(envelope.payload)
         if envelope.round == ROUND_INVITATION:
             envelope = SentInvitation(**vars(envelope))
-        inboxes[origin].append(envelope)
-    decided = {pid: [] for pid in inboxes}
+        deliveries.append((envelope, (origin,)))
+    decided = {pid: [] for pid in recorded}
     for record in decisions:
         if record["party"] not in decided:
             raise AuditFailure("decision %d by unknown party %d"
@@ -645,19 +645,16 @@ def audit_transcript(transcript: Transcript,
             (tuple(record["session"]), record["accepted"],
              record["members"], record["reason"])
         )
-    problems = []
-    replayed_total = 0
-    for pid, inbox in inboxes.items():
-        party = scheme(pid, None, material, recorded=recorded[pid])
-        api = _ReplayAPI()
-        for envelope in inbox:
-            party.on_envelope(envelope, api)
-        replayed_total += len(api.decisions)
-        if decided[pid] != api.decisions:
-            problems.append(
-                "party %d decided %r but the wire data says %r"
-                % (pid, decided[pid], api.decisions)
-            )
+    handlers = {pid: (scheme(pid, None, material, recorded=sent).on_envelope,
+                      _ReplayAPI()) for pid, sent in recorded.items()}
+    for envelope, pids in deliveries:
+        for pid in pids:
+            on_envelope, api = handlers[pid]
+            on_envelope(envelope, api)
+    problems = ["party %d decided %r but the wire data says %r"
+                % (pid, decided[pid], replayed)
+                for pid, (_, replayed) in handlers.items()
+                if decided[pid] != replayed]
     forged, outcomes, judged = _judge(config, material, envelopes, decisions)
     if not judged["forged_count_matches"]:
         problems.append(
@@ -668,7 +665,8 @@ def audit_transcript(transcript: Transcript,
         problems.append(
             "forged envelopes reached parties other than the victims")
     checks = {
-        "decisions_match_wire": replayed_total,
+        "decisions_match_wire": sum(len(replayed)
+                                    for _, replayed in handlers.values()),
         "forged_count": len(forged),
     }
     if config.scenario in ATTACK_SCENARIOS:

@@ -26,14 +26,14 @@ those params; every check left per delivery is O(1).
 scheme class answers), and `SCHEMES` maps each wire tag to its class; a
 further scheme registers there, with no change to the engine.
 
-The replay form, which the transcript audit feeds a recorded inbox,
-holds no credential and broadcasts nothing: each time it enters a
-round, its own contribution is the next payload it broadcast genuinely
-in that round, passed through the same decode step as a peer's (if
-missing or invalid, the party never contributes), and an invitation it
-broadcast genuinely (a `SentInvitation`) is replayed as the `initiate`
-that sent it. Everything else, the quorum rule and the session ledger
-included, is the live code path.
+The replay form, which the audit hands each recorded envelope that
+reached the party or that it sent genuinely, in seq order, holds no
+credential and broadcasts nothing: each time it enters a round, its
+own contribution is the next payload it broadcast genuinely in that
+round, passed through the same decode step as a peer's (if missing or
+invalid, the party never contributes), and an invitation it broadcast
+genuinely (a `SentInvitation`) is replayed as the `initiate` that sent
+it. Everything else, the quorum rule and the ledger, is the live path.
 """
 
 from dataclasses import dataclass, field
@@ -92,6 +92,7 @@ class _Session:
     # included. Every key is a view member, so a round is complete
     # exactly when its map holds len(view) entries.
     received: dict = field(default_factory=dict)
+    current: dict | None = None  # received[round]
 
 
 class Party:
@@ -183,7 +184,7 @@ class Party:
         # first-wins intake; a party's own contribution never comes from
         # the wire
         sender = envelope.claimed_sender
-        received = session.received[round_]
+        received = session.current
         if (sender == self.party_id or sender not in session.members
                 or sender in received):
             return
@@ -214,7 +215,7 @@ class Party:
                          api)
             return
         session.round = round_
-        received = session.received[round_] = {}
+        received = session.received[round_] = session.current = {}
         if self.recorded is None:
             value = self._contribute(session, round_)
             api.broadcast(Envelope(

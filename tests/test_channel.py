@@ -2,7 +2,9 @@
 and honest end-to-end runs of both schemes over the simulator."""
 
 import gc
+import json
 import weakref
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,8 @@ from groupauth.errors import (
 from groupauth.harn2013 import harn_gm_init
 from groupauth.parties import HarnParty, XiaParty, run_world
 from groupauth.xia2019 import xia_gm_init
+
+from conftest import RecordingAPI
 
 
 class Recorder:
@@ -509,6 +513,26 @@ class TestTranscript:
         with pytest.raises(MalformedTranscript, match="line 1"):
             Transcript.read_jsonl(path)
 
+    @pytest.mark.parametrize("lead", ["", " ", "\t", "\r", "\ufeff", "x"])
+    @pytest.mark.parametrize("trail", ["", " ", "\r", " x", "{}", ",1"])
+    def test_a_line_parses_as_json_loads_parses_it(self, tmp_path, lead,
+                                                   trail):
+        """Whitespace around a record, a byte-order mark or data after it:
+        the reader takes a line exactly when json.loads does."""
+        record = ('{"accepted":true,"members":[1,2],"party":1,"reason":null,'
+                  '"seq":1,"session":["harn2013",1],"type":"decision"}')
+        line = lead + record + trail + "\n"
+        path = tmp_path / "t.jsonl"
+        path.write_text(line, encoding="utf-8")
+        try:
+            expected = json.loads(line)
+        except ValueError:
+            with pytest.raises(MalformedTranscript,
+                               match="unparseable transcript line 1"):
+                Transcript.read_jsonl(path)
+        else:
+            assert Transcript.read_jsonl(path).records == [expected]
+
     def test_belief_state_round_trip(self):
         accept = BeliefState(True, members=frozenset({3, 1}))
         reject = BeliefState(False, reason="quorum")
@@ -686,3 +710,30 @@ def test_run_world_seeds_an_rng_only_where_nonces_are_drawn(scheme, issue):
         else:
             assert state is None
     assert XiaParty.draws_nonces and not HarnParty.draws_nonces
+
+
+@pytest.mark.parametrize("scheme,issue", [
+    (HarnParty, lambda: harn_gm_init(4, 2, prime_bits=64, rng_seed=45)),
+    (XiaParty, lambda: xia_gm_init(4, 2, ell=1, prime_bits=64, rng_seed=45)),
+])
+def test_envelope_in_the_recipients_own_name_is_dropped(scheme, issue):
+    """Intake drops an envelope that claims the recipient's own id even
+    when it would be the first from that id in the round: party 2 is
+    replayed with nothing recorded, so its own id is not in the round's
+    map when a copy of party 1's contribution arrives in its name."""
+    params, creds, _ = issue()
+    sent = RecordingAPI()
+    scheme(1, creds[0], params, derive_rng(45, "party", 1)).initiate(
+        [1, 2], 1, sent)
+    invitation, contribution = sent.broadcasts
+    replay, api = scheme(2, None, params, recorded={}), RecordingAPI()
+    replay.on_envelope(invitation, api)
+    session = replay.sessions[1]
+    assert session.round == scheme.rounds[0] and session.current == {}
+    replay.on_envelope(replace(contribution, claimed_sender=2), api)
+    assert session.current == {}
+    replay.on_envelope(contribution, api)
+    assert session.received == {
+        scheme.rounds[0]: {1: params.decode(contribution.payload)}}
+    assert session.round == scheme.rounds[0]
+    assert api.broadcasts == api.decisions == []

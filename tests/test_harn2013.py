@@ -7,7 +7,9 @@ independent path: f_j(w_j) is interpolated from t credentials instead of
 read from the issuer's polynomials, which are never exposed.
 """
 
+import gc
 import random
+import weakref
 from dataclasses import replace
 from math import ceil
 
@@ -334,6 +336,10 @@ class TestDecodeMemo:
         assert first == [0, 1, 12345, p - 1]
         assert params._decoded == dict(zip(payloads, first))
         assert [params.decode(x) for x in payloads] == first
+        party = HarnParty(1, None, params, recorded={})
+        for x in payloads:
+            assert params.decode(x) is params._decoded[x]
+            assert party.decode(x) is params._decoded[x]
         cold = replace(params)
         assert cold._decoded == {}
         assert [cold.decode(x) for x in payloads] == first
@@ -354,6 +360,23 @@ class TestDecodeMemo:
         for _ in range(3):
             assert [params.decode(x) for x in bad] == [None] * len(bad)
         assert params._decoded == {}
+
+    def test_params_are_freed_without_the_cycle_collector(self):
+        """The memos hold their checks weakly, so params that have
+        decoded payloads and invitations go as soon as the last reference
+        does."""
+        params, _, _ = harn_gm_init(5, 2, prime_bits=64, rng_seed=55)
+        params.decode(params.encode(1))
+        params.invitation(invitation_envelope(SCHEME_TAG, 1, 1,
+                                              [1, 2]).payload)
+        assert params._decoded and params._invitations
+        alive = weakref.ref(params)
+        gc.disable()
+        try:
+            del params
+            assert alive() is None
+        finally:
+            gc.enable()
 
     @given(st.data())
     def test_decode_inverts_encode(self, data):

@@ -256,6 +256,42 @@ class TestInvitationMemo:
         assert api.rounds() == [ROUND_COMMITMENT, ROUND_TOKEN]
 
 
+class TestDecodeMemo:
+    """`XiaParams.decode` remembers accepted payloads only, as
+    `HarnParams.decode` does, and a hit returns the int it stored."""
+
+    def test_memo_keeps_accepted_payloads_and_returns_them(self):
+        params, _, _ = setup_small(seed=57)
+        g, p = params.generators[0].value, params.group.p
+        values = [1, g, pow(g, 12345, p)]
+        payloads = [params.encode(v) for v in values]
+        assert [params.decode(x) for x in payloads] == values
+        assert params._decoded == dict(zip(payloads, values))
+        party = XiaParty(1, None, params, recorded={})
+        for x in payloads:
+            assert params.decode(x) is params._decoded[x]
+            assert party.decode(x) is params._decoded[x]
+        cold = replace(params)
+        assert cold._decoded == {}
+        assert [cold.decode(x) for x in payloads] == values
+
+    def test_rejected_payload_is_rejected_every_time_and_never_stored(self):
+        params, _, _ = setup_small(seed=58)
+        p = params.group.p
+        width = len(params.encode(1))
+        bad = [
+            encode_residue_hex(p - 1, p),  # canonical, outside the subgroup
+            "0" * width,  # zero is not in Z_p*
+            "f" * width,  # canonical width, value >= p
+            "0" * (width - 1) + "1" + "0",  # too long
+            params.encode(1).upper()[:-1] + "G",  # not lower hex
+            "",
+        ]
+        for _ in range(3):
+            assert [params.decode(x) for x in bad] == [None] * len(bad)
+        assert params._decoded == {}
+
+
 class TestFixedBaseMemo:
     """`XiaParams.power` serves a session's first `_POWS_BEFORE_TABLE`
     powers by `pow`, then builds that session's fixed-base table once
