@@ -358,20 +358,18 @@ def derive_material(config: ScenarioConfig) -> tuple:
     A run and its audit derive from one config object, and the dealer's
     prime search is most of an audit's cost, so the last derivation is
     kept for the object it came from and reused while that object's
-    values are unchanged. Only frozen parts are shared: the params and
-    every credential are copied with `dataclasses.replace`, which gives
-    the params fresh memos and a `XiaCredential` an empty session
-    ledger, so the audit still checks every wire value itself. The key
-    is the object, not its values, so a new config derives afresh and
-    the work per scenario does not depend on what ran before it; the
-    memo holds one material.
+    values are unchanged. The credentials are frozen and shared as they
+    are; the params are copied with `dataclasses.replace`, which gives
+    them fresh memos, so the audit still checks every wire value itself.
+    The key is the object, not its values, so a new config derives
+    afresh and the work per scenario does not depend on what ran before
+    it; the memo holds one material.
     """
     global _last_derived
     if _last_derived is not None:
         ref, values, (public, credentials, secret) = _last_derived
         if ref() is config and values == config.to_json():
-            return (replace(public), [replace(c) for c in credentials],
-                    secret)
+            return replace(public), credentials, secret
     material = SCHEMES[config.scheme].issue(config)
     _last_derived = (weakref.ref(config), config.to_json(), material)
     return material
@@ -593,8 +591,9 @@ def audit_transcript(transcript: Transcript,
     Each party 1..n is played by the replay form of the party class that
     ran live, in two passes over the envelope records: the first checks
     them all and collects what each genuine origin sent, the second hands
-    each record, in seq order, to its recipients and then, if genuine, to
-    its origin (an invitation as a `SentInvitation`). The decisions they
+    each record, in seq order, to its recipients and then, if it is a
+    genuine invitation, to its origin as a `SentInvitation` (a party
+    drops any other record in its own name unread). The decisions they
     reach must equal the recorded ones; the adversary bookkeeping is
     judged as the report judges it (`_judge`). Raises AuditFailure on the
     first inconsistency between the wire data and the recorded decisions,
@@ -634,8 +633,7 @@ def audit_transcript(transcript: Transcript,
         recorded[origin].setdefault((envelope.session, envelope.round),
                                     []).append(envelope.payload)
         if envelope.round == ROUND_INVITATION:
-            envelope = SentInvitation(**vars(envelope))
-        deliveries.append((envelope, (origin,)))
+            deliveries.append((SentInvitation(**vars(envelope)), (origin,)))
     decided = {pid: [] for pid in recorded}
     for record in decisions:
         if record["party"] not in decided:

@@ -31,7 +31,7 @@ class MalformedTranscript(GroupAuthError):
 
 
 class SessionExhausted(GroupAuthError):
-    """A credential was asked to reuse a one-time session index."""
+    """A session index outside the dealer's 1..ell was asked for."""
 
 
 class UnknownParty(GroupAuthError):

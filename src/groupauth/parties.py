@@ -26,14 +26,19 @@ those params; every check left per delivery is O(1).
 scheme class answers), and `SCHEMES` maps each wire tag to its class; a
 further scheme registers there, with no change to the engine.
 
+A session id opens at most once per party, and only if the scheme
+admits it (xia2019: an index 1..ell). `Party._join` alone applies that
+rule, live and in replay; credentials are immutable and keep no ledger.
+
 The replay form, which the audit hands each recorded envelope that
-reached the party or that it sent genuinely, in seq order, holds no
-credential and broadcasts nothing: each time it enters a round, its
-own contribution is the next payload it broadcast genuinely in that
-round, passed through the same decode step as a peer's (if missing or
-invalid, the party never contributes), and an invitation it broadcast
-genuinely (a `SentInvitation`) is replayed as the `initiate` that sent
-it. Everything else, the quorum rule and the ledger, is the live path.
+reached the party and each invitation it sent genuinely, in seq order,
+holds no credential and broadcasts nothing: each time it enters a
+round, its own contribution is the next payload it broadcast genuinely
+in that round, passed through the same decode step as a peer's (if
+missing or invalid, the party never contributes), and an invitation it
+broadcast genuinely (a `SentInvitation`) is replayed as the `initiate`
+that sent it. Everything else, the quorum rule and the one-time rule,
+is the live path.
 """
 
 from dataclasses import dataclass, field
@@ -53,7 +58,7 @@ from .channel import (
     Transcript,
     invitation_envelope,
 )
-from .errors import NotAMember, SessionExhausted
+from .errors import NotAMember
 from .harn2013 import (
     SCHEME_TAG as HARN_TAG,
     HarnParams,
@@ -106,19 +111,18 @@ class Party:
     party), and supplies the scheme steps `_contribute` (this party's own
     int for a round) and `_verify` (the aggregate check on the token
     round's ints; `session.received` says who claimed each), plus
-    `_admits` and `_open` if it narrows admission or keeps its own
-    session ledger. Its public material is one
-    `ThresholdParams` subclass, `params`, which owns the wire format:
-    `encode` writes a contribution's payload, and `decode` (wire payload
-    -> int or None) and `invitation` are the boundary checks. At class
-    level it answers `issue(config)` (the dealer run: params,
-    credentials, secret), `aggregate(values, modulus)` (what the digest
-    check binds), `nudge(params, session, value)` (a token moved off its
-    value, still well-formed) and, where the default below does not fit,
-    `material_facts`. The engine owns the scheme-tag filter, membership,
-    invitation admission, per-session state, first-wins intake, round
-    completion, the quorum rule before the token round, the replay form
-    and decision recording.
+    `_admits` if it narrows which session ids may open. Its public
+    material is one `ThresholdParams` subclass, `params`, which owns the
+    wire format: `encode` writes a contribution's payload, and `decode`
+    (wire payload -> int or None) and `invitation` are the boundary
+    checks. At class level it answers `issue(config)` (the dealer run:
+    params, credentials, secret), `aggregate(values, modulus)` (what the
+    digest check binds), `nudge(params, session, value)` (a token moved
+    off its value, still well-formed) and, where the default below does
+    not fit, `material_facts`. The engine owns the scheme-tag filter,
+    membership, the one-time session rule (`_join`), per-session state,
+    first-wins intake, round completion, the quorum rule before the token
+    round, the replay form and decision recording.
 
     `rng` is the nonce source of a scheme that draws nonces, else None.
     Passing `recorded`, a map from (session, round) to the list of
@@ -158,12 +162,11 @@ class Party:
             raise NotAMember("party %d cannot initiate group %s"
                              % (self.party_id, sorted(group_ids)))
         api.broadcast(invitation)
-        self._join(parsed[0], parsed[1], session_id, api)
+        self._join(parsed[0], parsed[1], session_id, api, own=True)
 
     def on_envelope(self, envelope: Envelope, api: PartyAPI) -> None:
         """Take one delivery. In the replay form, a `SentInvitation` is
-        replayed as the `initiate` that sent it, which claims its session
-        even if one is open (as live)."""
+        replayed as the `initiate` that sent it."""
         scheme, session_id = envelope.session
         if scheme != self.scheme:
             return
@@ -173,10 +176,8 @@ class Party:
             if (parsed is None or parsed[2] != session_id
                     or self.party_id not in parsed[1]):
                 return
-            if isinstance(envelope, SentInvitation) or (
-                    session_id not in self.sessions
-                    and self._admits(session_id)):
-                self._join(parsed[0], parsed[1], session_id, api)
+            self._join(parsed[0], parsed[1], session_id, api,
+                       own=isinstance(envelope, SentInvitation))
             return
         session = self.sessions.get(session_id)
         if session is None or round_ != session.round:
@@ -196,13 +197,16 @@ class Party:
             self._advance(session, api)
 
     def _join(self, view: tuple, members: frozenset, session_id: int,
-              api: PartyAPI) -> None:
+              api: PartyAPI, own: bool) -> None:
+        """Open a session if this party has never opened its id (so a
+        one-time secret is never used twice) and the scheme admits it.
+        Otherwise this party's `own` invitation decides
+        `session-exhausted`, and one from the wire is ignored."""
         session = _Session((self.scheme, session_id), view, members)
-        try:
-            self._open(session_id)
-        except SessionExhausted:
-            self._decide(session, BeliefState(
-                False, reason=REASON_SESSION_EXHAUSTED), api)
+        if session_id in self.sessions or not self._admits(session_id):
+            if own:
+                self._decide(session, BeliefState(
+                    False, reason=REASON_SESSION_EXHAUSTED), api)
             return
         self.sessions[session_id] = session
         self._enter(session, self.rounds[0], api)
@@ -250,15 +254,8 @@ class Party:
         api.decide(session.key, belief)
 
     def _admits(self, session_id: int) -> bool:
-        """Whether an invitation to a session not yet seen may open it."""
+        """Whether the scheme lets a session with this id open."""
         return True
-
-    def _open(self, session_id: int) -> None:
-        """Claim a new session; raises SessionExhausted if it may not
-        open. A session id this party has opened before never opens
-        again, so a one-time secret is never used twice."""
-        if session_id in self.sessions:
-            raise SessionExhausted("session %d reused" % session_id)
 
 
 class HarnParty(Party):
@@ -326,17 +323,6 @@ class XiaParty(Party):
 
     def _admits(self, session_id: int) -> bool:
         return 1 <= session_id <= self.params.ell
-
-    def _open(self, session_id: int) -> None:
-        # the credential's ledger refuses an index out of range or reused;
-        # the replay form has none and checks the sessions it opened, the
-        # same set for a world started with fresh credentials
-        if self.recorded is None:
-            self.credential.start_session(session_id, self.params)
-            return
-        super()._open(session_id)
-        if not self._admits(session_id):
-            raise SessionExhausted("session %d out of range" % session_id)
 
     def _contribute(self, session: _Session, round_: str) -> int:
         session_id = session.key[1]

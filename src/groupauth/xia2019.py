@@ -17,9 +17,9 @@ which the channel attacks exploit.
 
 This module holds the scheme's math on plain ints: setup, the wire
 decode, the commitment, the mask, the token and the digest check. The
-protocol around them (rounds, who must have spoken, the quorum rule)
-is `parties.Party`'s; the only per-session state kept here is each
-credential's ledger of used session indices.
+protocol around them (rounds, who must have spoken, the quorum rule,
+each index opening at most once per party) is `parties.Party`'s; a
+credential is immutable dealer output.
 """
 
 import random
@@ -109,25 +109,12 @@ class XiaParams(ThresholdParams):
         return self.group.element(super()._check(payload)).value
 
 
-@dataclass
+@dataclass(frozen=True)
 class XiaCredential:
-    """One participant's share of f plus its one-time session ledger; a
-    copy (`dataclasses.replace`) starts with an empty ledger."""
+    """One participant's share of f, held by the participant `owner`."""
 
     owner: FieldElement
     share: FieldElement
-    used_sessions: set = field(default_factory=set, init=False)
-
-    def start_session(self, session: int, params: XiaParams) -> None:
-        """Claim session index `session`; every sigma is single-use per
-        credential, and an index outside 1..ell is never available."""
-        params.generator_for(session)  # range check
-        if session in self.used_sessions:
-            raise SessionExhausted(
-                "credential %d already used session %d"
-                % (self.owner.value, session)
-            )
-        self.used_sessions.add(session)
 
 
 def xia_gm_init(n: int, t: int, ell: int, prime_bits: int = 64,

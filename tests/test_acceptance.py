@@ -48,11 +48,6 @@ FULL_BITS = 256  # honest runs and attacks at full desk scale
 FAST_BITS = 64   # negative controls; q >= 2^62 >= 2^61 as required
 
 
-def fresh(credentials):
-    return [XiaCredential(owner=c.owner, share=c.share)
-            for c in credentials]
-
-
 def xia_honest_tokens(params, credentials, member_ids, session, seed):
     """Run the scheme math directly for one session; returns
     (nonces, tokens)."""
@@ -60,7 +55,6 @@ def xia_honest_tokens(params, credentials, member_ids, session, seed):
     nonces = {}
     commits = {}
     for i in member_ids:
-        creds[i].start_session(session, params)
         nonces[i], commits[i] = xia_commit(params, session,
                                            derive_rng(seed, "nonce", i))
     tokens = [
@@ -106,10 +100,8 @@ def test_criterion_2_product_scheme_completeness_and_telescoping():
             power = group_exp(params.generator_for(1), secret.value).value
             for m in range(t, n + 1):
                 for subset in itertools.combinations(range(1, n + 1), m):
-                    _, tokens = xia_honest_tokens(
-                        params, fresh(credentials), subset, 1,
-                        seed=checked,
-                    )
+                    _, tokens = xia_honest_tokens(params, credentials,
+                                                  subset, 1, seed=checked)
                     product = 1
                     for token in tokens:
                         product = (product * params.group.element(token).value

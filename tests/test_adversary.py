@@ -72,12 +72,6 @@ def wire(transcript):
     return [Envelope.from_record(r) for r in transcript.envelopes()]
 
 
-def fresh(credentials):
-    """Session bookkeeping lives on the credential, so every simulated
-    world gets its own copies."""
-    return [XiaCredential(owner=c.owner, share=c.share) for c in credentials]
-
-
 @pytest.fixture(scope="module")
 def harn_world():
     params, credentials, secret = harn_gm_init(6, 2, prime_bits=64,
@@ -151,14 +145,14 @@ def test_harn_forge_always_sums_to_secret(secret, victim_token, size, seed):
 
 def test_xia_stage1_product_equals_session_power(xia_world):
     params, credentials, secret = xia_world
-    transcript = run_xia_honest(params, fresh(credentials), (1, 2, 3), session=1)
+    transcript = run_xia_honest(params, credentials, (1, 2, 3), session=1)
     product = attack_xia_stage1(wire(transcript), 1, params)
     assert product == group_exp(params.generator_for(1), secret.value)
 
 
 def test_xia_stage1_needs_every_token(xia_world):
     params, credentials, _ = xia_world
-    transcript = run_xia_honest(params, fresh(credentials), (1, 2, 3), session=1)
+    transcript = run_xia_honest(params, credentials, (1, 2, 3), session=1)
     envelopes = [
         e for e in wire(transcript)
         if not (e.round == ROUND_TOKEN and e.claimed_sender == 2)
@@ -280,7 +274,7 @@ def xia_attack(xia_world):
     params, credentials, _ = xia_world
     plan = VictimPlan(victim=4, fake_group=(4, 5, 6), session=1)
     transcript, outcomes = run_attack(
-        XiaChannelAttack, params, fresh(credentials),
+        XiaChannelAttack, params, credentials,
         observed_group=(1, 2, 3), plans=[plan],
         seed=202, observed_session=1, mode=MODE_TWO_STAGE,
     )
@@ -341,7 +335,7 @@ def test_xia_attack_simultaneous_interleaves_and_succeeds(xia_world):
     params, credentials, _ = xia_world
     plan = VictimPlan(victim=4, fake_group=(4, 5, 6), session=1)
     _, outcomes = run_attack(
-        XiaChannelAttack, params, fresh(credentials),
+        XiaChannelAttack, params, credentials,
         observed_group=(1, 2, 3), plans=[plan],
         seed=303, observed_session=1, mode=MODE_SIMULTANEOUS,
     )
@@ -354,7 +348,7 @@ def test_xia_attack_simultaneous_invites_before_observation_completes(
     params, credentials, _ = xia_world
     plan = VictimPlan(victim=4, fake_group=(4, 5, 6), session=1)
     transcript, outcomes = run_attack(
-        XiaChannelAttack, params, fresh(credentials),
+        XiaChannelAttack, params, credentials,
         observed_group=(1, 2, 3), plans=[plan],
         seed=303, observed_session=1, mode=MODE_SIMULTANEOUS,
     )
@@ -377,7 +371,7 @@ def test_xia_attack_replayed_token_reappears_verbatim(xia_world):
     plan = VictimPlan(victim=4, fake_group=(3, 4, 5), session=1,
                       replay_member=3)
     transcript, outcomes = run_attack(
-        XiaChannelAttack, params, fresh(credentials),
+        XiaChannelAttack, params, credentials,
         observed_group=(1, 2, 3), plans=[plan],
         seed=404, observed_session=1, mode=MODE_TWO_STAGE,
     )
@@ -400,7 +394,7 @@ def test_xia_attack_fails_across_session_indices(xia_world):
     params, credentials, _ = xia_world
     plan = VictimPlan(victim=4, fake_group=(4, 5, 6), session=2)
     transcript, outcomes = run_attack(
-        XiaChannelAttack, params, fresh(credentials),
+        XiaChannelAttack, params, credentials,
         observed_group=(1, 2, 3), plans=[plan],
         seed=505, observed_session=1, mode=MODE_TWO_STAGE,
     )
@@ -429,7 +423,7 @@ def test_xia_two_victims_accept_conflicting_groups():
         VictimPlan(victim=5, fake_group=(5, 6, 8), session=1),
     ]
     transcript, outcomes = run_attack(
-        XiaChannelAttack, params, fresh(credentials),
+        XiaChannelAttack, params, credentials,
         observed_group=(1, 2), plans=plans,
         seed=707, observed_session=1, mode=MODE_SIMULTANEOUS,
     )
@@ -462,7 +456,7 @@ def test_evaluation_rejects_honest_harn_run_as_attack(harn_world):
 
 def test_evaluation_rejects_honest_xia_run_as_attack(xia_world):
     params, credentials, _ = xia_world
-    transcript = run_xia_honest(params, fresh(credentials), (1, 2, 3), session=1)
+    transcript = run_xia_honest(params, credentials, (1, 2, 3), session=1)
     outcome = evaluate_attack(
         transcript.envelopes(), transcript.decisions(), XIA_TAG, victim=2,
         fake_session=1, observed_session=1, observed_group=(1, 2, 3),
@@ -527,7 +521,7 @@ def test_stage_one_recovery_runs_once(scheme, harn_world, xia_world,
         params, credentials, _ = xia_world
         plan = VictimPlan(victim=4, fake_group=(4, 5, 6), session=1)
         transcript, outcomes = run_attack(
-            XiaChannelAttack, params, fresh(credentials),
+            XiaChannelAttack, params, credentials,
             observed_group=(1, 2, 3),
             plans=[plan], seed=202, observed_session=1,
         )

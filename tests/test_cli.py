@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -39,6 +40,7 @@ from groupauth.cli import (
 )
 from groupauth.errors import AuditFailure, ConfigError
 from groupauth.harn2013 import harn_gm_init
+from groupauth.parties import run_world
 
 from conftest import load_regen_vectors
 
@@ -359,8 +361,8 @@ def test_run_and_audit_get_separate_params(monkeypatch, scheme, dealer,
                                            seed):
     """The audit reuses the run's dealer run but gets its own params, and
     with them its own decode and invitation memos, so it checks every
-    wire value itself, and its own credentials, so xia session ledgers
-    start empty."""
+    wire value itself. The credentials are frozen dealer output, shared
+    as they are."""
     seen, calls = [], []
     issue = getattr(parties, dealer)
 
@@ -386,18 +388,18 @@ def test_run_and_audit_get_separate_params(monkeypatch, scheme, dealer,
     assert run_params._decoded and audit_params._decoded
     assert run_params._invitations is not audit_params._invitations
     assert run_params._invitations and audit_params._invitations
-    assert all(a is not b for a, b in zip(run_creds, audit_creds))
+    assert len(audit_creds) == 4
+    assert all(a is b for a, b in zip(run_creds, audit_creds))
+    with pytest.raises(FrozenInstanceError):
+        audit_creds[0].owner = audit_creds[1].owner
     if scheme == "xia2019":
         assert run_params.group is audit_params.group
-        assert [c.share for c in run_creds] == [c.share for c in audit_creds]
-        assert all(c.used_sessions == set() for c in audit_creds)
         # the run's powers were counted; the audit's replay raises no
         # generator to a power, so it counts none and builds no table
         assert run_params._served
         assert audit_params._served == audit_params._powers == {}
     else:
         assert run_params._numerators is not audit_params._numerators
-        assert run_creds == audit_creds
 
 
 def test_audit_reuses_the_setup_of_its_config_object(monkeypatch):
@@ -425,8 +427,8 @@ def test_audit_reuses_the_setup_of_its_config_object(monkeypatch):
 
 def reinvited_world(scheme, forge_own_invitation=False):
     """n=4, t=2, ell=1, seed 36: party 1 runs session 1 with party 2,
-    then initiates session 1 again with party 3, which it refuses (xia2019:
-    its credential's ledger; harn2013: the run id is already open). With
+    then initiates session 1 again with party 3, which it refuses under
+    either scheme, because it has opened that session id before. With
     `forge_own_invitation`, the adversary instead sends party 1 an
     invitation to session 1 in party 1's own name, which it ignores.
     Returns (transcript, matching honest config)."""
@@ -502,6 +504,38 @@ def test_audit_ignores_a_forged_invitation_in_a_partys_own_name():
         audit_transcript(transcript, config)
     assert "forged" in str(failure.value)
     assert "decided" not in str(failure.value)
+
+
+def test_audit_replays_a_refused_index_out_of_range():
+    """The initiator of xia index ell+1 refuses it, and the other parties
+    ignore the invitation; the replay form refuses it by the same rule,
+    so the refusal is counted among the decisions that match the wire."""
+    config = config_for(scheme="xia2019", n=4, t=2, ell=1, seed=37)
+    material, creds, _ = derive_material(config)
+    transcript = run_world(parties.XiaParty, material, creds, 37, [1, 2],
+                           config.ell + 1)
+    assert [r["round"] for r in transcript.envelopes()] == ["invitation"]
+    assert [(d["party"], d["reason"]) for d in transcript.decisions()] == [
+        (1, "session-exhausted")]
+    assert audit_transcript(transcript, config)["decisions_match_wire"] == 1
+
+
+@pytest.mark.parametrize("name", sorted(DEMOS))
+def test_replay_party_gets_only_its_invitations_back(name, monkeypatch):
+    """The audit hands a replay party an envelope in its own name only as
+    a `SentInvitation`: any other one its intake would drop unread."""
+    config, transcript, _ = demo_run(name)
+    scheme = parties.SCHEMES[config.scheme]
+    intake, handed = scheme.on_envelope, []
+
+    def on_envelope(party, envelope, api):
+        if envelope.claimed_sender == party.party_id:
+            handed.append(type(envelope))
+        return intake(party, envelope, api)
+
+    monkeypatch.setattr(scheme, "on_envelope", on_envelope)
+    audit_transcript(transcript, config)
+    assert set(handed) == {parties.SentInvitation}
 
 
 def test_audit_rejects_non_member_token_after_live_run():

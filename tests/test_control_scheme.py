@@ -132,7 +132,7 @@ class ControlParams(XiaParams):
         return Signed(super()._check(payload[:cut]), signature)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControlCredential(XiaCredential):
     """A masked-product credential plus the holder's signing key."""
 

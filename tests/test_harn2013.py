@@ -230,16 +230,23 @@ class TestTokenRelease:
     def test_reopened_run_id_refused(self):
         """A run id opens once: initiating it again with another group
         sends the invitation but no second token and decides
-        session-exhausted, so one run's one-time secret is never reused."""
+        session-exhausted, so one run's one-time secret is never reused.
+        A wire invitation to it is ignored; another run id still opens."""
         params, creds, _ = harn_gm_init(4, 2, prime_bits=48, rng_seed=16)
         party, api = HarnParty(1, creds[0], params), RecordingAPI()
         party.initiate([1, 2], 1, api)
         party.initiate([1, 3], 1, api)
+        party.on_envelope(invitation_envelope(SCHEME_TAG, 3, 1, [1, 3]), api)
         assert api.rounds() == [ROUND_INVITATION, ROUND_TOKEN,
                                 ROUND_INVITATION]
-        assert api.decisions == [((SCHEME_TAG, 1), BeliefState(
+        refusal = [((SCHEME_TAG, 1), BeliefState(
             False, reason=REASON_SESSION_EXHAUSTED))]
+        assert api.decisions == refusal
         assert party.sessions[1].view == (1, 2)
+        party.initiate([1, 3], 2, api)
+        assert api.rounds()[3:] == [ROUND_INVITATION, ROUND_TOKEN]
+        assert list(party.sessions) == [1, 2]
+        assert api.decisions == refusal
 
 
 class TestTokenMatchesPerPolynomialFormula:

@@ -28,6 +28,7 @@ from groupauth.channel import (
     Envelope,
     REASON_HASH_MISMATCH,
     REASON_QUORUM,
+    REASON_SESSION_EXHAUSTED,
     ROUND_COMMITMENT,
     ROUND_INVITATION,
     ROUND_TOKEN,
@@ -35,7 +36,7 @@ from groupauth.channel import (
     encode_residue_hex,
     invitation_envelope,
 )
-from groupauth.errors import InvalidThreshold, NotAMember, SessionExhausted
+from groupauth.errors import InvalidThreshold, NotAMember
 from groupauth.parties import XiaParty
 from groupauth.xia2019 import (
     SCHEME_TAG,
@@ -144,21 +145,49 @@ class TestSetup:
         assert digest == self.PINNED_DIGEST
 
 
+def exhausted(session):
+    """The decision of a party that refuses to open `session`."""
+    return ((SCHEME_TAG, session),
+            BeliefState(False, reason=REASON_SESSION_EXHAUSTED))
+
+
 class TestSessionLifecycle:
     def test_session_indices_are_single_use(self):
-        params, creds, _ = setup_small()
-        creds[0].start_session(1, params)
-        with pytest.raises(SessionExhausted):
-            creds[0].start_session(1, params)
-        # a different index is fine
-        creds[0].start_session(2, params)
+        """An index opens once per party: initiating it again sends the
+        invitation, decides session-exhausted once and commits nothing
+        for it; a wire invitation to it is ignored; another index still
+        opens."""
+        params, creds, _ = setup_small()  # ell = 2
+        party, api = engine_party(params, creds, 1, seed=1)
+        party.initiate([1, 2], 1, api)
+        party.initiate([1, 3], 1, api)
+        party.on_envelope(invitation_envelope(SCHEME_TAG, 3, 1, [1, 3]), api)
+        assert api.rounds() == [ROUND_INVITATION, ROUND_COMMITMENT,
+                                ROUND_INVITATION]
+        assert api.decisions == [exhausted(1)]
+        assert party.sessions[1].view == (1, 2)
+        party.initiate([1, 3], 2, api)
+        assert api.rounds()[3:] == [ROUND_INVITATION, ROUND_COMMITMENT]
+        assert list(party.sessions) == [1, 2]
+        assert api.decisions == [exhausted(1)]
 
     def test_session_index_range_checked(self):
+        """Only the dealer's indices 1..ell open: initiating 0 or ell+1
+        sends the invitation and decides session-exhausted, and a wire
+        invitation to either opens nothing, sends nothing and decides
+        nothing."""
         params, creds, _ = setup_small()
-        with pytest.raises(SessionExhausted):
-            creds[0].start_session(3, params)
-        with pytest.raises(SessionExhausted):
-            creds[0].start_session(0, params)
+        for index in (0, params.ell + 1):
+            party, api = engine_party(params, creds, 1, seed=1)
+            party.initiate([1, 2], index, api)
+            assert api.rounds() == [ROUND_INVITATION]
+            assert api.decisions == [exhausted(index)]
+            assert not party.sessions
+            party, api = engine_party(params, creds, 1, seed=1)
+            party.on_envelope(
+                invitation_envelope(SCHEME_TAG, 2, index, [1, 2]), api)
+            assert api.broadcasts == api.decisions == []
+            assert not party.sessions
 
     def test_owner_must_be_in_group_view(self):
         params, creds, _ = setup_small()
@@ -168,7 +197,6 @@ class TestSessionLifecycle:
         with pytest.raises(NotAMember):
             party.initiate([1, 2, 6], 1, api)  # 6 holds no credential
         assert api.broadcasts == [] and not party.sessions
-        assert creds[0].used_sessions == set()
 
     def test_repeated_id_rejected(self):
         """A group naming one id twice could never complete; the engine
@@ -179,7 +207,6 @@ class TestSessionLifecycle:
             with pytest.raises(NotAMember):
                 party.initiate(group, 1, api)
         assert api.broadcasts == [] and not party.sessions
-        assert creds[0].used_sessions == set()
 
     def test_group_view_is_sorted(self):
         params, creds, _ = setup_small()
@@ -204,7 +231,6 @@ class TestInvitationMemo:
         assert list(params._invitations) == [invite.payload]
         party.on_envelope(replace(invite, session=(SCHEME_TAG, 1)), api)
         assert list(party.sessions) == [2]
-        assert creds[0].used_sessions == {2}
         assert api.rounds() == [ROUND_COMMITMENT]
 
     def test_malformed_invitation_never_stored(self):
@@ -224,7 +250,6 @@ class TestInvitationMemo:
                 party.on_envelope(replace(good, payload=payload), api)
         assert params._invitations == {}
         assert api.broadcasts == [] and not party.sessions
-        assert creds[0].used_sessions == set()
 
     def test_each_invitation_has_one_spelling(self):
         params, creds, _ = setup_small(t=2)
@@ -234,7 +259,6 @@ class TestInvitationMemo:
             party.on_envelope(replace(good, payload=text.encode().hex()), api)
         assert params._invitations == {}
         assert api.broadcasts == [] and not party.sessions
-        assert creds[0].used_sessions == set()
         party.on_envelope(good, api)
         assert list(params._invitations) == [good.payload]
         assert api.rounds() == [ROUND_COMMITMENT]
