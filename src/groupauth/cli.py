@@ -591,9 +591,8 @@ def audit_transcript(transcript: Transcript,
     Each party 1..n is played by the replay form of the party class that
     ran live, in two passes over the envelope records: the first checks
     them all and collects what each genuine origin sent, the second hands
-    each record, in seq order, to its recipients and then, if it is a
-    genuine invitation, to its origin as a `SentInvitation` (a party
-    drops any other record in its own name unread). The decisions they
+    each record, in seq order, to its recipients and then, if genuine, to
+    its origin (an invitation as a `SentInvitation`). The decisions they
     reach must equal the recorded ones; the adversary bookkeeping is
     judged as the report judges it (`_judge`). Raises AuditFailure on the
     first inconsistency between the wire data and the recorded decisions,
@@ -633,7 +632,8 @@ def audit_transcript(transcript: Transcript,
         recorded[origin].setdefault((envelope.session, envelope.round),
                                     []).append(envelope.payload)
         if envelope.round == ROUND_INVITATION:
-            deliveries.append((SentInvitation(**vars(envelope)), (origin,)))
+            envelope = SentInvitation(**vars(envelope))
+        deliveries.append((envelope, (origin,)))
     decided = {pid: [] for pid in recorded}
     for record in decisions:
         if record["party"] not in decided:

@@ -31,14 +31,14 @@ admits it (xia2019: an index 1..ell). `Party._join` alone applies that
 rule, live and in replay; credentials are immutable and keep no ledger.
 
 The replay form, which the audit hands each recorded envelope that
-reached the party and each invitation it sent genuinely, in seq order,
-holds no credential and broadcasts nothing: each time it enters a
-round, its own contribution is the next payload it broadcast genuinely
-in that round, passed through the same decode step as a peer's (if
-missing or invalid, the party never contributes), and an invitation it
-broadcast genuinely (a `SentInvitation`) is replayed as the `initiate`
-that sent it. Everything else, the quorum rule and the one-time rule,
-is the live path.
+reached the party or that it sent genuinely, in seq order, holds no
+credential and broadcasts nothing: each time it enters a round, its
+own contribution is the next payload it broadcast genuinely in that
+round, passed through the same decode step as a peer's (if missing or
+invalid, the party never contributes), and an invitation it broadcast
+genuinely (a `SentInvitation`) is replayed as the `initiate` that sent
+it. Everything else, the quorum rule and the one-time rule, is the
+live path.
 """
 
 from dataclasses import dataclass, field

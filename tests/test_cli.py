@@ -520,24 +520,6 @@ def test_audit_replays_a_refused_index_out_of_range():
     assert audit_transcript(transcript, config)["decisions_match_wire"] == 1
 
 
-@pytest.mark.parametrize("name", sorted(DEMOS))
-def test_replay_party_gets_only_its_invitations_back(name, monkeypatch):
-    """The audit hands a replay party an envelope in its own name only as
-    a `SentInvitation`: any other one its intake would drop unread."""
-    config, transcript, _ = demo_run(name)
-    scheme = parties.SCHEMES[config.scheme]
-    intake, handed = scheme.on_envelope, []
-
-    def on_envelope(party, envelope, api):
-        if envelope.claimed_sender == party.party_id:
-            handed.append(type(envelope))
-        return intake(party, envelope, api)
-
-    monkeypatch.setattr(scheme, "on_envelope", on_envelope)
-    audit_transcript(transcript, config)
-    assert set(handed) == {parties.SentInvitation}
-
-
 def test_audit_rejects_non_member_token_after_live_run():
     config = config_for(scheme="xia2019", n=4, t=2)
     transcript, _ = run_scenario(config)
