@@ -39,7 +39,7 @@ transcript: the scripts report nothing about themselves.
 import random
 from dataclasses import dataclass
 
-from .algebra import GroupElement, derive_rng
+from .algebra import derive_rng
 from .channel import (
     AdversaryAPI,
     AdversaryPolicy,
@@ -110,12 +110,12 @@ def attack_harn_learn_secret(envelopes, run_id: int, params,
 
 
 def attack_xia_stage1(envelopes, session_id: int, params,
-                      scheme: str = XiaParty.scheme) -> GroupElement:
+                      scheme: str = XiaParty.scheme) -> int:
     """Product of one observed session's tokens in `scheme` (a binding
-    passes its own): equals (g_sigma)^s. `params.decode` has put each
-    token in the subgroup."""
+    passes its own), as an int: equals (g_sigma)^s. `params.decode` has
+    put each token in the subgroup, so the product needs no check."""
     tokens = _observed_tokens(envelopes, (scheme, session_id), params)
-    return params.group.element(xia_aggregate(tokens, params.modulus))
+    return xia_aggregate(tokens, params.modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +327,11 @@ class XiaChannelAttack(ChannelAttack):
 
     def _recover(self) -> int:
         return attack_xia_stage1(self.observed, self.observed_session,
-                                 self.material, self.party.scheme).value
+                                 self.material, self.party.scheme)
 
     def _draw(self, session: int) -> int:
         return self.material.power(
-            session, self.rng.randrange(self.material.group.q)).value
+            session, self.rng.randrange(self.material.group.q))
 
     def _complete(self, target: int, fixed) -> int:
         product = xia_aggregate(fixed, self.modulus)

@@ -5,9 +5,10 @@ and Lagrange weights mod a prime, and powers in the order-q subgroup of
 Z_p* for a safe prime p = 2q + 1 (by `pow`, or from a `fixed_base_table`
 for a base raised many times). Two small value types remain:
 FieldElement, a canonical residue that holds the dealer's material other
-than harn shares, and GroupElement, whose constructor checks subgroup
-membership; powers built by `group_exp` skip that check, since they
-cannot leave the subgroup.
+than harn shares, and GroupElement, a subgroup member that only its
+checking constructor builds: for the dealer's generators and for each
+wire value. `group_exp` returns a plain int, since a power cannot leave
+the subgroup.
 
 Randomness is simulation-grade: callers pass a seeded random.Random (or a
 seed) so that every derived object is reproducible byte for byte. Nothing
@@ -179,7 +180,7 @@ def _divide_numerators(targets, own: int, den: int, numerators: tuple,
 @dataclass(frozen=True)
 class ThresholdParams:
     """n participants and threshold t, the base of both schemes' public
-    parameters; party i has the share-field identifier of value i.
+    parameters; the participants are the ids 1..n, derived from n.
 
     The params are the wire boundary and own the wire format: `encode`
     writes a value's payload. `decode` (payload -> int, or None if the
@@ -199,7 +200,6 @@ class ThresholdParams:
 
     n: int
     t: int
-    identifiers: tuple  # FieldElement per participant, value i for party i
     _ids: frozenset = field(init=False, repr=False, compare=False)
     _decoded: dict = field(init=False, repr=False, compare=False)
     _invitations: dict = field(init=False, repr=False, compare=False)
@@ -207,10 +207,7 @@ class ThresholdParams:
     def __post_init__(self):
         if not 2 <= self.t <= self.n:
             raise InvalidThreshold("need 2 <= t <= n")
-        values = [x.value for x in self.identifiers]
-        if len(values) != self.n or len(set(values)) != self.n or 0 in values:
-            raise ValueError("identifiers must be n distinct non-zero residues")
-        object.__setattr__(self, "_ids", frozenset(values))
+        object.__setattr__(self, "_ids", frozenset(range(1, self.n + 1)))
         object.__setattr__(self, "_decoded", _Memo(self._check))
         object.__setattr__(self, "_invitations",
                            _Memo(self._check_invitation))
@@ -465,18 +462,12 @@ class CyclicGroupSpec:
         if self.q < 2:
             raise ValueError("subgroup order too small")
 
-    def element(self, value: int) -> "GroupElement":
-        """Wrap an int, enforcing subgroup membership."""
-        return GroupElement(value, self)
-
 
 @dataclass(frozen=True)
 class GroupElement:
-    """Member of the order-q subgroup.
-
-    The public constructor checks membership. Powers are built by
-    `_unchecked` (see `group_exp`), because the subgroup is closed under
-    them.
+    """Member of the order-q subgroup, built only by this checking
+    constructor: the dealer's generators (`group_setup`) and each wire
+    value (`XiaParams._check`). Group operations return plain ints.
     """
 
     value: int
@@ -491,14 +482,6 @@ class GroupElement:
                 "value %d is not in the order-%d subgroup"
                 % (self.value, self.group.q)
             )
-
-    @classmethod
-    def _unchecked(cls, value: int, group: CyclicGroupSpec) -> "GroupElement":
-        """Wrap the result of a group operation without re-testing it."""
-        element = object.__new__(cls)
-        object.__setattr__(element, "value", value)
-        object.__setattr__(element, "group", group)
-        return element
 
 
 _WINDOW = 5  # digit bits of a fixed-base table; 5 measured fastest
@@ -518,18 +501,19 @@ def fixed_base_table(g: GroupElement) -> tuple:
     return tuple(rows)
 
 
-def group_exp(g: GroupElement, e: int, table=None) -> GroupElement:
+def group_exp(g: GroupElement, e: int, table=None) -> int:
     """g raised to an int exponent, reduced mod q (so negative exponents
-    become q - |e| residues): by `pow`, or given g's `fixed_base_table`
-    as the product of one table entry per digit of e."""
+    become q - |e| residues), as an int in the subgroup: by `pow`, or
+    given g's `fixed_base_table` as the product of one table entry per
+    digit of e."""
     p, e = g.group.p, e % g.group.q
     if table is None:
-        return GroupElement._unchecked(pow(g.value, e, p), g.group)
+        return pow(g.value, e, p)
     acc, digit = 1, (1 << _WINDOW) - 1
     for row in table:
         acc = acc * row[e & digit] % p
         e >>= _WINDOW
-    return GroupElement._unchecked(acc, g.group)
+    return acc
 
 
 def group_setup(bit_length: int, generator_count: int,

@@ -343,7 +343,6 @@ class AdversaryAPI:
 
     def __init__(self, simulator: "ChannelSimulator"):
         self._simulator = weakref.proxy(simulator)  # as in PartyAPI
-        self.adversary_id = ADVERSARY_ID
 
     def inject(self, envelope: Envelope, recipients) -> None:
         self._simulator.inject(envelope, recipients)

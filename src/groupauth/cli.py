@@ -205,8 +205,9 @@ class ScenarioConfig:
         if len(self.observed_group) < self.t:
             raise ConfigError("observed_group cannot reach the threshold, "
                               "so there is nothing to observe")
-        for fake, victim in self._plans_raw():
-            self._check_ids("fake_group", fake)
+        for name, (fake, victim) in zip(("fake_group", "second_fake_group"),
+                                        self._plans_raw()):
+            self._check_ids(name, fake)
             if victim not in fake:
                 raise ConfigError("victim %d must appear in its fabricated "
                                   "group" % victim)

@@ -63,7 +63,7 @@ class HarnParams(ThresholdParams):
 
     k: int
     modulus: int
-    w: tuple  # k distinct FieldElements, disjoint from identifiers
+    w: tuple  # k distinct FieldElements, disjoint from the ids 1..n
     d: tuple  # k FieldElements with sum_j d_j f_j(w_j) = s
     secret_hash: bytes
     _numerators: dict = field(default_factory=dict, init=False, repr=False,
@@ -106,14 +106,14 @@ def harn_gm_init(n: int, t: int, prime_bits: int = 64,
     p = random_prime(prime_bits, rng)
     k = ceil(n / t)
     s = FieldElement(rng.randrange(p), p)
-    identifiers = tuple(FieldElement(i, p) for i in range(1, n + 1))
+    ids = range(1, n + 1)
 
     def draw_polynomial():  # t int coefficients, constant term first
         return [rng.randrange(p) for _ in range(t)]
 
     polys = [draw_polynomial() for _ in range(k)]
 
-    taken = {x.value for x in identifiers}
+    taken = set(ids)
     w = []
     while len(w) < k:
         cand = rng.randrange(p)
@@ -134,15 +134,14 @@ def harn_gm_init(n: int, t: int, prime_bits: int = 64,
     d.append(FieldElement((s.value - partial) * pow(last, -1, p), p))
 
     params = HarnParams(
-        n=n, t=t, identifiers=identifiers, k=k, modulus=p, w=tuple(w),
-        d=tuple(d), secret_hash=residue_digest(s.value, p),
+        n=n, t=t, k=k, modulus=p, w=tuple(w), d=tuple(d),
+        secret_hash=residue_digest(s.value, p),
     )
     # one column of shares per polynomial, read back one row per member
-    xs = [x.value for x in identifiers]
-    columns = [poly_eval_points(f, xs, p) for f in polys]
+    columns = [poly_eval_points(f, ids, p) for f in polys]
     credentials = [
-        HarnCredential(owner=x, tokens=row)
-        for x, row in zip(identifiers, zip(*columns))
+        HarnCredential(owner=FieldElement(i, p), tokens=row)
+        for i, row in zip(ids, zip(*columns))
     ]
     return params, credentials, s
 

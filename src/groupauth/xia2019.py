@@ -83,9 +83,10 @@ class XiaParams(ThresholdParams):
             raise SessionExhausted("session index %d out of range" % session)
         return self.generators[session - 1]
 
-    def power(self, session: int, e: int) -> GroupElement:
-        """(g_sigma)^e for session index sigma: by `pow` for the session's
-        first `_POWS_BEFORE_TABLE` powers, then through its table."""
+    def power(self, session: int, e: int) -> int:
+        """(g_sigma)^e for session index sigma, as an int: by `pow` for
+        the session's first `_POWS_BEFORE_TABLE` powers, then through its
+        table."""
         g = self.generator_for(session)
         table = self._powers.get(session)
         if table is None:
@@ -106,7 +107,7 @@ class XiaParams(ThresholdParams):
 
     def _check(self, payload: str) -> int:
         """Wire value -> subgroup element as an int."""
-        return self.group.element(super()._check(payload)).value
+        return GroupElement(super()._check(payload), self.group).value
 
 
 @dataclass(frozen=True)
@@ -135,19 +136,17 @@ def xia_gm_init(n: int, t: int, ell: int, prime_bits: int = 64,
     q = spec.q
     s = FieldElement(rng.randrange(q), q)
     f = [s.value] + [rng.randrange(q) for _ in range(t - 1)]
-    identifiers = tuple(FieldElement(i, q) for i in range(1, n + 1))
     session_hashes = tuple(
-        residue_digest(group_exp(g, s.value).value, spec.p)
-        for g in generators
+        residue_digest(group_exp(g, s.value), spec.p) for g in generators
     )
     params = XiaParams(
         n=n, t=t, ell=ell, group=spec, generators=tuple(generators),
-        identifiers=identifiers, session_hashes=session_hashes,
+        session_hashes=session_hashes,
     )
-    shares = poly_eval_points(f, [x.value for x in identifiers], q)
+    shares = poly_eval_points(f, range(1, n + 1), q)
     credentials = [
-        XiaCredential(owner=x, share=FieldElement(share, q))
-        for x, share in zip(identifiers, shares)
+        XiaCredential(owner=FieldElement(i, q), share=FieldElement(share, q))
+        for i, share in enumerate(shares, 1)
     ]
     return params, credentials, s
 
@@ -156,7 +155,7 @@ def xia_commit(params: XiaParams, session: int,
                rng: random.Random) -> tuple:
     """Draw a fresh nonce u in Z_q; returns (u, (g_sigma)^u)."""
     nonce = rng.randrange(params.group.q)
-    return nonce, params.power(session, nonce).value
+    return nonce, params.power(session, nonce)
 
 
 def gamma_mask(owner: int, commitments: dict, p: int) -> int:
@@ -194,7 +193,7 @@ def xia_compute_token(credential: XiaCredential, params: XiaParams,
     weight, = lagrange_coefficient((0,), own, others, params.group.q)
     base = params.power(session, credential.share.value * weight)
     mask = gamma_mask(own, commitments, p)
-    return base.value * pow(mask, nonce, p) % p
+    return base * pow(mask, nonce, p) % p
 
 
 def xia_aggregate(values, p: int) -> int:

@@ -19,7 +19,7 @@ from groupauth.adversary import (
     XiaChannelAttack,
     run_attack,
 )
-from groupauth.algebra import derive_rng, group_exp
+from groupauth.algebra import GroupElement, derive_rng, group_exp
 from groupauth.channel import ROUND_TOKEN
 from groupauth.cli import (
     SCENARIO_QUORUM,
@@ -97,15 +97,15 @@ def test_criterion_2_product_scheme_completeness_and_telescoping():
             params, credentials, secret = xia_gm_init(
                 n, t, ell=1, prime_bits=FULL_BITS, rng_seed=100 * n + t
             )
-            power = group_exp(params.generator_for(1), secret.value).value
+            power = group_exp(params.generator_for(1), secret.value)
             for m in range(t, n + 1):
                 for subset in itertools.combinations(range(1, n + 1), m):
                     _, tokens = xia_honest_tokens(params, credentials,
                                                   subset, 1, seed=checked)
                     product = 1
                     for token in tokens:
-                        product = (product * params.group.element(token).value
-                                   % params.group.p)
+                        member = GroupElement(token, params.group).value
+                        product = product * member % params.group.p
                     assert product == power, (n, t, subset)
                     checked += 1
     assert checked == 201
@@ -119,8 +119,7 @@ def test_criterion_2_product_scheme_completeness_and_telescoping():
         m = rng.randrange(2, 7)
         members = sorted(rng.sample(range(1, 7), m))
         nonces = {i: rng.randrange(1, group.q) for i in members}
-        commitments = {i: group_exp(generator, u).value
-                       for i, u in nonces.items()}
+        commitments = {i: group_exp(generator, u) for i, u in nonces.items()}
         telescoped = 1
         for i in members:
             mask = 1
@@ -129,8 +128,8 @@ def test_criterion_2_product_scheme_completeness_and_telescoping():
                     mask = mask * commitments[j] % group.p
                 elif j > i:
                     mask = mask * pow(commitments[j], -1, group.p) % group.p
-            telescoped = telescoped * group_exp(group.element(mask),
-                                                nonces[i]).value % group.p
+            telescoped = telescoped * group_exp(GroupElement(mask, group),
+                                                nonces[i]) % group.p
         assert telescoped == 1
     print("criterion 2 PASS: 201 subsets + 500 telescoping vectors exact")
 
@@ -205,7 +204,7 @@ def test_criterion_4_product_scheme_impersonation():
         assert outcome.success
         assert outcome.claimed == frozenset(fake)
         power = group_exp(params.generator_for(1), secret.value)
-        assert outcome.learned_secret == power.value
+        assert outcome.learned_secret == power
         # the forged token set together with the victim's own token
         # multiplies back to the intercepted product
         victim_product = 1
@@ -220,7 +219,7 @@ def test_criterion_4_product_scheme_impersonation():
                     victim_product
                     * int(record["payload_hex"], 16) % params.group.p
                 )
-        assert victim_product == power.value
+        assert victim_product == power
     script = XiaChannelAttack(
         material=params, observed_session=1, observed_group=observed,
         plans=[VictimPlan(victim=victim, fake_group=fake, session=1)],

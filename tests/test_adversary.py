@@ -19,7 +19,7 @@ from groupauth.adversary import (
     evaluate_attack,
     run_attack,
 )
-from groupauth.algebra import derive_rng, group_exp
+from groupauth.algebra import derive_rng, fixed_base_table, group_exp
 from groupauth.channel import (
     ADVERSARY_ID,
     ChannelSimulator,
@@ -31,7 +31,12 @@ from groupauth.harn2013 import SCHEME_TAG as HARN_TAG
 from groupauth.harn2013 import harn_aggregate, harn_gm_init
 from groupauth.parties import HarnParty, XiaParty
 from groupauth.xia2019 import SCHEME_TAG as XIA_TAG
-from groupauth.xia2019 import XiaCredential, xia_aggregate, xia_gm_init
+from groupauth.xia2019 import (
+    XiaCredential,
+    xia_aggregate,
+    xia_commit,
+    xia_gm_init,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +155,22 @@ def test_xia_stage1_product_equals_session_power(xia_world):
     assert product == group_exp(params.generator_for(1), secret.value)
 
 
+def test_group_arithmetic_returns_ints(xia_world):
+    """Powers and products of subgroup members are plain ints: only the
+    dealer's generators and wire values are GroupElements."""
+    params, credentials, _ = xia_world
+    g = params.generator_for(1)
+    transcript = run_xia_honest(params, credentials, (1, 2, 3), session=1)
+    results = [
+        group_exp(g, 5),
+        group_exp(g, 5, fixed_base_table(g)),
+        params.power(1, 5),
+        xia_commit(params, 1, random.Random(0))[1],
+        attack_xia_stage1(wire(transcript), 1, params),
+    ]
+    assert [type(result) for result in results] == [int] * 5
+
+
 def test_xia_stage1_needs_every_token(xia_world):
     params, credentials, _ = xia_world
     transcript = run_xia_honest(params, credentials, (1, 2, 3), session=1)
@@ -174,7 +195,7 @@ def closing_binding(scheme, harn_world, xia_world, rng):
         return script, lambda e: e % params.modulus, harn_aggregate
     params = xia_world[0]
     script = XiaChannelAttack(params, 1, (1, 2, 3), [], MODE_TWO_STAGE, rng)
-    return (script, lambda e: group_exp(params.generator_for(1), e).value,
+    return (script, lambda e: group_exp(params.generator_for(1), e),
             xia_aggregate)
 
 
@@ -287,9 +308,8 @@ def test_xia_attack_victim_accepts_fabricated_group(xia_attack, xia_world):
     assert outcome.success
     assert outcome.victim_belief.accepted
     assert outcome.claimed == frozenset({4, 5, 6})
-    assert outcome.learned_secret == group_exp(
-        params.generator_for(1), secret.value
-    ).value
+    assert outcome.learned_secret == group_exp(params.generator_for(1),
+                                               secret.value)
 
 
 def test_xia_attack_ground_truth_is_victim_alone(xia_attack):
@@ -477,7 +497,7 @@ def test_recompute_aggregate_ignores_forged_traffic(scheme, harn_attack,
     else:
         (transcript, _), (params, _, secret) = xia_attack, xia_world
         fake_session = 1
-        observed = group_exp(params.generator_for(1), secret.value).value
+        observed = group_exp(params.generator_for(1), secret.value)
 
     def learned(session, group):
         return evaluate_attack(

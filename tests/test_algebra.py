@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.ntheory.primetest import is_strong_lucas_prp
 
-from groupauth import algebra
+from groupauth import algebra, xia2019
 from groupauth.algebra import (
     _SMALL_PRIMES,
     _WHEEL,
@@ -40,6 +40,7 @@ from groupauth.algebra import (
     residue_digest,
 )
 from groupauth.errors import DegenerateShareSet, SubgroupViolation
+from groupauth.xia2019 import xia_gm_init
 
 from conftest import (
     MEDIUM_PRIME,
@@ -348,19 +349,19 @@ class TestGroup:
 
     def test_exponentiation(self):
         g = GroupElement(2, self.spec)
-        assert group_exp(g, 3).value == 8
-        assert group_exp(g, 0).value == 1
-        assert group_exp(g, -1).value == pow(2, -1, 23)
+        assert group_exp(g, 3) == 8
+        assert group_exp(g, 0) == 1
+        assert group_exp(g, -1) == pow(2, -1, 23)
 
     def test_exponent_reduced_mod_q(self):
         g = GroupElement(2, self.spec)
-        assert group_exp(g, 11).value == 1
+        assert group_exp(g, 11) == 1
         assert group_exp(g, 13) == group_exp(g, 2)
-        assert group_exp(g, 3 - 11).value == 8
+        assert group_exp(g, 3 - 11) == 8
 
     def test_inverse_law(self):
         g = GroupElement(4, self.spec)
-        assert g.value * group_exp(g, -1).value % 23 == 1
+        assert g.value * group_exp(g, -1) % 23 == 1
 
     @given(st.integers(min_value=2, max_value=P64 - 2))
     @settings(max_examples=50)
@@ -368,7 +369,7 @@ class TestGroup:
         spec = CyclicGroupSpec(P64, Q64)
         g = GroupElement(r * r % P64, spec)
         assert pow(g.value, Q64, P64) == 1
-        assert g.value * group_exp(g, -1).value % P64 == 1
+        assert g.value * group_exp(g, -1) % P64 == 1
 
 
 SMALL_SAFE_PRIMES = tuple(
@@ -419,8 +420,9 @@ class TestMembershipTest:
 
 
 class TestUncheckedResults:
-    """Powers skip the membership test; their results must still equal
-    what the checked constructor builds."""
+    """Powers are plain ints that skip the membership test; each must
+    still pass the checked constructor, on the `pow` path and the table
+    path alike."""
 
     @pytest.mark.parametrize("p", SAFE_PRIMES[:2],
                              ids=lambda p: "%d-bit" % p.bit_length())
@@ -431,9 +433,24 @@ class TestUncheckedResults:
             a = GroupElement(rng.randrange(2, p - 1) ** 2 % p, spec)
             b = GroupElement(rng.randrange(2, p - 1) ** 2 % p, spec)
             e = rng.randrange(-spec.q, 2 * spec.q)
+            table = fixed_base_table(a)
             for result in (group_exp(a, e), group_exp(b, -e),
-                           group_exp(a, 0)):
-                assert result == GroupElement(result.value, spec)
+                           group_exp(a, 0), group_exp(a, e, table),
+                           group_exp(a, -e, table), group_exp(a, 0, table)):
+                assert type(result) is int
+                assert GroupElement(result, spec).value == result
+
+    def test_session_powers_pass_the_checked_constructor(self):
+        params, _, _ = xia_gm_init(3, 2, ell=2, prime_bits=64, rng_seed=7)
+        rng = random.Random(7)
+        for session in (1, 2):
+            # past _POWS_BEFORE_TABLE, the later powers come from the table
+            for _ in range(xia2019._POWS_BEFORE_TABLE + 8):
+                value = params.power(session, rng.randrange(-params.group.q,
+                                                            params.group.q))
+                assert type(value) is int
+                assert GroupElement(value, params.group).value == value
+            assert session in params._powers
 
 
 # random_safe_prime(16, random.Random(16)); the other sizes from conftest
@@ -471,7 +488,7 @@ class TestFixedBaseTable:
         q = spec.q
         for e in (0, 1, q - 1, q, q + 1, -1, -q, 2 ** 300):
             result = group_exp(g, e, table)
-            assert result.value == pow(g.value, e % q, spec.p), e
+            assert result == pow(g.value, e % q, spec.p), e
             assert result == group_exp(g, e)
 
     @pytest.mark.parametrize("spec", FIXED_BASE_SPECS, ids=spec_id)
@@ -479,8 +496,7 @@ class TestFixedBaseTable:
     @settings(max_examples=50)
     def test_random_exponents(self, spec, e):
         g, table = generator_and_table(spec)
-        assert group_exp(g, e, table).value == pow(g.value, e % spec.q,
-                                                   spec.p)
+        assert group_exp(g, e, table) == pow(g.value, e % spec.q, spec.p)
 
 
 class TestGroupSetup:

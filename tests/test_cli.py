@@ -129,6 +129,18 @@ def test_invalid_attack_configs(overrides, message):
         config_for(scenario=SCENARIO_IMPERSONATION, **overrides)
 
 
+@pytest.mark.parametrize("second_fake_group, message", [
+    ([5, 5, 8], r"^second_fake_group contains duplicates$"),
+    ([5, 6, 9], r"^second_fake_group must draw from parties 1\.\.8$"),
+    ([], r"^second_fake_group must not be empty$"),
+], ids=["duplicates", "out-of-range", "empty"])
+def test_second_plan_errors_name_their_field(second_fake_group, message):
+    with pytest.raises(ConfigError, match=message):
+        config_for(scheme="xia2019", scenario=SCENARIO_TWO_VICTIMS, n=8,
+                   observed_group=[1, 2], victim=4, fake_group=[4, 6, 7],
+                   second_victim=5, second_fake_group=second_fake_group)
+
+
 def test_harn_replay_member_rejected():
     with pytest.raises(ConfigError, match="replay_member"):
         config_for(scenario=SCENARIO_IMPERSONATION, n=6,
@@ -382,7 +394,6 @@ def test_run_and_audit_get_separate_params(monkeypatch, scheme, dealer,
     audit_transcript(transcript, config)
     assert len(calls) == 1
     (run_params, run_creds, _), (audit_params, audit_creds, _) = seen
-    assert run_params.identifiers is audit_params.identifiers
     assert run_params == audit_params and run_params is not audit_params
     assert run_params._decoded is not audit_params._decoded
     assert run_params._decoded and audit_params._decoded

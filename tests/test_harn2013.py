@@ -101,9 +101,9 @@ class TestIssuance:
     def test_positions_disjoint_from_identifiers(self):
         params, _, _ = harn_gm_init(6, 2, prime_bits=48, rng_seed=2)
         wv = {x.value for x in params.w}
-        ids = {x.value for x in params.identifiers}
         assert len(wv) == params.k
-        assert not wv & ids
+        assert not wv & set(range(1, params.n + 1))
+        assert not any(params.all_members([x]) for x in wv)
 
     def test_issuance_invariant_via_interpolation_oracle(self):
         params, creds, s = harn_gm_init(5, 3, prime_bits=64, rng_seed=3)
@@ -151,7 +151,9 @@ class TestIssuance:
 
     def test_identifiers_are_one_through_n(self):
         params, creds, _ = harn_gm_init(5, 2, prime_bits=48, rng_seed=5)
-        assert [x.value for x in params.identifiers] == [1, 2, 3, 4, 5]
+        assert params.all_members([1, 2, 3, 4, 5])
+        assert not params.all_members([0])
+        assert not params.all_members([6])
         assert [c.owner.value for c in creds] == [1, 2, 3, 4, 5]
 
     # Pinned on first run of harn_gm_init(5, 2, prime_bits=64, rng_seed=7).
@@ -175,7 +177,7 @@ class TestTokenRelease:
         params, creds, _ = harn_gm_init(2, 2, prime_bits=64, rng_seed=11)
         assert params.k == 1
         p = params.modulus
-        x1, x2 = (x.value for x in params.identifiers)
+        x1, x2 = (c.owner.value for c in creds)
         token = harn_compute_token(creds[0], params, [1, 2])
         lam = (params.w[0].value - x2) * pow(x1 - x2, -1, p)
         assert token == (params.d[0].value * creds[0].tokens[0]

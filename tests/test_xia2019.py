@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from groupauth import xia2019
 from groupauth.algebra import (
+    GroupElement,
     derive_rng,
     fixed_base_table,
     group_exp,
@@ -108,16 +109,18 @@ class TestSetup:
         params, _, s = setup_small()
         for sigma in range(1, params.ell + 1):
             expect = residue_digest(
-                group_exp(params.generator_for(sigma), s.value).value,
+                group_exp(params.generator_for(sigma), s.value),
                 params.group.p,
             )
             assert params.hash_for(sigma) == expect
 
     def test_identifiers_distinct_nonzero_mod_q(self):
-        params, _, _ = setup_small()
-        values = [x.value for x in params.identifiers]
-        assert values == [1, 2, 3, 4, 5]
-        assert all(x.modulus == params.group.q for x in params.identifiers)
+        params, creds, _ = setup_small()
+        assert params.all_members([1, 2, 3, 4, 5])
+        assert not params.all_members([0])
+        assert not params.all_members([6])
+        assert [c.owner.value for c in creds] == [1, 2, 3, 4, 5]
+        assert all(c.owner.modulus == params.group.q for c in creds)
 
     def test_threshold_validation(self):
         with pytest.raises(InvalidThreshold):
@@ -335,8 +338,8 @@ class TestFixedBaseMemo:
 
         def check_power(session):
             e = rng.randrange(params.group.q)
-            assert (params.power(session, e).value
-                    == group_exp(params.generator_for(session), e).value)
+            assert (params.power(session, e)
+                    == group_exp(params.generator_for(session), e))
 
         assert params._served == params._powers == {}
         for _ in range(xia2019._POWS_BEFORE_TABLE):
@@ -364,7 +367,7 @@ class TestCommitment:
     def test_commitment_payload_pinned_and_decodable(self):
         params, creds, _ = setup_small()
         nonce, commitment = xia_commit(params, 1, random.Random(99))
-        assert commitment == group_exp(params.generator_for(1), nonce).value
+        assert commitment == group_exp(params.generator_for(1), nonce)
         # the engine broadcasts the same draw as the commitment round
         api = RecordingAPI()
         XiaParty(1, creds[0], params, random.Random(99)).initiate(
@@ -381,7 +384,7 @@ class TestCommitment:
     def test_decode_inverts_encode_on_the_subgroup(self, data):
         params, _, _ = setup_small()
         exponent = data.draw(st.integers(0, params.group.q - 1))
-        value = group_exp(params.generator_for(1), exponent).value
+        value = group_exp(params.generator_for(1), exponent)
         assert params.decode(params.encode(value)) == value
 
     def test_encode_refuses_a_value_outside_the_residues(self):
@@ -469,8 +472,8 @@ class TestTokenComputation:
         p = params.group.p
         product = 1
         for token in tokens:
-            product = product * params.group.element(token).value % p
-        assert product == group_exp(params.generator_for(1), s.value).value
+            product = product * GroupElement(token, params.group).value % p
+        assert product == group_exp(params.generator_for(1), s.value)
 
     @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0))
     @settings(max_examples=30)
@@ -490,9 +493,9 @@ class TestTokenComputation:
             others = [j for j in member_ids if j != i]
             weight, = lagrange_coefficient((0,), i, others, q)
             share_part = share_part * group_exp(
-                g, by_id[i].share.value * weight).value % p
+                g, by_id[i].share.value * weight) % p
         token_product = xia_aggregate(tokens, p)
-        masks = params.group.element(token_product).value \
+        masks = GroupElement(token_product, params.group).value \
             * pow(share_part, -1, p) % p
         assert masks == 1
 
@@ -576,7 +579,7 @@ class TestVerification:
         prod_a = xia_aggregate(tokens_a, p)
         prod_b = xia_aggregate(tokens_b, p)
         assert prod_a == prod_b == group_exp(params.generator_for(1),
-                                             s.value).value
+                                             s.value)
 
     def test_subquorum_aggregates_never_accept(self):
         """m < t shares interpolate the wrong exponent except w.p. ~1/q:
@@ -597,7 +600,7 @@ class TestVerification:
                 # nonce masks cancel regardless of quorum, so the product
                 # reduces to the share part alone
                 product = product * group_exp(
-                    g, by_id[i].share.value * weight).value % params.group.p
+                    g, by_id[i].share.value * weight) % params.group.p
             digest = residue_digest(product, params.group.p)
             accepts += digest == target
         assert accepts == 0
