@@ -201,7 +201,6 @@ class ScenarioConfig:
             raise ConfigError("attack scenarios need observed_group, "
                               "fake_group and victim")
         self._check_ids("observed_group", self.observed_group)
-        self._check_ids("fake_group", self.fake_group)
         if len(self.observed_group) < self.t:
             raise ConfigError("observed_group cannot reach the threshold, "
                               "so there is nothing to observe")
@@ -360,8 +359,9 @@ def derive_material(config: ScenarioConfig) -> tuple:
     prime search is most of an audit's cost, so the last derivation is
     kept for the object it came from and reused while that object's
     values are unchanged. The credentials are frozen and shared as they
-    are; the params are copied with `dataclasses.replace`, which gives
-    them fresh memos, so the audit still checks every wire value itself.
+    are; the params are copied with `dataclasses.replace`, which starts
+    every memo empty (decode, invitations, harn's numerators, xia's power
+    tables and verdicts), so the audit still checks every value itself.
     The key is the object, not its values, so a new config derives
     afresh and the work per scenario does not depend on what ran before
     it; the memo holds one material.

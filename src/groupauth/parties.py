@@ -18,9 +18,10 @@ outside the view, duplicates and malformed payloads are ignored rather
 than treated as fatal. The params all parties share own the wire
 format: the engine writes every contribution with their `encode` and
 reads it with their `decode`, so it never sees a payload's layout. A
-check that depends only on a payload and the public material (decode,
-and an invitation's parse and participants) runs once per world, in
-those params; every check left per delivery is O(1).
+check that depends only on wire values and the public material (decode,
+an invitation's parse and participants, and xia2019's aggregate check of
+a token multiset) runs once per world, in those params; every check left
+per delivery is O(1).
 
 `HarnParty` and `XiaParty` are the two schemes (see `Party` for what a
 scheme class answers), and `SCHEMES` maps each wire tag to its class; a

@@ -49,6 +49,9 @@ SCHEME_TAG = "xia2019"
 # draws: 2 to 14 in the demos' small groups, which pow alone serves best.
 _POWS_BEFORE_TABLE = 16
 
+# token multisets whose verdict one params object remembers; see XiaParams
+VERDICT_MEMO_MULTISETS = 4
+
 
 @dataclass(frozen=True)
 class XiaParams(ThresholdParams):
@@ -56,7 +59,10 @@ class XiaParams(ThresholdParams):
     and one verification digest per session index. A wire value must be
     a member of the order-q subgroup (see `ThresholdParams.decode`).
     `_served` counts each session index's powers by `pow`; once one has
-    served `_POWS_BEFORE_TABLE`, `_powers` keeps its `fixed_base_table`."""
+    served `_POWS_BEFORE_TABLE`, `_powers` keeps its `fixed_base_table`.
+    `_verdicts` is `xia_verify`'s memo of aggregate checks; whatever
+    arrives on the wire, it keeps only the VERDICT_MEMO_MULTISETS most
+    recently checked token multisets, accepted and rejected alike."""
 
     ell: int
     group: CyclicGroupSpec
@@ -66,6 +72,8 @@ class XiaParams(ThresholdParams):
                           compare=False)
     _powers: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
+    _verdicts: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         super().__post_init__()
@@ -209,8 +217,20 @@ def xia_verify(tokens, session: int, params: XiaParams) -> bool:
     (g_sigma)^s for session index `session`.
 
     Only the aggregate is checked: any token multiset whose product hits
-    (g_sigma)^s is accepted, regardless of who actually produced it.
+    (g_sigma)^s is accepted, regardless of who actually produced it. So
+    the verdict is kept in `params._verdicts` by (session, the tokens
+    sorted into a tuple): the members of a world, who check the same
+    multiset, compute its product once. `tokens` is read once.
     """
-    p = params.group.p
-    digest = residue_digest(xia_aggregate(tokens, p), p)
-    return digest == params.hash_for(session)
+    ordered = tuple(sorted(tokens))
+    key = session, ordered
+    verdicts = params._verdicts
+    verdict = verdicts.get(key)
+    if verdict is None:
+        p = params.group.p
+        verdict = (residue_digest(xia_aggregate(ordered, p), p)
+                   == params.hash_for(session))
+        if len(verdicts) >= VERDICT_MEMO_MULTISETS:
+            del verdicts[next(iter(verdicts))]
+        verdicts[key] = verdict
+    return verdict

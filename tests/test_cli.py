@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 import groupauth
-from groupauth import cli, parties
+from groupauth import cli, parties, xia2019
 from groupauth.algebra import derive_rng
 from groupauth.channel import (
     ChannelSimulator,
@@ -139,6 +139,15 @@ def test_second_plan_errors_name_their_field(second_fake_group, message):
         config_for(scheme="xia2019", scenario=SCENARIO_TWO_VICTIMS, n=8,
                    observed_group=[1, 2], victim=4, fake_group=[4, 6, 7],
                    second_victim=5, second_fake_group=second_fake_group)
+
+
+def test_short_observed_group_is_reported_before_a_bad_fake_group():
+    """The first plan's ids are checked with the other plans, after the
+    observed group's threshold check, so that error wins."""
+    with pytest.raises(ConfigError,
+                       match=r"^observed_group cannot reach the threshold"):
+        config_for(scenario=SCENARIO_IMPERSONATION, n=6, t=3,
+                   observed_group=[1, 2], victim=4, fake_group=[4, 4, 5])
 
 
 def test_harn_replay_member_rejected():
@@ -542,6 +551,76 @@ def test_audit_rejects_non_member_token_after_live_run():
     token["payload_hex"] = encode_residue_hex(p - 1, p)
     with pytest.raises(AuditFailure):
         audit_transcript(Transcript(records=records), config)
+
+
+def test_audit_rejects_non_member_tokens_that_keep_the_product():
+    """Negating two tokens leaves the product, and so every aggregate
+    check, as it was; since p = 3 mod 4, -1 is a non-residue and both
+    negated tokens lie outside the order-q subgroup. Only the membership
+    check at wire decode can fail this transcript."""
+    config = config_for(scheme="xia2019", n=4, t=2)
+    transcript, _ = run_scenario(config)
+    p = derive_material(config)[0].group.p
+    assert p % 4 == 3
+    records = [dict(record) for record in transcript.records]
+    tokens = [r for r in records if r.get("round") == "token"]
+    assert len(tokens) == 4
+
+    def product():
+        return xia2019.xia_aggregate(
+            [int(r["payload_hex"], 16) for r in tokens], p)
+
+    before = product()
+    for token in tokens[:2]:
+        token["payload_hex"] = encode_residue_hex(
+            p - int(token["payload_hex"], 16), p)
+    assert product() == before
+    with pytest.raises(AuditFailure):
+        audit_transcript(Transcript(records=records), config)
+
+
+def counted_products(monkeypatch) -> list:
+    """Patch the product behind `xia_verify` to log the multiset of each
+    call, sorted; returns the log."""
+    original = xia2019.xia_aggregate
+    products = []
+
+    def counting(values, p):
+        values = tuple(values)
+        products.append(tuple(sorted(values)))
+        return original(values, p)
+
+    monkeypatch.setattr(xia2019, "xia_aggregate", counting)
+    return products
+
+
+def test_xia_world_checks_its_token_multiset_once(monkeypatch):
+    """Every member of an honest world checks the same tokens: the run
+    computes their product once, and the audit, whose params are a
+    fresh copy with an empty memo, computes it exactly once more."""
+    products = counted_products(monkeypatch)
+    config = config_for(scheme="xia2019", n=6, t=2)
+    transcript, report = run_scenario(config)
+    assert [r["accepted"] for r in report["decisions"]] == [True] * 6
+    assert len(products) == 1
+    assert audit_transcript(transcript, config)["decisions_match_wire"] == 6
+    assert products == [products[0]] * 2
+
+
+def test_xia_tamper_victim_keeps_its_own_verdict(monkeypatch):
+    """The victim holds a different multiset under the same session, so
+    it rejects while the others accept; each multiset is checked once in
+    the run and once in the audit."""
+    products = counted_products(monkeypatch)
+    config = config_for(scheme="xia2019", scenario=SCENARIO_TAMPER,
+                        group=[1, 2, 3, 4, 5], t=2)
+    transcript, report = run_scenario(config)
+    by_party = {r["party"]: r for r in report["decisions"]}
+    assert by_party.pop(config.victim)["reason"] == "hash-mismatch"
+    assert [r["accepted"] for r in by_party.values()] == [True] * 4
+    assert len(products) == len(set(products)) == 2
+    assert audit_transcript(transcript, config)
+    assert sorted(products[2:]) == sorted(products[:2])
 
 
 def test_audit_rejects_dropped_decision():

@@ -360,6 +360,43 @@ class TestFixedBaseMemo:
         assert copy._served == copy._powers == {}
 
 
+class TestVerdictMemo:
+    """`xia_verify` keeps each (session, token multiset)'s verdict in
+    `XiaParams._verdicts`, within VERDICT_MEMO_MULTISETS entries."""
+
+    def test_generator_gives_the_list_verdict(self):
+        params, creds, _ = setup_small(seed=61)
+        _, _, tokens = run_honest_session(params, creds, (1, 2, 3), 1,
+                                          seed=61)
+        g = params.generator_for(1).value
+        tampered = [tokens[0] * g % params.group.p] + tokens[1:]
+        for values, expect in ((tokens, True), (tampered, False)):
+            # a fresh copy each time, so the generator meets a cold memo
+            assert xia_verify(iter(values), 1, replace(params)) is expect
+            assert xia_verify(list(values), 1, replace(params)) is expect
+            assert xia_verify(reversed(values), 1, params) is expect
+            assert xia_verify(values, 1, params) is expect
+
+    def test_memo_stays_within_its_bound(self):
+        params, creds, _ = setup_small(seed=62)
+        _, _, honest = run_honest_session(params, creds, (1, 2, 3), 2,
+                                          seed=62)
+        bound = xia2019.VERDICT_MEMO_MULTISETS
+        rng = random.Random(62)
+        p = params.group.p
+        assert xia_verify(honest, 2, params)
+        for _ in range(5 * bound):
+            junk = [rng.randrange(1, p) for _ in range(3)]
+            assert xia_verify(junk, rng.choice((1, 2)), params) is False
+            assert len(params._verdicts) <= bound
+        assert len(params._verdicts) == bound
+        assert (2, tuple(sorted(honest))) not in params._verdicts
+        # evicted, so checked afresh, and still accepted
+        assert xia_verify(honest, 2, params)
+        assert params._verdicts[2, tuple(sorted(honest))] is True
+        assert len(params._verdicts) == bound
+
+
 class TestCommitment:
     # Pinned: first commit of credential 1, session 1, rng seed 99.
     PINNED_PAYLOAD = "842c14d6b621de77"
