@@ -217,10 +217,10 @@ def xia_verify(tokens, session: int, params: XiaParams) -> bool:
     (g_sigma)^s for session index `session`.
 
     Only the aggregate is checked: any token multiset whose product hits
-    (g_sigma)^s is accepted, regardless of who actually produced it. So
-    the verdict is kept in `params._verdicts` by (session, the tokens
-    sorted into a tuple): the members of a world, who check the same
-    multiset, compute its product once. `tokens` is read once.
+    (g_sigma)^s is accepted, regardless of who actually produced it. The
+    verdict depends on the multiset alone: `params._verdicts` keeps it by
+    (session, the tokens sorted into a tuple), so a world's members
+    compute their product once. `tokens` is read once.
     """
     ordered = tuple(sorted(tokens))
     key = session, ordered
