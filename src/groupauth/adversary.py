@@ -138,6 +138,12 @@ class VictimPlan:
         if len(self.fake_group) < 2:
             raise ValueError("the fabricated group needs members besides "
                              "the victim")
+        others = set(self.fake_group) - {self.victim}
+        if self.replay_member is not None and (
+                self.replay_member not in others or len(others) < 2):
+            raise ValueError("the replay member must be a fabricated member "
+                             "other than the victim, and another one must "
+                             "close the aggregate")
 
 
 class ChannelAttack:

@@ -194,8 +194,10 @@ class ThresholdParams:
     `encode` and `_check` together, and its `_check` may return an int
     subclass that carries the extra fields. Every party of one world
     shares one params object, so a broadcast is checked once, not once
-    per recipient. The memos live as long as the params object, which is
-    meant to serve one world.
+    per recipient. A scheme's params may add memos of their own. The
+    memos live as long as the params object, which is meant to serve one
+    world, and have no bound: each grows by one entry per distinct key
+    its check accepts.
     """
 
     n: int
@@ -235,21 +237,24 @@ class ThresholdParams:
 
 
 class _Memo(dict):
-    """payload -> check(payload), or None if that raises GroupAuthError,
-    checked on first lookup and kept only if accepted: a hit runs no
-    Python code and junk never grows the memo. `check` is a method of
-    the params that own the memo, held weakly so that the two form no
-    cycle; the memo serves only while they live."""
+    """key -> check(key), or None if that raises GroupAuthError, checked
+    on first lookup. Whatever value the check returns is kept, False
+    included; a key it rejects is not, so a hit runs no Python code and
+    junk never grows the memo. Four checks run once per world this way:
+    decode and invitations (`ThresholdParams`), harn's numerators and
+    xia's verdicts. `check` is a method of the params that own the memo,
+    held weakly so that the two form no cycle; the memo serves only
+    while they live."""
 
     def __init__(self, check):
         self.check = weakref.WeakMethod(check)
 
-    def __missing__(self, payload: str):
+    def __missing__(self, key):
         try:
-            value = self.check()(payload)
+            value = self.check()(key)
         except GroupAuthError:
             return None
-        self[payload] = value
+        self[key] = value
         return value
 
 

@@ -27,20 +27,16 @@ from math import ceil
 from .algebra import (
     FieldElement,
     ThresholdParams,
+    _Memo,
     lagrange_coefficient,
     poly_eval,
     poly_eval_points,
     random_prime,
     residue_digest,
 )
-from .errors import InvalidThreshold, NotAMember
+from .errors import DegenerateShareSet, InvalidThreshold, NotAMember
 
 SCHEME_TAG = "harn2013"
-
-
-# point sets whose token numerators one params object remembers; see
-# HarnParams
-NUMERATOR_MEMO_VIEWS = 4
 
 
 @dataclass(frozen=True)
@@ -49,16 +45,12 @@ class HarnParams(ThresholdParams):
     weights d and H(s). A wire value is a residue mod the prime, in the
     default format of `ThresholdParams`.
 
-    `_numerators` is a memo every token of one point set shares: for the
-    sorted member ids of a group it keeps c_j = prod_r (w_j - x_r) over
-    the whole group, one int per position w_j. `harn_compute_token`
-    stores an entry only after `lagrange_coefficient` has accepted the
-    point set, so a degenerate group leaves none. Whatever arrives on
-    the wire, the memo keeps only the NUMERATOR_MEMO_VIEWS most recently
-    stored point sets (keys of at most n ids, values of k ints): an
-    adversary who injects invitations to many distinct groups only
-    evicts entries, and each such group then costs its members O(k*m)
-    once more, which is what every token cost without the memo.
+    `_numerators` is a memo (see `_Memo`) every token of one point set
+    shares: for the sorted member ids of a group it keeps
+    c_j = prod_r (w_j - x_r) over the whole group, one int per position
+    w_j. A point set with a repeated id leaves no entry. Each key is the
+    view of an invitation some party accepted, so the memo holds no more
+    entries than `_invitations`.
     """
 
     k: int
@@ -66,8 +58,7 @@ class HarnParams(ThresholdParams):
     w: tuple  # k distinct FieldElements, disjoint from the ids 1..n
     d: tuple  # k FieldElements with sum_j d_j f_j(w_j) = s
     secret_hash: bytes
-    _numerators: dict = field(default_factory=dict, init=False, repr=False,
-                              compare=False)
+    _numerators: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
@@ -80,6 +71,22 @@ class HarnParams(ThresholdParams):
             raise ValueError("positions w must be distinct")
         if not self._ids.isdisjoint(positions):
             raise ValueError("positions w must avoid participant identifiers")
+        object.__setattr__(self, "_numerators",
+                           _Memo(self._view_numerators))
+
+    def _view_numerators(self, points: tuple) -> tuple:
+        """c_j = prod_{x in points} (w_j - x) mod the prime, one per
+        position; DegenerateShareSet if an id repeats."""
+        if len(set(points)) != len(points):
+            raise DegenerateShareSet("repeated id in %s" % list(points))
+        p = self.modulus
+        out = []
+        for wj in self.w:
+            c = 1
+            for x in points:
+                c = c * (wj.value - x) % p
+            out.append(c)
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -158,46 +165,22 @@ def harn_compute_token(credential: HarnCredential, params: HarnParams,
     weights come from one `lagrange_coefficient` call, given the point
     set's numerators from the params' memo (computed in O(k*m) by the
     first member of the group to get there), so a token costs O(k + m)
-    and one inversion; the sum runs on ints.
+    and one inversion; the sum runs on ints. A repeated id leaves the
+    memo no entry, and `lagrange_coefficient` raises DegenerateShareSet.
     """
     p = params.modulus
     if not params.all_members(group):
         raise NotAMember("group %s names a non-participant" % list(group))
     own = credential.owner.value
     others = [i for i in group if i != own]
-    points = tuple(sorted([own, *others]))
-    numerators = params._numerators.get(points)
-    fresh = numerators is None
-    if fresh:
-        numerators = _view_numerators(params.w, points, p)
+    numerators = params._numerators[tuple(sorted([own, *others]))]
     weights = lagrange_coefficient([wj.value for wj in params.w], own,
                                    others, p, numerators)
-    if fresh:
-        _remember(params._numerators, points, numerators)
     total = sum(
         dj.value * fj * lam
         for dj, fj, lam in zip(params.d, credential.tokens, weights)
     )
     return total % p
-
-
-def _view_numerators(w: tuple, points: tuple, prime: int) -> tuple:
-    """c_j = prod_{x in points} (w_j - x) mod prime, one per position."""
-    out = []
-    for wj in w:
-        c = 1
-        for x in points:
-            c = c * (wj.value - x) % prime
-        out.append(c)
-    return tuple(out)
-
-
-def _remember(memo: dict, points: tuple, numerators: tuple) -> None:
-    """Store a point set's numerators, dropping the oldest entry past
-    NUMERATOR_MEMO_VIEWS."""
-    if len(memo) >= NUMERATOR_MEMO_VIEWS:
-        del memo[next(iter(memo))]
-    memo[points] = numerators
 
 
 def harn_aggregate(values, prime: int) -> int:

@@ -30,6 +30,7 @@ from .algebra import (
     FieldElement,
     GroupElement,
     ThresholdParams,
+    _Memo,
     derive_seed,
     fixed_base_table,
     group_exp,
@@ -49,9 +50,6 @@ SCHEME_TAG = "xia2019"
 # draws: 2 to 14 in the demos' small groups, which pow alone serves best.
 _POWS_BEFORE_TABLE = 16
 
-# token multisets whose verdict one params object remembers; see XiaParams
-VERDICT_MEMO_MULTISETS = 4
-
 
 @dataclass(frozen=True)
 class XiaParams(ThresholdParams):
@@ -60,9 +58,10 @@ class XiaParams(ThresholdParams):
     a member of the order-q subgroup (see `ThresholdParams.decode`).
     `_served` counts each session index's powers by `pow`; once one has
     served `_POWS_BEFORE_TABLE`, `_powers` keeps its `fixed_base_table`.
-    `_verdicts` is `xia_verify`'s memo of aggregate checks; whatever
-    arrives on the wire, it keeps only the VERDICT_MEMO_MULTISETS most
-    recently checked token multisets, accepted and rejected alike."""
+    `_verdicts` is `xia_verify`'s memo (see `_Memo`) of aggregate
+    checks, accepted and rejected alike. A party checks one token
+    multiset per session index it opens, so a world stores at most
+    n * ell verdicts, whatever arrives on the wire."""
 
     ell: int
     group: CyclicGroupSpec
@@ -72,8 +71,7 @@ class XiaParams(ThresholdParams):
                           compare=False)
     _powers: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
-    _verdicts: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False)
+    _verdicts: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
@@ -85,6 +83,7 @@ class XiaParams(ThresholdParams):
             raise ValueError("need one digest per session index")
         if len({g.value for g in self.generators}) != self.ell:
             raise ValueError("generators must be distinct")
+        object.__setattr__(self, "_verdicts", _Memo(self._verdict))
 
     def generator_for(self, session: int) -> GroupElement:
         if not 1 <= session <= self.ell:
@@ -116,6 +115,14 @@ class XiaParams(ThresholdParams):
     def _check(self, payload: str) -> int:
         """Wire value -> subgroup element as an int."""
         return GroupElement(super()._check(payload), self.group).value
+
+    def _verdict(self, key: tuple) -> bool:
+        """Whether the tokens of key = (session, tokens) multiply to a
+        product whose digest is the session's."""
+        session, tokens = key
+        p = self.group.p
+        return (residue_digest(xia_aggregate(tokens, p), p)
+                == self.hash_for(session))
 
 
 @dataclass(frozen=True)
@@ -220,17 +227,9 @@ def xia_verify(tokens, session: int, params: XiaParams) -> bool:
     (g_sigma)^s is accepted, regardless of who actually produced it. The
     verdict depends on the multiset alone: `params._verdicts` keeps it by
     (session, the tokens sorted into a tuple), so a world's members
-    compute their product once. `tokens` is read once.
+    compute their product once. `tokens` is read once. An index outside
+    1..ell raises SessionExhausted, checked here because the memo would
+    turn that error into None.
     """
-    ordered = tuple(sorted(tokens))
-    key = session, ordered
-    verdicts = params._verdicts
-    verdict = verdicts.get(key)
-    if verdict is None:
-        p = params.group.p
-        verdict = (residue_digest(xia_aggregate(ordered, p), p)
-                   == params.hash_for(session))
-        if len(verdicts) >= VERDICT_MEMO_MULTISETS:
-            del verdicts[next(iter(verdicts))]
-        verdicts[key] = verdict
-    return verdict
+    params.generator_for(session)  # range check
+    return params._verdicts[session, tuple(sorted(tokens))]

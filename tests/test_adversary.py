@@ -410,6 +410,22 @@ def test_xia_attack_replayed_token_reappears_verbatim(xia_world):
     assert genuine[0] == forged[0]
 
 
+@pytest.mark.parametrize("fake_group, replay_member", [
+    # the victim's own token is folded in already, so replaying it
+    # closes the aggregate on a token no one injects
+    ((4, 5, 6), 4),
+    # a replayed token outside the group enters the product but never
+    # reaches the victim
+    ((4, 6), 5),
+    # nothing left to close the aggregate
+    ((4, 5), 5),
+], ids=["victim", "outside-the-group", "no-closing-member"])
+def test_plan_rejects_an_unusable_replay_member(fake_group, replay_member):
+    with pytest.raises(ValueError, match="replay member"):
+        VictimPlan(victim=4, fake_group=fake_group, session=1,
+                   replay_member=replay_member)
+
+
 def test_xia_attack_fails_across_session_indices(xia_world):
     params, credentials, _ = xia_world
     plan = VictimPlan(victim=4, fake_group=(4, 5, 6), session=2)

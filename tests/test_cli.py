@@ -381,9 +381,8 @@ def test_audit_rejects_corrupted_payload(tmp_path):
 def test_run_and_audit_get_separate_params(monkeypatch, scheme, dealer,
                                            seed):
     """The audit reuses the run's dealer run but gets its own params, and
-    with them its own decode and invitation memos, so it checks every
-    wire value itself. The credentials are frozen dealer output, shared
-    as they are."""
+    with them its own memos, so it checks every wire value itself. The
+    credentials are frozen dealer output, shared as they are."""
     seen, calls = [], []
     issue = getattr(parties, dealer)
 
@@ -418,6 +417,8 @@ def test_run_and_audit_get_separate_params(monkeypatch, scheme, dealer,
         # generator to a power, so it counts none and builds no table
         assert run_params._served
         assert audit_params._served == audit_params._powers == {}
+        assert run_params._verdicts is not audit_params._verdicts
+        assert run_params._verdicts and audit_params._verdicts
     else:
         assert run_params._numerators is not audit_params._numerators
 

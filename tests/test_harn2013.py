@@ -33,7 +33,6 @@ from groupauth.channel import (
 )
 from groupauth.errors import DegenerateShareSet, InvalidThreshold, NotAMember
 from groupauth.harn2013 import (
-    NUMERATOR_MEMO_VIEWS,
     SCHEME_TAG,
     harn_aggregate,
     harn_compute_token,
@@ -285,8 +284,8 @@ class TestTokenMatchesPerPolynomialFormula:
 
 
 class TestNumeratorMemo:
-    """The params' per-group numerator memo changes no token and stays
-    bounded."""
+    """The params' per-group numerator memo changes no token and grows
+    only with the invitations."""
 
     def test_cold_and_warm_tokens_equal(self):
         params, creds, s = harn_gm_init(9, 2, prime_bits=64, rng_seed=51)
@@ -312,25 +311,26 @@ class TestNumeratorMemo:
             harn_compute_token(creds[0], params, [1, 2, 7])
         assert params._numerators == {}
 
-    def test_injected_invitations_stay_within_bound(self):
-        """Each invitation to a new group stores one entry; past the
-        bound the oldest goes, and every token is still right."""
+    def test_injected_invitations_grow_the_memo_with_the_invitations(self):
+        """Each invitation to a new group stores one entry, never more
+        entries than the invitation memo holds, and every token is still
+        right."""
         n = 9
         params, creds, _ = harn_gm_init(n, 2, prime_bits=64, rng_seed=53)
         party, api = HarnParty(1, creds[0], params), RecordingAPI()
         groups = [[1, a, b] for a in range(2, n + 1)
                   for b in range(a + 1, n + 1)]
-        assert len(groups) > 3 * NUMERATOR_MEMO_VIEWS
+        assert len(groups) == 28
         for session, group in enumerate(groups, 1):
             party.on_envelope(
                 invitation_envelope(SCHEME_TAG, group[1], session, group),
                 api)
-            assert len(params._numerators) <= NUMERATOR_MEMO_VIEWS
+            assert len(params._numerators) == session
+            assert len(params._numerators) <= len(params._invitations)
             assert api.broadcasts[-1].payload == encode_residue_hex(
                 per_polynomial_token(params, creds[0], group),
                 params.modulus)
-        assert list(params._numerators) == [
-            tuple(g) for g in groups[-NUMERATOR_MEMO_VIEWS:]]
+        assert list(params._numerators) == [tuple(g) for g in groups]
 
 
 class TestDecodeMemo:

@@ -37,7 +37,7 @@ from groupauth.channel import (
     encode_residue_hex,
     invitation_envelope,
 )
-from groupauth.errors import InvalidThreshold, NotAMember
+from groupauth.errors import InvalidThreshold, NotAMember, SessionExhausted
 from groupauth.parties import XiaParty
 from groupauth.xia2019 import (
     SCHEME_TAG,
@@ -362,7 +362,7 @@ class TestFixedBaseMemo:
 
 class TestVerdictMemo:
     """`xia_verify` keeps each (session, token multiset)'s verdict in
-    `XiaParams._verdicts`, within VERDICT_MEMO_MULTISETS entries."""
+    `XiaParams._verdicts`."""
 
     def test_generator_gives_the_list_verdict(self):
         params, creds, _ = setup_small(seed=61)
@@ -377,24 +377,44 @@ class TestVerdictMemo:
             assert xia_verify(reversed(values), 1, params) is expect
             assert xia_verify(values, 1, params) is expect
 
-    def test_memo_stays_within_its_bound(self):
+    def test_out_of_range_index_raises_despite_the_memo(self):
+        params, creds, _ = setup_small(seed=63)
+        _, _, tokens = run_honest_session(params, creds, (1, 2, 3), 1,
+                                          seed=63)
+        for session in (0, params.ell + 1):
+            with pytest.raises(SessionExhausted):
+                xia_verify(tokens, session, params)
+        assert params._verdicts == {}
+
+    def test_flooded_party_checks_one_multiset_per_index(self):
+        """Re-invitations and further token sets change nothing once a
+        party holds a token from every member, so a party stores at most
+        one verdict per index it opens."""
         params, creds, _ = setup_small(seed=62)
-        _, _, honest = run_honest_session(params, creds, (1, 2, 3), 2,
-                                          seed=62)
-        bound = xia2019.VERDICT_MEMO_MULTISETS
+        party, api = engine_party(params, creds, 1, seed=62)
         rng = random.Random(62)
-        p = params.group.p
-        assert xia_verify(honest, 2, params)
-        for _ in range(5 * bound):
-            junk = [rng.randrange(1, p) for _ in range(3)]
-            assert xia_verify(junk, rng.choice((1, 2)), params) is False
-            assert len(params._verdicts) <= bound
-        assert len(params._verdicts) == bound
-        assert (2, tuple(sorted(honest))) not in params._verdicts
-        # evicted, so checked afresh, and still accepted
-        assert xia_verify(honest, 2, params)
-        assert params._verdicts[2, tuple(sorted(honest))] is True
-        assert len(params._verdicts) == bound
+        g = params.generator_for(1)
+
+        def junk():
+            return group_exp(g, rng.randrange(1, params.group.q))
+
+        for session in range(1, params.ell + 1):
+            for sender in (2, 3, 2):
+                party.on_envelope(invitation_envelope(
+                    SCHEME_TAG, sender, session, [1, 2, 3]), api)
+            for sender in (2, 3):
+                deliver(party, api, params, sender, ROUND_COMMITMENT,
+                        junk(), session)
+            for _ in range(20):
+                for sender in (3, 2):
+                    deliver(party, api, params, sender, ROUND_TOKEN,
+                            junk(), session)
+        assert len(params._verdicts) <= params.ell
+        assert set(params._verdicts.values()) == {False}
+        assert [key for key, _ in api.decisions] == [
+            (SCHEME_TAG, session) for session in range(1, params.ell + 1)]
+        assert all(belief.reason == REASON_HASH_MISMATCH
+                   for _, belief in api.decisions)
 
 
 class TestCommitment:
