@@ -194,10 +194,8 @@ class ThresholdParams:
     `encode` and `_check` together, and its `_check` may return an int
     subclass that carries the extra fields. Every party of one world
     shares one params object, so a broadcast is checked once, not once
-    per recipient. A scheme's params may add memos of their own. The
-    memos live as long as the params object, which is meant to serve one
-    world, and have no bound: each grows by one entry per distinct key
-    its check accepts.
+    per recipient. The memos live as long as the params object, which is
+    meant to serve one world, and have no bound.
     """
 
     n: int
