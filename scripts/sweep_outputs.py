@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Print one fingerprint line per config of a fixed sweep, to show that a
-refactor leaves every output byte-identical.
+"""Print one fingerprint line per config of a fixed sweep; this is the
+one pin of every output byte.
 
 Usage: PYTHONPATH=src python3 scripts/sweep_outputs.py > sweep.txt
 
@@ -11,29 +11,58 @@ redirected there, only for a deliberate behaviour change. Each
 line holds the config name, the sha256 of its transcript.jsonl digest
 followed by its report.json digest, the report's verdict, and the checks
 that `audit_transcript` returns (or the audit's failure). The sweep
-covers the eight demos at 64, 128 and 256 bits and seeds 1-3, honest
-xia2019 n=48 and harn2013 impersonation n=64 (the two benchmark shapes)
-at 128 bits and seeds 1-3, and the pinned WIDE_CONFIGS of
-regen_vectors.py.
+covers 90 configs: the eight demos as configured (128 bits, their own
+seeds) and at 64, 128 and 256 bits and seeds 1-3, honest xia2019 n=48
+and harn2013 impersonation n=64 (the two benchmark shapes) at 128 bits
+and seeds 1-3, and WIDE_CONFIGS.
 """
 
 import hashlib
 import json
-import sys
+import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-from groupauth.cli import DEMOS, audit_transcript  # noqa: E402
-from groupauth.errors import GroupAuthError  # noqa: E402
-from regen_vectors import WIDE_CONFIGS, run_configs  # noqa: E402
+from groupauth.cli import (
+    DEMOS,
+    ScenarioConfig,
+    audit_transcript,
+    run_scenario,
+    write_outputs,
+)
+from groupauth.errors import GroupAuthError
 
 SEEDS = (1, 2, 3)
+
+# Groups wider than any demo, pinned at 64 bits next to the demos.
+WIDE_CONFIGS = {
+    # k = 16 positions, so a token's Lagrange weights share one group's
+    # numerators across many targets
+    "harn-honest-n128-t8": {
+        "scheme": "harn2013", "scenario": "honest", "n": 128, "t": 8,
+        "prime_bits": 64, "seed": 5,
+    },
+    "xia-honest-n16": {
+        "scheme": "xia2019", "scenario": "honest", "n": 16, "t": 2,
+        "prime_bits": 64, "seed": 5,
+    },
+    "harn-impersonation-n16": {
+        "scheme": "harn2013", "scenario": "impersonation", "n": 16, "t": 2,
+        "prime_bits": 64, "seed": 5, "observed_group": list(range(1, 9)),
+        "victim": 9, "fake_group": list(range(9, 17)),
+    },
+    # the only pinned world whose closing step replays an observed token
+    "xia-impersonation-replay": {
+        "scheme": "xia2019", "scenario": "impersonation", "n": 6, "t": 2,
+        "prime_bits": 64, "seed": 5, "observed_group": [1, 2, 3],
+        "fake_group": [3, 4, 5], "victim": 4, "replay_member": 3,
+    },
+}
 
 
 def sweep_configs() -> dict:
     configs = dict(WIDE_CONFIGS)
     for name, entry in DEMOS.items():
+        configs[name] = entry["config"]
         for bits in (64, 128, 256):
             for seed in SEEDS:
                 configs["%s-%d-s%d" % (name, bits, seed)] = dict(
@@ -53,16 +82,24 @@ def sweep_configs() -> dict:
 
 
 def sweep_lines():
-    """Yield the fingerprint line of each sweep config, in name order."""
-    for name, config, transcript, report, digests in run_configs(
-            sweep_configs()):
-        try:
-            audit = json.dumps(audit_transcript(transcript, config),
-                               sort_keys=True)
-        except GroupAuthError as exc:
-            audit = "FAIL %s" % exc
-        digest = hashlib.sha256("".join(digests).encode()).hexdigest()
-        yield " ".join((name, digest, report["verdict"], audit))
+    """Run each sweep config in name order, write its outputs and yield
+    its fingerprint line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, raw in sorted(sweep_configs().items()):
+            config = ScenarioConfig.from_json(raw)
+            transcript, report = run_scenario(config)
+            out_dir = Path(tmp) / name
+            write_outputs(transcript, report, config, out_dir)
+            digests = "".join(
+                hashlib.sha256((out_dir / f).read_bytes()).hexdigest()
+                for f in ("transcript.jsonl", "report.json"))
+            try:
+                audit = json.dumps(audit_transcript(transcript, config),
+                                   sort_keys=True)
+            except GroupAuthError as exc:
+                audit = "FAIL %s" % exc
+            yield " ".join((name, hashlib.sha256(digests.encode()).hexdigest(),
+                            report["verdict"], audit))
 
 
 def main() -> None:

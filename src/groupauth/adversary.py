@@ -172,13 +172,16 @@ class ChannelAttack:
         self.observed_session = observed_session
         self.observed_group = tuple(sorted(observed_group))
         self.plans = list(plans)
+        for plan in self.plans:
+            if plan.replay_member not in (None, *self.observed_group):
+                raise ValueError("replay member %d is not observed"
+                                 % plan.replay_member)
         self.mode = mode
         self.rng = rng
         self.target = None  # the aggregate recovered in stage one
         self.observed = []
         self.observed_tokens = {}  # observed member -> its token payload
         self.victim_tokens = {}
-        self.invited = set()
         self.closed = set()
 
     def on_start(self, api: AdversaryAPI) -> None:
@@ -226,9 +229,6 @@ class ChannelAttack:
     def _invite(self, plan: VictimPlan, api: AdversaryAPI) -> None:
         """The fake invitation, then a forged contribution of every
         fabricated member to each round before the token round."""
-        if plan.victim in self.invited:
-            return
-        self.invited.add(plan.victim)
         members = [i for i in plan.fake_group if i != plan.victim]
         api.inject(
             invitation_envelope(self.party.scheme, members[0], plan.session,
@@ -263,12 +263,8 @@ class ChannelAttack:
         members = [i for i in plan.fake_group if i != plan.victim]
         values = {}
         if plan.replay_member is not None:
-            payload = self.observed_tokens.get(plan.replay_member)
-            if payload is None:
-                raise InsufficientObservation(
-                    "no observed token to replay for %d" % plan.replay_member
-                )
-            values[plan.replay_member] = self.material.decode(payload)
+            values[plan.replay_member] = self.material.decode(
+                self.observed_tokens[plan.replay_member])
         free = [i for i in members if i not in values]
         for member in free[:-1]:
             values[member] = self._draw(plan.session)

@@ -106,8 +106,12 @@ class ScenarioConfig:
     # -- validation ----------------------------------------------------------
 
     def _check_types(self) -> None:
-        """Every number is an int (a bool is not) and every group a list
-        of ints; the party fields may be absent."""
+        """Scheme and scenario are strings, every number an int (a bool is
+        not) and every group a list of ints; the party fields may be absent."""
+        for name in ("scheme", "scenario"):
+            if not isinstance(getattr(self, name), str):
+                raise ConfigError("%s must be a string, not %r"
+                                  % (name, getattr(self, name)))
         for name in _INT_FIELDS + _PARTY_FIELDS:
             value = getattr(self, name)
             if not (_is_int(value) or value is None and name in _PARTY_FIELDS):
@@ -173,8 +177,6 @@ class ScenarioConfig:
             raise ConfigError("group of %d cannot reach the threshold %d"
                               % (len(self.group), self.t))
         if self.scenario == SCENARIO_TAMPER:
-            if len(self.group) < 2:
-                raise ConfigError("tampering needs at least two members")
             if self.victim is None:
                 self.victim = min(self.group)
             if self.tamper_target is None:
@@ -274,10 +276,7 @@ class ScenarioConfig:
         missing = [k for k in ("scheme", "scenario", "n", "t") if k not in raw]
         if missing:
             raise ConfigError("config is missing: %s" % ", ".join(missing))
-        try:
-            return cls(**raw)
-        except TypeError as exc:
-            raise ConfigError(str(exc))
+        return cls(**raw)
 
     def to_json(self) -> dict:
         out = {}

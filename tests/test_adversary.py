@@ -426,6 +426,18 @@ def test_plan_rejects_an_unusable_replay_member(fake_group, replay_member):
                    replay_member=replay_member)
 
 
+def test_attack_rejects_an_unobserved_replay_member(monkeypatch):
+    """A replay member outside the observed group has no token to reuse,
+    so the attack refuses the plan before the world starts."""
+    params, credentials, _ = xia_gm_init(6, 3, ell=2, prime_bits=64,
+                                         rng_seed=78)
+    plan = VictimPlan(4, (4, 5, 6), 1, replay_member=5)
+    monkeypatch.setattr(adversary, "run_world", None)  # no envelope is sent
+    with pytest.raises(ValueError, match="replay member 5 is not observed"):
+        run_attack(XiaChannelAttack, params, credentials,
+                   observed_group=(1, 2, 3), plans=[plan], seed=78)
+
+
 def test_xia_attack_fails_across_session_indices(xia_world):
     params, credentials, _ = xia_world
     plan = VictimPlan(victim=4, fake_group=(4, 5, 6), session=2)

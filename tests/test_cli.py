@@ -1,7 +1,6 @@
 """Config validation, scenario verdicts, transcript audits, exit codes,
 and byte-determinism of the command-line front end."""
 
-import hashlib
 import json
 import os
 import subprocess
@@ -41,8 +40,6 @@ from groupauth.cli import (
 from groupauth.errors import AuditFailure, ConfigError
 from groupauth.harn2013 import harn_gm_init
 from groupauth.parties import run_world
-
-from conftest import load_regen_vectors
 
 BITS = 64  # keep the suite quick; the CLI default is larger
 
@@ -102,6 +99,19 @@ def test_missing_required_keys_rejected():
      "must differ"),
     ({"scenario": SCENARIO_TAMPER, "victim": 1, "tamper_target": 5,
       "group": [1, 2, 3]}, "target must sit"),
+    ({"scenario": SCENARIO_TAMPER, "victim": 5, "group": [1, 2, 3]},
+     "victim must sit"),
+    ({"ell": 0}, "at least one session index"),
+    ({"session": 0}, "start at 1"),
+    ({"scheme": "xia2019", "scenario": SCENARIO_TWO_VICTIMS,
+      "observed_group": [1, 2], "victim": 3, "fake_group": [3, 4]},
+     "need second_victim and second_fake_group"),
+    ({"scheme": "xia2019", "scenario": SCENARIO_TWO_VICTIMS,
+      "observed_group": [1, 2], "victim": 3, "fake_group": [3, 4],
+      "second_victim": 3, "second_fake_group": [3, 5]}, "victims must differ"),
+    ({"scheme": "xia2019", "scenario": SCENARIO_IMPERSONATION, "n": 6,
+      "observed_group": [1, 2, 3], "victim": 4, "fake_group": [4, 5, 6],
+      "replay_member": 1}, "must be an observed member reused"),
 ])
 def test_invalid_plain_configs(overrides, message):
     with pytest.raises(ConfigError, match=message):
@@ -123,6 +133,10 @@ def test_invalid_plain_configs(overrides, message):
       "group": [1, 2]}, "not group"),
     ({"observed_group": [1, 2], "victim": 3, "fake_group": [3, 4],
       "replay_member": 4}, "replay_member"),
+    ({"observed_group": [1, 2], "victim": 3, "fake_group": [3, 4],
+      "tamper_target": 1}, "tamper_target only applies"),
+    ({"observed_group": [1, 2], "victim": 3, "fake_group": [3, 4],
+      "second_victim": 5}, "only apply to the two-victim scenario"),
 ])
 def test_invalid_attack_configs(overrides, message):
     with pytest.raises(ConfigError, match=message):
@@ -205,6 +219,29 @@ def test_config_values_must_be_ints(overrides, tmp_path, capsys):
     assert code == 2
     assert "config error:" in captured.err
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("name", ["scheme", "scenario"])
+def test_scheme_and_scenario_must_be_strings(name):
+    with pytest.raises(ConfigError, match=r"^%s must be a string" % name):
+        config_for(**{name: []})
+
+
+def test_config_must_be_an_object():
+    with pytest.raises(ConfigError, match="must be a JSON object"):
+        ScenarioConfig.from_json([])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{", "is not valid JSON"),
+    ("[]", "must hold a JSON object"),
+], ids=["invalid-json", "json-array"])
+def test_load_config_rejects_a_file_that_is_not_an_object(text, message,
+                                                          tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
 
 
 def test_xia_session_must_be_issued():
@@ -681,6 +718,17 @@ def test_audit_fails_when_a_claimed_member_spoke_to_the_victim(name):
         audit_transcript(Transcript(records=records), config)
 
 
+def test_audit_fails_when_a_forged_envelope_reaches_a_bystander():
+    config, transcript, _ = demo_run("xia-impersonation")
+    records = [dict(r) for r in transcript.records]
+    forged = next(r for r in records if r["type"] == "envelope"
+                  and r["true_origin"] == 0 and r["round"] == "token")
+    forged["recipients"] = [1, *forged["recipients"]]
+    with pytest.raises(AuditFailure, match="^forged envelopes reached "
+                       "parties other than the victims$"):
+        audit_transcript(Transcript(records=records), config)
+
+
 def test_undecodable_observed_token_fails_the_replay_not_the_judge():
     """A non-canonical observed token: the replayed parties drop it, so the
     audit names the mismatch; the judge decodes through the same params,
@@ -894,6 +942,13 @@ def test_missing_config_file_is_usage_error(tmp_path):
     assert main(["run", str(tmp_path / "nope.json")]) == 2
 
 
+def test_missing_transcript_is_usage_error(tmp_path, capsys):
+    config_path = write_config(tmp_path)
+    code = main(["audit", str(tmp_path / "nope.jsonl"), str(config_path)])
+    assert code == 2
+    assert "cannot read transcript" in capsys.readouterr().err
+
+
 def test_invalid_config_is_usage_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"scheme": "harn2013"}))
@@ -991,80 +1046,3 @@ def test_load_config_applies_overrides(tmp_path):
     config = load_config(path, seed=2, prime_bits=32)
     assert config.seed == 2
     assert config.prime_bits == 32
-
-# sha256 of (transcript.jsonl, report.json) for every built-in demo at its
-# own config; scripts/regen_vectors.py prints these values.
-PINNED_DEMO_DIGESTS = {
-    "harn-honest": (
-        "6cecea95e8801ec62c93b886706993f88bf364fa89441d92d0574abc6361c1af",
-        "f101eaa38587d6471c1a0ecb906ecfe8618d93b1623f9d404addba355063b20d",
-    ),
-    "harn-impersonation": (
-        "90524af80ab81ce734d2f987326ae93e82d6c37d1e3d9a847fdbd1029cb13aaa",
-        "d2878ba60dd9d85705744383e3321beee5066da536653bbf82bd6ac4b62cf0c3",
-    ),
-    "harn-tamper": (
-        "32d27efeffb783f57b87616f91b1ff6ddbf12f4795978b7792afd80e0b31864e",
-        "6cedf112bca86c744976a2b602d314ea48c9868a00fdd4b7e07ca3e778973f1c",
-    ),
-    "xia-honest": (
-        "946706d03566dbb8ef01b4b9f072f74b8e4f7a52056e8e79fb485ef8abea2874",
-        "7d5217ae7692e4aa23590a1c6f81e54dfa19c14771b7fdf9cf281b8bdd2e22f9",
-    ),
-    "xia-impersonation": (
-        "1133f9fa07198724fe33e3edc6bdff5a871d432ca6a2568a7415a7d66c029c88",
-        "5e3bb7f4f2f3cc2ba8234cfc61ebe34c0447e529549bd9dbc9df5228d335e4af",
-    ),
-    "xia-quorum": (
-        "16e5f6b06c6df86f8c73a8ade99224411ffbc5611dc05f1213fd4264f567c180",
-        "139cacf176b88f75cec692557b16296ac3defd382c00276607109cee99c117bd",
-    ),
-    "xia-simultaneous": (
-        "01a228d12756d85d38826f79714c2f756e25f3d1e382356a1c13045741b1fd7b",
-        "ac536408860d49a80f42aa25fa5c7c17584285669eab19da6c1939162ff9ea51",
-    ),
-    "xia-two-victims": (
-        "4d5e2d5067b332c1c17f672ab07ff72d468a9be0d06d32b3a5262deb223aa30c",
-        "328a7b1693fcfa357d326326fa5f6ba7b35885f6b5c519ccbedb99675154605c",
-    ),
-}
-
-
-regen_vectors = load_regen_vectors()
-
-# The same digests for scripts/regen_vectors.py's WIDE_CONFIGS, groups wider
-# than any demo (n=16 and n=128, 64-bit); that script prints these values
-# too.
-PINNED_WIDE_DIGESTS = {
-    "harn-honest-n128-t8": (
-        "10e868d6f444829fac81d708da44f5d07836909537c88e569697ce32b61b49a4",
-        "e57a7393c9b08c2837e802e7b07dff6e26cb6c94614fbec03a1b7014261d3a2c",
-    ),
-    "harn-impersonation-n16": (
-        "da0090b140c0af2c4afe9c8fa2dc5e696f65b15997d8b3a59dbda0b4300e425f",
-        "530a0f40f8de65d04e9ead0bb0fdc6d45f892fb91d2da2315a9cd0538fc5fc9c",
-    ),
-    "xia-honest-n16": (
-        "1c19fc8a83fef5f5f8d97703d7d4cccc717323d095e24c321888eea97ca68dda",
-        "aec7c2a02e3cc2ac356ae018624f658fab0c18e847dd6497fbe14f3bb0e521f2",
-    ),
-    "xia-impersonation-replay": (
-        "f77869adba2cf22899488b8f80642687159a764abf83032ae3d7cc68c19712ea",
-        "6bf85c771834336534b53a19c6ebd5dfb8d88f8b3006d3eadaba348feea9febb",
-    ),
-}
-
-
-def test_demo_outputs_match_pinned_digests(tmp_path):
-    configs = {name: entry["config"] for name, entry in DEMOS.items()}
-    configs.update(regen_vectors.WIDE_CONFIGS)
-    digests = {}
-    for name, raw in configs.items():
-        config = ScenarioConfig.from_json(raw)
-        transcript, report = run_scenario(config)
-        write_outputs(transcript, report, config, tmp_path / name)
-        digests[name] = tuple(
-            hashlib.sha256((tmp_path / name / f).read_bytes()).hexdigest()
-            for f in ("transcript.jsonl", "report.json")
-        )
-    assert digests == {**PINNED_DEMO_DIGESTS, **PINNED_WIDE_DIGESTS}

@@ -249,6 +249,15 @@ class TestTokenRelease:
         assert list(party.sessions) == [1, 2]
         assert api.decisions == refusal
 
+    def test_envelope_of_another_scheme_ignored(self):
+        params, creds, _ = harn_gm_init(4, 2, prime_bits=48, rng_seed=57)
+        party, api = HarnParty(1, creds[0], params), RecordingAPI()
+        good = invitation_envelope(SCHEME_TAG, 2, 1, [1, 2])
+        party.on_envelope(replace(good, session=("xia2019", 1)), api)
+        assert api.broadcasts == [] and not party.sessions
+        party.on_envelope(good, api)
+        assert list(party.sessions) == [1]
+
 
 class TestTokenMatchesPerPolynomialFormula:
     """One Lagrange call with all k targets gives the same scalar as k

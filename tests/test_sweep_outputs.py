@@ -1,7 +1,8 @@
 """Every config of scripts/sweep_outputs.py still prints the line that
 tests/sweep_outputs.txt pins: the sha256 of its transcript.jsonl and
-report.json, its verdict and its audit checks. A change to any output
-byte of the 82 configs fails here.
+report.json, its verdict and its audit checks. This is the one pin of
+output bytes: a change to any output byte of the 90 configs, the eight
+demos as configured among them, fails here.
 
 Regenerate the pinned file only for a deliberate behaviour change, and
 record why in CHANGES.md:
@@ -24,7 +25,7 @@ PINNED = Path(__file__).resolve().parent / "sweep_outputs.txt"
 def test_sweep_outputs_match_pinned_lines():
     pinned = PINNED.read_text().splitlines()
     lines = list(sweep.sweep_lines())
-    assert len(pinned) == 82
+    assert len(pinned) == 90
     assert [line.split()[0] for line in lines] == \
         [line.split()[0] for line in pinned]
     changed = [line for line, pin in zip(lines, pinned) if line != pin]
