@@ -188,14 +188,16 @@ class ThresholdParams:
     and `invitation` (payload -> sorted group ids, their frozenset and
     the session, or None if malformed or naming a non-participant) are
     the lookups of two memos, `_decoded` and `_invitations` (see
-    `_Memo`), so each distinct payload is checked once. By default a
-    payload is one residue mod `modulus`, which a subclass supplies, in
-    fixed-width lowercase hex; a scheme with a richer payload overrides
-    `encode` and `_check` together, and its `_check` may return an int
-    subclass that carries the extra fields. Every party of one world
-    shares one params object, so a broadcast is checked once, not once
-    per recipient. The memos live as long as the params object, which is
-    meant to serve one world, and have no bound.
+    `_Memo`), so each distinct payload is checked once; `encode_own`
+    puts an honest party's own contribution in `_decoded` unchecked. By
+    default a payload is one residue mod `modulus`, which a subclass
+    supplies, in fixed-width lowercase hex; a scheme with a richer
+    payload overrides `encode` and `_check` together, and its `_check`
+    may return an int subclass that carries the extra fields. Every
+    party of one world shares one params object, so a broadcast is
+    checked once, not once per recipient. `_numerators` keeps each
+    group's Lagrange numerators (`_view_numerators`). The memos live as
+    long as the params, which serve one world, and have no bound.
     """
 
     n: int
@@ -203,6 +205,7 @@ class ThresholdParams:
     _ids: frozenset = field(init=False, repr=False, compare=False)
     _decoded: dict = field(init=False, repr=False, compare=False)
     _invitations: dict = field(init=False, repr=False, compare=False)
+    _numerators: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 2 <= self.t <= self.n:
@@ -211,6 +214,7 @@ class ThresholdParams:
         object.__setattr__(self, "_decoded", _Memo(self._check))
         object.__setattr__(self, "_invitations",
                            _Memo(self._check_invitation))
+        object.__setattr__(self, "_numerators", _Memo(self._view_numerators))
         object.__setattr__(self, "decode", self._decoded.__getitem__)
         object.__setattr__(self, "invitation", self._invitations.__getitem__)
 
@@ -221,6 +225,13 @@ class ThresholdParams:
     def encode(self, value: int) -> str:
         """int in 0..modulus-1 -> wire payload (ValueError otherwise)."""
         return encode_residue_hex(value, self.modulus)
+
+    def encode_own(self, value: int) -> str:
+        """`encode`, storing `value` as decoded: only for an honest party's
+        own contribution, for which `_check(encode(value)) == value`."""
+        payload = self.encode(value)
+        self._decoded[payload] = value
+        return payload
 
     def _check(self, payload: str) -> int:
         """The scheme's validation of one wire payload: by default, the
@@ -233,16 +244,29 @@ class ThresholdParams:
             raise MalformedTranscript("invitation names a non-participant")
         return group_ids, frozenset(group_ids), session
 
+    def _view_numerators(self, points: tuple) -> tuple:
+        """prod_{x in points} (target - x) for each target that a subclass
+        names, with their modulus, in `_interpolation`, for a point set
+        of sorted ids; DegenerateShareSet if an id repeats."""
+        if len(set(points)) != len(points):
+            raise DegenerateShareSet("repeated id in %s" % list(points))
+        targets, modulus = self._interpolation
+        numerators = [1] * len(targets)
+        for j, target in enumerate(targets):
+            for x in points:
+                numerators[j] = numerators[j] * (target - x) % modulus
+        return tuple(numerators)
+
 
 class _Memo(dict):
     """key -> check(key), or None if that raises GroupAuthError, checked
     on first lookup. Whatever value the check returns is kept, False
     included; a key it rejects is not, so a hit runs no Python code and
-    junk never grows the memo. Four checks run once per world this way:
-    decode and invitations (`ThresholdParams`), harn's numerators and
-    xia's verdicts. `check` is a method of the params that own the memo,
-    held weakly so that the two form no cycle; the memo serves only
-    while they live."""
+    junk never grows the memo. Five computations run once per world this
+    way: decode, invitations and Lagrange numerators (`ThresholdParams`),
+    and xia's masks and verdicts. `check` is a method of the params that
+    own the memo, held weakly so that the two form no cycle; the memo
+    serves only while they live."""
 
     def __init__(self, check):
         self.check = weakref.WeakMethod(check)

@@ -359,8 +359,8 @@ def derive_material(config: ScenarioConfig) -> tuple:
     kept for the object it came from and reused while that object's
     values are unchanged. The credentials are frozen and shared as they
     are; the params are copied with `dataclasses.replace`, which starts
-    every memo empty (decode, invitations, harn's numerators, xia's power
-    tables and verdicts), so the audit still checks every value itself.
+    every memo empty (decode, invitations, numerators, xia's power
+    tables, masks and verdicts), so the audit checks every value itself.
     The key is the object, not its values, so a new config derives
     afresh and the work per scenario does not depend on what ran before
     it; the memo holds one material.

@@ -21,20 +21,19 @@ around it (the invitation, who must have spoken, the quorum rule) is
 """
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import ceil
 
 from .algebra import (
     FieldElement,
     ThresholdParams,
-    _Memo,
     lagrange_coefficient,
     poly_eval,
     poly_eval_points,
     random_prime,
     residue_digest,
 )
-from .errors import DegenerateShareSet, InvalidThreshold, NotAMember
+from .errors import InvalidThreshold, NotAMember
 
 SCHEME_TAG = "harn2013"
 
@@ -43,14 +42,8 @@ SCHEME_TAG = "harn2013"
 class HarnParams(ThresholdParams):
     """Everything the issuer publishes: the prime `modulus`, positions w,
     weights d and H(s). A wire value is a residue mod the prime, in the
-    default format of `ThresholdParams`.
-
-    `_numerators` is a memo (see `_Memo`) every token of one point set
-    shares: for the sorted member ids of a group it keeps
-    c_j = prod_r (w_j - x_r) over the whole group, one int per position
-    w_j. A point set with a repeated id leaves no entry. Each key is the
-    view of an invitation some party accepted, so the memo holds no more
-    entries than `_invitations`.
+    default format of `ThresholdParams`. Tokens interpolate toward the
+    positions w, so a group's numerators are c_j = prod_r (w_j - x_r).
     """
 
     k: int
@@ -58,7 +51,6 @@ class HarnParams(ThresholdParams):
     w: tuple  # k distinct FieldElements, disjoint from the ids 1..n
     d: tuple  # k FieldElements with sum_j d_j f_j(w_j) = s
     secret_hash: bytes
-    _numerators: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
@@ -71,22 +63,10 @@ class HarnParams(ThresholdParams):
             raise ValueError("positions w must be distinct")
         if not self._ids.isdisjoint(positions):
             raise ValueError("positions w must avoid participant identifiers")
-        object.__setattr__(self, "_numerators",
-                           _Memo(self._view_numerators))
 
-    def _view_numerators(self, points: tuple) -> tuple:
-        """c_j = prod_{x in points} (w_j - x) mod the prime, one per
-        position; DegenerateShareSet if an id repeats."""
-        if len(set(points)) != len(points):
-            raise DegenerateShareSet("repeated id in %s" % list(points))
-        p = self.modulus
-        out = []
-        for wj in self.w:
-            c = 1
-            for x in points:
-                c = c * (wj.value - x) % p
-            out.append(c)
-        return tuple(out)
+    @property
+    def _interpolation(self) -> tuple:
+        return tuple(wj.value for wj in self.w), self.modulus
 
 
 @dataclass(frozen=True)
@@ -162,25 +142,20 @@ def harn_compute_token(credential: HarnCredential, params: HarnParams,
     before any token). The scalar is
         sum_j d_j * f_j(x_own) * lagrange(w_j; x_own, others)
     so that summing over all m members telescopes to s when m >= t. All k
-    weights come from one `lagrange_coefficient` call, given the point
-    set's numerators from the params' memo (computed in O(k*m) by the
-    first member of the group to get there), so a token costs O(k + m)
-    and one inversion; the sum runs on ints. A repeated id leaves the
+    weights come from one `lagrange_coefficient` call, given the group's
+    numerators from the params' memo (computed once per group), so a
+    token costs O(k + m) and one inversion. A repeated id leaves the
     memo no entry, and `lagrange_coefficient` raises DegenerateShareSet.
     """
-    p = params.modulus
     if not params.all_members(group):
         raise NotAMember("group %s names a non-participant" % list(group))
     own = credential.owner.value
     others = [i for i in group if i != own]
+    targets, p = params._interpolation
     numerators = params._numerators[tuple(sorted([own, *others]))]
-    weights = lagrange_coefficient([wj.value for wj in params.w], own,
-                                   others, p, numerators)
-    total = sum(
-        dj.value * fj * lam
-        for dj, fj, lam in zip(params.d, credential.tokens, weights)
-    )
-    return total % p
+    weights = lagrange_coefficient(targets, own, others, p, numerators)
+    return sum(dj.value * fj * lam for dj, fj, lam
+               in zip(params.d, credential.tokens, weights)) % p
 
 
 def harn_aggregate(values, prime: int) -> int:

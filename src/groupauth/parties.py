@@ -16,12 +16,12 @@ turns the scheme's aggregate check into the decision. Envelopes for
 unknown sessions or for another round than the one in progress, senders
 outside the view, duplicates and malformed payloads are ignored rather
 than treated as fatal. The params all parties share own the wire
-format: the engine writes every contribution with their `encode` and
-reads it with their `decode`, so it never sees a payload's layout. A
-check that depends only on wire values and the public material (decode,
-an invitation's parse and participants, and xia2019's aggregate check of
-a token multiset) runs once per world, in those params; every check left
-per delivery is O(1).
+format: the engine writes each contribution with their `encode_own`,
+which stores it as decoded so that no party checks it, and reads the
+rest with their `decode`. Work that depends only on wire values and the
+public material (decode, invitations, a group's Lagrange numerators,
+xia2019's masks and aggregate check) runs once per world, in those
+params; every check left per delivery is O(1).
 
 `HarnParty` and `XiaParty` are the two schemes (see `Party` for what a
 scheme class answers), and `SCHEMES` maps each wire tag to its class; a
@@ -114,7 +114,7 @@ class Party:
     round's ints; `session.received` says who claimed each), plus
     `_admits` if it narrows which session ids may open. Its public
     material is one `ThresholdParams` subclass, `params`, which owns the
-    wire format: `encode` writes a contribution's payload, and `decode`
+    wire format: `encode_own` writes a contribution's payload; `decode`
     (wire payload -> int or None) and `invitation` are the boundary
     checks. At class level it answers `issue(config)` (the dealer run:
     params, credentials, secret), `aggregate(values, modulus)` (what the
@@ -225,7 +225,7 @@ class Party:
             value = self._contribute(session, round_)
             api.broadcast(Envelope(
                 claimed_sender=self.party_id, session=session.key,
-                round=round_, payload=self.params.encode(value),
+                round=round_, payload=self.params.encode_own(value),
             ))
         else:
             payloads = self.recorded.get((session.key, round_))

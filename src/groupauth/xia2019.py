@@ -58,10 +58,10 @@ class XiaParams(ThresholdParams):
     a member of the order-q subgroup (see `ThresholdParams.decode`).
     `_served` counts each session index's powers by `pow`; once one has
     served `_POWS_BEFORE_TABLE`, `_powers` keeps its `fixed_base_table`.
-    `_verdicts` is `xia_verify`'s memo (see `_Memo`) of aggregate
-    checks, accepted and rejected alike. A party checks one token
-    multiset per session index it opens, so a world stores at most
-    n * ell verdicts, whatever arrives on the wire."""
+    `_masks` (the products each mask is read from) and `_verdicts`
+    (`xia_verify`'s aggregate checks) are memos (see `_Memo`). A party
+    computes one token and checks one multiset per index it opens, so a
+    world stores at most n * ell entries in each, whatever is injected."""
 
     ell: int
     group: CyclicGroupSpec
@@ -71,6 +71,7 @@ class XiaParams(ThresholdParams):
                           compare=False)
     _powers: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
+    _masks: dict = field(init=False, repr=False, compare=False)
     _verdicts: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -83,6 +84,7 @@ class XiaParams(ThresholdParams):
             raise ValueError("need one digest per session index")
         if len({g.value for g in self.generators}) != self.ell:
             raise ValueError("generators must be distinct")
+        object.__setattr__(self, "_masks", _Memo(self._mask_products))
         object.__setattr__(self, "_verdicts", _Memo(self._verdict))
 
     def generator_for(self, session: int) -> GroupElement:
@@ -112,9 +114,23 @@ class XiaParams(ThresholdParams):
         """The prime p of every residue on the wire."""
         return self.group.p
 
+    @property
+    def _interpolation(self) -> tuple:
+        return (0,), self.group.q
+
     def _check(self, payload: str) -> int:
         """Wire value -> subgroup element as an int."""
         return GroupElement(super()._check(payload), self.group).value
+
+    def _mask_products(self, commitments: tuple) -> tuple:
+        """For C_1..C_m in ascending id order, mod p: the prefix products
+        P_k = C_1 * ... * C_(k-1) and 1 / T for their full product T. The
+        k-th member's mask is P_k^2 * C_k / T."""
+        p = self.group.p
+        prefix = [1]
+        for commitment in commitments:
+            prefix.append(prefix[-1] * commitment % p)
+        return prefix, pow(prefix.pop(), -1, p)
 
     def _verdict(self, key: tuple) -> bool:
         """Whether the tokens of key = (session, tokens) multiply to a
@@ -173,25 +189,6 @@ def xia_commit(params: XiaParams, session: int,
     return nonce, params.power(session, nonce)
 
 
-def gamma_mask(owner: int, commitments: dict, p: int) -> int:
-    """Fold the peers' commitments into the mask of member `owner`.
-
-    `commitments` maps member ids to commitments mod p; the owner's own
-    entry, if present, is skipped. Peers below the owner (by identifier
-    value) contribute C_j, peers above contribute C_j^{-1}; the exponents
-    cancel pairwise across the group, which is what makes the token
-    product clean. Each side is multiplied out first, so the mask costs
-    one inversion.
-    """
-    lower = upper = 1
-    for peer, commitment in commitments.items():
-        if peer < owner:
-            lower = lower * commitment % p
-        elif peer > owner:
-            upper = upper * commitment % p
-    return lower * pow(upper, -1, p) % p
-
-
 def xia_compute_token(credential: XiaCredential, params: XiaParams,
                       session: int, commitments: dict, nonce: int) -> int:
     """This member's masked token (g_sigma)^{s_i * L_i} * gamma_i^{u_i}.
@@ -200,15 +197,19 @@ def xia_compute_token(credential: XiaCredential, params: XiaParams,
     included, to its commitment; the group is its key set. `nonce` is
     the u_i behind this member's own commitment.
     """
-    p = params.group.p
-    if not params.all_members(commitments):
-        raise NotAMember("commitments name a non-participant")
-    own = credential.owner.value
-    others = [peer for peer in commitments if peer != own]
-    weight, = lagrange_coefficient((0,), own, others, params.group.q)
+    p, own = params.group.p, credential.owner.value
+    if own not in commitments or not params.all_members(commitments):
+        raise NotAMember("commitments omit %d or name a non-participant"
+                         % own)
+    ids = sorted(commitments)
+    others = [peer for peer in ids if peer != own]
+    weight, = lagrange_coefficient((0,), own, others, params.group.q,
+                                   params._numerators[tuple(ids)])
     base = params.power(session, credential.share.value * weight)
-    mask = gamma_mask(own, commitments, p)
-    return base * pow(mask, nonce, p) % p
+    prefix, inverse = params._masks[tuple(commitments[i] for i in ids)]
+    below = prefix[ids.index(own)]
+    return base * pow(below * below * commitments[own] * inverse % p,
+                      nonce, p) % p
 
 
 def xia_aggregate(values, p: int) -> int:

@@ -8,10 +8,14 @@ derivation per test via the default database.
 import functools
 import importlib.util
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
+
+from groupauth import cli
+from groupauth.channel import ADVERSARY_ID, ROUND_INVITATION
 
 settings.register_profile(
     "suite",
@@ -88,3 +92,33 @@ class RecordingAPI:
 
     def rounds(self) -> list:
         return [envelope.round for envelope in self.broadcasts]
+
+
+def recorded_materials(monkeypatch) -> list:
+    """Patch `cli.derive_material` to log each (params, credentials,
+    secret) it returns, in call order: a run's first, then its audit's."""
+    derive, materials = cli.derive_material, []
+
+    def recording(config):
+        materials.append(derive(config))
+        return materials[-1]
+
+    monkeypatch.setattr(cli, "derive_material", recording)
+    return materials
+
+
+def assert_decoded_as_cold(params, transcript) -> None:
+    """Every payload an honest party of `transcript` contributed is in
+    `params._decoded`, and every entry there, those stored unchecked as
+    they were sent included, is what a fresh copy of the params decodes
+    from its payload: an equal int of the same type and fields."""
+    honest = {r["payload_hex"] for r in transcript.envelopes()
+              if r["round"] != ROUND_INVITATION
+              and r["true_origin"] != ADVERSARY_ID}
+    assert honest <= set(params._decoded)
+    cold = replace(params)
+    for payload, value in params._decoded.items():
+        decoded = cold.decode(payload)
+        assert type(decoded) is type(value) and decoded == value
+        assert getattr(decoded, "__dict__", None) == \
+            getattr(value, "__dict__", None)

@@ -15,6 +15,8 @@ import groupauth
 from groupauth import cli, parties, xia2019
 from groupauth.algebra import derive_rng
 from groupauth.channel import (
+    ROUND_INVITATION,
+    ROUND_TOKEN,
     ChannelSimulator,
     Transcript,
     encode_residue_hex,
@@ -40,6 +42,8 @@ from groupauth.cli import (
 from groupauth.errors import AuditFailure, ConfigError
 from groupauth.harn2013 import harn_gm_init
 from groupauth.parties import run_world
+
+from conftest import assert_decoded_as_cold, recorded_materials
 
 BITS = 64  # keep the suite quick; the CLI default is larger
 
@@ -420,19 +424,13 @@ def test_run_and_audit_get_separate_params(monkeypatch, scheme, dealer,
     """The audit reuses the run's dealer run but gets its own params, and
     with them its own memos, so it checks every wire value itself. The
     credentials are frozen dealer output, shared as they are."""
-    seen, calls = [], []
+    seen, calls = recorded_materials(monkeypatch), []
     issue = getattr(parties, dealer)
-
-    def recording(config):
-        material = derive_material(config)
-        seen.append(material)
-        return material
 
     def counting(*args, **kwargs):
         calls.append(args)
         return issue(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "derive_material", recording)
     monkeypatch.setattr(parties, dealer, counting)
     config = config_for(scheme=scheme, n=4, t=2, seed=seed)
     transcript, _ = run_scenario(config)
@@ -440,10 +438,16 @@ def test_run_and_audit_get_separate_params(monkeypatch, scheme, dealer,
     assert len(calls) == 1
     (run_params, run_creds, _), (audit_params, audit_creds, _) = seen
     assert run_params == audit_params and run_params is not audit_params
-    assert run_params._decoded is not audit_params._decoded
-    assert run_params._decoded and audit_params._decoded
-    assert run_params._invitations is not audit_params._invitations
-    assert run_params._invitations and audit_params._invitations
+    for memo in ("_decoded", "_invitations"):
+        assert getattr(run_params, memo) is not getattr(audit_params, memo)
+        assert getattr(run_params, memo) and getattr(audit_params, memo)
+    # the audit's replay computes no token, so it needs no numerator
+    assert run_params._numerators and audit_params._numerators == {}
+    # the run stored its parties' own payloads unchecked; the audit
+    # decoded every one of them from the wire
+    payloads = {r["payload_hex"] for r in transcript.envelopes()
+                if r["round"] != ROUND_INVITATION}
+    assert set(run_params._decoded) == set(audit_params._decoded) == payloads
     assert len(audit_creds) == 4
     assert all(a is b for a, b in zip(run_creds, audit_creds))
     with pytest.raises(FrozenInstanceError):
@@ -451,13 +455,43 @@ def test_run_and_audit_get_separate_params(monkeypatch, scheme, dealer,
     if scheme == "xia2019":
         assert run_params.group is audit_params.group
         # the run's powers were counted; the audit's replay raises no
-        # generator to a power, so it counts none and builds no table
-        assert run_params._served
+        # generator to a power and computes no mask
+        assert run_params._served and run_params._masks
         assert audit_params._served == audit_params._powers == {}
+        assert audit_params._masks == {}
         assert run_params._verdicts is not audit_params._verdicts
         assert run_params._verdicts and audit_params._verdicts
-    else:
-        assert run_params._numerators is not audit_params._numerators
+
+
+@pytest.mark.parametrize("name", sorted(DEMOS))
+def test_every_decoded_value_is_what_a_cold_decode_gives(monkeypatch, name):
+    """A live run stores its parties' own contributions in the decode
+    memo unchecked as they are sent; every entry must still be the value
+    that a fresh copy of the params decodes from its payload."""
+    materials = recorded_materials(monkeypatch)
+    _, transcript, _ = demo_run(name)
+    (params, _, _), = materials
+    assert_decoded_as_cold(params, transcript)
+
+
+def test_adversary_values_are_checked_after_a_live_world(monkeypatch):
+    """Only an honest party's own contribution skips the check: a tamper
+    nudge that leaves the subgroup, and a non-residue encoded after the
+    world has run, are refused and never stored."""
+    materials = recorded_materials(monkeypatch)
+    monkeypatch.setattr(parties.XiaParty, "nudge", staticmethod(
+        lambda params, session, value: params.modulus - value))
+    config = config_for(scheme="xia2019", scenario=SCENARIO_TAMPER,
+                        group=[1, 2, 3], t=2)
+    transcript, _ = run_scenario(config)
+    (params, _, _), = materials
+    forged = [r["payload_hex"] for r in transcript.forged()
+              if r["round"] == ROUND_TOKEN]
+    non_residue = params.encode(params.modulus - 1)  # -1: p = 3 mod 4
+    assert len(forged) == 1
+    for payload in (*forged, non_residue):
+        assert params.decode(payload) is None
+        assert payload not in params._decoded
 
 
 def test_audit_reuses_the_setup_of_its_config_object(monkeypatch):
@@ -643,6 +677,26 @@ def test_xia_world_checks_its_token_multiset_once(monkeypatch):
     assert len(products) == 1
     assert audit_transcript(transcript, config)["decisions_match_wire"] == 6
     assert products == [products[0]] * 2
+
+
+def test_xia_world_checks_no_payload_its_parties_sent(monkeypatch):
+    """An honest world stores each contribution as decoded when it is
+    sent, so the run builds no checked subgroup element; the audit, with
+    fresh params, checks each distinct payload once."""
+    checked, element = [], xia2019.GroupElement
+
+    def counting(value, group):
+        checked.append(value)
+        return element(value, group)
+
+    monkeypatch.setattr(xia2019, "GroupElement", counting)
+    config = config_for(scheme="xia2019", n=6, t=2)
+    transcript, _ = run_scenario(config)
+    assert checked == []
+    audit_transcript(transcript, config)
+    payloads = {r["payload_hex"] for r in transcript.envelopes()
+                if r["round"] != ROUND_INVITATION}
+    assert len(checked) == len(payloads) == 2 * 6
 
 
 def test_xia_tamper_victim_keeps_its_own_verdict(monkeypatch):

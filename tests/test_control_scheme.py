@@ -52,6 +52,8 @@ from groupauth.parties import XiaParty
 from groupauth.xia2019 import SCHEME_TAG as XIA_TAG
 from groupauth.xia2019 import XiaCredential, XiaParams
 
+from conftest import assert_decoded_as_cold, recorded_materials
+
 CONTROL_TAG = "xia2019-signed"
 NO_SIGNATURE = (0, 0)
 
@@ -271,6 +273,22 @@ def test_the_attack_runs_and_only_the_sender_binding_stops_it(
     else:
         assert not victim["accepted"]
         assert victim["reason"] == REASON_HASH_MISMATCH
+
+
+@pytest.mark.parametrize("name", sorted({**PLAIN, **ATTACKS}))
+def test_every_decoded_value_is_what_a_cold_decode_gives(control,
+                                                         monkeypatch, name):
+    """The contributions a live run stores in the decode memo as they are
+    sent are the `Signed` values that a cold decode reads from their
+    payloads, signature included."""
+    materials = recorded_materials(monkeypatch)
+    raw = {**PLAIN, **ATTACKS}[name]
+    config = ScenarioConfig.from_json({"scheme": CONTROL_TAG,
+                                       "prime_bits": 64, **raw})
+    transcript, _ = run_scenario(config)
+    (params, _, _), = materials
+    assert isinstance(params, ControlParams)
+    assert_decoded_as_cold(params, transcript)
 
 
 def test_a_replayed_token_carries_the_observed_view(control):

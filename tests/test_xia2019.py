@@ -41,7 +41,6 @@ from groupauth.errors import InvalidThreshold, NotAMember, SessionExhausted
 from groupauth.parties import XiaParty
 from groupauth.xia2019 import (
     SCHEME_TAG,
-    gamma_mask,
     xia_aggregate,
     xia_commit,
     xia_compute_token,
@@ -74,6 +73,27 @@ def run_honest_session(params, creds, member_ids, session, seed):
         for i in member_ids
     ]
     return nonces, commitments, tokens
+
+
+def two_sided_mask(owner, commitments, p):
+    """The mask by its definition: the commitments of the peers below
+    `owner` multiplied together, divided by those of the peers above."""
+    lower = upper = 1
+    for peer, commitment in commitments.items():
+        if peer < owner:
+            lower = lower * commitment % p
+        elif peer > owner:
+            upper = upper * commitment % p
+    return lower * pow(upper, -1, p) % p
+
+
+def memo_mask(params, owner, commitments):
+    """The mask read from `XiaParams._masks`, as `xia_compute_token`
+    reads it: P^2 * C / T for the owner's prefix product P."""
+    ids = sorted(commitments)
+    prefix, inverse = params._masks[tuple(commitments[i] for i in ids)]
+    below = prefix[ids.index(owner)]
+    return below * below * commitments[owner] * inverse % params.group.p
 
 
 def engine_party(params, creds, pid, seed):
@@ -417,6 +437,79 @@ class TestVerdictMemo:
                    for _, belief in api.decisions)
 
 
+class TestMaskAndNumeratorMemos:
+    """A token's mask comes from `XiaParams._masks` and its weight's
+    numerator from `_numerators`, each computed once per group."""
+
+    @given(st.data())
+    @settings(max_examples=15)
+    def test_memo_mask_is_the_two_sided_product(self, data):
+        params, creds, _ = setup_small(n=9, t=2, ell=1, seed=64)
+        p, g = params.group.p, params.generator_for(1)
+        view = sorted(data.draw(st.sets(st.integers(1, 9), min_size=2)))
+        nonces = {i: data.draw(st.integers(1, params.group.q - 1))
+                  for i in view}
+        commitments = {i: group_exp(g, nonces[i]) for i in view}
+        for owner in view:
+            assert memo_mask(params, owner, commitments) == \
+                two_sided_mask(owner, commitments, p)
+        assert len(params._masks) == 1
+        # the token agrees with one built from the definitions alone
+        for cred in creds:
+            own = cred.owner.value
+            if own not in commitments:
+                continue
+            others = [i for i in view if i != own]
+            weight, = lagrange_coefficient((0,), own, others, params.group.q)
+            assert xia_compute_token(cred, params, 1, commitments,
+                                     nonces[own]) == (
+                group_exp(g, cred.share.value * weight)
+                * pow(two_sided_mask(own, commitments, p), nonces[own], p)
+                % p)
+        assert len(params._masks) == len(params._numerators) == 1
+
+    def test_shared_numerator_gives_the_direct_weight(self):
+        params, _, _ = setup_small(n=7, t=2, seed=65)
+        q = params.group.q
+        targets, modulus = params._interpolation
+        assert (targets, modulus) == ((0,), q)
+        for view in ([1, 2], [2, 5, 7], list(range(1, 8))):
+            for own in view:
+                others = [i for i in view if i != own]
+                shared = params._numerators[tuple(view)]
+                assert lagrange_coefficient(
+                    targets, own, others, modulus, shared
+                ) == lagrange_coefficient((0,), own, others, q)
+        assert len(params._numerators) == 3
+
+    def test_flooded_party_stores_one_mask_entry_per_index(self):
+        """Re-invitations and later commitments change nothing once a
+        party holds one from every member, and junk never decodes, so a
+        party reads one mask entry per session index it opens."""
+        params, creds, _ = setup_small(seed=66)
+        party, api = engine_party(params, creds, 1, seed=66)
+        rng = random.Random(66)
+        p = params.group.p
+
+        def junk(session):
+            return group_exp(params.generator_for(session),
+                             rng.randrange(1, params.group.q))
+
+        for session in range(1, params.ell + 2):  # the last is never issued
+            for sender in (2, 3, 2):
+                party.on_envelope(invitation_envelope(
+                    SCHEME_TAG, sender, session, [1, 2, 3]), api)
+            for _ in range(5):
+                for sender in (3, 2):
+                    deliver(party, api, params, sender, ROUND_COMMITMENT,
+                            p - 1, session)  # not in the subgroup
+                    if session <= params.ell:
+                        deliver(party, api, params, sender,
+                                ROUND_COMMITMENT, junk(session), session)
+            assert len(params._masks) == min(session, params.ell)
+        assert api.rounds().count(ROUND_TOKEN) == params.ell
+
+
 class TestCommitment:
     # Pinned: first commit of credential 1, session 1, rng seed 99.
     PINNED_PAYLOAD = "842c14d6b621de77"
@@ -489,13 +582,17 @@ class TestTokenComputation:
         ]
 
     def test_non_member_commitment_rejected(self):
-        """The scheme math refuses a group that names a non-participant."""
+        """The scheme math refuses a group that names a non-participant
+        or leaves out the member computing its token."""
         params, creds, _ = setup_small()  # n = 5
         nonces, commitments, _ = run_honest_session(params, creds,
                                                     (1, 2, 3), 1, seed=3)
         commitments[6] = commitments.pop(3)
         with pytest.raises(NotAMember):
             xia_compute_token(creds[0], params, 1, commitments, nonces[1])
+        del commitments[6]
+        with pytest.raises(NotAMember, match="omit 3"):
+            xia_compute_token(creds[2], params, 1, commitments, nonces[3])
 
     def test_token_twice_rejected(self):
         params, creds, _ = setup_small(t=2, n=4)
@@ -516,10 +613,10 @@ class TestTokenComputation:
                                                     1, seed=6)
         p = params.group.p
         c1, c2 = commitments[1], commitments[2]
-        assert gamma_mask(1, commitments, p) == pow(c2, -1, p)
-        assert gamma_mask(2, commitments, p) == c1
-        prod = (pow(gamma_mask(1, commitments, p), nonces[1], p)
-                * pow(gamma_mask(2, commitments, p), nonces[2], p) % p)
+        assert memo_mask(params, 1, commitments) == pow(c2, -1, p)
+        assert memo_mask(params, 2, commitments) == c1
+        prod = (pow(memo_mask(params, 1, commitments), nonces[1], p)
+                * pow(memo_mask(params, 2, commitments), nonces[2], p) % p)
         assert prod == 1
 
     def test_honest_product_equals_generator_power(self):
