@@ -115,11 +115,14 @@ def lagrange_coefficient(targets, own: int, others, modulus: int,
     share f(own) by a target's weight contributes to the interpolation
     of f(target) from the full point set. Positions are reduced mod
     `modulus` first; duplicates among them (within `others`, or `own`
-    appearing in `others`) make the denominator vanish and are rejected.
-    Otherwise the shared denominator prod_r (own - x_r) is a product of
-    nonzero residues mod a prime, so it is invertible; it is formed and
-    inverted once, so k weights for one point set cost one inversion and
-    k numerator products.
+    appearing in `others`) make the denominator vanish and are rejected,
+    naming the first repeat in the order of `others`. Otherwise the
+    shared denominator prod_r (own - x_r) is a product of nonzero
+    residues mod a prime, so it is invertible. It is formed once, by one
+    `math.prod` and one reduction (the callers' positions are party ids,
+    so it stays a few hundred bits), and inverted once, so k
+    weights for one point set cost one inversion and k numerator
+    products, each formed the same way.
 
     `numerators`, if given, holds one int per target: the product of
     (target - x) over the whole point set, `own` included. It is the
@@ -131,25 +134,21 @@ def lagrange_coefficient(targets, own: int, others, modulus: int,
     """
     targets = tuple(targets)
     own %= modulus
-    den = 1
-    positions = set()
-    for x in others:
-        x %= modulus
-        if x == own or x in positions:
-            raise DegenerateShareSet("duplicate evaluation position %d" % x)
-        positions.add(x)
-        den = den * (own - x) % modulus
+    positions = [x % modulus for x in others]
+    if len({own, *positions}) <= len(positions):
+        seen = {own}  # name the first repeat, in the order of `others`
+        for x in positions:
+            if x in seen:
+                raise DegenerateShareSet("duplicate evaluation position %d"
+                                         % x)
+            seen.add(x)
+    den = prod([own - x for x in positions]) % modulus
     if numerators is not None:
         return _divide_numerators(targets, own, den, tuple(numerators),
                                   modulus)
     inverse = pow(den, -1, modulus)
-    weights = []
-    for target in targets:
-        num = inverse
-        for x in positions:
-            num = num * (target - x) % modulus
-        weights.append(num)
-    return tuple(weights)
+    return tuple(prod([target - x for x in positions]) * inverse % modulus
+                 for target in targets)
 
 
 def _divide_numerators(targets, own: int, den: int, numerators: tuple,
@@ -158,13 +157,11 @@ def _divide_numerators(targets, own: int, den: int, numerators: tuple,
     inversion for all of them (Montgomery's trick)."""
     if len(numerators) != len(targets):
         raise ValueError("need one numerator per target")
-    gaps, tops = [], []
-    for target, num in zip(targets, numerators):
-        gap = (target - own) % modulus
-        # a target at `own` has weight 1; its numerator holds the zero
-        # factor (own - own), so stand in den / den
-        gaps.append(gap or 1)
-        tops.append(num if gap else den)
+    gaps = [(target - own) % modulus for target in targets]
+    # a target at `own` has weight 1; its numerator holds the zero factor
+    # (own - own), so stand in den / den
+    tops = [num if gap else den for num, gap in zip(numerators, gaps)]
+    gaps = [gap or 1 for gap in gaps]
     prefix = [1]  # prefix[j] = gaps[0] * ... * gaps[j-1]
     for gap in gaps:
         prefix.append(prefix[-1] * gap % modulus)
@@ -172,7 +169,7 @@ def _divide_numerators(targets, own: int, den: int, numerators: tuple,
     weights = [None] * len(gaps)
     for j in reversed(range(len(gaps))):
         # inverse = 1 / (den * gaps[0] * ... * gaps[j])
-        weights[j] = tops[j] * inverse % modulus * prefix[j] % modulus
+        weights[j] = tops[j] * inverse * prefix[j] % modulus
         inverse = inverse * gaps[j] % modulus
     return tuple(weights)
 
@@ -290,30 +287,35 @@ def _sieved(n: int) -> bool:
     return gcd(n, _SMALL_PRIMORIAL) == 1 or n in _SMALL_PRIME_SET
 
 
-_WHEEL_PRIMES = (3, 5, 7, 11, 13)
-_WHEEL = prod(_WHEEL_PRIMES)  # 15,015
-
-
-def _wheel_sieve() -> bytes:
-    """Byte w is 1 when neither w nor 2w + 1 is divisible by 3, 5, 7, 11
-    or 13; index it with q mod _WHEEL."""
-    table = bytearray(b"\x01") * _WHEEL
-    for r in _WHEEL_PRIMES:
+def _wheel_sieve(primes) -> tuple:
+    """(m, table) for odd primes with product m: byte w of the table is 1
+    when none of them divides w or 2w + 1; index it with q mod m."""
+    m = prod(primes)
+    table = bytearray(b"\x01") * m
+    for r in primes:
         # r divides q when q = 0 mod r, and 2q + 1 when q = (r - 1) / 2
         for residue in (0, (r - 1) // 2):
-            table[residue::r] = bytes(len(range(residue, _WHEEL, r)))
-    return bytes(table)
+            table[residue::r] = bytes(len(range(residue, m, r)))
+    return m, bytes(table)
 
 
-_WHEEL_SIEVE = _wheel_sieve()
+_WHEEL, _WHEEL_SIEVE = _wheel_sieve((3, 5, 7, 11, 13))  # 15,015 bytes
+_WHEEL_2, _WHEEL_SIEVE_2 = _wheel_sieve((17, 19, 23))  # 7,429 bytes
+_WHEEL_3, _WHEEL_SIEVE_3 = _wheel_sieve((29, 31, 37))  # 33,263 bytes
+_WHEELED_OUT = prod(r for r in _SMALL_PRIMES if r > 37)  # 41..997
+# the primes in [1000, 4096): below 2^14, the least q of a 16-bit search,
+# so a prime q or 2q + 1 is never a multiple of one
+_MEDIUM_PRIMORIAL = prod(r for r in _odd_primes_below(4096) if r > 1000)
 
 
 def _pair_sieved(q: int) -> bool:
     """`_sieved(q) and _sieved(2q + 1)` for q > 997, cheapest test first:
-    one table lookup rejects about 90% of candidates, then one gcd
-    covers both numbers."""
-    return (_WHEEL_SIEVE[q % _WHEEL] == 1
-            and gcd(q * (2 * q + 1), _SMALL_PRIMORIAL) == 1)
+    three table lookups cover the primes 3..37 and reject about 94% of
+    candidates, then one gcd covers the primes 41..997 for both
+    numbers."""
+    return (_WHEEL_SIEVE[q % _WHEEL] and _WHEEL_SIEVE_2[q % _WHEEL_2]
+            and _WHEEL_SIEVE_3[q % _WHEEL_3]
+            and gcd(q * (2 * q + 1), _WHEELED_OUT) == 1)
 
 
 def _fermat(n: int) -> bool:
@@ -430,7 +432,9 @@ def random_prime(bits: int, rng: random.Random) -> int:
 
 
 def random_safe_prime(bits: int, rng: random.Random) -> tuple:
-    """Safe prime p = 2q + 1 with exactly `bits` bits; returns (p, q)."""
+    """Safe prime p = 2q + 1 with exactly `bits` bits; returns (p, q).
+    Before `is_probable_prime`, q passes `_pair_sieved`, q * p one gcd
+    with the primes in [1000, 4096), and each a Fermat test."""
     if bits < 16:
         raise ValueError("safe prime search below 16 bits is not supported")
     while True:
@@ -439,7 +443,7 @@ def random_safe_prime(bits: int, rng: random.Random) -> tuple:
         if not _pair_sieved(q):
             continue
         p = 2 * q + 1
-        if (_fermat(q) and _fermat(p)
+        if (gcd(q * p, _MEDIUM_PRIMORIAL) == 1 and _fermat(q) and _fermat(p)
                 and sympy.isprime(q) and sympy.isprime(p)):
             return p, q
 

@@ -532,10 +532,14 @@ def dumps_indented(value) -> str:
     str-keyed dicts, lists and JSON leaves (a non-str key raises
     TypeError), without the pure-Python encoder that any indent selects:
     strs go to json's C escaper, a list of plain ints is joined in one
-    call and every other leaf goes to json.dumps itself."""
+    call, true, false and null are written as they are, and every other
+    leaf goes to json.dumps itself."""
     chunks = []
     _lay_out(value, "\n", chunks)
     return "".join(chunks)
+
+
+_JSON_WORDS = {None: "null", True: "true", False: "false"}
 
 
 def _lay_out(value, newline: str, chunks: list) -> None:
@@ -544,6 +548,8 @@ def _lay_out(value, newline: str, chunks: list) -> None:
         chunks.append(encode_basestring_ascii(value))
     elif type(value) is int:
         chunks.append(str(value))
+    elif value is None or type(value) is bool:
+        chunks.append(_JSON_WORDS[value])
     elif not isinstance(value, (dict, list, tuple)) or not value:
         chunks.append(json.dumps(value))  # any other leaf, {} or []
     elif isinstance(value, dict):

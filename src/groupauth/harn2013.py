@@ -21,8 +21,9 @@ around it (the invitation, who must have spoken, the quorum rule) is
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import ceil
+from operator import mul
 
 from .algebra import (
     FieldElement,
@@ -51,6 +52,8 @@ class HarnParams(ThresholdParams):
     w: tuple  # k distinct FieldElements, disjoint from the ids 1..n
     d: tuple  # k FieldElements with sum_j d_j f_j(w_j) = s
     secret_hash: bytes
+    _interpolation: tuple = field(init=False, repr=False, compare=False)
+    _d: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
@@ -63,10 +66,10 @@ class HarnParams(ThresholdParams):
             raise ValueError("positions w must be distinct")
         if not self._ids.isdisjoint(positions):
             raise ValueError("positions w must avoid participant identifiers")
-
-    @property
-    def _interpolation(self) -> tuple:
-        return tuple(wj.value for wj in self.w), self.modulus
+        # w and d as ints, read by every token
+        object.__setattr__(self, "_interpolation",
+                           (tuple(x.value for x in self.w), self.modulus))
+        object.__setattr__(self, "_d", tuple(dj.value for dj in self.d))
 
 
 @dataclass(frozen=True)
@@ -138,24 +141,26 @@ def harn_compute_token(credential: HarnCredential, params: HarnParams,
     """Release this member's scalar for one joint authentication.
 
     group lists the participant ids of everyone expected to take part,
-    the owner included (`parties.Party` checks that, and the quorum,
-    before any token). The scalar is
+    the owner included: NotAMember if it leaves out the owner or names a
+    non-participant (`parties.Party` checks both, and the quorum, before
+    any token). The scalar is
         sum_j d_j * f_j(x_own) * lagrange(w_j; x_own, others)
     so that summing over all m members telescopes to s when m >= t. All k
-    weights come from one `lagrange_coefficient` call, given the group's
-    numerators from the params' memo (computed once per group), so a
-    token costs O(k + m) and one inversion. A repeated id leaves the
-    memo no entry, and `lagrange_coefficient` raises DegenerateShareSet.
+    weights come from one `lagrange_coefficient` call, given the numerators
+    that the params' memo keeps per sorted group, so a token costs O(k + m)
+    and one inversion, and its sum runs in C. A repeated id leaves the
+    memo no entry; `lagrange_coefficient` then raises DegenerateShareSet,
+    unless the repeat is the owner's, which `others` drops.
     """
-    if not params.all_members(group):
-        raise NotAMember("group %s names a non-participant" % list(group))
     own = credential.owner.value
+    if own not in group or not params.all_members(group):
+        raise NotAMember("group %s omits %d or names a non-participant"
+                         % (list(group), own))
     others = [i for i in group if i != own]
     targets, p = params._interpolation
-    numerators = params._numerators[tuple(sorted([own, *others]))]
+    numerators = params._numerators[tuple(sorted(group))]
     weights = lagrange_coefficient(targets, own, others, p, numerators)
-    return sum(dj.value * fj * lam for dj, fj, lam
-               in zip(params.d, credential.tokens, weights)) % p
+    return sum(map(mul, map(mul, params._d, credential.tokens), weights)) % p
 
 
 def harn_aggregate(values, prime: int) -> int:

@@ -7,6 +7,7 @@ than against the implementation itself.
 
 import functools
 import random
+from math import gcd, prod
 
 import pytest
 import sympy
@@ -16,8 +17,13 @@ from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from groupauth import algebra, xia2019
 from groupauth.algebra import (
+    _MEDIUM_PRIMORIAL,
     _SMALL_PRIMES,
     _WHEEL,
+    _WHEEL_2,
+    _WHEEL_3,
+    _WHEEL_SIEVE_2,
+    _WHEEL_SIEVE_3,
     CyclicGroupSpec,
     FieldElement,
     GroupElement,
@@ -192,6 +198,25 @@ class TestLagrange:
             lagrange_coefficient((0,), 1, [1 + SMALL_PRIME], SMALL_PRIME)
         with pytest.raises(DegenerateShareSet):
             lagrange_coefficient((0,), 1, [2, 2 - SMALL_PRIME], SMALL_PRIME)
+
+    @pytest.mark.parametrize("others, named", [
+        ([2, 3, 2], 2),
+        ([3, 1 + SMALL_PRIME], 1),
+        ([4, 5, 4, 1], 4),
+        ([5, 1, 5], 1),
+        ([2 + SMALL_PRIME, 3, 2 - SMALL_PRIME], 2),
+    ])
+    def test_duplicate_names_the_first_offending_position(self, others,
+                                                           named):
+        """The error names the first position, in the order of `others`
+        and reduced mod p, that repeats `own` (here 1) or an earlier
+        one, with or without shared numerators."""
+        for numerators in (None, [0]):
+            with pytest.raises(DegenerateShareSet,
+                               match="^duplicate evaluation position %d$"
+                               % named):
+                lagrange_coefficient((0,), 1, others, SMALL_PRIME,
+                                     numerators)
 
     def test_inputs_reduced_mod_p(self, rng):
         """Positions and targets off by multiples of p give the same
@@ -609,6 +634,35 @@ class TestPrimeFilters:
         for q in range(998, 998 + _WHEEL):
             assert _pair_sieved(q) == (
                 oracle_sieved(q) and oracle_sieved(2 * q + 1)), q
+
+    @pytest.mark.parametrize("period, table", [
+        (_WHEEL_2, _WHEEL_SIEVE_2), (_WHEEL_3, _WHEEL_SIEVE_3),
+    ], ids=["17-19-23", "29-31-37"])
+    def test_every_deeper_wheel_residue_matches_oracle(self, period, table):
+        """Over one full period of a deeper table, `_pair_sieved` agrees
+        with trial division, and each byte says whether w * (2w + 1) is
+        prime to the table's primes."""
+        assert len(table) == period
+        for q in range(998, 998 + period):
+            assert _pair_sieved(q) == (
+                oracle_sieved(q) and oracle_sieved(2 * q + 1)), q
+        for w in range(period):
+            assert table[w] == (gcd(w * (2 * w + 1), period) == 1), w
+
+    def test_medium_stage_primes_lie_below_the_least_q(self):
+        """The second stage's primes lie in [1000, 2^14), and 2^14 is the
+        least q that a 16-bit search draws, so every prime pair above it
+        passes the stage."""
+        assert prod(sympy.primerange(1000, 1 << 14)) % _MEDIUM_PRIMORIAL == 0
+        for q in sympy.primerange(1 << 14, 1 << 15):
+            if sympy.isprime(2 * q + 1):
+                assert gcd(q * (2 * q + 1), _MEDIUM_PRIMORIAL) == 1, q
+
+    @settings(max_examples=300)
+    @given(sized_ints(15, 256))
+    def test_medium_stage_rejects_only_composite_pairs(self, q):
+        if gcd(q * (2 * q + 1), _MEDIUM_PRIMORIAL) != 1:
+            assert not (sympy.isprime(q) and sympy.isprime(2 * q + 1))
 
     def test_fermat_passes_every_odd_prime(self):
         assert all(_fermat(p) for p in sympy.primerange(3, 20_000))

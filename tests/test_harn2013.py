@@ -291,6 +291,15 @@ class TestTokenMatchesPerPolynomialFormula:
         with pytest.raises(DegenerateShareSet):
             harn_compute_token(creds[0], params, [1, 5, 2, 5])
 
+    def test_group_without_owner_rejected(self):
+        """The scheme math refuses a group that leaves out the member
+        computing the token, as `xia_compute_token` does, and stores no
+        numerators for it."""
+        params, creds, _ = harn_gm_init(5, 2, prime_bits=64, rng_seed=21)
+        with pytest.raises(NotAMember, match="omits 1"):
+            harn_compute_token(creds[0], params, [2, 3])
+        assert params._numerators == {}
+
 
 class TestNumeratorMemo:
     """The params' per-group numerator memo changes no token and grows
