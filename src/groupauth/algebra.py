@@ -455,17 +455,18 @@ def random_safe_prime(bits: int, rng: random.Random) -> tuple:
 def _jacobi(a: int, n: int) -> int:
     """Jacobi symbol (a/n) for an odd n > 0: 1, -1, or 0 if gcd(a, n) > 1.
 
-    The standard binary algorithm: strip factors of two, then swap by
-    quadratic reciprocity, so the cost grows like a gcd rather than like
-    a modular power.
+    The standard binary algorithm: strip the factors of two in one
+    shift, (2/n) flipping the sign when their count is odd and n is 3 or
+    5 mod 8, then swap by quadratic reciprocity, so the cost grows like a
+    gcd rather than like a modular power.
     """
     a %= n
     result = 1
     while a:
-        while not a & 1:
-            a >>= 1
-            if n & 7 in (3, 5):
-                result = -result
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        if twos & 1 and n & 7 in (3, 5):
+            result = -result
         a, n = n, a
         if a & n & 3 == 3:
             result = -result

@@ -12,6 +12,10 @@ adversary can always speak last within a round. A send reaches its
 recipients in the order its record lists them, before the next send does.
 Every send and every decision is appended to a JSONL-serialisable
 transcript that records both the claimed sender and the true origin.
+
+Parties take sends, not single deliveries: the registered parties' class
+supplies `receive(envelope, targets)`, and the run loop calls it once
+per send with the (party, api) pairs of its recipients, in order.
 """
 
 import json
@@ -380,7 +384,8 @@ class ChannelSimulator:
         self.transcript = Transcript()
         self.max_events = max_events
         self._parties = {}
-        self._apis = {}
+        self._targets = {}  # party id -> (party, its api)
+        self._receive = None  # the registered parties' class's receive
         self._fanout = {}  # sender -> its recipients; reset by register
         self._adversary = None
         self._adversary_api = None
@@ -389,15 +394,22 @@ class ChannelSimulator:
     # -- registration ------------------------------------------------------
 
     def register(self, party) -> PartyAPI:
+        """Add a party; every party of one channel shares its class's
+        `receive`, which takes each send in one call."""
         pid = party.party_id
         if pid == ADVERSARY_ID:
             raise UnknownParty("party id 0 is reserved for the adversary")
         if pid in self._parties:
             raise UnknownParty("party %d registered twice" % pid)
+        receive = type(party).receive
+        if self._receive not in (None, receive):
+            raise UnknownParty("party %d takes sends through another "
+                               "receive than the parties registered" % pid)
+        self._receive = receive
         self._parties[pid] = party
         self._fanout.clear()
         api = PartyAPI(self, pid)
-        self._apis[pid] = api
+        self._targets[pid] = (party, api)
         return api
 
     def register_adversary(self, script) -> AdversaryAPI:
@@ -452,19 +464,20 @@ class ChannelSimulator:
         )
 
     def run_until_quiescent(self) -> Transcript:
-        """Deliver queued sends until none is pending; `max_events`
-        caps single deliveries, not sends."""
-        handlers = {pid: (party.on_envelope, self._apis[pid])
-                    for pid, party in self._parties.items()}
+        """Deliver queued sends until none is pending, each in one
+        `receive` call; `max_events` caps single deliveries, not sends,
+        so a send that overruns it reaches the recipients that fit."""
+        receive, target = self._receive, self._targets.__getitem__
         delivered = 0
         while len(self.schedule):
             envelope, recipients = self.schedule.pop()
-            for recipient in recipients:
-                if delivered >= self.max_events:
-                    raise SimulationDiverged(
-                        "delivery budget of %d exhausted" % self.max_events
-                    )
-                on_envelope, api = handlers[recipient]
-                on_envelope(envelope, api)
-                delivered += 1
+            room = self.max_events - delivered
+            targets = [*map(target, recipients[:room])]
+            if targets:
+                receive(envelope, targets)
+            if len(recipients) > room:
+                raise SimulationDiverged(
+                    "delivery budget of %d exhausted" % self.max_events
+                )
+            delivered += len(recipients)
         return self.transcript

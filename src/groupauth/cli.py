@@ -597,8 +597,9 @@ def audit_transcript(transcript: Transcript,
     Each party 1..n is played by the replay form of the party class that
     ran live, in two passes over the envelope records: the first checks
     them all and collects what each genuine origin sent, the second hands
-    each record, in seq order, to its recipients and then, if genuine, to
-    its origin (an invitation as a `SentInvitation`). The decisions they
+    each record, in seq order, to its recipients in one `receive` call and
+    then, if genuine, to its origin in another (an invitation as a
+    `SentInvitation`). The decisions they
     reach must equal the recorded ones; the adversary bookkeeping is
     judged as the report judges it (`_judge`). Raises AuditFailure on the
     first inconsistency between the wire data and the recorded decisions,
@@ -616,7 +617,11 @@ def audit_transcript(transcript: Transcript,
     envelopes, decisions = transcript.envelopes(), transcript.decisions()
     recorded = {pid: {} for pid in range(1, config.n + 1)}
     known = frozenset(recorded)
-    deliveries = []  # (envelope, the ids of the replay parties it reaches)
+    # party id -> (its replay form, the api that collects its decisions)
+    replays = {pid: (scheme(pid, None, material, recorded=sent),
+                     _ReplayAPI()) for pid, sent in recorded.items()}
+    target = replays.__getitem__
+    deliveries = []  # (envelope, the replay (party, api) pairs it reaches)
     for record in envelopes:
         envelope = Envelope.from_record(record)
         recipients = record["recipients"]
@@ -624,7 +629,7 @@ def audit_transcript(transcript: Transcript,
             raise AuditFailure("envelope %d reached unknown party %d" % (
                 record["seq"], next(pid for pid in recipients
                                     if pid not in known)))
-        deliveries.append((envelope, recipients))
+        deliveries.append((envelope, [*map(target, recipients)]))
         if is_forged(record):
             continue
         origin = record["true_origin"]
@@ -639,7 +644,7 @@ def audit_transcript(transcript: Transcript,
                                     []).append(envelope.payload)
         if envelope.round == ROUND_INVITATION:
             envelope = SentInvitation(**vars(envelope))
-        deliveries.append((envelope, (origin,)))
+        deliveries.append((envelope, (replays[origin],)))
     decided = {pid: [] for pid in recorded}
     for record in decisions:
         if record["party"] not in decided:
@@ -649,15 +654,12 @@ def audit_transcript(transcript: Transcript,
             (tuple(record["session"]), record["accepted"],
              record["members"], record["reason"])
         )
-    handlers = {pid: (scheme(pid, None, material, recorded=sent).on_envelope,
-                      _ReplayAPI()) for pid, sent in recorded.items()}
-    for envelope, pids in deliveries:
-        for pid in pids:
-            on_envelope, api = handlers[pid]
-            on_envelope(envelope, api)
+    receive = scheme.receive
+    for envelope, targets in deliveries:
+        receive(envelope, targets)
     problems = ["party %d decided %r but the wire data says %r"
                 % (pid, decided[pid], replayed)
-                for pid, (_, replayed) in handlers.items()
+                for pid, (_, replayed) in replays.items()
                 if decided[pid] != replayed]
     forged, outcomes, judged = _judge(config, material, envelopes, decisions)
     if not judged["forged_count_matches"]:
@@ -670,7 +672,7 @@ def audit_transcript(transcript: Transcript,
             "forged envelopes reached parties other than the victims")
     checks = {
         "decisions_match_wire": sum(len(replayed)
-                                    for _, replayed in handlers.values()),
+                                    for _, replayed in replays.values()),
         "forged_count": len(forged),
     }
     if config.scenario in ATTACK_SCENARIOS:

@@ -34,7 +34,7 @@ from .algebra import (
     random_prime,
     residue_digest,
 )
-from .errors import InvalidThreshold, NotAMember
+from .errors import DegenerateShareSet, InvalidThreshold, NotAMember
 
 SCHEME_TAG = "harn2013"
 
@@ -148,9 +148,9 @@ def harn_compute_token(credential: HarnCredential, params: HarnParams,
     so that summing over all m members telescopes to s when m >= t. All k
     weights come from one `lagrange_coefficient` call, given the numerators
     that the params' memo keeps per sorted group, so a token costs O(k + m)
-    and one inversion, and its sum runs in C. A repeated id leaves the
-    memo no entry; `lagrange_coefficient` then raises DegenerateShareSet,
-    unless the repeat is the owner's, which `others` drops.
+    and one inversion, and its sum runs in C. A group that repeats any
+    id, the owner's included, raises DegenerateShareSet: the memo keeps
+    no numerators for it.
     """
     own = credential.owner.value
     if own not in group or not params.all_members(group):
@@ -159,6 +159,8 @@ def harn_compute_token(credential: HarnCredential, params: HarnParams,
     others = [i for i in group if i != own]
     targets, p = params._interpolation
     numerators = params._numerators[tuple(sorted(group))]
+    if numerators is None:
+        raise DegenerateShareSet("group %s repeats an id" % list(group))
     weights = lagrange_coefficient(targets, own, others, p, numerators)
     return sum(map(mul, map(mul, params._d, credential.tokens), weights)) % p
 

@@ -1,10 +1,11 @@
 """Honest participants: one round engine, one class per scheme, and the
 world runner.
 
-Parties are event handlers: the simulator calls on_envelope for every
-delivery, and the party reacts by broadcasting or by recording a
-decision. Parties never see who really sent an envelope; they trust
-claimed_sender, which is the whole point of the exercise.
+Parties are event handlers: the simulator hands each send once to the
+class's `receive`, with every (party, api) pair it reaches in order, and
+each party reacts by broadcasting or by recording a decision. Parties
+never see who really sent an envelope; they trust claimed_sender, which
+is the whole point of the exercise.
 
 Both schemes have one shape: after an invitation, each member broadcasts
 one contribution per round (masked-product: a commitment, then a token;
@@ -18,10 +19,10 @@ outside the view, duplicates and malformed payloads are ignored rather
 than treated as fatal. The params all parties share own the wire
 format: the engine writes each contribution with their `encode_own`,
 which stores it as decoded so that no party checks it, and reads the
-rest with their `decode`. Work that depends only on wire values and the
-public material (decode, invitations, a group's Lagrange numerators,
-xia2019's masks and aggregate check) runs once per world, in those
-params; every check left per delivery is O(1).
+rest with their `decode`, once per send. Work that depends only on wire
+values and the public material (decode, invitations, a group's Lagrange
+numerators, xia2019's masks and aggregate check) runs once per world, in
+those params; every check left per recipient is O(1).
 
 `HarnParty` and `XiaParty` are the two schemes (see `Party` for what a
 scheme class answers), and `SCHEMES` maps each wire tag to its class; a
@@ -165,37 +166,55 @@ class Party:
         api.broadcast(invitation)
         self._join(parsed[0], parsed[1], session_id, api, own=True)
 
+    @staticmethod
+    def receive(envelope: Envelope, targets) -> None:
+        """Take one send: `targets` are the (party, api) pairs it reaches,
+        in the order its record lists them. The envelope is read once and
+        its payload decoded at most once per params object; an invitation
+        goes to each target's `on_envelope`."""
+        (scheme, session_id), round_ = envelope.session, envelope.round
+        if round_ == ROUND_INVITATION:
+            for party, api in targets:
+                party.on_envelope(envelope, api)
+            return
+        sender, payload = envelope.claimed_sender, envelope.payload
+        decoded_by = value = None
+        for party, api in targets:
+            if scheme != party.scheme:
+                continue
+            session = party.sessions.get(session_id)
+            if session is None or round_ != session.round:
+                continue
+            # first-wins intake; a party's own contribution never comes
+            # from the wire
+            received = session.current
+            if (sender == party.party_id or sender not in session.members
+                    or sender in received):
+                continue
+            if party.params is not decoded_by:
+                decoded_by, value = party.params, party.decode(payload)
+            if value is None:
+                continue
+            received[sender] = value
+            if len(received) == len(session.view):
+                party._advance(session, api)
+
     def on_envelope(self, envelope: Envelope, api: PartyAPI) -> None:
-        """Take one delivery. In the replay form, a `SentInvitation` is
-        replayed as the `initiate` that sent it."""
+        """Take one delivery: an invitation here, anything else through
+        `receive` with this party as the only target. In the replay form,
+        a `SentInvitation` is replayed as the `initiate` that sent it."""
+        if envelope.round != ROUND_INVITATION:
+            Party.receive(envelope, ((self, api),))
+            return
         scheme, session_id = envelope.session
         if scheme != self.scheme:
             return
-        round_ = envelope.round
-        if round_ == ROUND_INVITATION:
-            parsed = self.params.invitation(envelope.payload)
-            if (parsed is None or parsed[2] != session_id
-                    or self.party_id not in parsed[1]):
-                return
-            self._join(parsed[0], parsed[1], session_id, api,
-                       own=isinstance(envelope, SentInvitation))
+        parsed = self.params.invitation(envelope.payload)
+        if (parsed is None or parsed[2] != session_id
+                or self.party_id not in parsed[1]):
             return
-        session = self.sessions.get(session_id)
-        if session is None or round_ != session.round:
-            return
-        # first-wins intake; a party's own contribution never comes from
-        # the wire
-        sender = envelope.claimed_sender
-        received = session.current
-        if (sender == self.party_id or sender not in session.members
-                or sender in received):
-            return
-        value = self.decode(envelope.payload)
-        if value is None:
-            return
-        received[sender] = value
-        if len(received) == len(session.view):
-            self._advance(session, api)
+        self._join(parsed[0], parsed[1], session_id, api,
+                   own=isinstance(envelope, SentInvitation))
 
     def _join(self, view: tuple, members: frozenset, session_id: int,
               api: PartyAPI, own: bool) -> None:
@@ -266,7 +285,8 @@ class HarnParty(Party):
     scheme = HARN_TAG
     rounds = (ROUND_TOKEN,)
     # perfbench/tracer.py wraps the on_envelope in each party class's own
-    # __dict__, so both classes keep this entry until it wraps Party's.
+    # __dict__, so both classes keep this entry until it wraps Party's; it
+    # times invitations and single deliveries, not per-send intake
     on_envelope = Party.on_envelope
 
     @staticmethod
@@ -302,7 +322,8 @@ class XiaParty(Party):
     rounds = (ROUND_COMMITMENT, ROUND_TOKEN)
     per_session_generators = True
     draws_nonces = True
-    # kept for the benchmark's tracer, as in HarnParty
+    # kept for the benchmark's tracer, as in HarnParty (invitations and
+    # single deliveries only)
     on_envelope = Party.on_envelope
 
     @staticmethod

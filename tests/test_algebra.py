@@ -443,6 +443,62 @@ class TestMembershipTest:
         assert _jacobi(0, 23) == 0
         assert _jacobi(23, 23) == 0
 
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 97, 101, 10_007,
+                                   *SAFE_PRIMES],
+                             ids=lambda p: str(p) if p < 10 ** 6
+                             else "%d-bit" % p.bit_length())
+    def test_jacobi_is_eulers_criterion_for_prime_n(self, p):
+        """(a/p) = a^((p-1)/2) mod p, as 1, -1 or 0, for odd a and even
+        a, multiples of p and values past p alike."""
+        rng = random.Random(p)
+        values = range(2 * p + 1) if p < 200 else [
+            rng.randrange(1, p) << shift for shift in range(12)
+            for _ in range(40)] + [0, p, 2 * p, p << 64]
+        for a in values:
+            euler = pow(a, (p - 1) // 2, p)
+            assert _jacobi(a, p) == (-1 if euler == p - 1 else euler), a
+
+
+def jacobi_by_single_shifts(a: int, n: int) -> int:
+    """The binary Jacobi algorithm stripping one factor of two per step,
+    as `_jacobi` did before it stripped them in one shift."""
+    a %= n
+    result = 1
+    while a:
+        while not a & 1:
+            a >>= 1
+            if n & 7 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a & n & 3 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+class TestJacobiShift:
+    """`_jacobi` gives the symbol of the one-factor-per-step loop."""
+
+    @settings(max_examples=300)
+    @given(n=st.integers(0, 2 ** 130).map(lambda k: 2 * k + 1),
+           a=st.integers(0, 2 ** 140), twos=st.integers(0, 70))
+    def test_matches_the_single_shift_loop(self, n, a, twos):
+        for value in (a, a << twos, 0):
+            assert _jacobi(value, n) == jacobi_by_single_shifts(value, n)
+
+    @pytest.mark.parametrize("n", [1, 9, 15, 21, 45, 105, 3 * 5 * 7 * 11,
+                                   P64 * Q64, 3 ** 20, 3 * (2 ** 61 - 1)],
+                             ids=lambda n: str(n) if n < 10 ** 6
+                             else "%d-bit" % n.bit_length())
+    def test_matches_on_odd_composites_and_one(self, n):
+        rng = random.Random(n)
+        values = [0, 1, 2, 4, 6, 8, n - 1, n, n + 1, 2 * n, 1 << 100]
+        values += [rng.randrange(n + 1) << rng.randrange(9)
+                   for _ in range(300)]
+        for a in values:
+            assert _jacobi(a, n) == jacobi_by_single_shifts(a, n), a
+        assert _jacobi(0, 1) == _jacobi(6, 1) == 1
+
 
 class TestUncheckedResults:
     """Powers are plain ints that skip the membership test; each must

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupauth.adversary import BINDINGS
 from groupauth.algebra import derive_rng
 from groupauth.channel import (
     ADVERSARY_ID,
@@ -27,6 +28,13 @@ from groupauth.channel import (
     encode_json_hex,
     encode_residue_hex,
     hex_width,
+    invitation_envelope,
+)
+from groupauth.cli import (
+    DEMOS,
+    ScenarioConfig,
+    audit_transcript,
+    run_scenario,
 )
 from groupauth.errors import (
     MalformedTranscript,
@@ -34,8 +42,8 @@ from groupauth.errors import (
     UnknownParty,
 )
 from groupauth.harn2013 import harn_gm_init
-from groupauth.parties import HarnParty, XiaParty, run_world
-from groupauth.xia2019 import xia_gm_init
+from groupauth.parties import SCHEMES, HarnParty, XiaParty, run_world
+from groupauth.xia2019 import SCHEME_TAG as XIA_TAG, xia_gm_init
 
 from conftest import RecordingAPI
 
@@ -47,8 +55,10 @@ class Recorder:
         self.party_id = party_id
         self.received = []
 
-    def on_envelope(self, envelope, api):
-        self.received.append(envelope)
+    @staticmethod
+    def receive(envelope, targets):
+        for party, _ in targets:
+            party.received.append(envelope)
 
 
 class PingPong:
@@ -57,13 +67,15 @@ class PingPong:
     def __init__(self, party_id):
         self.party_id = party_id
 
-    def on_envelope(self, envelope, api):
-        api.broadcast(Envelope(
-            claimed_sender=self.party_id,
-            session=("harn2013", 1),
-            round=ROUND_TOKEN,
-            payload="00",
-        ))
+    @staticmethod
+    def receive(envelope, targets):
+        for party, api in targets:
+            api.broadcast(Envelope(
+                claimed_sender=party.party_id,
+                session=("harn2013", 1),
+                round=ROUND_TOKEN,
+                payload="00",
+            ))
 
 
 class Echo:
@@ -76,10 +88,12 @@ class Echo:
         self.log = log
         self.reacts = reacts
 
-    def on_envelope(self, envelope, api):
-        self.log.append((envelope.claimed_sender, self.party_id))
-        if self.reacts and envelope.payload != "echo":
-            api.broadcast(env(sender=self.party_id, payload="echo"))
+    @staticmethod
+    def receive(envelope, targets):
+        for party, api in targets:
+            party.log.append((envelope.claimed_sender, party.party_id))
+            if party.reacts and envelope.payload != "echo":
+                api.broadcast(env(sender=party.party_id, payload="echo"))
 
 
 def env(sender=1, session=("harn2013", 1), round_=ROUND_TOKEN, payload="ab"):
@@ -198,6 +212,16 @@ class TestBroadcast:
             sim.register(Recorder(1))
         with pytest.raises(UnknownParty):
             sim.register(Recorder(ADVERSARY_ID))
+
+    def test_party_with_another_receive_rejected(self):
+        """Every party of one channel takes sends through one `receive`,
+        so the run loop needs one call per send."""
+        sim = ChannelSimulator()
+        sim.register(Recorder(1))
+        with pytest.raises(UnknownParty):
+            sim.register(Echo(2, []))
+        sim.register(Recorder(2))  # the refused party left no trace
+        assert sorted(sim._parties) == [1, 2]
 
     def test_seq_is_unique_and_monotonic(self):
         sim = ChannelSimulator()
@@ -737,3 +761,93 @@ def test_envelope_in_the_recipients_own_name_is_dropped(scheme, issue):
         scheme.rounds[0]: {1: params.decode(contribution.payload)}}
     assert session.round == scheme.rounds[0]
     assert api.broadcasts == api.decisions == []
+
+
+# ---------------------------------------------------------------------------
+# per-send intake
+
+
+def per_target(scheme):
+    """`scheme` taking each send one recipient at a time: its `receive`
+    hands every target the envelope through that target's `on_envelope`."""
+
+    class PerTarget(scheme):
+        @staticmethod
+        def receive(envelope, targets):
+            for party, api in targets:
+                party.on_envelope(envelope, api)
+
+    return PerTarget
+
+
+def scenario_bytes(raw: dict) -> tuple:
+    """transcript.jsonl of a fresh run of `raw`, and its audit's checks."""
+    transcript, _ = run_scenario(ScenarioConfig.from_json(raw))
+    return (transcript.to_jsonl(),
+            audit_transcript(transcript, ScenarioConfig.from_json(raw)))
+
+
+@settings(max_examples=60)
+@given(name=st.sampled_from(sorted(DEMOS)), bits=st.integers(32, 64),
+       seed=st.integers(0, 2 ** 32))
+def test_one_receive_per_send_matches_one_call_per_recipient(name, bits,
+                                                              seed):
+    """Honest, quorum, tamper and attack worlds of both schemes write the
+    same transcript, and their audits return the same checks, whether
+    each send reaches its recipients in one `receive` call or one
+    `on_envelope` call each."""
+    raw = dict(DEMOS[name]["config"], prime_bits=bits, seed=seed)
+    per_send = scenario_bytes(raw)
+    scheme = SCHEMES[raw["scheme"]]
+    reference = per_target(scheme)
+    binding = BINDINGS[scheme]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(SCHEMES, raw["scheme"], reference)
+        patch.setitem(BINDINGS, reference,
+                      type(binding.__name__, (binding,),
+                           {"party": reference}))
+        assert scenario_bytes(raw) == per_send
+
+
+def test_one_receive_applies_each_skip_per_target():
+    """One commitment from party 1, handed in one call to six xia
+    parties: only the fresh member that lacks it stores it. The same
+    send under the other scheme's tag reaches no session."""
+    params, creds, _ = xia_gm_init(6, 2, ell=1, prime_bits=64, rng_seed=46)
+    sent = RecordingAPI()
+    XiaParty(1, creds[0], params, derive_rng(46, "party", 1)).initiate(
+        [1, 4, 5], 1, sent)
+    invitation, commitment = sent.broadcasts
+    value = params.decode(commitment.payload)
+    other = params.generator_for(1).value  # a commitment it did not send
+
+    def party(pid, *deliveries, replay=False):
+        built = (XiaParty(pid, None, params, recorded={}) if replay else
+                 XiaParty(pid, creds[pid - 1], params,
+                          derive_rng(46, "party", pid)))
+        api = RecordingAPI()
+        for envelope in deliveries:
+            built.on_envelope(envelope, api)
+        return built, api
+
+    no_session = party(2)
+    other_round = party(3, invitation_envelope(XIA_TAG, 1, 1, [1, 3]),
+                        commitment)
+    assert other_round[0].sessions[1].round == ROUND_TOKEN
+    claimed_sender = party(1, invitation, replay=True)
+    outsider = party(6, invitation_envelope(XIA_TAG, 2, 1, [2, 3, 6]))
+    holder = party(4, invitation, replace(commitment,
+                                          payload=params.encode(other)))
+    fresh = party(5, invitation)
+    other_scheme = party(5, invitation)
+    XiaParty.receive(replace(commitment, session=(HarnParty.scheme, 1)),
+                     [other_scheme])
+    assert 1 not in other_scheme[0].sessions[1].current
+    XiaParty.receive(commitment, [no_session, other_round, claimed_sender,
+                                  outsider, holder, fresh])
+    assert no_session[0].sessions == {}
+    assert 1 not in other_round[0].sessions[1].current
+    assert claimed_sender[0].sessions[1].current == {}
+    assert 1 not in outsider[0].sessions[1].received[ROUND_COMMITMENT]
+    assert holder[0].sessions[1].current[1] == other
+    assert fresh[0].sessions[1].current[1] == value

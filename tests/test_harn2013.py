@@ -300,6 +300,16 @@ class TestTokenMatchesPerPolynomialFormula:
             harn_compute_token(creds[0], params, [2, 3])
         assert params._numerators == {}
 
+    def test_repeated_owner_rejected(self):
+        """A group that names the owner twice is refused like any other
+        repeat, not taken as the group with one copy of the owner."""
+        params, creds, _ = harn_gm_init(5, 2, prime_bits=64, rng_seed=21)
+        with pytest.raises(DegenerateShareSet):
+            harn_compute_token(creds[0], params, [1, 1, 2])
+        with pytest.raises(DegenerateShareSet):
+            harn_compute_token(creds[0], params, [2, 1, 3, 1])
+        assert params._numerators == {}
+
 
 class TestNumeratorMemo:
     """The params' per-group numerator memo changes no token and grows
