@@ -383,7 +383,6 @@ class ChannelSimulator:
         self.schedule = DeliverySchedule()
         self.transcript = Transcript()
         self.max_events = max_events
-        self._parties = {}
         self._targets = {}  # party id -> (party, its api)
         self._receive = None  # the registered parties' class's receive
         self._fanout = {}  # sender -> its recipients; reset by register
@@ -399,14 +398,13 @@ class ChannelSimulator:
         pid = party.party_id
         if pid == ADVERSARY_ID:
             raise UnknownParty("party id 0 is reserved for the adversary")
-        if pid in self._parties:
+        if pid in self._targets:
             raise UnknownParty("party %d registered twice" % pid)
         receive = type(party).receive
         if self._receive not in (None, receive):
             raise UnknownParty("party %d takes sends through another "
                                "receive than the parties registered" % pid)
         self._receive = receive
-        self._parties[pid] = party
         self._fanout.clear()
         api = PartyAPI(self, pid)
         self._targets[pid] = (party, api)
@@ -429,12 +427,12 @@ class ChannelSimulator:
         Blocked links are dropped silently; the tap sees the envelope even
         when every delivery is blocked.
         """
-        if sender not in self._parties:
+        if sender not in self._targets:
             raise UnknownParty("broadcast from unregistered party %r" % sender)
         recipients = self._fanout.get(sender)
         if recipients is None:
             recipients = self._fanout[sender] = tuple(sorted(
-                self._parties.keys() - self.policy.cut_from(sender)
+                self._targets.keys() - self.policy.cut_from(sender)
                 - {sender}))
         self.transcript.append_envelope(self._next_seq(), envelope, sender,
                                         recipients)
@@ -450,7 +448,7 @@ class ChannelSimulator:
         if len(set(recipients)) != len(recipients):
             raise MalformedTranscript("inject names a recipient twice")
         for pid in recipients:
-            if pid not in self._parties:
+            if pid not in self._targets:
                 raise UnknownParty("cannot inject to unknown party %r" % pid)
         recipients = tuple(sorted(recipients))
         self.transcript.append_envelope(self._next_seq(), envelope,

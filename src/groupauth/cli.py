@@ -599,8 +599,8 @@ def audit_transcript(transcript: Transcript,
     them all and collects what each genuine origin sent, the second hands
     each record, in seq order, to its recipients in one `receive` call and
     then, if genuine, to its origin in another (an invitation as a
-    `SentInvitation`). The decisions they
-    reach must equal the recorded ones; the adversary bookkeeping is
+    `SentInvitation`). The decisions they reach must equal the recorded
+    ones; the adversary bookkeeping is
     judged as the report judges it (`_judge`). Raises AuditFailure on the
     first inconsistency between the wire data and the recorded decisions,
     on a party id outside 1..n (as recipient, genuine sender or decider),
@@ -617,11 +617,7 @@ def audit_transcript(transcript: Transcript,
     envelopes, decisions = transcript.envelopes(), transcript.decisions()
     recorded = {pid: {} for pid in range(1, config.n + 1)}
     known = frozenset(recorded)
-    # party id -> (its replay form, the api that collects its decisions)
-    replays = {pid: (scheme(pid, None, material, recorded=sent),
-                     _ReplayAPI()) for pid, sent in recorded.items()}
-    target = replays.__getitem__
-    deliveries = []  # (envelope, the replay (party, api) pairs it reaches)
+    deliveries = []  # (envelope, the ids of the replay parties it reaches)
     for record in envelopes:
         envelope = Envelope.from_record(record)
         recipients = record["recipients"]
@@ -629,7 +625,7 @@ def audit_transcript(transcript: Transcript,
             raise AuditFailure("envelope %d reached unknown party %d" % (
                 record["seq"], next(pid for pid in recipients
                                     if pid not in known)))
-        deliveries.append((envelope, [*map(target, recipients)]))
+        deliveries.append((envelope, recipients))
         if is_forged(record):
             continue
         origin = record["true_origin"]
@@ -644,7 +640,7 @@ def audit_transcript(transcript: Transcript,
                                     []).append(envelope.payload)
         if envelope.round == ROUND_INVITATION:
             envelope = SentInvitation(**vars(envelope))
-        deliveries.append((envelope, (replays[origin],)))
+        deliveries.append((envelope, (origin,)))
     decided = {pid: [] for pid in recorded}
     for record in decisions:
         if record["party"] not in decided:
@@ -654,9 +650,12 @@ def audit_transcript(transcript: Transcript,
             (tuple(record["session"]), record["accepted"],
              record["members"], record["reason"])
         )
-    receive = scheme.receive
-    for envelope, targets in deliveries:
-        receive(envelope, targets)
+    # party id -> (its replay form, the api that collects its decisions)
+    replays = {pid: (scheme(pid, None, material, recorded=sent),
+                     _ReplayAPI()) for pid, sent in recorded.items()}
+    receive, target = scheme.receive, replays.__getitem__
+    for envelope, pids in deliveries:
+        receive(envelope, tuple(map(target, pids)))
     problems = ["party %d decided %r but the wire data says %r"
                 % (pid, decided[pid], replayed)
                 for pid, (_, replayed) in replays.items()

@@ -221,7 +221,7 @@ class TestBroadcast:
         with pytest.raises(UnknownParty):
             sim.register(Echo(2, []))
         sim.register(Recorder(2))  # the refused party left no trace
-        assert sorted(sim._parties) == [1, 2]
+        assert sorted(sim._targets) == [1, 2]
 
     def test_seq_is_unique_and_monotonic(self):
         sim = ChannelSimulator()
@@ -596,7 +596,7 @@ def build_harn_world(n=4, t=2, seed=22, policy=None):
 class TestHonestRuns:
     def test_xia_round_counts_and_decisions(self):
         params, _, _, sim, apis = build_xia_world(n=4, t=2, seed=31)
-        first = sim._parties[1]
+        first = sim._targets[1][0]
         first.initiate([1, 2, 3], 1, apis[1])
         transcript = sim.run_until_quiescent()
         by_round = {}
@@ -626,7 +626,7 @@ class TestHonestRuns:
 
     def test_nonmembers_stay_silent(self):
         params, _, _, sim, apis = build_xia_world(n=5, t=2, seed=33)
-        sim._parties[1].initiate([1, 2], 1, apis[1])
+        sim._targets[1][0].initiate([1, 2], 1, apis[1])
         transcript = sim.run_until_quiescent()
         origins = {r["true_origin"] for r in transcript.envelopes()}
         assert origins == {1, 2}
@@ -635,7 +635,7 @@ class TestHonestRuns:
 
     def test_quorum_violation_rejects_everywhere(self):
         params, _, _, sim, apis = build_xia_world(n=4, t=3, seed=34)
-        sim._parties[1].initiate([1, 2], 1, apis[1])
+        sim._targets[1][0].initiate([1, 2], 1, apis[1])
         transcript = sim.run_until_quiescent()
         decisions = transcript.decisions()
         assert len(decisions) == 2
@@ -653,7 +653,7 @@ class TestHonestRuns:
     def test_same_seed_means_identical_transcript(self):
         def run(seed):
             _, _, _, sim, apis = build_xia_world(n=4, t=2, seed=seed)
-            sim._parties[1].initiate([1, 2, 3, 4], 1, apis[1])
+            sim._targets[1][0].initiate([1, 2, 3, 4], 1, apis[1])
             return sim.run_until_quiescent().to_jsonl()
 
         assert run(41) == run(41)
@@ -665,7 +665,7 @@ class TestHonestRuns:
         # p - 1 = -1 is a non-residue: p = 2q + 1 with q odd is 3 mod 4
         bad = encode_residue_hex(p - 1, p)
         adversary = sim.register_adversary(TapCollector())
-        sim._parties[1].initiate([1, 2], 1, apis[1])
+        sim._targets[1][0].initiate([1, 2], 1, apis[1])
         for _ in range(2):
             adversary.inject(
                 env(sender=2, session=("xia2019", 1),
@@ -698,10 +698,10 @@ class TestHonestRuns:
 
     def test_xia_session_reuse_is_refused(self):
         params, _, _, sim, apis = build_xia_world(n=4, t=2, ell=1, seed=36)
-        sim._parties[1].initiate([1, 2], 1, apis[1])
+        sim._targets[1][0].initiate([1, 2], 1, apis[1])
         sim.run_until_quiescent()
         # second run with the same sigma: both members refuse
-        sim._parties[1].initiate([1, 3], 1, apis[1])
+        sim._targets[1][0].initiate([1, 3], 1, apis[1])
         transcript = sim.run_until_quiescent()
         exhausted = [
             d for d in transcript.decisions()

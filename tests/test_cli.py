@@ -532,12 +532,12 @@ def reinvited_world(scheme, forge_own_invitation=False):
         cred.owner.value, cred, material,
         derive_rng(36, "party", cred.owner.value))) for cred in creds}
     adversary = sim.register_adversary(SimpleNamespace(on_tap=lambda e, a: 0))
-    sim._parties[1].initiate([1, 2], 1, apis[1])
+    sim._targets[1][0].initiate([1, 2], 1, apis[1])
     sim.run_until_quiescent()
     if forge_own_invitation:
         adversary.inject(invitation_envelope(scheme, 1, 1, [1, 3]), [1])
     else:
-        sim._parties[1].initiate([1, 3], 1, apis[1])
+        sim._targets[1][0].initiate([1, 3], 1, apis[1])
     return sim.run_until_quiescent(), config
 
 
