@@ -1,14 +1,14 @@
 """Prime-field and prime-order-subgroup arithmetic.
 
 The math runs on plain arbitrary-precision ints: polynomial evaluation
-and Lagrange weights mod a prime, and powers in the order-q subgroup of
-Z_p* for a safe prime p = 2q + 1 (by `pow`, or from a `fixed_base_table`
-for a base raised many times). Two small value types remain:
-FieldElement, a canonical residue that holds the dealer's material other
-than harn shares, and GroupElement, a subgroup member that only its
-checking constructor builds: for the dealer's generators and for each
-wire value. `group_exp` returns a plain int, since a power cannot leave
-the subgroup.
+and Lagrange-weighted sums mod a prime, and powers in the order-q
+subgroup of Z_p* for a safe prime p = 2q + 1 (by `pow`, or from a
+`fixed_base_table` for a base raised many times). Two small value types
+remain: FieldElement, a canonical residue that holds the dealer's
+material other than harn shares, and GroupElement, a subgroup member
+that only its checking constructor builds: for the dealer's generators
+and for each wire value. `group_exp` returns a plain int, since a power
+cannot leave the subgroup.
 
 Randomness is simulation-grade: callers pass a seeded random.Random (or a
 seed) so that every derived object is reproducible byte for byte. Nothing
@@ -106,33 +106,27 @@ def poly_eval_points(coefficients, xs, modulus: int) -> list:
     return acc
 
 
-def lagrange_coefficient(targets, own: int, others, modulus: int,
-                         numerators=None) -> tuple:
-    """Lagrange basis values  prod_r (target - x_r) / (own - x_r)  mod a
-    prime, one int per target in `targets`.
+def lagrange_coefficient(targets, values, own: int, others, modulus: int,
+                         numerators=None) -> int:
+    """sum_j values[j] * L_j mod a prime, where L_j is the Lagrange basis
+    value  prod_r (targets[j] - x_r) / (own - x_r),  1 at a target equal
+    to `own`.
 
-    `others` lists every evaluation position except `own`. Multiplying a
-    share f(own) by a target's weight contributes to the interpolation
-    of f(target) from the full point set. Positions are reduced mod
-    `modulus` first; duplicates among them (within `others`, or `own`
-    appearing in `others`) make the denominator vanish and are rejected,
-    naming the first repeat in the order of `others`. Otherwise the
-    shared denominator prod_r (own - x_r) is a product of nonzero
-    residues mod a prime, so it is invertible. It is formed once, by one
-    `math.prod` and one reduction (the callers' positions are party ids,
-    so it stays a few hundred bits), and inverted once, so k
-    weights for one point set cost one inversion and k numerator
-    products, each formed the same way.
+    `others` lists every evaluation position except `own`, so a share
+    f(own) times L_j is its part of f(targets[j]). Positions are reduced
+    mod `modulus` first; a repeat among them (or `own` in `others`) makes
+    the denominator vanish and is rejected, naming the first one in the
+    order of `others`. `values`, and `numerators` if given, hold one int
+    per target (ValueError otherwise). `numerators[j]` is N_j, the
+    product of (targets[j] - x) over the whole point set, `own`
+    included: the caller's to get right, since checking it would cost
+    what it saves; without it, each is one `math.prod`.
 
-    `numerators`, if given, holds one int per target: the product of
-    (target - x) over the whole point set, `own` included. It is the
-    caller's to get right, since checking it would cost what it saves;
-    the positions are still checked as above. Each weight is then that
-    product divided by (target - own) and by the denominator, and all
-    those divisors are inverted together by Montgomery's trick, so k
-    weights cost O(k + m) for m positions and one inversion.
+    With g_j = targets[j] - own and D = prod_r (own - x_r), L_j = N_j /
+    (g_j * D), so one pass keeps the sum as a fraction num / den
+    (num <- num * g_j + v_j * N_j * den, den <- den * g_j), and one
+    inversion of den * D, a product of nonzero residues, ends it.
     """
-    targets = tuple(targets)
     own %= modulus
     positions = [x % modulus for x in others]
     if len({own, *positions}) <= len(positions):
@@ -142,36 +136,19 @@ def lagrange_coefficient(targets, own: int, others, modulus: int,
                 raise DegenerateShareSet("duplicate evaluation position %d"
                                          % x)
             seen.add(x)
-    den = prod([own - x for x in positions]) % modulus
-    if numerators is not None:
-        return _divide_numerators(targets, own, den, tuple(numerators),
-                                  modulus)
-    inverse = pow(den, -1, modulus)
-    return tuple(prod([target - x for x in positions]) * inverse % modulus
-                 for target in targets)
-
-
-def _divide_numerators(targets, own: int, den: int, numerators: tuple,
-                       modulus: int) -> tuple:
-    """Weights numerators[j] / ((target_j - own) * den), with one
-    inversion for all of them (Montgomery's trick)."""
-    if len(numerators) != len(targets):
-        raise ValueError("need one numerator per target")
-    gaps = [(target - own) % modulus for target in targets]
-    # a target at `own` has weight 1; its numerator holds the zero factor
-    # (own - own), so stand in den / den
-    tops = [num if gap else den for num, gap in zip(numerators, gaps)]
-    gaps = [gap or 1 for gap in gaps]
-    prefix = [1]  # prefix[j] = gaps[0] * ... * gaps[j-1]
-    for gap in gaps:
-        prefix.append(prefix[-1] * gap % modulus)
-    inverse = pow(den * prefix[-1] % modulus, -1, modulus)
-    weights = [None] * len(gaps)
-    for j in reversed(range(len(gaps))):
-        # inverse = 1 / (den * gaps[0] * ... * gaps[j])
-        weights[j] = tops[j] * inverse * prefix[j] % modulus
-        inverse = inverse * gaps[j] % modulus
-    return tuple(weights)
+    if numerators is None:
+        numerators = [prod([target - x for x in positions]) * (target - own)
+                      for target in targets]
+    num, den, at_own = 0, 1, 0
+    for target, value, top in zip(targets, values, numerators, strict=True):
+        gap = (target - own) % modulus
+        if gap:
+            num = (num * gap + value * top * den) % modulus
+            den = den * gap % modulus
+        else:
+            at_own += value
+    den = den * prod([own - x for x in positions]) % modulus
+    return (num * pow(den, -1, modulus) + at_own) % modulus
 
 
 @dataclass(frozen=True)
@@ -193,7 +170,8 @@ class ThresholdParams:
     may return an int subclass that carries the extra fields. Every
     party of one world shares one params object, so a broadcast is
     checked once, not once per recipient. `_numerators` keeps each
-    group's Lagrange numerators (`_view_numerators`). The memos live as
+    group's Lagrange numerators, each scaled by a constant the scheme
+    names (`_view_numerators`). The memos live as
     long as the params, which serve one world, and have no bound.
     """
 
@@ -242,16 +220,18 @@ class ThresholdParams:
         return group_ids, frozenset(group_ids), session
 
     def _view_numerators(self, points: tuple) -> tuple:
-        """prod_{x in points} (target - x) for each target that a subclass
-        names, with their modulus, in `_interpolation`, for a point set
-        of sorted ids; DegenerateShareSet if an id repeats."""
+        """scale * prod_{x in points} (target - x) for each target and
+        scale that a subclass names, with their modulus, in
+        `_interpolation`, for a point set of sorted ids;
+        DegenerateShareSet if an id repeats."""
         if len(set(points)) != len(points):
             raise DegenerateShareSet("repeated id in %s" % list(points))
-        targets, modulus = self._interpolation
-        numerators = [1] * len(targets)
-        for j, target in enumerate(targets):
+        targets, scales, modulus = self._interpolation
+        numerators = []
+        for target, numerator in zip(targets, scales):
             for x in points:
-                numerators[j] = numerators[j] * (target - x) % modulus
+                numerator = numerator * (target - x) % modulus
+            numerators.append(numerator)
         return tuple(numerators)
 
 

@@ -1,13 +1,15 @@
 """Token-sum group authentication over masked threshold shares.
 
 The issuer splits a secret s across k masked polynomials: it publishes
-distinct evaluation positions w_1..w_k and weights d_1..d_k chosen so that
-sum_j d_j * f_j(w_j) = s, and hands participant x_i the share vector
-(f_1(x_i), ..., f_k(x_i)). To authenticate as part of a group, each member
-releases one scalar that folds its shares toward the w_j positions with
-Lagrange weights; the sum of all released scalars equals s exactly when
-every listed member contributed. Verification compares H(sum) with the
-published H(s), so the scheme is one-time: a completed run reveals s.
+distinct evaluation positions w_1..w_k and weights d_1..d_k chosen so
+that sum_j d_j * f_j(w_j) = s, and hands participant x_i the share
+vector (f_1(x_i), ..., f_k(x_i)). To authenticate as part of a group,
+each member releases one scalar, its shares weighted by d_j and by the
+Lagrange weights toward the w_j positions and summed in one pass (see
+`lagrange_coefficient`); the sum of all released scalars equals s
+exactly when every listed member contributed. Verification compares
+H(sum) with the published H(s), so the scheme is one-time: a completed
+run reveals s.
 
 Arithmetic is mod a public prime chosen at issuance time; participant
 identifiers are the field elements 1..n. The secret, identifiers,
@@ -23,7 +25,6 @@ around it (the invitation, who must have spoken, the quorum rule) is
 import random
 from dataclasses import dataclass, field
 from math import ceil
-from operator import mul
 
 from .algebra import (
     FieldElement,
@@ -44,7 +45,8 @@ class HarnParams(ThresholdParams):
     """Everything the issuer publishes: the prime `modulus`, positions w,
     weights d and H(s). A wire value is a residue mod the prime, in the
     default format of `ThresholdParams`. Tokens interpolate toward the
-    positions w, so a group's numerators are c_j = prod_r (w_j - x_r).
+    positions w, and a group's numerators carry the weights d: its memo
+    entry is d_j * prod_r (w_j - x_r) per position.
     """
 
     k: int
@@ -53,7 +55,6 @@ class HarnParams(ThresholdParams):
     d: tuple  # k FieldElements with sum_j d_j f_j(w_j) = s
     secret_hash: bytes
     _interpolation: tuple = field(init=False, repr=False, compare=False)
-    _d: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
@@ -66,10 +67,10 @@ class HarnParams(ThresholdParams):
             raise ValueError("positions w must be distinct")
         if not self._ids.isdisjoint(positions):
             raise ValueError("positions w must avoid participant identifiers")
-        # w and d as ints, read by every token
+        # w and d as ints: each group's numerators, scaled by d
         object.__setattr__(self, "_interpolation",
-                           (tuple(x.value for x in self.w), self.modulus))
-        object.__setattr__(self, "_d", tuple(dj.value for dj in self.d))
+                           (tuple(x.value for x in self.w),
+                            tuple(dj.value for dj in self.d), self.modulus))
 
 
 @dataclass(frozen=True)
@@ -145,24 +146,24 @@ def harn_compute_token(credential: HarnCredential, params: HarnParams,
     non-participant (`parties.Party` checks both, and the quorum, before
     any token). The scalar is
         sum_j d_j * f_j(x_own) * lagrange(w_j; x_own, others)
-    so that summing over all m members telescopes to s when m >= t. All k
-    weights come from one `lagrange_coefficient` call, given the numerators
-    that the params' memo keeps per sorted group, so a token costs O(k + m)
-    and one inversion, and its sum runs in C. A group that repeats any
-    id, the owner's included, raises DegenerateShareSet: the memo keeps
-    no numerators for it.
+    so that summing over all m members telescopes to s when m >= t. It is
+    one `lagrange_coefficient` call with the shares as its values and the
+    numerators that the params' memo keeps per sorted group, d_j already
+    folded in: one pass over the k positions and one inversion. A group
+    that repeats any id, the owner's included, raises DegenerateShareSet:
+    the memo keeps no numerators for it.
     """
     own = credential.owner.value
     if own not in group or not params.all_members(group):
         raise NotAMember("group %s omits %d or names a non-participant"
                          % (list(group), own))
     others = [i for i in group if i != own]
-    targets, p = params._interpolation
+    targets, _, p = params._interpolation
     numerators = params._numerators[tuple(sorted(group))]
     if numerators is None:
         raise DegenerateShareSet("group %s repeats an id" % list(group))
-    weights = lagrange_coefficient(targets, own, others, p, numerators)
-    return sum(map(mul, map(mul, params._d, credential.tokens), weights)) % p
+    return lagrange_coefficient(targets, credential.tokens, own, others, p,
+                                numerators)
 
 
 def harn_aggregate(values, prime: int) -> int:

@@ -116,7 +116,7 @@ class XiaParams(ThresholdParams):
 
     @property
     def _interpolation(self) -> tuple:
-        return (0,), self.group.q
+        return (0,), (1,), self.group.q
 
     def _check(self, payload: str) -> int:
         """Wire value -> subgroup element as an int."""
@@ -203,9 +203,10 @@ def xia_compute_token(credential: XiaCredential, params: XiaParams,
                          % own)
     ids = sorted(commitments)
     others = [peer for peer in ids if peer != own]
-    weight, = lagrange_coefficient((0,), own, others, params.group.q,
-                                   params._numerators[tuple(ids)])
-    base = params.power(session, credential.share.value * weight)
+    exponent = lagrange_coefficient((0,), (credential.share.value,), own,
+                                    others, params.group.q,
+                                    params._numerators[tuple(ids)])
+    base = params.power(session, exponent)
     prefix, inverse = params._masks[tuple(commitments[i] for i in ids)]
     below = prefix[ids.index(own)]
     return base * pow(below * below * commitments[own] * inverse % p,

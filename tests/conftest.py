@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from groupauth import cli
+from groupauth.algebra import lagrange_coefficient
 from groupauth.channel import ADVERSARY_ID, ROUND_INVITATION
 
 settings.register_profile(
@@ -57,6 +58,17 @@ OTHER_INVITATION_SPELLINGS = (
     '{"group":[2,1],"session":1}',
     '{"group": [1, 2], "session": 1}',
 )
+
+
+def lagrange_weights(targets, own, others, modulus, numerators=None) -> tuple:
+    """Each target's Lagrange weight, read as the sum that
+    `lagrange_coefficient` returns for that target's unit `values`
+    vector."""
+    targets = tuple(targets)
+    units = [[int(i == j) for i in range(len(targets))]
+             for j in range(len(targets))]
+    return tuple(lagrange_coefficient(targets, unit, own, others, modulus,
+                                      numerators) for unit in units)
 
 
 @functools.cache

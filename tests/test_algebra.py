@@ -56,6 +56,7 @@ from conftest import (
     Q64,
     SAFE_PRIMES,
     SMALL_PRIME,
+    lagrange_weights,
 )
 
 
@@ -133,7 +134,7 @@ def interpolate(points, target, p, numerators=False):
     acc = 0
     for x, y in points:
         others = [o for o in xs if o != x]
-        weight, = lagrange_coefficient((target,), x, others, p, shared)
+        weight, = lagrange_weights((target,), x, others, p, shared)
         acc = (acc + y * weight) % p
     return acc
 
@@ -185,19 +186,19 @@ class TestPolynomial:
 
 class TestLagrange:
     def test_two_point_weights_mod_23(self):
-        assert lagrange_coefficient((0,), 1, [2], SMALL_PRIME) == (2,)
-        assert lagrange_coefficient((0,), 2, [1], SMALL_PRIME) == (22,)
+        assert lagrange_weights((0,), 1, [2], SMALL_PRIME) == (2,)
+        assert lagrange_weights((0,), 2, [1], SMALL_PRIME) == (22,)
 
     def test_duplicate_positions_rejected(self):
         with pytest.raises(DegenerateShareSet):
-            lagrange_coefficient((0,), 1, [1], SMALL_PRIME)
+            lagrange_weights((0,), 1, [1], SMALL_PRIME)
         with pytest.raises(DegenerateShareSet):
-            lagrange_coefficient((0,), 1, [2, 2], SMALL_PRIME)
+            lagrange_weights((0,), 1, [2, 2], SMALL_PRIME)
         # positions are compared mod p
         with pytest.raises(DegenerateShareSet):
-            lagrange_coefficient((0,), 1, [1 + SMALL_PRIME], SMALL_PRIME)
+            lagrange_weights((0,), 1, [1 + SMALL_PRIME], SMALL_PRIME)
         with pytest.raises(DegenerateShareSet):
-            lagrange_coefficient((0,), 1, [2, 2 - SMALL_PRIME], SMALL_PRIME)
+            lagrange_weights((0,), 1, [2, 2 - SMALL_PRIME], SMALL_PRIME)
 
     @pytest.mark.parametrize("others, named", [
         ([2, 3, 2], 2),
@@ -215,7 +216,7 @@ class TestLagrange:
             with pytest.raises(DegenerateShareSet,
                                match="^duplicate evaluation position %d$"
                                % named):
-                lagrange_coefficient((0,), 1, others, SMALL_PRIME,
+                lagrange_weights((0,), 1, others, SMALL_PRIME,
                                      numerators)
 
     def test_inputs_reduced_mod_p(self, rng):
@@ -225,12 +226,12 @@ class TestLagrange:
         xs = rng.sample(range(1, 10_000), 4)
         targets = [rng.randrange(p) for _ in range(3)]
         numerators = full_numerators(targets, xs, p)
-        weights = lagrange_coefficient(targets, xs[0], xs[1:], p)
+        weights = lagrange_weights(targets, xs[0], xs[1:], p)
         assert all(0 <= w < p for w in weights)
         shifted = ([v - p for v in targets], xs[0] + p,
                    [x + 2 * p for x in xs[1:]], p)
-        assert lagrange_coefficient(*shifted) == weights
-        assert lagrange_coefficient(*shifted, numerators) == weights
+        assert lagrange_weights(*shifted) == weights
+        assert lagrange_weights(*shifted, numerators) == weights
 
     def test_target_sequence_equals_single_target_calls(self, rng):
         p = P64
@@ -239,24 +240,24 @@ class TestLagrange:
             own, others = xs[0], xs[1:]
             targets = [rng.randrange(p) for _ in range(7)]
             targets.append(0)
-            weights = lagrange_coefficient(targets, own, others, p)
+            weights = lagrange_weights(targets, own, others, p)
             assert isinstance(weights, tuple)
             assert weights == tuple(
-                lagrange_coefficient((target,), own, others, p)[0]
+                lagrange_weights((target,), own, others, p)[0]
                 for target in targets
             )
 
     def test_empty_target_sequence(self):
-        assert lagrange_coefficient((), 1, [2, 3], SMALL_PRIME) == ()
-        assert lagrange_coefficient([], 1, [], SMALL_PRIME) == ()
+        assert lagrange_coefficient((), (), 1, [2, 3], SMALL_PRIME) == 0
+        assert lagrange_coefficient([], [], 1, [], SMALL_PRIME) == 0
 
     def test_duplicate_positions_rejected_for_target_sequence(self):
         with pytest.raises(DegenerateShareSet):
-            lagrange_coefficient([0, 5], 1, [1], SMALL_PRIME)
+            lagrange_weights([0, 5], 1, [1], SMALL_PRIME)
         with pytest.raises(DegenerateShareSet):
-            lagrange_coefficient([0, 5], 1, [2, 2], SMALL_PRIME)
+            lagrange_weights([0, 5], 1, [2, 2], SMALL_PRIME)
         with pytest.raises(DegenerateShareSet):
-            lagrange_coefficient((), 1, [3, 2, 3], SMALL_PRIME)
+            lagrange_coefficient((), (), 1, [3, 2, 3], SMALL_PRIME)
 
     @given(st.data())
     def test_shared_numerators_equal_sequence_form(self, data):
@@ -271,16 +272,46 @@ class TestLagrange:
             max_size=8))
         own, others = xs[0], xs[1:]
         numerators = full_numerators(targets, xs, p)
-        assert (lagrange_coefficient(targets, own, others, p, numerators)
-                == lagrange_coefficient(targets, own, others, p))
+        assert (lagrange_weights(targets, own, others, p, numerators)
+                == lagrange_weights(targets, own, others, p))
 
     def test_shared_numerators_keep_the_checks(self):
         with pytest.raises(DegenerateShareSet):
-            lagrange_coefficient([0], 1, [2, 2], SMALL_PRIME, [0])
+            lagrange_weights([0], 1, [2, 2], SMALL_PRIME, [0])
         with pytest.raises(DegenerateShareSet):
-            lagrange_coefficient([0], 1, [1], SMALL_PRIME, [0])
+            lagrange_weights([0], 1, [1], SMALL_PRIME, [0])
         with pytest.raises(ValueError):
-            lagrange_coefficient([0, 5], 1, [2], SMALL_PRIME, [2])
+            lagrange_weights([0, 5], 1, [2], SMALL_PRIME, [2])
+
+    @pytest.mark.parametrize("values", [[], [1], [1, 2, 3]])
+    def test_values_of_the_wrong_length_rejected(self, values):
+        for numerators in (None, [2, 3]):
+            with pytest.raises(ValueError):
+                lagrange_coefficient([0, 5], values, 1, [2], SMALL_PRIME,
+                                     numerators)
+
+    @given(st.data())
+    def test_folded_sum_matches_naive_oracle(self, data):
+        """The one-pass sum equals sum_j v_j * L_j, each L_j the oracle's
+        basis polynomial of `own` evaluated at targets[j], for targets at
+        `own` (weight 1), at another position and off every position,
+        with and without shared numerators."""
+        p = data.draw(st.sampled_from([SMALL_PRIME, MEDIUM_PRIME, Q64]))
+        xs = data.draw(st.lists(st.integers(0, p - 1), min_size=1,
+                                max_size=8, unique=True))
+        own, others = xs[0], xs[1:]
+        targets = data.draw(st.lists(
+            st.one_of(st.just(own), st.sampled_from(xs),
+                      st.integers(0, p - 1)), max_size=8))
+        values = data.draw(st.lists(st.integers(0, p - 1),
+                                    min_size=len(targets),
+                                    max_size=len(targets)))
+        basis = [(own, 1)] + [(x, 0) for x in others]
+        expect = sum(value * naive_interpolate_at(basis, target, p)
+                     for target, value in zip(targets, values)) % p
+        for numerators in (None, full_numerators(targets, xs, p)):
+            assert lagrange_coefficient(targets, values, own, others, p,
+                                        numerators) == expect
 
     @given(st.data())
     def test_weights_match_naive_oracle(self, data):
@@ -301,7 +332,7 @@ class TestLagrange:
         repeated = data.draw(st.sampled_from(xs)) + p
         for shared in (None, [0]):
             with pytest.raises(DegenerateShareSet):
-                lagrange_coefficient((target,), xs[0], [*xs[1:], repeated],
+                lagrange_weights((target,), xs[0], [*xs[1:], repeated],
                                      p, shared)
 
     def test_three_point_reconstruction_matches_naive_oracle(self):
@@ -316,7 +347,7 @@ class TestLagrange:
             got = 0
             for x, y in pts:
                 others = [o for o, _ in pts if o != x]
-                lam, = lagrange_coefficient((target,), x, others, p)
+                lam, = lagrange_weights((target,), x, others, p)
                 got = (got + y * lam) % p
             assert got == expect
 

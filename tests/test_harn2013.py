@@ -11,14 +11,14 @@ import gc
 import random
 import weakref
 from dataclasses import replace
-from math import ceil
+from math import ceil, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupauth import harn2013
-from groupauth.algebra import lagrange_coefficient, poly_eval
+from groupauth.algebra import poly_eval
 from groupauth.channel import (
     BeliefState,
     Envelope,
@@ -44,6 +44,7 @@ from groupauth.parties import HarnParty
 from conftest import (
     OTHER_INVITATION_SPELLINGS,
     RecordingAPI,
+    lagrange_weights,
     load_regen_vectors,
 )
 
@@ -56,7 +57,7 @@ def interpolated_position_value(params, credentials, j, member_ids):
     for cred in chosen:
         own = cred.owner.value
         others = [c.owner.value for c in chosen if c.owner.value != own]
-        lam, = lagrange_coefficient((params.w[j].value,), own, others, p)
+        lam, = lagrange_weights((params.w[j].value,), own, others, p)
         acc = (acc + cred.tokens[j] * lam) % p
     return acc
 
@@ -69,7 +70,7 @@ def per_polynomial_token(params, cred, member_ids):
     others = [i for i in member_ids if i != own]
     acc = 0
     for j in range(params.k):
-        lam, = lagrange_coefficient((params.w[j].value,), own, others, p)
+        lam, = lagrange_weights((params.w[j].value,), own, others, p)
         acc = (acc + params.d[j].value * cred.tokens[j] * lam) % p
     return acc
 
@@ -329,6 +330,16 @@ class TestNumeratorMemo:
             per_polynomial_token(params, c, group) for c in members
         ]
         assert harn_aggregate(warm, params.modulus) == s.value
+
+    def test_memo_entry_is_d_times_the_group_product(self):
+        """A group's entry is d_j * prod_{x in group} (w_j - x) mod p per
+        position, so a token needs no separate product with d."""
+        params, creds, _ = harn_gm_init(5, 2, prime_bits=64, rng_seed=54)
+        group, p = (1, 3, 4), params.modulus
+        harn_compute_token(creds[0], params, list(group))
+        assert params._numerators[group] == tuple(
+            dj.value * prod(wj.value - x for x in group) % p
+            for wj, dj in zip(params.w, params.d))
 
     def test_degenerate_group_leaves_no_entry(self):
         params, creds, _ = harn_gm_init(6, 2, prime_bits=48, rng_seed=52)

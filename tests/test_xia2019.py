@@ -21,7 +21,6 @@ from groupauth.algebra import (
     derive_rng,
     fixed_base_table,
     group_exp,
-    lagrange_coefficient,
     residue_digest,
 )
 from groupauth.channel import (
@@ -51,6 +50,7 @@ from groupauth.xia2019 import (
 from conftest import (
     OTHER_INVITATION_SPELLINGS,
     RecordingAPI,
+    lagrange_weights,
     load_regen_vectors,
 )
 
@@ -121,7 +121,7 @@ class TestSetup:
         for c in creds[1:4]:
             own = c.owner.value
             others = [x for x in chosen if x != own]
-            weight, = lagrange_coefficient((0,), own, others, q)
+            weight, = lagrange_weights((0,), own, others, q)
             acc = (acc + c.share.value * weight) % q
         assert acc == s.value
 
@@ -460,7 +460,7 @@ class TestMaskAndNumeratorMemos:
             if own not in commitments:
                 continue
             others = [i for i in view if i != own]
-            weight, = lagrange_coefficient((0,), own, others, params.group.q)
+            weight, = lagrange_weights((0,), own, others, params.group.q)
             assert xia_compute_token(cred, params, 1, commitments,
                                      nonces[own]) == (
                 group_exp(g, cred.share.value * weight)
@@ -471,15 +471,15 @@ class TestMaskAndNumeratorMemos:
     def test_shared_numerator_gives_the_direct_weight(self):
         params, _, _ = setup_small(n=7, t=2, seed=65)
         q = params.group.q
-        targets, modulus = params._interpolation
-        assert (targets, modulus) == ((0,), q)
+        targets, scales, modulus = params._interpolation
+        assert (targets, scales, modulus) == ((0,), (1,), q)
         for view in ([1, 2], [2, 5, 7], list(range(1, 8))):
             for own in view:
                 others = [i for i in view if i != own]
                 shared = params._numerators[tuple(view)]
-                assert lagrange_coefficient(
+                assert lagrange_weights(
                     targets, own, others, modulus, shared
-                ) == lagrange_coefficient((0,), own, others, q)
+                ) == lagrange_weights((0,), own, others, q)
         assert len(params._numerators) == 3
 
     def test_flooded_party_stores_one_mask_entry_per_index(self):
@@ -645,7 +645,7 @@ class TestTokenComputation:
         share_part = 1
         for i in member_ids:
             others = [j for j in member_ids if j != i]
-            weight, = lagrange_coefficient((0,), i, others, q)
+            weight, = lagrange_weights((0,), i, others, q)
             share_part = share_part * group_exp(
                 g, by_id[i].share.value * weight) % p
         token_product = xia_aggregate(tokens, p)
@@ -750,7 +750,7 @@ class TestVerification:
             product = 1
             for i in member_ids:
                 others = [j for j in member_ids if j != i]
-                weight, = lagrange_coefficient((0,), i, others, q)
+                weight, = lagrange_weights((0,), i, others, q)
                 # nonce masks cancel regardless of quorum, so the product
                 # reduces to the share part alone
                 product = product * group_exp(
