@@ -171,8 +171,8 @@ class ThresholdParams:
     party of one world shares one params object, so a broadcast is
     checked once, not once per recipient. `_numerators` keeps each
     group's Lagrange numerators, each scaled by a constant the scheme
-    names (`_view_numerators`). The memos live as
-    long as the params, which serve one world, and have no bound.
+    names (`_view_numerators`). The memos live as long as the params,
+    which serve one world, and have no bound.
     """
 
     n: int

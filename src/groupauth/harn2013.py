@@ -1,15 +1,14 @@
 """Token-sum group authentication over masked threshold shares.
 
 The issuer splits a secret s across k masked polynomials: it publishes
-distinct evaluation positions w_1..w_k and weights d_1..d_k chosen so
-that sum_j d_j * f_j(w_j) = s, and hands participant x_i the share
-vector (f_1(x_i), ..., f_k(x_i)). To authenticate as part of a group,
-each member releases one scalar, its shares weighted by d_j and by the
-Lagrange weights toward the w_j positions and summed in one pass (see
-`lagrange_coefficient`); the sum of all released scalars equals s
-exactly when every listed member contributed. Verification compares
-H(sum) with the published H(s), so the scheme is one-time: a completed
-run reveals s.
+distinct evaluation positions w_1..w_k and weights d_1..d_k chosen so that
+sum_j d_j * f_j(w_j) = s, and hands participant x_i the share vector
+(f_1(x_i), ..., f_k(x_i)). To authenticate as part of a group, each member
+releases one scalar, its shares weighted by d_j and by Lagrange weights
+toward the w_j, summed in one pass (`lagrange_coefficient`); the sum of all
+released scalars equals s exactly when every listed member contributed.
+Verification compares H(sum) with the published H(s), so the scheme is
+one-time: a completed run reveals s.
 
 Arithmetic is mod a public prime chosen at issuance time; participant
 identifiers are the field elements 1..n. The secret, identifiers,
