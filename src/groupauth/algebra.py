@@ -86,18 +86,10 @@ class FieldElement:
         object.__setattr__(self, "value", self.value % self.modulus)
 
 
-def poly_eval(coefficients, x: int, modulus: int) -> int:
-    """Horner evaluation mod `modulus` of the polynomial whose int
-    coefficients are listed constant term first."""
-    acc = 0
-    for coeff in reversed(coefficients):
-        acc = (acc * x + coeff) % modulus
-    return acc
-
-
 def poly_eval_points(coefficients, xs, modulus: int) -> list:
-    """`poly_eval` at every int of the list `xs`, in order: Horner over
-    all the points at once, one list pass per coefficient below the
+    """The polynomial whose int coefficients are listed constant term
+    first, mod `modulus`, at every int of the list `xs`, in order: Horner
+    over all the points at once, one list pass per coefficient below the
     leading one (there must be one)."""
     *lower, top = coefficients
     acc = [top % modulus] * len(xs)
@@ -106,39 +98,19 @@ def poly_eval_points(coefficients, xs, modulus: int) -> list:
     return acc
 
 
-def lagrange_coefficient(targets, values, own: int, others, modulus: int,
-                         numerators=None) -> int:
-    """sum_j values[j] * L_j mod a prime, where L_j is the Lagrange basis
-    value  prod_r (targets[j] - x_r) / (own - x_r),  1 at a target equal
-    to `own`.
+def lagrange_coefficient(targets, values, own: int, modulus: int,
+                         numerators, inverse: int) -> int:
+    """sum_j values[j] * L_j mod a prime, L_j the Lagrange basis value
+    prod_r (targets[j] - x_r) / (own - x_r) over the other points x_r (1
+    at a target equal to `own`), from the point set's memo entry
+    (`ThresholdParams._view_numerators`): N_j = `numerators[j]`, one per
+    target (ValueError otherwise), and `inverse` = 1 / D(own).
 
-    `others` lists every evaluation position except `own`, so a share
-    f(own) times L_j is its part of f(targets[j]). Positions are reduced
-    mod `modulus` first; a repeat among them (or `own` in `others`) makes
-    the denominator vanish and is rejected, naming the first one in the
-    order of `others`. `values`, and `numerators` if given, hold one int
-    per target (ValueError otherwise). `numerators[j]` is N_j, the
-    product of (targets[j] - x) over the whole point set, `own`
-    included: the caller's to get right, since checking it would cost
-    what it saves; without it, each is one `math.prod`.
-
-    With g_j = targets[j] - own and D = prod_r (own - x_r), L_j = N_j /
-    (g_j * D), so one pass keeps the sum as a fraction num / den
-    (num <- num * g_j + v_j * N_j * den, den <- den * g_j), and one
-    inversion of den * D, a product of nonzero residues, ends it.
+    With g_j = targets[j] - own, L_j = N_j / (g_j * D(own)), so one pass
+    keeps the sum as a fraction num / den (num <- num * g_j + v_j * N_j *
+    den, den <- den * g_j) and one inversion of den, the product of the
+    gaps, ends it.
     """
-    own %= modulus
-    positions = [x % modulus for x in others]
-    if len({own, *positions}) <= len(positions):
-        seen = {own}  # name the first repeat, in the order of `others`
-        for x in positions:
-            if x in seen:
-                raise DegenerateShareSet("duplicate evaluation position %d"
-                                         % x)
-            seen.add(x)
-    if numerators is None:
-        numerators = [prod([target - x for x in positions]) * (target - own)
-                      for target in targets]
     num, den, at_own = 0, 1, 0
     for target, value, top in zip(targets, values, numerators, strict=True):
         gap = (target - own) % modulus
@@ -147,8 +119,7 @@ def lagrange_coefficient(targets, values, own: int, others, modulus: int,
             den = den * gap % modulus
         else:
             at_own += value
-    den = den * prod([own - x for x in positions]) % modulus
-    return (num * pow(den, -1, modulus) + at_own) % modulus
+    return (num * pow(den, -1, modulus) * inverse + at_own) % modulus
 
 
 @dataclass(frozen=True)
@@ -171,8 +142,9 @@ class ThresholdParams:
     party of one world shares one params object, so a broadcast is
     checked once, not once per recipient. `_numerators` keeps each
     group's Lagrange numerators, each scaled by a constant the scheme
-    names (`_view_numerators`). The memos live as long as the params,
-    which serve one world, and have no bound.
+    names, and its members' inverted denominators (`_view_numerators`).
+    The memos live as long as the params, which serve one world, and
+    have no bound.
     """
 
     n: int
@@ -220,19 +192,33 @@ class ThresholdParams:
         return group_ids, frozenset(group_ids), session
 
     def _view_numerators(self, points: tuple) -> tuple:
-        """scale * prod_{x in points} (target - x) for each target and
-        scale that a subclass names, with their modulus, in
-        `_interpolation`, for a point set of sorted ids;
-        DegenerateShareSet if an id repeats."""
-        if len(set(points)) != len(points):
-            raise DegenerateShareSet("repeated id in %s" % list(points))
+        """For a point set of sorted ids and the targets, scales and
+        modulus that a subclass names in `_interpolation`: the numerators
+        scale * prod_{x in points} (target - x), and a dict from each id
+        `own` to 1 / D(own) = 1 / prod_{x != own} (own - x), inverted
+        together with one `pow` (Montgomery's trick). DegenerateShareSet
+        names the first id that repeats one mod the modulus."""
         targets, scales, modulus = self._interpolation
+        residues = [x % modulus for x in points]
+        if len(set(residues)) < len(residues):
+            x = next(x for i, x in enumerate(residues) if x in residues[:i])
+            raise DegenerateShareSet("duplicate evaluation position %d" % x)
         numerators = []
         for target, numerator in zip(targets, scales):
-            for x in points:
+            for x in residues:
                 numerator = numerator * (target - x) % modulus
             numerators.append(numerator)
-        return tuple(numerators)
+        denominators = [prod([own - x for x in residues if x != own])
+                        % modulus for own in residues]
+        prefix = [1]  # prefix[i] is the product of the first i
+        for d in denominators:
+            prefix.append(prefix[-1] * d % modulus)
+        inverse, inverses = pow(prefix.pop(), -1, modulus), {}
+        for x, d, before in zip(reversed(points), reversed(denominators),
+                                reversed(prefix)):
+            inverses[x] = inverse * before % modulus
+            inverse = inverse * d % modulus
+        return tuple(numerators), inverses
 
 
 class _Memo(dict):
@@ -240,10 +226,11 @@ class _Memo(dict):
     on first lookup. Whatever value the check returns is kept, False
     included; a key it rejects is not, so a hit runs no Python code and
     junk never grows the memo. Five computations run once per world this
-    way: decode, invitations and Lagrange numerators (`ThresholdParams`),
-    and xia's masks and verdicts. `check` is a method of the params that
-    own the memo, held weakly so that the two form no cycle; the memo
-    serves only while they live."""
+    way: decode, invitations and each group's Lagrange numerators and
+    inverted denominators (`ThresholdParams`), and xia's masks and
+    verdicts. `check` is a method of the params that own the memo, held
+    weakly so that the two form no cycle; the memo serves only while
+    they live."""
 
     def __init__(self, check):
         self.check = weakref.WeakMethod(check)

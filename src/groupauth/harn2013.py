@@ -29,7 +29,6 @@ from .algebra import (
     FieldElement,
     ThresholdParams,
     lagrange_coefficient,
-    poly_eval,
     poly_eval_points,
     random_prime,
     residue_digest,
@@ -45,7 +44,7 @@ class HarnParams(ThresholdParams):
     weights d and H(s). A wire value is a residue mod the prime, in the
     default format of `ThresholdParams`. Tokens interpolate toward the
     positions w, and a group's numerators carry the weights d: its memo
-    entry is d_j * prod_r (w_j - x_r) per position.
+    entry holds d_j * prod_r (w_j - x_r) per position.
     """
 
     k: int
@@ -115,12 +114,12 @@ def harn_gm_init(n: int, t: int, prime_bits: int = 64,
     # free weights for the first k-1 polynomials (the zip below stops with
     # d), then solve the last one; resample f_k until f_k(w_k) is invertible
     d = [FieldElement(rng.randrange(p), p) for _ in range(k - 1)]
-    partial = sum(dj.value * poly_eval(f, wj.value, p)
+    partial = sum(dj.value * poly_eval_points(f, [wj.value], p)[0]
                   for dj, f, wj in zip(d, polys, w)) % p
-    last = poly_eval(polys[-1], w[-1].value, p)
+    last, = poly_eval_points(polys[-1], [w[-1].value], p)
     while last == 0:
         polys[-1] = draw_polynomial()
-        last = poly_eval(polys[-1], w[-1].value, p)
+        last, = poly_eval_points(polys[-1], [w[-1].value], p)
     d.append(FieldElement((s.value - partial) * pow(last, -1, p), p))
 
     params = HarnParams(
@@ -147,22 +146,23 @@ def harn_compute_token(credential: HarnCredential, params: HarnParams,
         sum_j d_j * f_j(x_own) * lagrange(w_j; x_own, others)
     so that summing over all m members telescopes to s when m >= t. It is
     one `lagrange_coefficient` call with the shares as its values and the
-    numerators that the params' memo keeps per sorted group, d_j already
-    folded in: one pass over the k positions and one inversion. A group
-    that repeats any id, the owner's included, raises DegenerateShareSet:
-    the memo keeps no numerators for it.
+    params' memo entry for the sorted group (numerators with d_j folded
+    in, and the owner's 1 / D): one pass over the k positions and one
+    inversion, of the product of the k gaps. A group that repeats any
+    id, the owner's included, raises DegenerateShareSet: the memo keeps
+    no entry for it.
     """
     own = credential.owner.value
     if own not in group or not params.all_members(group):
         raise NotAMember("group %s omits %d or names a non-participant"
                          % (list(group), own))
-    others = [i for i in group if i != own]
-    targets, _, p = params._interpolation
-    numerators = params._numerators[tuple(sorted(group))]
-    if numerators is None:
+    entry = params._numerators[tuple(sorted(group))]
+    if entry is None:
         raise DegenerateShareSet("group %s repeats an id" % list(group))
-    return lagrange_coefficient(targets, credential.tokens, own, others, p,
-                                numerators)
+    targets, _, p = params._interpolation
+    numerators, inverses = entry
+    return lagrange_coefficient(targets, credential.tokens, own, p,
+                                numerators, inverses[own])
 
 
 def harn_aggregate(values, prime: int) -> int:

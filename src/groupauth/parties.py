@@ -21,9 +21,9 @@ format: the engine writes each contribution with their `encode_own`,
 which stores it as decoded so that no party checks it, and reads the
 rest with their `decode`, once per send. Work that depends only on wire
 values and the public material (decode, invitations, a group's Lagrange
-numerators, harn2013's scaled by d, xia2019's masks and aggregate
-check) runs once per world, in those params; every check left per
-recipient is O(1).
+numerators, harn2013's scaled by d, and its members' inverted
+denominators, xia2019's masks and aggregate check) runs once per world,
+in those params; every check left per recipient is O(1).
 
 `HarnParty` and `XiaParty` are the two schemes (see `Party` for what a
 scheme class answers), and `SCHEMES` maps each wire tag to its class; a

@@ -195,17 +195,17 @@ def xia_compute_token(credential: XiaCredential, params: XiaParams,
 
     `commitments` maps every member of the session's group, this one
     included, to its commitment; the group is its key set. `nonce` is
-    the u_i behind this member's own commitment.
+    the u_i behind this member's own commitment. L_i's one gap, -x_i,
+    inverts cheaply; 1 / D(x_i) comes from the group's memo entry.
     """
     p, own = params.group.p, credential.owner.value
     if own not in commitments or not params.all_members(commitments):
         raise NotAMember("commitments omit %d or name a non-participant"
                          % own)
     ids = sorted(commitments)
-    others = [peer for peer in ids if peer != own]
+    numerators, inverses = params._numerators[tuple(ids)]
     exponent = lagrange_coefficient((0,), (credential.share.value,), own,
-                                    others, params.group.q,
-                                    params._numerators[tuple(ids)])
+                                    params.group.q, numerators, inverses[own])
     base = params.power(session, exponent)
     prefix, inverse = params._masks[tuple(commitments[i] for i in ids)]
     below = prefix[ids.index(own)]

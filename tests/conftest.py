@@ -9,13 +9,15 @@ import functools
 import importlib.util
 import random
 from dataclasses import replace
+from math import prod
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, settings
 
 from groupauth import cli
-from groupauth.algebra import lagrange_coefficient
+from groupauth.algebra import ThresholdParams, lagrange_coefficient
 from groupauth.channel import ADVERSARY_ID, ROUND_INVITATION
 
 settings.register_profile(
@@ -60,15 +62,49 @@ OTHER_INVITATION_SPELLINGS = (
 )
 
 
+def poly_eval(coefficients, x, modulus) -> int:
+    """Single-point Horner mod `modulus`, coefficients constant term
+    first: the reference for `algebra.poly_eval_points`."""
+    acc = 0
+    for coeff in reversed(coefficients):
+        acc = (acc * x + coeff) % modulus
+    return acc
+
+
+def plain_numerators(targets, points, modulus) -> list:
+    """prod_{x in points} (target - x) mod `modulus` for each target, by
+    one `math.prod` each: the reference for the memo's numerators."""
+    return [prod([target - x for x in points]) % modulus
+            for target in targets]
+
+
+def memo_entry(targets, points, modulus) -> tuple:
+    """The group memo's entry (numerators, inverses) for `points`, in
+    the order given, from `ThresholdParams._view_numerators` on a
+    stand-in params that interpolates toward `targets` mod `modulus`
+    with unit scales. DegenerateShareSet if a point repeats mod
+    `modulus`."""
+    targets = tuple(targets)
+    stand_in = SimpleNamespace(
+        _interpolation=(targets, (1,) * len(targets), modulus))
+    return ThresholdParams._view_numerators(stand_in, tuple(points))
+
+
 def lagrange_weights(targets, own, others, modulus, numerators=None) -> tuple:
     """Each target's Lagrange weight, read as the sum that
     `lagrange_coefficient` returns for that target's unit `values`
-    vector."""
+    vector, with the memo entry of the point set (own, *others): its
+    numerators unless `numerators` is given, and `own`'s inverted
+    denominator."""
     targets = tuple(targets)
+    memo_numerators, inverses = memo_entry(targets, (own, *others), modulus)
+    if numerators is None:
+        numerators = memo_numerators
     units = [[int(i == j) for i in range(len(targets))]
              for j in range(len(targets))]
-    return tuple(lagrange_coefficient(targets, unit, own, others, modulus,
-                                      numerators) for unit in units)
+    return tuple(lagrange_coefficient(targets, unit, own, modulus,
+                                      numerators, inverses[own])
+                 for unit in units)
 
 
 @functools.cache

@@ -39,7 +39,6 @@ from groupauth.algebra import (
     group_setup,
     is_probable_prime,
     lagrange_coefficient,
-    poly_eval,
     poly_eval_points,
     random_prime,
     random_safe_prime,
@@ -57,6 +56,9 @@ from conftest import (
     SAFE_PRIMES,
     SMALL_PRIME,
     lagrange_weights,
+    memo_entry,
+    plain_numerators,
+    poly_eval,
 )
 
 
@@ -115,22 +117,11 @@ def random_coefficients(degree, p, rng):
     return [rng.randrange(p) for _ in range(degree + 1)]
 
 
-def full_numerators(targets, xs, p):
-    """prod over the whole point set of (target - x), one per target."""
-    out = []
-    for target in targets:
-        c = 1
-        for x in xs:
-            c = c * (target - x) % p
-        out.append(c)
-    return out
-
-
 def interpolate(points, target, p, numerators=False):
     """f(target) from (x, f(x)) pairs by `lagrange_coefficient`, one call
     per point, with or without the shared numerators."""
     xs = [x for x, _ in points]
-    shared = full_numerators((target,), xs, p) if numerators else None
+    shared = plain_numerators((target,), xs, p) if numerators else None
     acc = 0
     for x, y in points:
         others = [o for o in xs if o != x]
@@ -141,26 +132,29 @@ def interpolate(points, target, p, numerators=False):
 
 class TestPolynomial:
     def test_eval_small(self):
-        assert poly_eval([3, 2], 3, 7) == 2  # 3 + 2*3 = 9 = 2 mod 7
+        # 3 + 2*3 = 9 = 2 mod 7
+        assert poly_eval_points([3, 2], [3], 7) == [2]
 
     def test_constant_poly(self):
-        for x in range(SMALL_PRIME):
-            assert poly_eval([5], x, SMALL_PRIME) == 5
+        assert poly_eval_points([5], range(SMALL_PRIME), SMALL_PRIME) == \
+            [5] * SMALL_PRIME
 
     def test_eval_at_zero_is_constant_term(self):
         rng = random.Random(2)
         f = random_coefficients(4, MEDIUM_PRIME, rng)
-        assert poly_eval(f, 0, MEDIUM_PRIME) == f[0]
+        assert poly_eval_points(f, [0], MEDIUM_PRIME) == [f[0]]
 
     @given(st.lists(st.integers(min_value=0, max_value=P64 - 1),
                     min_size=1, max_size=8),
            st.integers(min_value=0, max_value=P64 - 1))
     def test_eval_matches_field_element_horner(self, coeffs, x):
-        """poly_eval reduces each step itself; this reference leaves every
+        """poly_eval_points at one point, and the test-side `poly_eval`,
+        reduce each step themselves; this reference leaves every
         reduction to the FieldElement constructor."""
         acc = FieldElement(0, P64)
         for coeff in reversed(coeffs):
             acc = FieldElement(acc.value * x + coeff, P64)
+        assert poly_eval_points(coeffs, [x], P64) == [acc.value]
         assert poly_eval(coeffs, x, P64) == acc.value
 
     @given(st.lists(st.integers(min_value=-P64, max_value=2 * P64),
@@ -183,6 +177,10 @@ class TestPolynomial:
 # ---------------------------------------------------------------------------
 # lagrange coefficients
 
+# primes from 16 to 128 bits for the memo's properties: the largest 16- and
+# 32-bit primes, q and p of the 64-bit safe prime, and the 128-bit one
+MEMO_PRIMES = (65_521, 4_294_967_291, Q64, P64, P128)
+
 
 class TestLagrange:
     def test_two_point_weights_mod_23(self):
@@ -190,6 +188,8 @@ class TestLagrange:
         assert lagrange_weights((0,), 2, [1], SMALL_PRIME) == (22,)
 
     def test_duplicate_positions_rejected(self):
+        """The memo entry refuses the point set, with DegenerateShareSet
+        rather than a ValueError from inverting 0."""
         with pytest.raises(DegenerateShareSet):
             lagrange_weights((0,), 1, [1], SMALL_PRIME)
         with pytest.raises(DegenerateShareSet):
@@ -209,23 +209,25 @@ class TestLagrange:
     ])
     def test_duplicate_names_the_first_offending_position(self, others,
                                                            named):
-        """The error names the first position, in the order of `others`
-        and reduced mod p, that repeats `own` (here 1) or an earlier
-        one, with or without shared numerators."""
+        """The memo's refusal names the first position, in the order of
+        the point set (own, *others) and reduced mod p, that repeats
+        `own` (here 1) or an earlier one, whatever numerators the
+        caller holds."""
+        error = "^duplicate evaluation position %d$" % named
+        with pytest.raises(DegenerateShareSet, match=error):
+            memo_entry((0,), (1, *others), SMALL_PRIME)
         for numerators in (None, [0]):
-            with pytest.raises(DegenerateShareSet,
-                               match="^duplicate evaluation position %d$"
-                               % named):
-                lagrange_weights((0,), 1, others, SMALL_PRIME,
-                                     numerators)
+            with pytest.raises(DegenerateShareSet, match=error):
+                lagrange_weights((0,), 1, others, SMALL_PRIME, numerators)
 
     def test_inputs_reduced_mod_p(self, rng):
         """Positions and targets off by multiples of p give the same
-        canonical weights, with or without shared numerators."""
+        canonical weights, with the memo's numerators or the plain
+        ones."""
         p = P64
         xs = rng.sample(range(1, 10_000), 4)
         targets = [rng.randrange(p) for _ in range(3)]
-        numerators = full_numerators(targets, xs, p)
+        numerators = plain_numerators(targets, xs, p)
         weights = lagrange_weights(targets, xs[0], xs[1:], p)
         assert all(0 <= w < p for w in weights)
         shifted = ([v - p for v in targets], xs[0] + p,
@@ -248,8 +250,12 @@ class TestLagrange:
             )
 
     def test_empty_target_sequence(self):
-        assert lagrange_coefficient((), (), 1, [2, 3], SMALL_PRIME) == 0
-        assert lagrange_coefficient([], [], 1, [], SMALL_PRIME) == 0
+        for points in ((1, 2, 3), (1,)):
+            numerators, inverses = memo_entry((), points, SMALL_PRIME)
+            assert numerators == ()
+            assert lagrange_coefficient((), (), 1, SMALL_PRIME, numerators,
+                                        inverses[1]) == 0
+        assert lagrange_weights([], 1, [2, 3], SMALL_PRIME) == ()
 
     def test_duplicate_positions_rejected_for_target_sequence(self):
         with pytest.raises(DegenerateShareSet):
@@ -257,13 +263,14 @@ class TestLagrange:
         with pytest.raises(DegenerateShareSet):
             lagrange_weights([0, 5], 1, [2, 2], SMALL_PRIME)
         with pytest.raises(DegenerateShareSet):
-            lagrange_coefficient((), (), 1, [3, 2, 3], SMALL_PRIME)
+            memo_entry((), (1, 3, 2, 3), SMALL_PRIME)
 
     @given(st.data())
     def test_shared_numerators_equal_sequence_form(self, data):
-        """Given prod over the whole point set of (target - x) per target,
-        the weights equal the plain sequence form's, for targets at a
-        position (own included) and off every position."""
+        """The memo's numerators are prod over the whole point set of
+        (target - x) per target, as one `math.prod` each gives them, and
+        the weights with either are equal, for targets at a position
+        (own included) and off every position."""
         p = data.draw(st.sampled_from([SMALL_PRIME, MEDIUM_PRIME, P64]))
         xs = data.draw(st.lists(st.integers(0, p - 1), min_size=1,
                                 max_size=12, unique=True))
@@ -271,7 +278,8 @@ class TestLagrange:
             st.one_of(st.sampled_from(xs), st.integers(0, p - 1)),
             max_size=8))
         own, others = xs[0], xs[1:]
-        numerators = full_numerators(targets, xs, p)
+        numerators = plain_numerators(targets, xs, p)
+        assert list(memo_entry(targets, xs, p)[0]) == numerators
         assert (lagrange_weights(targets, own, others, p, numerators)
                 == lagrange_weights(targets, own, others, p))
 
@@ -285,17 +293,18 @@ class TestLagrange:
 
     @pytest.mark.parametrize("values", [[], [1], [1, 2, 3]])
     def test_values_of_the_wrong_length_rejected(self, values):
-        for numerators in (None, [2, 3]):
+        memo_numerators, inverses = memo_entry([0, 5], (1, 2), SMALL_PRIME)
+        for numerators in (memo_numerators, [2, 3]):
             with pytest.raises(ValueError):
-                lagrange_coefficient([0, 5], values, 1, [2], SMALL_PRIME,
-                                     numerators)
+                lagrange_coefficient([0, 5], values, 1, SMALL_PRIME,
+                                     numerators, inverses[1])
 
     @given(st.data())
     def test_folded_sum_matches_naive_oracle(self, data):
         """The one-pass sum equals sum_j v_j * L_j, each L_j the oracle's
         basis polynomial of `own` evaluated at targets[j], for targets at
         `own` (weight 1), at another position and off every position,
-        with and without shared numerators."""
+        with the memo's numerators and the plain ones."""
         p = data.draw(st.sampled_from([SMALL_PRIME, MEDIUM_PRIME, Q64]))
         xs = data.draw(st.lists(st.integers(0, p - 1), min_size=1,
                                 max_size=8, unique=True))
@@ -309,15 +318,17 @@ class TestLagrange:
         basis = [(own, 1)] + [(x, 0) for x in others]
         expect = sum(value * naive_interpolate_at(basis, target, p)
                      for target, value in zip(targets, values)) % p
-        for numerators in (None, full_numerators(targets, xs, p)):
-            assert lagrange_coefficient(targets, values, own, others, p,
-                                        numerators) == expect
+        memo_numerators, inverses = memo_entry(targets, xs, p)
+        for numerators in (memo_numerators, plain_numerators(targets, xs, p)):
+            assert lagrange_coefficient(targets, values, own, p, numerators,
+                                        inverses[own]) == expect
 
     @given(st.data())
     def test_weights_match_naive_oracle(self, data):
-        """Weights with and without shared numerators reconstruct
-        f(target) as the basis-expansion oracle does, and a position
-        repeated mod p (x and x + p) is rejected either way."""
+        """Weights with the memo's numerators and the plain ones
+        reconstruct f(target) as the basis-expansion oracle does, and the
+        memo refuses a position repeated mod p (x and x + p) either
+        way."""
         p = data.draw(st.sampled_from([SMALL_PRIME, Q64]))
         xs = data.draw(st.lists(st.integers(0, p - 1), min_size=1,
                                 max_size=min(8, p), unique=True))
@@ -333,7 +344,47 @@ class TestLagrange:
         for shared in (None, [0]):
             with pytest.raises(DegenerateShareSet):
                 lagrange_weights((target,), xs[0], [*xs[1:], repeated],
-                                     p, shared)
+                                 p, shared)
+
+    @given(st.data())
+    def test_memo_inverses_invert_each_members_denominator(self, data):
+        """For every member `own` of a point set, the memo's inverse times
+        D(own) = prod_{x != own} (own - x) is 1 mod the prime, for 1 to
+        40 positions given in any order and off by multiples of it."""
+        p = data.draw(st.sampled_from(MEMO_PRIMES))
+        xs = data.draw(st.lists(st.integers(0, p - 1), min_size=1,
+                                max_size=40, unique=True))
+        points = [x + p * data.draw(st.integers(-1, 2)) for x in xs]
+        numerators, inverses = memo_entry((), points, p)
+        assert numerators == () and sorted(inverses) == sorted(points)
+        for own in points:
+            denominator = 1
+            for x in points:
+                if x != own:
+                    denominator = denominator * (own - x) % p
+            assert inverses[own] * denominator % p == 1
+
+    @given(st.data())
+    def test_memo_path_matches_naive_oracle(self, data):
+        """For every member of the point set, `lagrange_coefficient` with
+        nothing but the memo's entry gives sum_j v_j * L_j, each L_j the
+        oracle's basis polynomial of that member at targets[j]."""
+        p = data.draw(st.sampled_from(MEMO_PRIMES))
+        xs = data.draw(st.lists(st.integers(0, p - 1), min_size=1,
+                                max_size=10, unique=True))
+        targets = data.draw(st.lists(
+            st.one_of(st.sampled_from(xs), st.integers(0, p - 1)),
+            max_size=4))
+        values = data.draw(st.lists(st.integers(0, p - 1),
+                                    min_size=len(targets),
+                                    max_size=len(targets)))
+        numerators, inverses = memo_entry(targets, sorted(xs), p)
+        for own in xs:
+            basis = [(x, int(x == own)) for x in xs]
+            expect = sum(value * naive_interpolate_at(basis, target, p)
+                         for target, value in zip(targets, values)) % p
+            assert lagrange_coefficient(targets, values, own, p, numerators,
+                                        inverses[own]) == expect
 
     def test_three_point_reconstruction_matches_naive_oracle(self):
         p = MEDIUM_PRIME

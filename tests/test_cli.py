@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 import groupauth
-from groupauth import cli, parties, xia2019
+from groupauth import cli, harn2013, parties, xia2019
 from groupauth.algebra import derive_rng
 from groupauth.channel import (
     ROUND_INVITATION,
@@ -307,6 +307,36 @@ def test_honest_scenarios_behave(scheme, extra):
     assert report["verdict"] == "expected"
     assert report["counts"]["forged"] == 0
     assert audit_transcript(transcript, config)
+
+
+@pytest.mark.parametrize("module", [harn2013, xia2019])
+def test_one_lagrange_call_per_token(monkeypatch, module):
+    """An honest world computes each token with exactly one call of
+    `lagrange_coefficient` through the scheme's module global, the name
+    that perfbench/tracer.py rebinds to count it; the audit computes
+    none."""
+    calls = {"lagrange": 0, "token": 0}
+
+    def counted(function, key):
+        def counting(*args):
+            calls[key] += 1
+            return function(*args)
+        return counting
+
+    scheme = module.SCHEME_TAG
+    compute = "harn_compute_token" if module is harn2013 else \
+        "xia_compute_token"
+    monkeypatch.setattr(module, "lagrange_coefficient",
+                        counted(module.lagrange_coefficient, "lagrange"))
+    monkeypatch.setattr(parties, compute,
+                        counted(getattr(parties, compute), "token"))
+    config = config_for(scheme=scheme, n=6, t=2)
+    transcript, report = run_scenario(config)
+    assert report["verdict"] == "expected"
+    tokens = [r for r in transcript.envelopes() if r["round"] == ROUND_TOKEN]
+    assert calls == {"lagrange": 6, "token": 6} and len(tokens) == 6
+    assert audit_transcript(transcript, config)
+    assert calls == {"lagrange": 6, "token": 6}
 
 
 @pytest.mark.parametrize("scheme, extra", [

@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupauth import harn2013
-from groupauth.algebra import poly_eval
 from groupauth.channel import (
     BeliefState,
     Envelope,
@@ -46,6 +45,7 @@ from conftest import (
     RecordingAPI,
     lagrange_weights,
     load_regen_vectors,
+    poly_eval,
 )
 
 
@@ -119,14 +119,15 @@ class TestIssuance:
     def test_shares_are_the_dealer_polynomials_at_each_id(self, monkeypatch,
                                                           n, t):
         """Oracle: every tokens[j] is the single-point Horner value
-        poly_eval(f_j, x, p) of the polynomials the dealer evaluated, and
-        those are k polynomials of degree t-1 that satisfy the issuance
-        invariant at the published positions."""
+        poly_eval(f_j, x, p) of the polynomials the dealer evaluated at
+        the ids, and those are k polynomials of degree t-1 that satisfy
+        the issuance invariant at the published positions."""
         polys = []
         column_eval = harn2013.poly_eval_points
 
         def spy(coefficients, xs, modulus):
-            polys.append(list(coefficients))
+            if list(xs) == list(range(1, n + 1)):  # a column of shares
+                polys.append(list(coefficients))
             return column_eval(coefficients, xs, modulus)
 
         monkeypatch.setattr(harn2013, "poly_eval_points", spy)
@@ -332,14 +333,20 @@ class TestNumeratorMemo:
         assert harn_aggregate(warm, params.modulus) == s.value
 
     def test_memo_entry_is_d_times_the_group_product(self):
-        """A group's entry is d_j * prod_{x in group} (w_j - x) mod p per
-        position, so a token needs no separate product with d."""
+        """A group's entry holds d_j * prod_{x in group} (w_j - x) mod p
+        per position, so a token needs no separate product with d, and
+        for each member the inverse of prod_{x != own} (own - x), so a
+        token inverts only the product of its k gaps."""
         params, creds, _ = harn_gm_init(5, 2, prime_bits=64, rng_seed=54)
         group, p = (1, 3, 4), params.modulus
         harn_compute_token(creds[0], params, list(group))
-        assert params._numerators[group] == tuple(
+        numerators, inverses = params._numerators[group]
+        assert numerators == tuple(
             dj.value * prod(wj.value - x for x in group) % p
             for wj, dj in zip(params.w, params.d))
+        assert inverses == {
+            own: pow(prod(own - x for x in group if x != own), -1, p)
+            for own in group}
 
     def test_degenerate_group_leaves_no_entry(self):
         params, creds, _ = harn_gm_init(6, 2, prime_bits=48, rng_seed=52)

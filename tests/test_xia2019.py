@@ -10,6 +10,7 @@ returned secret.
 
 import random
 from dataclasses import replace
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from groupauth.algebra import (
     derive_rng,
     fixed_base_table,
     group_exp,
+    lagrange_coefficient,
     residue_digest,
 )
 from groupauth.channel import (
@@ -469,6 +471,9 @@ class TestMaskAndNumeratorMemos:
         assert len(params._masks) == len(params._numerators) == 1
 
     def test_shared_numerator_gives_the_direct_weight(self):
+        """A group's memo entry, its numerator and each member's inverted
+        denominator, gives the weight toward 0 written out directly,
+        prod_r x_r / (x_r - own) mod q."""
         params, _, _ = setup_small(n=7, t=2, seed=65)
         q = params.group.q
         targets, scales, modulus = params._interpolation
@@ -476,10 +481,12 @@ class TestMaskAndNumeratorMemos:
         for view in ([1, 2], [2, 5, 7], list(range(1, 8))):
             for own in view:
                 others = [i for i in view if i != own]
-                shared = params._numerators[tuple(view)]
-                assert lagrange_weights(
-                    targets, own, others, modulus, shared
-                ) == lagrange_weights((0,), own, others, q)
+                shared, inverses = params._numerators[tuple(view)]
+                direct = prod(others) * pow(
+                    prod(x - own for x in others), -1, q) % q
+                assert lagrange_coefficient(
+                    targets, (1,), own, modulus, shared, inverses[own]
+                ) == direct == lagrange_weights((0,), own, others, q)[0]
         assert len(params._numerators) == 3
 
     def test_flooded_party_stores_one_mask_entry_per_index(self):
