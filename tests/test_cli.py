@@ -309,8 +309,11 @@ def test_honest_scenarios_behave(scheme, extra):
     assert audit_transcript(transcript, config)
 
 
-@pytest.mark.parametrize("module", [harn2013, xia2019])
-def test_one_lagrange_call_per_token(monkeypatch, module):
+@pytest.mark.parametrize("module, compute", [
+    (harn2013, "harn_compute_token"),
+    (xia2019, "xia_compute_token"),
+], ids=["harn2013", "xia2019"])
+def test_one_lagrange_call_per_token(monkeypatch, module, compute):
     """An honest world computes each token with exactly one call of
     `lagrange_coefficient` through the scheme's module global, the name
     that perfbench/tracer.py rebinds to count it; the audit computes
@@ -323,14 +326,11 @@ def test_one_lagrange_call_per_token(monkeypatch, module):
             return function(*args)
         return counting
 
-    scheme = module.SCHEME_TAG
-    compute = "harn_compute_token" if module is harn2013 else \
-        "xia_compute_token"
     monkeypatch.setattr(module, "lagrange_coefficient",
                         counted(module.lagrange_coefficient, "lagrange"))
     monkeypatch.setattr(parties, compute,
                         counted(getattr(parties, compute), "token"))
-    config = config_for(scheme=scheme, n=6, t=2)
+    config = config_for(scheme=module.SCHEME_TAG, n=6, t=2)
     transcript, report = run_scenario(config)
     assert report["verdict"] == "expected"
     tokens = [r for r in transcript.envelopes() if r["round"] == ROUND_TOKEN]
